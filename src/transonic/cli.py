@@ -25,6 +25,7 @@ from scipy import fft as sfft
 from . import io as fio
 from .errors import (
     GuardViolated,
+    ImaginaryResidue,
     MultipleNegative,
     NonZeroMean,
     NotConverged,
@@ -47,7 +48,7 @@ from .gp import gp_system_residual
 COMMANDS = ("lump-check", "kernel", "kernel-scan", "eigen", "norms", "construct", "residual")
 
 VALIDATION_ERRORS = (ValueError, GuardViolated, SymmetryViolation, NonZeroMean, FileNotFoundError)
-SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative)
+SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, ImaginaryResidue)
 
 
 @dataclass
@@ -64,6 +65,9 @@ class RunConfig:
     out_dir: str = "runs"
     threads: int = 1
     seed: int = 0
+    # names set by --config or by a flag (``load_config``); not a field, so
+    # ``asdict`` and the reports leave it out
+    given = frozenset()
 
     def validate(self) -> None:
         if not (0.0 <= self.epsilon <= 0.5):
@@ -139,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    given = set()
     if getattr(args, "config", None):
         data = json.loads(Path(args.config).read_text())
         for k, v in data.items():
@@ -146,10 +151,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {k!r}")
             setattr(cfg, key, v)
+            given.add(key)
     for key in vars(cfg):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
+            given.add(key)
+    cfg.given = frozenset(given)
     if getattr(args, "threads", None) is None and "TRANSONIC_THREADS" in os.environ:
         cfg.threads = int(os.environ["TRANSONIC_THREADS"])
     cfg.validate()
@@ -250,7 +258,7 @@ def cmd_kernel_scan(cfg: RunConfig, args) -> int:
 def cmd_eigen(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     op = make_linearized_operator(cfg.epsilon, grid)
-    seed = cfg.seed or 7
+    seed = cfg.seed if "seed" in cfg.given else 7
     res = eigen_extremes(op, k=args.k, seed=seed)
     out = Path(cfg.out_dir)
     fio.write_field(out, "phi0", res.phi0)
@@ -328,7 +336,7 @@ def cmd_residual(cfg: RunConfig, args) -> int:
     state = build_state(eps, phi.grid, phi=phi, f2=f2)
     rpt = gp_system_residual(state, f2)
     rec = asdict(rpt)
-    out = Path(cfg.out_dir) if cfg.out_dir != "runs" else indir
+    out = Path(cfg.out_dir) if "out_dir" in cfg.given else indir
     _write_json(out / "gp_residual.json", rec)
     with (out / "gp_residual.csv").open("w", newline="") as fh:
         w = csv.writer(fh)

@@ -25,6 +25,11 @@ class QuadratureNotConverged(TransonicError):
     """Adaptive quadrature could not reach the requested accuracy."""
 
 
+class ImaginaryResidue(TransonicError):
+    """An inverse transform that must give a real field left an imaginary
+    part above tolerance: the symbol ratio lost its Hermitian symmetry."""
+
+
 class GuardViolated(TransonicError):
     """An input left the regime in which a contraction is guaranteed."""
 

@@ -21,14 +21,16 @@ ball-integral bounds of the kernel analysis into measurable reports.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import integrate
 
-from .errors import QuadratureNotConverged
+from .errors import ImaginaryResidue, QuadratureNotConverged
 from .grid import Grid2D, RealField2D, Symmetry
 
 SQRT2 = math.sqrt(2.0)
@@ -97,6 +99,7 @@ def _roots_ab(p: KernelSymbolParams, xi):
     return a, b, droot
 
 
+@lru_cache(maxsize=None)
 def branch_point(p: KernelSymbolParams) -> float | None:
     """Positive xi where the discriminant vanishes (c_eps of the factorization).
 
@@ -183,18 +186,28 @@ def dispersion_roots(eps: float) -> DispersionRoots:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_profile(p: KernelSymbolParams, n: int, xi, y: float):
-    """S_n(xi, y): the xi2-contour integral divided by pi i^n.
+def _scalar_roots(p: KernelSymbolParams):
+    """``_roots_ab`` for one real xi at a time, in ``cmath`` arithmetic.
 
-    S_n = [a^{(n-1)/2} e^{-sqrt(a) y} - b^{(n-1)/2} e^{-sqrt(b) y}] / (d4 e^4 (b-a));
-    real-valued for real xi (pairwise conjugate roots past the branch point).
+    QUADPACK hands its integrand one float per call, so every callback of the
+    residue route uses this form; ``_roots_ab`` stays the array API.  The
+    formulas (rationalized ``a``, principal square root of the discriminant)
+    and their operation order are those of ``_roots_ab``; the coefficient
+    products are formed once per symbol.
     """
-    a, b, droot = _roots_ab(p, xi)
-    pw = 0.5 * (n - 1)
-    ra = np.sqrt(a.astype(np.complex128))
-    rb = np.sqrt(b.astype(np.complex128))
-    num = a.astype(np.complex128) ** pw * np.exp(-ra * y) - b.astype(np.complex128) ** pw * np.exp(-rb * y)
-    return num / droot
+    e2 = p.eps**2
+    b2, ge2, a4, a2 = p.b2, p.g * e2, p.a4, p.a2
+    disc4 = 4.0 * p.d4 * e2**2
+    bden = 2.0 * p.d4 * p.eps**4
+
+    def roots(xi: float):
+        s = xi * xi
+        lin = b2 + ge2 * s
+        quart = a4 * s * s + a2 * s
+        droot = cmath.sqrt(lin * lin - disc4 * quart)
+        return 2.0 * quart / (lin + droot), (lin + droot) / bden, droot
+
+    return roots
 
 
 def _scale_xi(p: KernelSymbolParams) -> float:
@@ -204,20 +217,31 @@ def _scale_xi(p: KernelSymbolParams) -> float:
     return c if c is not None else 1.0 / p.eps
 
 
-def _axis_asymptote(p: KernelSymbolParams, m: int, n: int) -> float:
-    """Large-xi limit of xi^m S_n(xi, 0) for the non-decaying cases m+n = 3.
+def _integrand(p: KernelSymbolParams, m: int, n: int, y: float):
+    """xi -> Re xi^m S_n(xi, y) for one real xi, with S_n the xi2-contour
+    integral divided by pi i^n:
 
-    Computed by Richardson extrapolation in 1/xi^2 from moderate xi, where
-    the root difference is still well conditioned.
+        S_n = [a^{(n-1)/2} e^{-sqrt(a) y} - b^{(n-1)/2} e^{-sqrt(b) y}] / (d4 e^4 (b-a)),
+
+    real-valued for real xi (pairwise conjugate roots past the branch point).
+    a^{(n-1)/2} is taken as sqrt(a)^(n-1) on the principal branch, and as a
+    itself for n = 3.
     """
-    c = _scale_xi(p)
-    big = 400.0 * max(c, 1.0)
+    roots = _scalar_roots(p)
+    k = n - 1
+    exp, sqrt = cmath.exp, cmath.sqrt
 
-    def t(xi):
-        return float(np.real(xi**m * _reduced_profile(p, n, np.array([xi]), 0.0)[0]))
+    def f(xi: float) -> float:
+        a, b, droot = roots(xi)
+        ra = sqrt(a)
+        rb = sqrt(b)
+        if k == 2:
+            num = a * exp(-ra * y) - b * exp(-rb * y)
+        else:
+            num = ra**k * exp(-ra * y) - rb**k * exp(-rb * y)
+        return xi**m * (num / droot).real
 
-    t1, t2 = t(big), t(2.0 * big)
-    return (4.0 * t2 - t1) / 3.0
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -226,29 +250,19 @@ def _axis_tail_coeffs(p: KernelSymbolParams, m: int, n: int) -> tuple[float, flo
 
     Only m+n = 3 has l_inf != 0 and only m+n = 2 has l_1 != 0 among the
     supported orders; the expansion proceeds in even powers past these.
+    Both are Richardson extrapolations in 1/xi^2 from moderate xi, where the
+    root difference is still well conditioned.
     """
-    l_inf = _axis_asymptote(p, m, n) if m + n == 3 else 0.0
-    l_1 = 0.0
-    if m + n == 2:
-        c = _scale_xi(p)
-        big = 400.0 * max(c, 1.0)
+    f = _integrand(p, m, n, 0.0)
+    big = 400.0 * max(_scale_xi(p), 1.0)
 
-        def t(xi):
-            raw = float(np.real(xi**m * _reduced_profile(p, n, np.array([xi]), 0.0)[0]))
-            return xi * raw
-
+    def extrapolate(t):
         t1, t2 = t(big), t(2.0 * big)
-        l_1 = (4.0 * t2 - t1) / 3.0
+        return (4.0 * t2 - t1) / 3.0
+
+    l_inf = extrapolate(f) if m + n == 3 else 0.0
+    l_1 = extrapolate(lambda xi: xi * f(xi)) if m + n == 2 else 0.0
     return l_inf, l_1
-
-
-def _integrand(p: KernelSymbolParams, m: int, n: int, y: float):
-    def f(xi):
-        arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        vals = np.real(arr**m * _reduced_profile(p, n, arr, y))
-        return vals if np.ndim(xi) else float(vals[0])
-
-    return f
 
 
 def _decay_cutoff(p: KernelSymbolParams, y: float, c: float) -> float:
@@ -256,12 +270,12 @@ def _decay_cutoff(p: KernelSymbolParams, y: float, c: float) -> float:
     if y <= 0.0:
         return math.inf
     target = 46.0 / y
+    roots = _scalar_roots(p)
     # past the branch point Re sqrt(a) grows ~ sqrt(g/2)/eps * |xi| * cos(pi/6)-ish;
     # bracket by doubling instead of trusting an asymptotic constant
     xi = 2.0 * c
     for _ in range(200):
-        ra = float(np.real(np.sqrt(_roots_ab(p, np.array([xi]))[0].astype(np.complex128))[0]))
-        if ra >= target:
+        if cmath.sqrt(roots(xi)[0]).real >= target:
             return xi
         xi *= 1.5
     return xi
@@ -302,6 +316,7 @@ def kernel_residue_eval(
     c = c_branch if c_branch is not None else 1.0 / p.eps
     f = _integrand(p, m, n, y)
     weight = "cos" if m % 2 == 0 else "sin"
+    wfun = math.cos if m % 2 == 0 else math.sin
     phase_sign = (-1.0) ** (m // 2) if m % 2 == 0 else (-1.0) ** ((m + 1) // 2)
     front = phase_sign * (-1.0) ** n / (2.0 * math.pi)
 
@@ -316,7 +331,7 @@ def kernel_residue_eval(
         abs_scale = max(abs_scale, abs(mag))
 
     def osc(xi):
-        return math.cos(x * xi) if weight == "cos" else math.sin(x * xi)
+        return wfun(x * xi)
 
     # slowly-decaying tails on the axis: subtract the sgn-type constant
     # asymptote (improper sin-transform 1/x) and the 1/xi term (cosine/sine
@@ -441,7 +456,8 @@ def kernel_fft(p: KernelSymbolParams, g: Grid2D, m: int, n: int) -> RealField2D:
     Normalized so that applying the discrete symbol to the (0,0) kernel
     reproduces the discrete delta minus its mean.  Values equal the
     free-space kernel plus its periodic images; the image contribution is
-    what a domain-doubling study sees shrink.
+    what a domain-doubling study sees shrink.  Raises ``ImaginaryResidue``
+    when the inverse transform is not real to 1e-10 of its largest value.
     """
     if (m, n) not in ALLOWED_ORDERS:
         raise ValueError(f"unsupported derivative order ({m}, {n})")
@@ -449,11 +465,11 @@ def kernel_fft(p: KernelSymbolParams, g: Grid2D, m: int, n: int) -> RealField2D:
     ix = np.arange(g.nx)
     iy = np.arange(g.ny)
     phase = ((-1.0) ** ix)[:, None] * ((-1.0) ** iy)[None, :]
-    vals = np.fft.ifft2(ratio * phase) * (g.nx * g.ny / (4.0 * g.Lx * g.Ly))
+    vals = sfft.ifft2(ratio * phase) * (g.nx * g.ny / (4.0 * g.Lx * g.Ly))
     resid = np.max(np.abs(vals.imag))
     scale = np.max(np.abs(vals.real)) + 1e-300
     if resid > 1e-10 * scale:
-        raise FloatingPointError(f"kernel field has imaginary residue {resid:.2e}")
+        raise ImaginaryResidue(f"kernel field has imaginary residue {resid:.2e}")
     sym = Symmetry.from_parities(-1 if m % 2 else 1, -1 if n % 2 else 1)
     return RealField2D(g, vals.real, sym)
 

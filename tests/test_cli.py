@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import transonic.kernel as K
 from transonic.cli import main
 
 SMALL = ["--nx", "64", "--ny", "64", "--Lx", "20", "--Ly", "20"]
@@ -51,10 +52,45 @@ def test_eigen_and_norms(tmp_path, capsys):
     assert code == 0
     rec = json.loads((tmp_path / "eigen.json").read_text())
     assert rec["negative_count"] == 1
+    assert rec["seed"] == 7  # the default when --seed is omitted
     code = main(["norms", "--in", str(tmp_path / "phi1.bin"), "--epsilon", "0.1"])
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-2].split(",")[0] == "a"
+
+
+def test_eigen_explicit_seed_zero(tmp_path):
+    code = main(["eigen", "--epsilon", "0.1", "--k", "3", "--seed", "0"] + SMALL
+                + ["--out", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "eigen.json").read_text())["seed"] == 0
+
+
+def test_kernel_fft_imaginary_residue_exit(monkeypatch, capsys):
+    ratio = K._symbol_ratio
+    # a purely imaginary inverse transform: the realness check must fire
+    monkeypatch.setattr(K, "_symbol_ratio", lambda *a: 1j * ratio(*a))
+    code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "0",
+                 "--x", "3", "--y", "2", "--nx", "32", "--ny", "32"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ImaginaryResidue"
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_residual_explicit_out(tmp_path, monkeypatch, how):
+    # an explicit output directory wins even when it is the default "runs"
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--epsilon", "0.2", "--tol", "1e-6", "--out", "c"] + SMALL) == 0
+    if how == "flag":
+        out = ["--out", "runs"]
+    else:
+        (tmp_path / "cfg.json").write_text('{"out_dir": "runs"}')
+        out = ["--config", "cfg.json"]
+    assert main(["residual", "--in", "c"] + out) == 0
+    assert (tmp_path / "runs" / "gp_residual.json").exists()
+    assert not (tmp_path / "c" / "gp_residual.json").exists()
 
 
 def test_config_file_and_override(tmp_path, capsys):

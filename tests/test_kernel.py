@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import transonic.kernel as K
+from transonic.errors import QuadratureNotConverged
 from transonic.grid import Symmetry, make_grid
 from transonic.kernel import (
     FAR_FIELD_SLOPE,
@@ -16,6 +17,23 @@ from transonic.kernel import (
     kernel_residue_eval,
     symbol_eval,
 )
+
+
+def _array_profile(p, m, n, xi, y):
+    """Re xi^m S_n(xi, y) evaluated on an array from ``_roots_ab``, with the
+    rounding scale of the difference of the two root terms: their magnitudes
+    before cancellation, times the conditioning 1 + |sqrt(root)| y of the
+    exponentials."""
+    xi = np.asarray(xi, dtype=float)
+    a, b, droot = K._roots_ab(p, xi)
+    a, b = a.astype(np.complex128), b.astype(np.complex128)
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    pw = 0.5 * (n - 1)
+    ta = a**pw * np.exp(-ra * y)
+    tb = b**pw * np.exp(-rb * y)
+    vals = np.real(xi**m * (ta - tb) / droot)
+    scale = np.abs(xi**m) * (np.abs(ta) + np.abs(tb)) * (1.0 + (np.abs(ra) + np.abs(rb)) * y)
+    return vals, scale / np.abs(droot)
 
 
 class TestSymbol:
@@ -195,6 +213,42 @@ class TestResidueRoute:
         brute = np.trapezoid(vals * np.sin(x * pts), pts) / np.pi**2
         vr = kernel_residue_eval(p, 1, 1, x, y)
         assert brute == pytest.approx(vr, rel=1e-6)
+
+
+class TestScalarRoute:
+    """The QUADPACK callbacks evaluate the reduced profile one float at a
+    time in ``cmath`` arithmetic; ``_roots_ab`` is the array form."""
+
+    @pytest.mark.parametrize("preset", ["normalized", "gp"])
+    def test_profile_matches_array_form(self, preset):
+        p = getattr(KernelSymbolParams, preset)(0.2)
+        c = K._scale_xi(p)  # gp: no branch point, 1/eps
+        xis = np.concatenate([
+            np.linspace(0.0, 0.5 * c, 9)[1:],
+            [c * (1.0 - 1e-8), c * (1.0 + 1e-8)],
+            np.geomspace(2.0 * c, 2e5, 12),
+        ])
+        for m, n in FAR_FIELD_SLOPE:
+            for y in (0.0, 1e-3, 0.05, 2.0):
+                f = K._integrand(p, m, n, y)
+                got = np.array([f(float(t)) for t in xis])
+                ref, scale = _array_profile(p, m, n, xis, y)
+                assert np.all(np.abs(got - ref) <= 1e-13 * scale + 1e-300), (m, n, y)
+
+    def test_tight_tolerance_still_raises(self):
+        p = KernelSymbolParams.normalized(0.2)
+        with pytest.raises(QuadratureNotConverged):
+            kernel_residue_eval(p, 1, 0, 5.0, 0.0, quad_tol=1e-16)
+
+    def test_branch_point_cached(self):
+        K.branch_point.cache_clear()
+        for eps in (0.1, 0.2, 0.5):
+            p = KernelSymbolParams.normalized(eps)
+            first = K.branch_point(p)
+            assert K.branch_point(p) is first
+            assert first == pytest.approx(dispersion_roots(eps).c_eps, rel=1e-14)
+        assert K.branch_point.cache_info().hits == 3
+        assert K.branch_point(KernelSymbolParams.gp(0.2)) is None
 
 
 class TestScans:
