@@ -269,6 +269,8 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         "negative_count": res.negative_count,
         "eigenvalues": [p.eigenvalue for p in res.pairs],
         "epsilon": cfg.epsilon,
+        "iterations": res.iterations,
+        "max_residual": res.max_residual,
         "seed": seed,
     }
     _write_json(out / "eigen.json", rec)
@@ -332,6 +334,12 @@ def cmd_residual(cfg: RunConfig, args) -> int:
     else:
         eps = cfg.epsilon
     phi = fio.read_field(indir / "phi.bin")
+    for key in ("nx", "ny", "Lx", "Ly"):
+        if key in cfg.given and getattr(cfg, key) != getattr(phi.grid, key):
+            raise ValueError(
+                f"--{key} {getattr(cfg, key)} differs from the stored grid "
+                f"({key} = {getattr(phi.grid, key)} in {indir / 'phi.json'})"
+            )
     f2 = fio.read_field(indir / "f2.bin")
     state = build_state(eps, phi.grid, phi=phi, f2=f2)
     rpt = gp_system_residual(state, f2)

@@ -252,23 +252,6 @@ class ComplexField2D:
         return self.re.grid
 
 
-@dataclass(frozen=True)
-class SpectralField2D:
-    """Fourier coefficients c_mn under f(x,y) = sum c_mn e^{i(xi1 x + xi2 y)}.
-
-    Stored in half-spectrum (rfft) layout; conjugate symmetry of the full
-    spectrum is implied by the layout whenever the physical field is real.
-    """
-
-    grid: Grid2D
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        want = (self.grid.nx, self.grid.ny // 2 + 1)
-        if self.coefficients.shape != want:
-            raise ValueError(f"coefficient shape {self.coefficients.shape} != {want}")
-
-
 def _check_same_grid(f: RealField2D, g: RealField2D) -> None:
     if not f.grid.same_as(g.grid):
         raise GridMismatch("fields are on different grids")
@@ -283,16 +266,6 @@ def _project_parity(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> np.nd
     if symmetry.y_parity != 0:
         vals = 0.5 * (vals + symmetry.y_parity * vals[:, grid._reflect_y])
     return vals
-
-
-def to_spectral(f: RealField2D) -> SpectralField2D:
-    coeffs = sfft.rfft2(f.values) / (f.grid.nx * f.grid.ny)
-    return SpectralField2D(f.grid, coeffs)
-
-
-def from_spectral(s: SpectralField2D, symmetry: Symmetry = Symmetry.NONE) -> RealField2D:
-    vals = sfft.irfft2(s.coefficients * (s.grid.nx * s.grid.ny), s=(s.grid.nx, s.grid.ny))
-    return RealField2D(s.grid, vals, symmetry)
 
 
 def _spectral_hat(f: RealField2D) -> np.ndarray:

@@ -21,6 +21,7 @@ twice in x.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +300,9 @@ class EigenResult:
     ``pairs`` holds the lowest eigenpairs in ascending order; ``phi0`` is the
     ground state (the single negative direction), ``phi1`` its x-antiderivative
     (odd in x, even in y), ``lambda2`` the smallest positive eigenvalue.
+    ``iterations`` counts the LOBPCG iterations up to the returned block and
+    ``max_residual`` is the largest ||L v - lambda v||_2 over the returned
+    pairs (unit vectors in the grid's Euclidean norm).
     """
 
     pairs: tuple[EigenPair, ...]
@@ -307,6 +311,57 @@ class EigenResult:
     lambda1: float
     lambda2: float
     negative_count: int
+    iterations: int
+    max_residual: float
+
+
+# The even/even quarter-box cosine basis.  On the periodic grid the even
+# reflection about index 0 fixes the nodes 0 and n/2, so an even field is
+# fixed by its n/2 + 1 samples on indices 0..n/2, and its DFT is exactly the
+# DCT-I of those samples.  With the trapezoid weights w = (1, 2, ..., 2, 1)
+# the full-grid sum of f g equals sum w_p w_q f_pq g_pq; so the orthonormal
+# DCT-I of sqrt(w_p w_q) f_pq is an isometry from the even/even fields (full
+# grid, Euclidean) onto their cosine coefficients.  The coefficient (m, l)
+# is sqrt(w_m w_l / (nx ny)) times the DFT coefficient, so every Fourier
+# symbol acts on it as a diagonal multiply, and the m = 0 row holds the
+# x-means of the y-lines.
+
+
+def _fold_even(v: np.ndarray, axis: int) -> np.ndarray:
+    """Even part of periodic samples along ``axis``, kept on indices 0..n/2."""
+    v = np.moveaxis(v, axis, 0)
+    n = v.shape[0]
+    mirror = np.concatenate([v[:1], v[: n // 2 - 1 : -1]])
+    return np.moveaxis(0.5 * (v[: n // 2 + 1] + mirror), 0, axis)
+
+
+def _unfold_even(q: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of ``_fold_even`` on even data: samples 0..n/2 to the period."""
+    q = np.moveaxis(q, axis, 0)
+    return np.moveaxis(np.concatenate([q, q[-2:0:-1]]), 0, axis)
+
+
+def _quarter_weights(nx: int, ny: int) -> np.ndarray:
+    """sqrt(w_p w_q) on the quarter box, shaped (nx/2+1, ny/2+1, 1)."""
+    sx, sy = (np.sqrt(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]) for n in (nx, ny))
+    return (sx[:, None] * sy[None, :])[..., None]
+
+
+def _cosine_coefficients(vals: np.ndarray) -> np.ndarray:
+    """Full-grid columns (nx, ny, b) to the orthonormal cosine coefficients
+    of their even/even, zero-x-mean projection, rows m = 1..nx/2."""
+    quarter = _fold_even(_fold_even(vals, 0), 1)
+    quarter *= _quarter_weights(vals.shape[0], vals.shape[1])
+    return sfft.dctn(quarter, type=1, axes=(0, 1), norm="ortho")[1:]
+
+
+def _cosine_values(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``_cosine_coefficients``: rows m = 1..nx/2 to full-grid
+    columns, exactly even in x and y and of zero x-mean."""
+    padded = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
+    quarter = sfft.dctn(padded, type=1, axes=(0, 1), norm="ortho")
+    quarter /= _quarter_weights(2 * coeffs.shape[0], 2 * (coeffs.shape[1] - 1))
+    return _unfold_even(_unfold_even(quarter, 0), 1)
 
 
 def eigen_extremes(
@@ -319,54 +374,49 @@ def eigen_extremes(
     """Lowest eigenpairs of the reduced operator on the even/even, zero-x-mean
     subspace, by LOBPCG with the constant-coefficient symbol as preconditioner.
 
-    Raises MultipleNegative when more than one negative eigenvalue shows up:
-    Morse index one is the structural hypothesis of the whole construction,
-    so a second negative direction signals an inadequate grid or an eps out
-    of regime.
+    LOBPCG runs on the orthonormal cosine coefficients of the quarter box
+    (see ``_cosine_coefficients``), so parity and zero x-mean hold by
+    construction: the constant and nonlocal symbols and the preconditioner
+    are diagonal, and only the potential term transforms, once per block.
+
+    Raises NotConverged when a returned pair misses ``tol`` in
+    ||L v - lambda v||_2, and MultipleNegative when more than one negative
+    eigenvalue shows up: Morse index one is the structural hypothesis of the
+    whole construction, so a second negative direction signals an inadequate
+    grid or an eps out of regime.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     grid = op.q.grid
     nx, ny = grid.nx, grid.ny
-    ntot = nx * ny
-    kx = grid.kx[:, None]
-    ky = grid.ky_r[None, :]
-    nzx = grid.kx != 0.0
-    nonlocal_ratio = np.zeros((nx, grid.ky_r.size))
-    nonlocal_ratio[nzx, :] = 2.0 * ky**2 / (grid.kx[nzx, None] ** 2)
-    local_sym = kx**2 + op.c2
-    mask = grid.dealias_mask
-    tdq = sfft.irfft2(sfft.rfft2(op.dq.values) * mask, s=(nx, ny))
-
-    refl_x = grid._reflect_x
-    refl_y = grid._reflect_y
-
-    def project(vals: np.ndarray) -> np.ndarray:
-        vals = 0.5 * (vals + vals[refl_x, :])
-        vals = 0.5 * (vals + vals[:, refl_y])
-        return vals - vals.mean(axis=0, keepdims=True)
+    mx, my = nx // 2, ny // 2
+    ntot = mx * (my + 1)
+    kx2 = grid.kx[1 : mx + 1, None, None] ** 2
+    ky2 = grid.ky_r[None, :, None] ** 2
+    symbol = kx2 + op.c2 + 2.0 * ky2 / kx2
+    pre_sym = 1.0 / (symbol + 1.0)
+    mask = grid.dealias_mask[: mx + 1, :, None]
+    # dealiased dq on the quarter box: an unnormalized DCT-I pair is the
+    # rfft2/irfft2 round trip of an even/even field
+    dq_quarter = op.dq.values[: mx + 1, : my + 1]
+    tdq = sfft.dctn(sfft.dctn(dq_quarter, type=1) * mask[..., 0], type=1) / (nx * ny)
+    tdq = tdq[..., None]
 
     def matvec_block(X: np.ndarray) -> np.ndarray:
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            v = project(X[:, j].reshape(nx, ny))
-            hat = sfft.rfft2(v)
-            w = sfft.irfft2(hat * (local_sym + nonlocal_ratio), s=(nx, ny))
-            tv = sfft.irfft2(hat * mask, s=(nx, ny))
-            prod = sfft.irfft2(sfft.rfft2(tdq * tv) * mask, s=(nx, ny))
-            w += op.coeff_lump_nl * prod
-            out[:, j] = project(w).ravel()
-        return out
-
-    pre_sym = 1.0 / (local_sym + nonlocal_ratio + 1.0)
+        C = X.reshape(mx, my + 1, -1)
+        tv = np.zeros((mx + 1, my + 1, C.shape[2]))
+        tv[1:] = C
+        tv *= mask
+        tv = sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+        tv *= tdq
+        prod = sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+        prod *= op.coeff_lump_nl * mask
+        out = symbol * C
+        out += prod[1:]
+        return out.reshape(ntot, -1)
 
     def prec_block(X: np.ndarray) -> np.ndarray:
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            v = X[:, j].reshape(nx, ny)
-            hat = sfft.rfft2(v)
-            out[:, j] = project(sfft.irfft2(hat * pre_sym, s=(nx, ny))).ravel()
-        return out
+        return (pre_sym * X.reshape(mx, my + 1, -1)).reshape(ntot, -1)
 
     A = LinearOperator((ntot, ntot), matvec=lambda v: matvec_block(v.reshape(-1, 1)).ravel(),
                        matmat=matvec_block, dtype=float)
@@ -375,23 +425,33 @@ def eigen_extremes(
 
     rng = np.random.default_rng(seed)
     block = k + 3
-    X = np.empty((ntot, block))
+    start = np.empty((nx, ny, block))
     # seed the ground-state direction with the lump potential well shape
-    X[:, 0] = project(-op.dq.values * np.exp(-0.05 * grid.r**2)).ravel()
+    start[:, :, 0] = -op.dq.values * np.exp(-0.05 * grid.r**2)
     for j in range(1, block):
-        X[:, j] = project(rng.standard_normal((nx, ny))).ravel()
+        start[:, :, j] = rng.standard_normal((nx, ny))
+    X = _cosine_coefficients(start).reshape(ntot, block)
 
-    vals, vecs = lobpcg(A, X, M=M, tol=tol, maxiter=max_iter, largest=False)
-    order = np.argsort(vals)
+    with warnings.catch_warnings():
+        # the residual check below gives the verdict
+        warnings.filterwarnings("ignore", message="(Exited|Failed)", category=UserWarning)
+        vals, vecs, history = lobpcg(A, X, M=M, tol=tol, maxiter=max_iter, largest=False,
+                                     retResidualNormsHistory=True)
+    order = np.argsort(vals)[:k]
     vals = vals[order]
     vecs = vecs[:, order]
+    max_residual = float(np.max(np.linalg.norm(A.matmat(vecs) - vecs * vals, axis=0)))
+    if not max_residual <= tol:
+        raise NotConverged(
+            f"LOBPCG: residual {max_residual:.3e} > {tol:.1e} "
+            f"after {len(history) - 2} iterations"
+        )
 
+    full = _cosine_values(vecs.reshape(mx, my + 1, k))
     pairs = []
     for j in range(k):
-        v = project(vecs[:, j].reshape(nx, ny))
-        f = RealField2D(grid, v)
-        nrm = l2_norm(f)
-        f = f.scaled(1.0 / nrm)
+        f = RealField2D(grid, full[:, :, j])
+        f = f.scaled(1.0 / l2_norm(f))
         pairs.append(EigenPair(eigenvalue=float(vals[j]), psi=f))
 
     neg = [p for p in pairs if p.eigenvalue < 0.0]
@@ -403,7 +463,7 @@ def eigen_extremes(
             + ", ".join(f"{p.eigenvalue:.4e}" for p in neg)
         )
     pos = [p.eigenvalue for p in pairs if p.eigenvalue > 0.0]
-    phi0 = symmetrize(pairs[0].psi, Symmetry.EVEN_X_EVEN_Y)
+    phi0 = pairs[0].psi.with_symmetry(Symmetry.EVEN_X_EVEN_Y)
     phi1 = antiderivative_x(phi0)
     return EigenResult(
         pairs=tuple(pairs),
@@ -412,6 +472,8 @@ def eigen_extremes(
         lambda1=pairs[0].eigenvalue,
         lambda2=float(pos[0]) if pos else math.nan,
         negative_count=len(neg),
+        iterations=len(history) - 2,
+        max_residual=max_residual,
     )
 
 

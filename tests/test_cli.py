@@ -139,3 +139,19 @@ def test_construct_deterministic(tmp_path):
         outs.append(out)
     for f in ("phi.bin", "f1.bin", "f2.bin", "g1.bin"):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+
+def test_residual_grid_flags_checked(tmp_path, capsys):
+    # grid flags that differ from the stored grid are a validation error;
+    # matching ones are accepted
+    run = tmp_path / "c"
+    assert main(["construct", "--epsilon", "0.2", "--tol", "1e-6", "--out", str(run)] + SMALL) == 0
+    assert main(["residual", "--in", str(run), "--out", str(tmp_path / "r")] + SMALL) == 0
+    capsys.readouterr()
+    for flag, value in (("--nx", "128"), ("--Ly", "25")):
+        assert main(["residual", "--in", str(run), flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        rec = json.loads(err[0])
+        assert rec["error"] == "ValueError" and flag in rec["message"]
+    assert not (run / "gp_residual.json").exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from transonic.errors import NonZeroMean, SymmetryViolation
+from transonic.errors import NonZeroMean, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
@@ -13,10 +13,13 @@ from transonic.grid import (
     inner,
     l2_norm,
     make_grid,
+    symmetrize,
     zeros,
 )
 from transonic.linearized import (
     LinearizedOperator,
+    _cosine_coefficients,
+    _cosine_values,
     a_norm,
     apply_L,
     apply_linearized,
@@ -231,6 +234,60 @@ class TestEigen:
         op, _ = eigdata[0.1]
         with pytest.raises(ValueError):
             eigen_extremes(op, k=1)
+
+    def test_convergence_reported(self, eigdata):
+        _, res = eigdata[0.1]
+        assert res.iterations > 5
+        assert 0.0 < res.max_residual <= 1e-8
+
+    def test_iteration_budget_exhausted_raises(self, eigdata):
+        op, _ = eigdata[0.1]
+        with pytest.raises(NotConverged, match="residual"):
+            eigen_extremes(op, k=3, tol=1e-8, max_iter=5)
+
+
+def test_cosine_basis_is_isometric_projection():
+    g = make_grid(32, 16, 5, 5)
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((g.nx, g.ny, 2))
+    coeffs = _cosine_coefficients(raw)
+    assert coeffs.shape == (g.nx // 2, g.ny // 2 + 1, 2)
+    back = _cosine_values(coeffs)
+    for j in range(2):
+        proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.EVEN_X_EVEN_Y).values
+        proj = proj - proj.mean(axis=0, keepdims=True)
+        assert np.max(np.abs(back[:, :, j] - proj)) <= 1e-13
+        assert np.sum(coeffs[:, :, j] ** 2) == pytest.approx(np.sum(proj**2), rel=1e-13)
+
+
+def test_eigen_matches_dense_reference():
+    # apply_L assembled on an orthonormal basis of the even/even, zero-x-mean
+    # subspace of a 64^2 grid, independent of the cosine basis LOBPCG uses
+    g = make_grid(64, 64, 20, 20)
+    op = make_linearized_operator(0.1, g)
+    n = g.nx
+    orbit = np.zeros((n, n, n // 2 + 1, n // 2 + 1))
+    for p in range(n // 2 + 1):
+        for q in range(n // 2 + 1):
+            orbit[[p, -p, p, -p], [q, q, -q, -q], p, q] = 1.0
+    orbit -= orbit.mean(axis=0, keepdims=True)
+    U, sv, _ = np.linalg.svd(orbit.reshape(n * n, -1), full_matrices=False)
+    basis = U[:, sv > 1e-8 * sv[0]]
+    assert basis.shape[1] == (n // 2) * (n // 2 + 1)
+    images = np.column_stack([
+        apply_L(op, RealField2D(g, col.reshape(n, n))).values.ravel() for col in basis.T
+    ])
+    H = basis.T @ images
+    evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
+
+    k = 3
+    res = eigen_extremes(op, k=k, tol=1e-9)
+    got = np.array([p.eigenvalue for p in res.pairs])
+    assert np.max(np.abs(got - evals[:k]) / np.abs(evals[:k])) <= 1e-8
+    ref = RealField2D(g, (basis @ evecs[:, 0]).reshape(n, n))
+    ref = ref.scaled(1.0 / l2_norm(ref))
+    ref_vals = ref.values * np.sign(inner(ref, res.phi0))
+    assert np.max(np.abs(res.phi0.values - ref_vals)) <= 1e-6 * np.max(np.abs(ref_vals))
 
 
 class TestNormSuite:
