@@ -42,7 +42,7 @@ from .kernel import (
 )
 from .linearized import make_linearized_operator, eigen_extremes, norm_suite
 from .lump import LumpParams, kpi_residual, linearized_kernel_residuals, sample_lump
-from .reduction import build_state, outer_fixed_point, solve_f2, transport_residual
+from .reduction import build_state, outer_fixed_point, transport_residual
 from .gp import gp_system_residual
 
 COMMANDS = ("lump-check", "kernel", "kernel-scan", "eigen", "norms", "construct", "residual")
@@ -169,11 +169,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def _norms_rows(name: str, suite) -> list[list]:
-    row = asdict(suite)
-    return [[name] + [row[k] for k in sorted(row)]]
-
-
 def cmd_lump_check(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     params = LumpParams.from_epsilon(cfg.epsilon)
@@ -259,7 +254,9 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     op = make_linearized_operator(cfg.epsilon, grid)
     seed = cfg.seed if "seed" in cfg.given else 7
-    res = eigen_extremes(op, k=args.k, seed=seed)
+    # the eigen solver keeps its own tol/max-iter defaults unless they are given
+    budget = {key: getattr(cfg, key) for key in ("tol", "max_iter") if key in cfg.given}
+    res = eigen_extremes(op, k=args.k, seed=seed, **budget)
     out = Path(cfg.out_dir)
     fio.write_field(out, "phi0", res.phi0)
     fio.write_field(out, "phi1", res.phi1)
@@ -297,11 +294,10 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         cfg.epsilon, grid, tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta
     )
     out = Path(cfg.out_dir)
-    f2 = state.f2 if state.f2 is not None else solve_f2(state, delta=cfg.delta)
     fio.write_field(out, "phi", state.phi)
     fio.write_field(out, "g1", state.g1)
     fio.write_field(out, "f1", state.f1)
-    fio.write_field(out, "f2", f2)
+    fio.write_field(out, "f2", state.f2)
     rec = {
         "config": asdict(cfg),
         "iterations": report.iterations,
@@ -309,7 +305,7 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         "contraction_ratios": list(report.contraction_ratios),
         "final_phi_star": report.final_phi_star,
         "converged": report.converged,
-        "transport_residual_sup": transport_residual(state, f2),
+        "transport_residual_sup": transport_residual(state, state.f2),
     }
     _write_json(out / "report.json", rec)
     suite = norm_suite(state.phi, cfg.epsilon, cfg.delta)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField2D, RealField2D, Symmetry, derivative
-from .lump import SQRT2, sample_lump
-from .reduction import ReductionState
+from .grid import ComplexField2D, RealField2D, Symmetry
+from .lump import SQRT2
+from .reduction import ReductionState, _StateDerivs
 
 EDGE_MARGIN = 8
 
@@ -91,7 +91,7 @@ def _fd_onesided(x: np.ndarray, at: float, order: int) -> np.ndarray:
     return inv[:, order] * fact
 
 
-class _HybridDerivs:
+class _HybridDerivs(_StateDerivs):
     """Derivatives of (f, g) with lump parts closed-form, the rest pointwise.
 
     g = e (q + phi), f = 1 + e^2 f1 + e^4 f2 with f1 slaved to g1; every
@@ -101,25 +101,13 @@ class _HybridDerivs:
     """
 
     def __init__(self, state: ReductionState, f2: RealField2D):
-        self.state = state
+        super().__init__(state)
         g = state.grid
         self.f2 = f2.values
         self.f2_x = _fd_derivative(f2.values, g.dx, 0, 1)
         self.f2_y = _fd_derivative(f2.values, g.dy, 1, 1)
         self.f2_xx = _fd_derivative(f2.values, g.dx, 0, 2)
         self.f2_yy = _fd_derivative(f2.values, g.dy, 1, 2)
-        self._phi = {}
-        for mn in [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (3, 0), (1, 2), (2, 1)]:
-            self._phi[mn] = derivative(state.phi, *mn).values if mn != (0, 0) else state.phi.values
-        self._q = {}
-
-    def q_d(self, m, n):
-        if (m, n) not in self._q:
-            self._q[(m, n)] = sample_lump(self.state.params, self.state.grid, m, n).values
-        return self._q[(m, n)]
-
-    def g1_d(self, m, n):
-        return self.q_d(m, n) + self._phi[(m, n)]
 
 
 def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualReport":

@@ -210,10 +210,7 @@ class RealField2D:
             # make the parity exact so downstream arithmetic stays exactly
             # symmetric even through cancellation-heavy differences
             if defect > 0.0:
-                if self.symmetry.x_parity != 0:
-                    vals = 0.5 * (vals + self.symmetry.x_parity * vals[self.grid._reflect_x, :])
-                if self.symmetry.y_parity != 0:
-                    vals = 0.5 * (vals + self.symmetry.y_parity * vals[:, self.grid._reflect_y])
+                vals = _project_parity(self.grid, vals, self.symmetry)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -384,13 +381,7 @@ def inner(f: RealField2D, g: RealField2D) -> float:
 
 def symmetrize(f: RealField2D, symmetry: Symmetry) -> RealField2D:
     """Orthogonal projection onto the given parity class."""
-    vals = f.values
-    grid = f.grid
-    if symmetry.x_parity != 0:
-        vals = 0.5 * (vals + symmetry.x_parity * vals[grid._reflect_x, :])
-    if symmetry.y_parity != 0:
-        vals = 0.5 * (vals + symmetry.y_parity * vals[:, grid._reflect_y])
-    return RealField2D(grid, vals, symmetry)
+    return RealField2D(f.grid, _project_parity(f.grid, f.values, symmetry), symmetry)
 
 
 def zeros(grid: Grid2D, symmetry: Symmetry = Symmetry.NONE) -> RealField2D:

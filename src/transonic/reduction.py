@@ -129,7 +129,6 @@ class _StateDerivs:
 
     def __init__(self, state: ReductionState):
         self.state = state
-        g = state.grid
         self._q: dict[tuple[int, int], np.ndarray] = {}
         self._phi: dict[tuple[int, int], np.ndarray] = {(0, 0): state.phi.values}
         for mn in self.PHI_ORDERS:
@@ -141,9 +140,7 @@ class _StateDerivs:
         return self._q[(m, n)]
 
     def g1_d(self, m: int, n: int) -> np.ndarray:
-        if (m, n) not in self._phi:
-            self._phi[(m, n)] = derivative(self.state.phi, m, n).values
-        return self.q_d(m, n) + self._phi[(m, n)]
+        return self.q_d(m, n) + self.phi_d(m, n)
 
     def phi_d(self, m: int, n: int) -> np.ndarray:
         if (m, n) not in self._phi:
@@ -154,22 +151,6 @@ class _StateDerivs:
 # ---------------------------------------------------------------------------
 # transport solve for f2
 # ---------------------------------------------------------------------------
-
-
-def _transport_rhs(
-    state: ReductionState, d: _StateDerivs, f2_vals: np.ndarray, df2_tables=None
-) -> np.ndarray:
-    """E(f2): right-hand side of the rewritten transport equation.
-
-    E = -2 phi f2 + dyy g1 + dx f1 - (f1 + e^2 f2)^2 g1, with
-    dx f1 = (sqrt2/2) dxx g1 - g1 dx g1.
-    """
-    e2 = state.eps**2
-    g1 = d.q_d(0, 0) + d.phi_d(0, 0)
-    f1 = 0.5 * SQRT2 * (d.q_d(1, 0) + d.phi_d(1, 0)) - 0.5 * g1**2
-    dxf1 = 0.5 * SQRT2 * (d.q_d(2, 0) + d.phi_d(2, 0)) - g1 * (d.q_d(1, 0) + d.phi_d(1, 0))
-    dyy_g1 = d.q_d(0, 2) + d.phi_d(0, 2)
-    return -2.0 * d.phi_d(0, 0) * f2_vals + dyy_g1 + dxf1 - (f1 + e2 * f2_vals) ** 2 * g1
 
 
 def _decaying_antiderivative(grid_x: np.ndarray, I_vals: np.ndarray, decay_power: float) -> np.ndarray:
@@ -215,6 +196,37 @@ def _interp_x(vals: np.ndarray, refine: int) -> np.ndarray:
     return np.real(np.fft.ifft(pad, axis=0)) * refine
 
 
+_TRANSPORT_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 2))
+
+
+def _refined_sampling(
+    state: ReductionState, refine: int
+) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
+    """The x-refined nodes and the phi derivatives the transport needs,
+    trigonometrically interpolated onto them."""
+    grid = state.grid
+    nxr = refine * grid.nx
+    xr = -grid.Lx + (2.0 * grid.Lx / nxr) * np.arange(nxr)
+    phi_d = {mn: _interp_x(derivative(state.phi, *mn).values, refine) for mn in _TRANSPORT_ORDERS}
+    return xr, phi_d
+
+
+def _transport_terms(
+    state: ReductionState, xr: np.ndarray, phi_d: dict[tuple[int, int], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g1, f1, dx f1 and dyy g1 on (xr, grid.y): closed-form lump parts plus
+    the interpolated phi parts, with dx f1 = (sqrt2/2) dxx g1 - g1 dx g1."""
+    Xr = xr[:, None]
+    Yr = state.grid.y[None, :]
+    qd = {mn: lump_derivative(state.params, *mn, Xr, Yr) for mn in _TRANSPORT_ORDERS}
+    g1 = qd[(0, 0)] + phi_d[(0, 0)]
+    dxg1 = qd[(1, 0)] + phi_d[(1, 0)]
+    f1 = 0.5 * SQRT2 * dxg1 - 0.5 * g1**2
+    dxf1 = 0.5 * SQRT2 * (qd[(2, 0)] + phi_d[(2, 0)]) - g1 * dxg1
+    dyyg1 = qd[(0, 2)] + phi_d[(0, 2)]
+    return g1, f1, dxf1, dyyg1
+
+
 def _line_transport_solve(
     state: ReductionState,
     xr: np.ndarray,
@@ -231,12 +243,7 @@ def _line_transport_solve(
     p = state.params
     Xr = xr[:, None]
     Yr = state.grid.y[None, :]
-    qd = {mn: lump_derivative(p, *mn, Xr, Yr) for mn in [(0, 0), (1, 0), (2, 0), (0, 2)]}
-    g1 = qd[(0, 0)] + phi_d[(0, 0)]
-    dxg1 = qd[(1, 0)] + phi_d[(1, 0)]
-    f1 = 0.5 * SQRT2 * dxg1 - 0.5 * g1**2
-    dxf1 = 0.5 * SQRT2 * (qd[(2, 0)] + phi_d[(2, 0)]) - g1 * dxg1
-    dyyg1 = qd[(0, 2)] + phi_d[(0, 2)]
+    g1, f1, dxf1, dyyg1 = _transport_terms(state, xr, phi_d)
     Q = p.B * Xr**2 + p.C * Yr**2 + p.E
     F0 = Q**state.F0_exponent
     denom_c = SQRT2 - eps**2
@@ -306,23 +313,9 @@ def solve_f2(
                 f"phi too large for the transport contraction: weighted amplitude "
                 f"{proxy:.3e} > {guard} * eps^2 = {guard * eps**2:.3e}"
             )
-    grid = state.grid
-    nxr = refine * grid.nx
-    xr = -grid.Lx + (2.0 * grid.Lx / nxr) * np.arange(nxr)
-    phi_d = {
-        mn: _interp_x(derivative(state.phi, *mn).values, refine)
-        for mn in [(0, 0), (1, 0), (2, 0), (0, 2)]
-    }
+    xr, phi_d = _refined_sampling(state, refine)
     f2_fine = _line_transport_solve(state, xr, phi_d, tol, max_iter)
-    f2_vals = f2_fine[::refine, :]
-    return symmetrize(RealField2D(grid, f2_vals), Symmetry.EVEN_X_EVEN_Y)
-
-
-def F0_eval_grid(state: ReductionState) -> np.ndarray:
-    p = state.params
-    g = state.grid
-    Q = p.B * g.X**2 + p.C * g.Y**2 + p.E
-    return Q**state.F0_exponent
+    return symmetrize(RealField2D(state.grid, f2_fine[::refine, :]), Symmetry.EVEN_X_EVEN_Y)
 
 
 def transport_residual(
@@ -343,24 +336,11 @@ def transport_residual(
     """
     grid = state.grid
     eps = state.eps
-    p = state.params
-    nxr = refine * grid.nx
-    xr = -grid.Lx + (2.0 * grid.Lx / nxr) * np.arange(nxr)
+    xr, phi_d = _refined_sampling(state, refine)
     Xr = xr[:, None]
     Yr = grid.y[None, :]
-
-    phi_d = {
-        mn: _interp_x(derivative(state.phi, *mn).values, refine)
-        for mn in [(0, 0), (1, 0), (2, 0), (0, 2)]
-    }
     f2r = _line_transport_solve(state, xr, phi_d, 1e-12, 80)
-
-    qd = {mn: lump_derivative(p, *mn, Xr, Yr) for mn in [(0, 0), (1, 0), (2, 0), (0, 2)]}
-    g1 = qd[(0, 0)] + phi_d[(0, 0)]
-    dxg1 = qd[(1, 0)] + phi_d[(1, 0)]
-    f1 = 0.5 * SQRT2 * dxg1 - 0.5 * g1**2
-    dxf1 = 0.5 * SQRT2 * (qd[(2, 0)] + phi_d[(2, 0)]) - g1 * dxg1
-    dyyg1 = qd[(0, 2)] + phi_d[(0, 2)]
+    g1, f1, dxf1, dyyg1 = _transport_terms(state, xr, phi_d)
     denom_c = SQRT2 - eps**2
 
     # 8th-order centered first derivative, interior only (no wrap)
@@ -582,9 +562,9 @@ def outer_fixed_point(
     """Construct the corrected state by iterating transport + linearized solve.
 
     Plain Picard: every right-hand-side term carries a positive power of eps,
-    so the update map contracts at rate ~ eps^(1/2); a light Anderson step
-    kicks in only if a measured ratio exceeds 0.9.  Stops when the weighted
-    stopping proxy of the update falls below ``tol``.
+    so the update map contracts at rate ~ eps^(1/2); a damped half step
+    toward the previous phi is taken only when a measured ratio exceeds 0.9.
+    Stops when the weighted stopping proxy of the update falls below ``tol``.
     """
     if not (0.0 <= eps <= 0.3):
         raise ValueError("eps must lie in [0, 0.3]")
@@ -605,26 +585,22 @@ def outer_fixed_point(
     updates: list[float] = []
     ratios: list[float] = []
     prev_phi = state.phi
-    prev_update: RealField2D | None = None
     converged = False
-    f2 = None
     for it in range(1, max_iter + 1):
         f2 = solve_f2(state, tol=inner_tol, delta=delta)
         bundle = assemble_rhs(state, f2)
         phi_new = solve_linearized(op, bundle.h1, bundle.h2, tol=linear_tol)
-        update = phi_new - prev_phi
-        unorm = star_norm_proxy(update, eps, delta)
+        unorm = star_norm_proxy(phi_new - prev_phi, eps, delta)
         updates.append(unorm)
         if len(updates) >= 2 and updates[-2] > 0:
             ratios.append(updates[-1] / updates[-2])
-            if ratios[-1] > 0.9 and prev_update is not None:
+            if ratios[-1] > 0.9:
                 # damped step as the safeguarded fallback out of a slow regime
                 phi_new = symmetrize(
                     RealField2D(grid, 0.5 * (phi_new.values + prev_phi.values)),
                     Symmetry.ODD_X_EVEN_Y,
                 )
         state = build_state(eps, grid, phi=phi_new, f2=f2)
-        prev_update = update
         prev_phi = phi_new
         if unorm <= tol:
             converged = True

@@ -66,6 +66,18 @@ def test_eigen_explicit_seed_zero(tmp_path):
     assert json.loads((tmp_path / "eigen.json").read_text())["seed"] == 0
 
 
+def test_eigen_honours_max_iter(tmp_path, capsys):
+    # an iteration budget LOBPCG cannot meet is a solver error, not a silent
+    # run at the eigen defaults
+    code = main(["eigen", "--epsilon", "0.1", "--k", "3", "--max-iter", "5"] + SMALL
+                + ["--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "NotConverged"
+    assert not (tmp_path / "eigen.json").exists()
+
+
 def test_kernel_fft_imaginary_residue_exit(monkeypatch, capsys):
     ratio = K._symbol_ratio
     # a purely imaginary inverse transform: the realness check must fire

@@ -135,6 +135,36 @@ class TestSolve:
         phi = solve_linearized(op, h1, h2, tol=1e-10)
         assert np.max(np.abs(phi.values - phi_star.values)) <= 1e-6
 
+    def test_restarted_minres_meets_tol(self, rand_field, monkeypatch):
+        # one case of the a-priori sweep whose first MINRES pass stops on the
+        # preconditioned residual short of tol in the plain relative residual
+        import transonic.linearized as lin
+
+        passes = []
+        minres = lin.minres
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return minres(*args, **kwargs)
+
+        monkeypatch.setattr(lin, "minres", counted)
+        g = make_grid(128, 128, 20, 20)
+        op = make_linearized_operator(0.1, g)
+        h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=0, kmax=6)
+        h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=50, kmax=6)
+        phi = solve_linearized(op, h1, h2, tol=1e-9)
+        rhs = symmetrize(derivative(h1, 1, 0) + derivative(h2, 0, 1), Symmetry.ODD_X_EVEN_Y)
+        assert len(passes) >= 2
+        assert l2_norm(apply_linearized(op, phi) - rhs) <= 1e-9 * l2_norm(rhs)
+
+    def test_unreachable_tol_raises(self, rand_field):
+        g = make_grid(64, 64, 10, 10)
+        op = make_linearized_operator(0.1, g)
+        h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=1, kmax=6)
+        h2 = zeros(g, Symmetry.ODD_X_ODD_Y)
+        with pytest.raises(NotConverged, match="linearized solve"):
+            solve_linearized(op, h1, h2, tol=1e-16, max_iter=1)
+
     @pytest.mark.slow
     def test_apriori_ratio_stable_under_doubling(self, rand_field):
         eps = 0.1
