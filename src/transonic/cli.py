@@ -16,7 +16,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -146,10 +146,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     given = set()
     if getattr(args, "config", None):
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: top level must be a JSON object")
         for k, v in data.items():
             key = k.replace("-", "_")
-            if not hasattr(cfg, key):
+            if key not in {f.name for f in fields(RunConfig)}:
                 raise ValueError(f"unknown config key {k!r}")
+            kind = type(getattr(cfg, key))
+            # JSON writes whole floats as integers; bool is an int subclass
+            if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
+                raise ValueError(f"config key {k!r} must be {kind.__name__}, got {v!r}")
             setattr(cfg, key, v)
             given.add(key)
     for key in vars(cfg):

@@ -46,6 +46,9 @@ def read_field(bin_path: Path) -> RealField2D:
     bin_path = Path(bin_path)
     json_path = bin_path.with_suffix(".json")
     meta = json.loads(json_path.read_text())
+    for key in ("nx", "ny", "Lx", "Ly", "symmetry"):
+        if not isinstance(meta, dict) or key not in meta:
+            raise ValueError(f"{json_path}: sidecar lacks {key!r}")
     grid = make_grid(meta["nx"], meta["ny"], meta["Lx"], meta["Ly"])
     raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != grid.nx * grid.ny:

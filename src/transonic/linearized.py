@@ -4,7 +4,7 @@ The linearization of the perturbed fourth-order problem about the lump.
 Three operators live here:
 
 * ``apply_linearized``       -- the full operator with the small fourth-order
-  y-terms, used by the linear solver inside the outer fixed point;
+  y-terms, the verdict of the linear solver inside the outer fixed point;
 * ``apply_lump_linearization`` -- the exact linearization of the lump's own
   equation (no epsilon y-terms), which annihilates the translation modes;
 * ``apply_L``                -- the reduced second-order nonlocal operator
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,13 +154,15 @@ def solve_linearized(
     """Solve the linearized problem with right-hand side dx h1 + dy h2.
 
     Preconditioned MINRES (Paige & Saunders), the method for this symmetric
-    indefinite problem (one negative direction, the Morse-index one); the
-    preconditioner inverts the constant-coefficient symbol exactly.  MINRES
-    stops on the preconditioned residual, in which the inverse fourth-order
-    symbol damps the high frequencies, while the verdict is the plain
-    relative L2 residual; so MINRES restarts from its own iterate until the
-    plain residual meets ``tol``, for at most ``_MINRES_PASSES`` passes of
-    ``40 * max_iter`` iterations each.
+    indefinite problem (one negative direction, the Morse-index one), on the
+    sine-cosine coefficients of the quarter box (``_sine_cosine_coefficients``),
+    where the constant symbol and the preconditioner, its inverse, are diagonal.
+    MINRES stops on the preconditioned residual, in which the inverse
+    fourth-order symbol damps the high frequencies, while the verdict is the
+    plain relative L2 residual of ``apply_linearized`` on the full grid; so
+    MINRES restarts from its own iterate until the plain residual meets
+    ``tol``, for at most ``_MINRES_PASSES`` passes of ``40 * max_iter``
+    iterations each.
     """
     if h1.symmetry is not Symmetry.EVEN_X_EVEN_Y:
         raise SymmetryViolation("h1 must be tagged even_x_even_y")
@@ -172,30 +175,28 @@ def solve_linearized(
     if rhs_norm == 0.0:
         return RealField2D(grid, np.zeros_like(rhs.values), Symmetry.ODD_X_EVEN_Y)
 
-    sym = _constant_symbol(op, grid)
-    inv = np.zeros_like(sym)
-    nz = sym > 0
-    inv[nz] = 1.0 / sym[nz]
-    shape = (grid.nx, grid.ny)
-    ntot = grid.nx * grid.ny
+    mx, my = grid.nx // 2, grid.ny // 2
+    ntot = (mx - 1) * (my + 1)
+    sym = _constant_symbol(op, grid)[1:mx, :, None]
+    kx = grid.kx[1:mx, None, None]
+    potential = _quarter_potential(op)
 
-    def as_field(v: np.ndarray) -> RealField2D:
-        return symmetrize(RealField2D(grid, v.reshape(shape)), Symmetry.ODD_X_EVEN_Y)
+    def matvec(v: np.ndarray) -> np.ndarray:
+        # the coupling -dx T[(T dq)(T dx phi)]: dx takes sine to cosine
+        # coefficients by a multiply by kx, and cosine to sine ones by -kx
+        c = v.reshape(sym.shape)
+        tv = np.zeros((mx + 1, my + 1, 1))
+        tv[1:mx] = kx * c
+        return (sym * c + op.coeff_nl * kx * potential(tv)[1:mx]).ravel()
 
-    def precond(v: np.ndarray) -> np.ndarray:
-        hat = sfft.rfft2(v.reshape(shape))
-        hat *= inv
-        return sfft.irfft2(hat, s=shape).ravel()
-
-    A = LinearOperator(
-        (ntot, ntot), matvec=lambda v: apply_linearized(op, as_field(v)).values.ravel(), dtype=float
-    )
-    M = LinearOperator((ntot, ntot), matvec=precond, dtype=float)
-    b = rhs.values.ravel()
+    A = LinearOperator((ntot, ntot), matvec=matvec, dtype=float)
+    M = LinearOperator((ntot, ntot), matvec=lambda v: v / sym.ravel(), dtype=float)
+    b = _sine_cosine_coefficients(rhs.values[..., None]).ravel()
     sol = None
     for _ in range(_MINRES_PASSES):
         sol, info = minres(A, b, x0=sol, M=M, rtol=tol * 1e-2, maxiter=40 * max_iter)
-        phi = as_field(sol)
+        vals = _sine_cosine_values(sol.reshape(sym.shape))[..., 0]
+        phi = RealField2D(grid, vals, Symmetry.ODD_X_EVEN_Y)
         res = l2_norm(apply_linearized(op, phi) - rhs) / rhs_norm
         if res <= tol:
             return phi
@@ -274,16 +275,18 @@ class EigenResult:
     max_residual: float
 
 
-# The even/even quarter-box cosine basis.  On the periodic grid the even
+# The quarter-box cosine and sine bases.  On the periodic grid the even
 # reflection about index 0 fixes the nodes 0 and n/2, so an even field is
 # fixed by its n/2 + 1 samples on indices 0..n/2, and its DFT is exactly the
-# DCT-I of those samples.  With the trapezoid weights w = (1, 2, ..., 2, 1)
-# the full-grid sum of f g equals sum w_p w_q f_pq g_pq; so the orthonormal
-# DCT-I of sqrt(w_p w_q) f_pq is an isometry from the even/even fields (full
-# grid, Euclidean) onto their cosine coefficients.  The coefficient (m, l)
-# is sqrt(w_m w_l / (nx ny)) times the DFT coefficient, so every Fourier
-# symbol acts on it as a diagonal multiply, and the m = 0 row holds the
-# x-means of the y-lines.
+# DCT-I of those samples; an odd field vanishes at both nodes, and its DFT is
+# exactly -i times the DST-I of its samples on indices 1..n/2-1.  With the
+# trapezoid weights w = (1, 2, ..., 2, 1) the full-grid sum of f g equals
+# sum w_p w_q f_pq g_pq; so the orthonormal DCT-I (DST-I along an odd axis)
+# of sqrt(w_p w_q) f_pq is an isometry from the fields of one parity class
+# (full grid, Euclidean) onto their coefficients.  The coefficient (m, l) is
+# sqrt(w_m w_l / (nx ny)) times the DFT coefficient (i times it along a sine
+# axis), so every Fourier symbol acts on it as a diagonal multiply, and the
+# cosine row m = 0 holds the x-means of the y-lines.
 
 
 def _fold_even(v: np.ndarray, axis: int) -> np.ndarray:
@@ -298,6 +301,20 @@ def _unfold_even(q: np.ndarray, axis: int) -> np.ndarray:
     """Inverse of ``_fold_even`` on even data: samples 0..n/2 to the period."""
     q = np.moveaxis(q, axis, 0)
     return np.moveaxis(np.concatenate([q, q[-2:0:-1]]), 0, axis)
+
+
+def _fold_odd(v: np.ndarray, axis: int) -> np.ndarray:
+    """Odd part of periodic samples along ``axis``, kept on indices 1..n/2-1."""
+    v = np.moveaxis(v, axis, 0)
+    n = v.shape[0]
+    return np.moveaxis(0.5 * (v[1 : n // 2] - v[: n // 2 : -1]), 0, axis)
+
+
+def _unfold_odd(q: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of ``_fold_odd`` on odd data: samples 1..n/2-1 to the period."""
+    q = np.moveaxis(q, axis, 0)
+    zero = np.zeros_like(q[:1])
+    return np.moveaxis(np.concatenate([zero, q, zero, -q[::-1]]), 0, axis)
 
 
 def _quarter_weights(nx: int, ny: int) -> np.ndarray:
@@ -321,6 +338,40 @@ def _cosine_values(coeffs: np.ndarray) -> np.ndarray:
     quarter = sfft.dctn(padded, type=1, axes=(0, 1), norm="ortho")
     quarter /= _quarter_weights(2 * coeffs.shape[0], 2 * (coeffs.shape[1] - 1))
     return _unfold_even(_unfold_even(quarter, 0), 1)
+
+
+def _sine_cosine_coefficients(vals: np.ndarray) -> np.ndarray:
+    """Full-grid columns (nx, ny, b) to the orthonormal DST-I(x) x DCT-I(y)
+    coefficients of their odd/even projection, rows m = 1..nx/2-1."""
+    quarter = _fold_even(_fold_odd(vals, 0), 1)
+    quarter *= _quarter_weights(vals.shape[0], vals.shape[1])[1:-1]
+    return sfft.dct(sfft.dst(quarter, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
+
+
+def _sine_cosine_values(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``_sine_cosine_coefficients``: full-grid columns, exactly
+    odd in x and even in y."""
+    quarter = sfft.dct(sfft.dst(coeffs, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
+    quarter /= _quarter_weights(2 * (coeffs.shape[0] + 1), 2 * (coeffs.shape[1] - 1))[1:-1]
+    return _unfold_even(_unfold_odd(quarter, 0), 1)
+
+
+def _quarter_potential(op: LinearizedOperator) -> Callable[[np.ndarray], np.ndarray]:
+    """T[(T dq) f] on cosine coefficients (nx/2+1, ny/2+1, b) of the quarter
+    box, overwriting them.  T dq comes from an unnormalized DCT-I pair, which
+    is the rfft2/irfft2 round trip of an even/even field."""
+    grid = op.dq.grid
+    mask = grid.dealias_mask[: grid.nx // 2 + 1, :, None]
+    dq_quarter = op.dq.values[: grid.nx // 2 + 1, : grid.ny // 2 + 1]
+    tdq = sfft.dctn(sfft.dctn(dq_quarter, type=1) * mask[..., 0], type=1) / (grid.nx * grid.ny)
+
+    def product(tv: np.ndarray) -> np.ndarray:
+        tv *= mask
+        tv = sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+        tv *= tdq[..., None]
+        return mask * sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+
+    return product
 
 
 def eigen_extremes(
@@ -354,24 +405,14 @@ def eigen_extremes(
     ky2 = grid.ky_r[None, :, None] ** 2
     symbol = kx2 + op.c2 + 2.0 * ky2 / kx2
     pre_sym = 1.0 / (symbol + 1.0)
-    mask = grid.dealias_mask[: mx + 1, :, None]
-    # dealiased dq on the quarter box: an unnormalized DCT-I pair is the
-    # rfft2/irfft2 round trip of an even/even field
-    dq_quarter = op.dq.values[: mx + 1, : my + 1]
-    tdq = sfft.dctn(sfft.dctn(dq_quarter, type=1) * mask[..., 0], type=1) / (nx * ny)
-    tdq = tdq[..., None]
+    potential = _quarter_potential(op)
 
     def matvec_block(X: np.ndarray) -> np.ndarray:
         C = X.reshape(mx, my + 1, -1)
         tv = np.zeros((mx + 1, my + 1, C.shape[2]))
         tv[1:] = C
-        tv *= mask
-        tv = sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
-        tv *= tdq
-        prod = sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
-        prod *= op.coeff_lump_nl * mask
         out = symbol * C
-        out += prod[1:]
+        out += op.coeff_lump_nl * potential(tv)[1:]
         return out.reshape(ntot, -1)
 
     def prec_block(X: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import transonic.io as fio
 import transonic.kernel as K
 from transonic.cli import main
+from transonic.grid import Symmetry, make_grid, zeros
 
 SMALL = ["--nx", "64", "--ny", "64", "--Lx", "20", "--Ly", "20"]
 
@@ -120,6 +122,42 @@ def test_unknown_config_key(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"epsilonn": 0.1}')
     assert main(["lump-check", "--config", str(p)]) == 1
+
+
+def _one_error_line(capsys) -> dict:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])
+
+
+def test_config_top_level_not_object(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('[{"epsilon": 0.1}]')
+    assert main(["lump-check", "--config", str(p)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "object" in rec["message"]
+
+
+def test_config_value_wrong_type(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('{"nx": "abc"}')
+    assert main(["lump-check", "--config", str(p)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "'nx'" in rec["message"]
+
+
+@pytest.mark.parametrize("command", ["norms", "residual"])
+def test_sidecar_missing_key(tmp_path, capsys, command):
+    grid = make_grid(16, 16, 5, 5)
+    fio.write_field(tmp_path, "phi", zeros(grid, Symmetry.ODD_X_EVEN_Y))
+    sidecar = tmp_path / "phi.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["Lx"]
+    sidecar.write_text(json.dumps(meta))
+    flag = str(tmp_path / "phi.bin") if command == "norms" else str(tmp_path)
+    assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "'Lx'" in rec["message"]
 
 
 @pytest.mark.slow

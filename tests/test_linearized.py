@@ -20,6 +20,8 @@ from transonic.linearized import (
     LinearizedOperator,
     _cosine_coefficients,
     _cosine_values,
+    _sine_cosine_coefficients,
+    _sine_cosine_values,
     a_norm,
     apply_L,
     apply_linearized,
@@ -318,6 +320,67 @@ def test_eigen_matches_dense_reference():
     ref = ref.scaled(1.0 / l2_norm(ref))
     ref_vals = ref.values * np.sign(inner(ref, res.phi0))
     assert np.max(np.abs(res.phi0.values - ref_vals)) <= 1e-6 * np.max(np.abs(ref_vals))
+
+
+def test_sine_cosine_basis_is_isometric_projection():
+    g = make_grid(32, 16, 5, 5)
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((g.nx, g.ny, 2))
+    coeffs = _sine_cosine_coefficients(raw)
+    assert coeffs.shape == (g.nx // 2 - 1, g.ny // 2 + 1, 2)
+    back = _sine_cosine_values(coeffs)
+    for j in range(2):
+        proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.ODD_X_EVEN_Y).values
+        assert np.max(np.abs(back[:, :, j] - proj)) <= 1e-13
+        assert np.sum(coeffs[:, :, j] ** 2) == pytest.approx(np.sum(proj**2), rel=1e-13)
+
+
+def test_linear_solve_matches_dense_reference(rand_field, monkeypatch):
+    # apply_linearized assembled on an orthonormal basis of the odd/even
+    # subspace of a 32^2 grid, independent of the DST/DCT code MINRES uses
+    import transonic.linearized as lin
+
+    g = make_grid(32, 32, 10, 10)
+    op = make_linearized_operator(0.1, g)
+    n, h = g.nx, g.nx // 2
+    orbit = np.zeros((n, n, h - 1, h + 1))
+    for p in range(1, h):
+        for q in range(h + 1):
+            orbit[[p, p, -p, -p], [q, -q, q, -q], p - 1, q] = [1.0, 1.0, -1.0, -1.0]
+    U, sv, _ = np.linalg.svd(orbit.reshape(n * n, -1), full_matrices=False)
+    basis = U[:, sv > 1e-8 * sv[0]]
+    assert basis.shape[1] == (h - 1) * (h + 1)
+    images = np.column_stack([
+        apply_linearized(op, RealField2D(g, c.reshape(n, n), Symmetry.ODD_X_EVEN_Y)).values.ravel()
+        for c in basis.T
+    ])
+    H = basis.T @ images
+
+    # the coefficient basis vectors in closed form: normalized sin(kx x) in
+    # x, normalized cos(ky y) in y, on the grid indices
+    j = np.arange(n)
+    sines = np.sin(np.pi * np.outer(j, np.arange(1, h)) / h) / math.sqrt(h)
+    cosines = np.cos(np.pi * np.outer(j, np.arange(h + 1)) / h) * math.sqrt(2.0 / n)
+    cosines[:, [0, h]] /= math.sqrt(2.0)
+    E = np.einsum("jm,kl->jkml", sines, cosines).reshape(n * n, -1)
+    R = basis.T @ E
+    assert np.max(np.abs(R.T @ R - np.eye(R.shape[1]))) <= 1e-12
+
+    operators = []
+    make = lin.LinearOperator
+    monkeypatch.setattr(lin, "LinearOperator",
+                        lambda *a, **k: operators.append(k["matvec"]) or make(*a, **k))
+    h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=2, kmax=6)
+    h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=3, kmax=6)
+    phi = solve_linearized(op, h1, h2, tol=1e-12)
+    matvec = operators[0]  # the operator; the preconditioner comes second
+    Hc = np.column_stack([matvec(e) for e in np.eye(R.shape[1])])
+    ref = R.T @ H @ R
+    assert np.max(np.abs(Hc - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    rhs = symmetrize(derivative(h1, 1, 0) + derivative(h2, 0, 1), Symmetry.ODD_X_EVEN_Y)
+    phi_ref = basis @ np.linalg.solve(H, basis.T @ rhs.values.ravel())
+    assert np.max(np.abs(phi.values.ravel() - phi_ref)) <= 1e-9 * np.max(np.abs(phi_ref))
 
 
 class TestNormSuite:
