@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ComplexField2D, RealField2D, Symmetry
+from .errors import SymmetryViolation
+from .grid import ComplexField2D, RealField2D, Symmetry, _tagged
 from .lump import SQRT2
 from .reduction import ReductionState, _StateDerivs
 
@@ -44,12 +45,10 @@ class GpResidualReport:
 
 def assemble_phi(state: ReductionState, f2: RealField2D) -> ComplexField2D:
     """Phi = (1 + e^2 f1 + e^4 f2) + i e g1 on the stretched grid."""
+    if f2.symmetry is not Symmetry.EVEN_X_EVEN_Y:
+        raise SymmetryViolation("assemble_phi expects an even_x_even_y f2")
     e2 = state.eps**2
-    re = RealField2D(
-        state.grid,
-        1.0 + e2 * state.f1.values + e2**2 * f2.values,
-        Symmetry.EVEN_X_EVEN_Y,
-    )
+    re = _tagged(state.grid, 1.0 + e2 * state.f1.values + e2**2 * f2.values, Symmetry.EVEN_X_EVEN_Y)
     im = state.g1.scaled(state.eps)
     return ComplexField2D(re=re, im=im)
 

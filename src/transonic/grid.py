@@ -6,6 +6,11 @@ All spatial operations in the package run on a uniform periodic box
 differentiation, antidifferentiation and dealiased products are exact for
 band-limited data.  Fields are immutable after construction; every operation
 is a pure function returning a new field.
+
+Invariant: every tagged :class:`RealField2D` is exactly parity-symmetric.
+The tag is checked only where data enter, in the public constructor (hence
+``with_symmetry`` and ``io.read_field``); operations whose output parity
+follows from algebra build through ``_tagged``, which trusts it.
 """
 
 from __future__ import annotations
@@ -57,11 +62,10 @@ class Symmetry(str, enum.Enum):
         y = "odd_y" if py < 0 else "even_y"
         return Symmetry(f"{x}_{y}")
 
-    def flip_x(self) -> "Symmetry":
-        return Symmetry.from_parities(-self.x_parity, self.y_parity)
-
-    def flip_y(self) -> "Symmetry":
-        return Symmetry.from_parities(self.x_parity, -self.y_parity)
+    def differentiated(self, m: int, n: int) -> "Symmetry":
+        """Parity class of the (m, n)-th partial derivative: x-parity times
+        (-1)^m, y-parity times (-1)^n."""
+        return Symmetry.from_parities(self.x_parity * (-1) ** m, self.y_parity * (-1) ** n)
 
     def product(self, other: "Symmetry") -> "Symmetry":
         return Symmetry.from_parities(
@@ -140,14 +144,6 @@ class Grid2D:
         my = np.arange(self.ny // 2 + 1) <= self.ny // 3
         return mx[:, None] & my[None, :]
 
-    @cached_property
-    def _reflect_x(self) -> np.ndarray:
-        return (-np.arange(self.nx)) % self.nx
-
-    @cached_property
-    def _reflect_y(self) -> np.ndarray:
-        return (-np.arange(self.ny)) % self.ny
-
     def same_as(self, other: "Grid2D") -> bool:
         return (
             self.nx == other.nx
@@ -162,18 +158,22 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> Grid2D:
     return Grid2D(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly))
 
 
-def _symmetry_defect(grid: Grid2D, values: np.ndarray, symmetry: Symmetry) -> float:
+def _reflect(v: np.ndarray, axis: int) -> np.ndarray:
+    """Periodic samples mirrored about index 0 along ``axis``: j -> -j mod n,
+    the extension under which the DFT of even (odd) data is a DCT-I (DST-I)."""
+    v = np.moveaxis(v, axis, 0)
+    return np.moveaxis(np.concatenate([v[:1], v[:0:-1]]), 0, axis)
+
+
+def _symmetry_defect(values: np.ndarray, symmetry: Symmetry) -> float:
     """Max relative deviation of ``values`` from its declared parity."""
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return 0.0
     worst = 0.0
-    if symmetry.x_parity != 0:
-        refl = values[grid._reflect_x, :]
-        worst = max(worst, float(np.max(np.abs(refl - symmetry.x_parity * values))))
-    if symmetry.y_parity != 0:
-        refl = values[:, grid._reflect_y]
-        worst = max(worst, float(np.max(np.abs(refl - symmetry.y_parity * values))))
+    for axis, p in enumerate((symmetry.x_parity, symmetry.y_parity)):
+        if p != 0:
+            worst = max(worst, float(np.max(np.abs(_reflect(values, axis) - p * values))))
     return worst / scale
 
 
@@ -181,9 +181,11 @@ def _symmetry_defect(grid: Grid2D, values: np.ndarray, symmetry: Symmetry) -> fl
 class RealField2D:
     """A real scalar field sampled on a :class:`Grid2D`.
 
-    The symmetry tag, when not NONE, is validated against the values at
-    construction time (tolerance ``SYMMETRY_TOL`` relative), so parity
-    bookkeeping errors surface at the operation that caused them.
+    A tag other than NONE means the values are exactly in that parity class.
+    The public constructor is where data enter: it checks shape, finiteness
+    and the tag to ``SYMMETRY_TOL`` relative, and projects the sub-tolerance
+    remainder away.  Package operations build through ``_tagged`` instead,
+    which keeps the shape and finiteness checks but trusts the tag.
     """
 
     grid: Grid2D
@@ -201,7 +203,7 @@ class RealField2D:
             raise ValueError("field values must be finite")
         vals = vals.copy()
         if self.symmetry is not Symmetry.NONE:
-            defect = _symmetry_defect(self.grid, vals, self.symmetry)
+            defect = _symmetry_defect(vals, self.symmetry)
             if defect > SYMMETRY_TOL:
                 raise SymmetryViolation(
                     f"declared {self.symmetry.value} violated: relative defect "
@@ -210,7 +212,7 @@ class RealField2D:
             # make the parity exact so downstream arithmetic stays exactly
             # symmetric even through cancellation-heavy differences
             if defect > 0.0:
-                vals = _project_parity(self.grid, vals, self.symmetry)
+                vals = _project_parity(vals, self.symmetry)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -218,15 +220,15 @@ class RealField2D:
     def __add__(self, other: "RealField2D") -> "RealField2D":
         _check_same_grid(self, other)
         sym = self.symmetry if self.symmetry is other.symmetry else Symmetry.NONE
-        return RealField2D(self.grid, self.values + other.values, sym)
+        return _tagged(self.grid, self.values + other.values, sym)
 
     def __sub__(self, other: "RealField2D") -> "RealField2D":
         _check_same_grid(self, other)
         sym = self.symmetry if self.symmetry is other.symmetry else Symmetry.NONE
-        return RealField2D(self.grid, self.values - other.values, sym)
+        return _tagged(self.grid, self.values - other.values, sym)
 
     def scaled(self, c: float) -> "RealField2D":
-        return RealField2D(self.grid, c * self.values, self.symmetry)
+        return _tagged(self.grid, c * self.values, self.symmetry)
 
     def with_symmetry(self, symmetry: Symmetry) -> "RealField2D":
         """Re-tag (and validate) the same values under a new symmetry."""
@@ -254,14 +256,20 @@ def _check_same_grid(f: RealField2D, g: RealField2D) -> None:
         raise GridMismatch("fields are on different grids")
 
 
-def _project_parity(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
-    """Exact parity projection for operation outputs whose symmetry is known
-    by algebra; removes transform roundoff before tag validation (high
-    derivative orders amplify it past the declared tolerance)."""
-    if symmetry.x_parity != 0:
-        vals = 0.5 * (vals + symmetry.x_parity * vals[grid._reflect_x, :])
-    if symmetry.y_parity != 0:
-        vals = 0.5 * (vals + symmetry.y_parity * vals[:, grid._reflect_y])
+def _tagged(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
+    """Field from values exactly in the parity class ``symmetry`` by
+    construction: shape and finiteness are checked, the tag is trusted."""
+    f = RealField2D(grid, vals)
+    object.__setattr__(f, "symmetry", symmetry)
+    return f
+
+
+def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
+    """Orthogonal projection onto the parity class ``symmetry``, exactly
+    symmetric, so transform roundoff never reaches a tagged field."""
+    for axis, p in enumerate((symmetry.x_parity, symmetry.y_parity)):
+        if p != 0:
+            vals = 0.5 * (vals + p * _reflect(vals, axis))
     return vals
 
 
@@ -279,7 +287,7 @@ def derivative(f: RealField2D, m: int, n: int) -> RealField2D:
 
     Fourier coefficients are multiplied by (i xi1)^m (i xi2)^n; Nyquist rows
     are zeroed for odd orders so the result stays real-valued.  The symmetry
-    tag flips x-parity m times and y-parity n times.
+    tag is ``f.symmetry.differentiated(m, n)``.
     """
     if not (0 <= m <= 4 and 0 <= n <= 4):
         raise ValueError("derivative orders must satisfy 0 <= m, n <= 4")
@@ -297,13 +305,8 @@ def derivative(f: RealField2D, m: int, n: int) -> RealField2D:
         if n % 2 == 1:
             fy[-1] = 0.0
         hat = hat * fy[None, :]
-    sym = f.symmetry
-    for _ in range(m):
-        sym = sym.flip_x()
-    for _ in range(n):
-        sym = sym.flip_y()
-    vals = _project_parity(grid, _inverse_hat(grid, hat), sym)
-    return RealField2D(grid, vals, sym)
+    sym = f.symmetry.differentiated(m, n)
+    return _tagged(grid, _project_parity(_inverse_hat(grid, hat), sym), sym)
 
 
 def x_line_means(f: RealField2D) -> np.ndarray:
@@ -332,17 +335,16 @@ def antiderivative_x(f: RealField2D, zero_mean_tol: float = ZERO_MEAN_TOL) -> Re
     inv[nz] = 1.0 / (1j * grid.kx[nz])
     inv[grid.nx // 2] = 0.0
     hat = hat * inv[:, None]
-    sym = f.symmetry.flip_x()
-    vals = _project_parity(grid, _inverse_hat(grid, hat), sym)
-    return RealField2D(grid, vals, sym)
+    sym = f.symmetry.differentiated(1, 0)
+    return _tagged(grid, _project_parity(_inverse_hat(grid, hat), sym), sym)
 
 
 def dealias(f: RealField2D) -> RealField2D:
     """Truncate the spectrum with the 2/3 rule."""
     hat = _spectral_hat(f)
     hat *= f.grid.dealias_mask
-    vals = _project_parity(f.grid, _inverse_hat(f.grid, hat), f.symmetry)
-    return RealField2D(f.grid, vals, f.symmetry)
+    vals = _project_parity(_inverse_hat(f.grid, hat), f.symmetry)
+    return _tagged(f.grid, vals, f.symmetry)
 
 
 def product_dealiased(f: RealField2D, g: RealField2D) -> RealField2D:
@@ -355,7 +357,7 @@ def product_dealiased(f: RealField2D, g: RealField2D) -> RealField2D:
     _check_same_grid(f, g)
     ft = dealias(f)
     gt = dealias(g)
-    return RealField2D(f.grid, ft.values * gt.values, f.symmetry.product(g.symmetry))
+    return _tagged(f.grid, ft.values * gt.values, f.symmetry.product(g.symmetry))
 
 
 def weighted_sup(f: RealField2D, p: float, delta: float) -> float:
@@ -381,7 +383,7 @@ def inner(f: RealField2D, g: RealField2D) -> float:
 
 def symmetrize(f: RealField2D, symmetry: Symmetry) -> RealField2D:
     """Orthogonal projection onto the given parity class."""
-    return RealField2D(f.grid, _project_parity(f.grid, f.values, symmetry), symmetry)
+    return _tagged(f.grid, _project_parity(f.values, symmetry), symmetry)
 
 
 def zeros(grid: Grid2D, symmetry: Symmetry = Symmetry.NONE) -> RealField2D:

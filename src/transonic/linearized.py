@@ -35,6 +35,8 @@ from .grid import (
     RealField2D,
     Symmetry,
     _project_parity,
+    _reflect,
+    _tagged,
     antiderivative_x,
     dealias,
     derivative,
@@ -123,8 +125,8 @@ def _apply_constant(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
     grid = phi.grid
     hat = sfft.rfft2(phi.values)
     hat *= _constant_symbol(op, grid)
-    vals = _project_parity(grid, sfft.irfft2(hat, s=(grid.nx, grid.ny)), phi.symmetry)
-    return RealField2D(grid, vals, phi.symmetry)
+    vals = _project_parity(sfft.irfft2(hat, s=(grid.nx, grid.ny)), phi.symmetry)
+    return _tagged(grid, vals, phi.symmetry)
 
 
 def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
@@ -139,8 +141,8 @@ def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealFi
     kx = grid.kx[:, None]
     ky = grid.ky_r[None, :]
     hat *= kx**4 + op.c2 * kx**2 + 2.0 * ky**2
-    vals = _project_parity(grid, sfft.irfft2(hat, s=(grid.nx, grid.ny)), phi.symmetry)
-    const = RealField2D(grid, vals, phi.symmetry)
+    vals = _project_parity(sfft.irfft2(hat, s=(grid.nx, grid.ny)), phi.symmetry)
+    const = _tagged(grid, vals, phi.symmetry)
     return const - _coupling(op, phi, op.coeff_lump_nl)
 
 
@@ -196,7 +198,7 @@ def solve_linearized(
     for _ in range(_MINRES_PASSES):
         sol, info = minres(A, b, x0=sol, M=M, rtol=tol * 1e-2, maxiter=40 * max_iter)
         vals = _sine_cosine_values(sol.reshape(sym.shape))[..., 0]
-        phi = RealField2D(grid, vals, Symmetry.ODD_X_EVEN_Y)
+        phi = _tagged(grid, vals, Symmetry.ODD_X_EVEN_Y)
         res = l2_norm(apply_linearized(op, phi) - rhs) / rhs_norm
         if res <= tol:
             return phi
@@ -289,32 +291,22 @@ class EigenResult:
 # cosine row m = 0 holds the x-means of the y-lines.
 
 
-def _fold_even(v: np.ndarray, axis: int) -> np.ndarray:
-    """Even part of periodic samples along ``axis``, kept on indices 0..n/2."""
+def _fold(v: np.ndarray, axis: int, parity: int) -> np.ndarray:
+    """Parity part (+1 even, -1 odd) of periodic samples along ``axis``, kept
+    on indices 0..n/2 (even) or 1..n/2-1 (odd)."""
     v = np.moveaxis(v, axis, 0)
     n = v.shape[0]
-    mirror = np.concatenate([v[:1], v[: n // 2 - 1 : -1]])
-    return np.moveaxis(0.5 * (v[: n // 2 + 1] + mirror), 0, axis)
+    part = 0.5 * (v + parity * _reflect(v, 0))
+    return np.moveaxis(part[: n // 2 + 1] if parity > 0 else part[1 : n // 2], 0, axis)
 
 
-def _unfold_even(q: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse of ``_fold_even`` on even data: samples 0..n/2 to the period."""
+def _unfold(q: np.ndarray, axis: int, parity: int) -> np.ndarray:
+    """Inverse of ``_fold`` on data of that parity: the kept samples to the period."""
     q = np.moveaxis(q, axis, 0)
-    return np.moveaxis(np.concatenate([q, q[-2:0:-1]]), 0, axis)
-
-
-def _fold_odd(v: np.ndarray, axis: int) -> np.ndarray:
-    """Odd part of periodic samples along ``axis``, kept on indices 1..n/2-1."""
-    v = np.moveaxis(v, axis, 0)
-    n = v.shape[0]
-    return np.moveaxis(0.5 * (v[1 : n // 2] - v[: n // 2 : -1]), 0, axis)
-
-
-def _unfold_odd(q: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse of ``_fold_odd`` on odd data: samples 1..n/2-1 to the period."""
-    q = np.moveaxis(q, axis, 0)
-    zero = np.zeros_like(q[:1])
-    return np.moveaxis(np.concatenate([zero, q, zero, -q[::-1]]), 0, axis)
+    if parity < 0:
+        zero = np.zeros_like(q[:1])
+        q = np.concatenate([zero, q, zero])
+    return np.moveaxis(np.concatenate([q, parity * q[-2:0:-1]]), 0, axis)
 
 
 def _quarter_weights(nx: int, ny: int) -> np.ndarray:
@@ -326,7 +318,7 @@ def _quarter_weights(nx: int, ny: int) -> np.ndarray:
 def _cosine_coefficients(vals: np.ndarray) -> np.ndarray:
     """Full-grid columns (nx, ny, b) to the orthonormal cosine coefficients
     of their even/even, zero-x-mean projection, rows m = 1..nx/2."""
-    quarter = _fold_even(_fold_even(vals, 0), 1)
+    quarter = _fold(_fold(vals, 0, 1), 1, 1)
     quarter *= _quarter_weights(vals.shape[0], vals.shape[1])
     return sfft.dctn(quarter, type=1, axes=(0, 1), norm="ortho")[1:]
 
@@ -337,13 +329,13 @@ def _cosine_values(coeffs: np.ndarray) -> np.ndarray:
     padded = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
     quarter = sfft.dctn(padded, type=1, axes=(0, 1), norm="ortho")
     quarter /= _quarter_weights(2 * coeffs.shape[0], 2 * (coeffs.shape[1] - 1))
-    return _unfold_even(_unfold_even(quarter, 0), 1)
+    return _unfold(_unfold(quarter, 0, 1), 1, 1)
 
 
 def _sine_cosine_coefficients(vals: np.ndarray) -> np.ndarray:
     """Full-grid columns (nx, ny, b) to the orthonormal DST-I(x) x DCT-I(y)
     coefficients of their odd/even projection, rows m = 1..nx/2-1."""
-    quarter = _fold_even(_fold_odd(vals, 0), 1)
+    quarter = _fold(_fold(vals, 0, -1), 1, 1)
     quarter *= _quarter_weights(vals.shape[0], vals.shape[1])[1:-1]
     return sfft.dct(sfft.dst(quarter, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
 
@@ -353,7 +345,7 @@ def _sine_cosine_values(coeffs: np.ndarray) -> np.ndarray:
     odd in x and even in y."""
     quarter = sfft.dct(sfft.dst(coeffs, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
     quarter /= _quarter_weights(2 * (coeffs.shape[0] + 1), 2 * (coeffs.shape[1] - 1))[1:-1]
-    return _unfold_even(_unfold_odd(quarter, 0), 1)
+    return _unfold(_unfold(quarter, 0, -1), 1, 1)
 
 
 def _quarter_potential(op: LinearizedOperator) -> Callable[[np.ndarray], np.ndarray]:
@@ -468,7 +460,7 @@ def eigen_extremes(
     return EigenResult(
         pairs=tuple(pairs),
         phi0=phi0,
-        phi1=phi1.with_symmetry(Symmetry.ODD_X_EVEN_Y),
+        phi1=phi1,
         lambda1=pairs[0].eigenvalue,
         lambda2=float(pos[0]) if pos else math.nan,
         negative_count=len(neg),

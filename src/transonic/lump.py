@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid2D, RealField2D, Symmetry
+from .grid import Grid2D, RealField2D, Symmetry, symmetrize
 
 SQRT2 = math.sqrt(2.0)
 EPS_MAX = 0.5
@@ -132,15 +132,6 @@ def lump_derivative(p: LumpParams, m: int, n: int, x, y):
     return _eval_table(items, power, p, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def _lump_symmetry(m: int, n: int) -> Symmetry:
-    sym = Symmetry.ODD_X_EVEN_Y
-    for _ in range(m):
-        sym = sym.flip_x()
-    for _ in range(n):
-        sym = sym.flip_y()
-    return sym
-
-
 def sample_lump(p: LumpParams, g: Grid2D, m: int = 0, n: int = 0) -> RealField2D:
     """Sample d^m d^n q on the grid with the correct parity tag.
 
@@ -148,11 +139,9 @@ def sample_lump(p: LumpParams, g: Grid2D, m: int = 0, n: int = 0) -> RealField2D
     periodicity, so it is projected onto the parity class (odd samples get 0
     there); interior nodes keep their exact closed-form values.
     """
-    from .grid import symmetrize  # local: grid imports nothing from lump
-
     vals = lump_derivative(p, m, n, g.X, g.Y)
     raw = RealField2D(g, vals, Symmetry.NONE)
-    return symmetrize(raw, _lump_symmetry(m, n))
+    return symmetrize(raw, Symmetry.ODD_X_EVEN_Y.differentiated(m, n))
 
 
 def kpi_residual(p: LumpParams, g: Grid2D, nonlinear_coeff: float | None = None) -> RealField2D:

@@ -33,6 +33,8 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
+    _reflect,
+    _tagged,
     antiderivative_x,
     derivative,
     symmetrize,
@@ -57,7 +59,7 @@ def f1_from_g1(g1: RealField2D) -> RealField2D:
         raise SymmetryViolation("f1_from_g1 expects an odd_x_even_y field")
     dx_g1 = derivative(g1, 1, 0)
     vals = 0.5 * SQRT2 * dx_g1.values - 0.5 * g1.values**2
-    return RealField2D(g1.grid, vals, Symmetry.EVEN_X_EVEN_Y)
+    return _tagged(g1.grid, vals, Symmetry.EVEN_X_EVEN_Y)
 
 
 def f0_exponent(p: LumpParams) -> float:
@@ -250,14 +252,13 @@ def _line_transport_solve(
     decay_power = 2.0 * state.F0_exponent + 3.0
 
     f2 = np.zeros((xr.size, state.grid.ny))
-    reflect = (-np.arange(xr.size)) % xr.size
     best_change = math.inf
     since_improvement = 0
     for _ in range(max_iter):
         E = -2.0 * phi_d[(0, 0)] * f2 + dyyg1 + dxf1 - (f1 + eps**2 * f2) ** 2 * g1
         # E is odd in x exactly; project out the unpaired edge column and
         # rounding asymmetry before the F0-amplified antidifferentiation
-        E = 0.5 * (E - E[reflect, :])
+        E = 0.5 * (E - _reflect(E, 0))
         u = _decaying_antiderivative(xr, E / (denom_c * F0), decay_power)
         new = -F0 * u
         change = float(np.max(np.abs(new - f2)))
@@ -522,8 +523,7 @@ def assemble_rhs(state: ReductionState, f2: RealField2D) -> RhsBundle:
     p3 = symmetrize(RealField2D(grid, _p3_field(state, d, f2)), Symmetry.ODD_X_EVEN_Y)
 
     dphi = derivative(state.phi, 1, 0)
-    phi_sq = RealField2D(grid, 3.0 * (SQRT2 - state.eps**2) * dphi.values**2,
-                         Symmetry.EVEN_X_EVEN_Y)
+    phi_sq = _tagged(grid, 3.0 * (SQRT2 - state.eps**2) * dphi.values**2, Symmetry.EVEN_X_EVEN_Y)
 
     h1 = h1_p1 + antiderivative_x(gamma) + phi_sq + antiderivative_x(p3)
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import transonic.io as fio
@@ -158,6 +159,21 @@ def test_sidecar_missing_key(tmp_path, capsys, command):
     assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError" and "'Lx'" in rec["message"]
+
+
+@pytest.mark.parametrize("command", ["norms", "residual"])
+def test_input_parity_checked(tmp_path, capsys, command):
+    # the entry check is the only tag check on fields read from disk
+    grid = make_grid(16, 16, 5, 5)
+    fio.write_field(tmp_path, "phi", zeros(grid, Symmetry.ODD_X_EVEN_Y))
+    fio.write_field(tmp_path, "f2", zeros(grid, Symmetry.EVEN_X_EVEN_Y))
+    values = np.zeros((16, 16))
+    values[3, 4] = 1.0  # no partner at the mirrored x index
+    values.T.astype("<f8").tofile(tmp_path / "phi.bin")
+    flag = str(tmp_path / "phi.bin") if command == "norms" else str(tmp_path)
+    assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "SymmetryViolation" and "odd_x_even_y" in rec["message"]
 
 
 @pytest.mark.slow

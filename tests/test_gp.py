@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from transonic.errors import SymmetryViolation
 from transonic.grid import RealField2D, Symmetry, make_grid, zeros
 from transonic.gp import (
     ComplexField2D,
@@ -29,6 +30,12 @@ class TestAssemblePhi:
         phi = assemble_phi(st, f2)
         assert np.max(np.abs(phi.re.values - 1.0)) == 0.0
         assert np.max(np.abs(phi.im.values)) == 0.0
+
+    def test_symmetry_guard(self):
+        # the even/even tag of Re(Phi) is trusted, so f2 must carry it
+        st = build_state(0.0, GRID)
+        with pytest.raises(SymmetryViolation):
+            assemble_phi(st, zeros(GRID))
 
     def test_imaginary_part_odd(self, converged):
         phi = assemble_phi(converged, converged.f2)

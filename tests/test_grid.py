@@ -1,12 +1,18 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import transonic
+import transonic.grid as grid_module
+from transonic.cli import main
 from transonic.errors import GridMismatch, NonZeroMean, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
+    _symmetry_defect,
     antiderivative_x,
     constant,
     dealias,
@@ -233,6 +239,99 @@ class TestSymmetryTags:
         f = zeros(g)
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+
+TAGS = [s for s in Symmetry if s is not Symmetry.NONE]
+SMALL = ["--nx", "64", "--ny", "64", "--Lx", "20", "--Ly", "20"]
+
+
+def _fourier_multiply(g, vals, fx, fy):
+    """Real part of ifft2(fx(kx) fy(ky) fft2(vals)) in plain numpy.fft: an
+    operation reference with no parity projection."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(g.nx, d=g.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(g.ny, d=g.dy)
+    hat = np.fft.fft2(vals) * fx(kx)[:, None] * fy(ky)[None, :]
+    return np.fft.ifft2(hat).real
+
+
+def _inverse_ik(k):
+    out = np.zeros(k.shape, dtype=complex)
+    out[k != 0] = 1.0 / (1j * k[k != 0])
+    return out
+
+
+class TestProjectionRemovesOnlyRoundoff:
+    """Every operation projects its output onto the tag it computes.  Against
+    an unprojected FFT reference that costs only roundoff; a wrong tag would
+    project the field away and fail here."""
+
+    GRID = make_grid(64, 64, 9, 9)
+    # a derivative of order m + n scales the transform roundoff near the
+    # Nyquist wavenumber by |k|^(m+n); content up to half of it keeps that
+    # far below the 1e-12 bound
+    KMAX = 16
+
+    @staticmethod
+    def _assert_close(got, ref, what):
+        err = np.max(np.abs(got - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), f"{what}: {err:.3e}"
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_derivative(self, rand_field, sym):
+        f = rand_field(self.GRID, sym, seed=21, kmax=self.KMAX)
+        for m in range(5):
+            for n in range(5):
+                if m == n == 0:
+                    continue
+                d = derivative(f, m, n)
+                assert d.symmetry is sym.differentiated(m, n)
+                ref = _fourier_multiply(self.GRID, f.values,
+                                        lambda k: (1j * k) ** m, lambda k: (1j * k) ** n)
+                self._assert_close(d.values, ref, f"{sym.value} ({m}, {n})")
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_antiderivative_x(self, rand_field, sym):
+        f = rand_field(self.GRID, sym, seed=22, kmax=self.KMAX)
+        f = RealField2D(self.GRID, f.values - f.values.mean(axis=0), sym)
+        a = antiderivative_x(f)
+        assert a.symmetry is sym.differentiated(1, 0)
+        ref = _fourier_multiply(self.GRID, f.values, _inverse_ik, np.ones_like)
+        self._assert_close(a.values, ref, sym.value)
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_dealias(self, rand_field, sym):
+        # modes up to 23 reach past the 2/3 cutoff (21 at 64 points)
+        f = rand_field(self.GRID, sym, seed=23, kmax=24)
+        keep = lambda k: (np.abs(np.fft.fftfreq(k.size) * k.size) <= k.size // 3).astype(float)
+        ref = _fourier_multiply(self.GRID, f.values, keep, keep)
+        assert np.max(np.abs(ref - f.values)) > 1e-3  # the truncation does something
+        self._assert_close(dealias(f).values, ref, sym.value)
+
+
+class TestTagInvariant:
+    def test_every_tagged_build_is_exact(self, tmp_path, monkeypatch):
+        # every field an operation builds with a trusted tag must already be
+        # exactly symmetric: construct, residual and eigen at 64^2, with the
+        # trusted builder checked in every module that imports it
+        trusted = grid_module._tagged
+        defects = []
+
+        def checked(g, vals, symmetry):
+            f = trusted(g, vals, symmetry)
+            defects.append(_symmetry_defect(f.values, symmetry))
+            return f
+
+        for info in pkgutil.iter_modules(transonic.__path__):
+            mod = importlib.import_module(f"transonic.{info.name}")
+            if getattr(mod, "_tagged", None) is trusted:
+                monkeypatch.setattr(mod, "_tagged", checked)
+        run = str(tmp_path / "c")
+        assert main(["construct", "--epsilon", "0.2", "--tol", "1e-6", "--out", run] + SMALL) == 0
+        assert main(["residual", "--in", run, "--out", str(tmp_path / "r")]) == 0
+        assert main(["eigen", "--epsilon", "0.1", "--k", "3", "--out", str(tmp_path / "e")]
+                    + SMALL) == 0
+        assert len(defects) > 100
+        assert max(defects) == 0.0
 
 
 class TestIO:

@@ -210,7 +210,7 @@ class TestResidueRoute:
 
         pts = np.concatenate([np.linspace(1e-6, 50, 4001), np.linspace(50, 400, 1401)[1:]])
         vals = np.array([inner(t) for t in pts])
-        brute = np.trapezoid(vals * np.sin(x * pts), pts) / np.pi**2
+        brute = integrate.trapezoid(vals * np.sin(x * pts), pts) / np.pi**2
         vr = kernel_residue_eval(p, 1, 1, x, y)
         assert brute == pytest.approx(vr, rel=1e-6)
 
