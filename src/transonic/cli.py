@@ -332,7 +332,10 @@ def cmd_residual(cfg: RunConfig, args) -> int:
     report_path = indir / "report.json"
     if report_path.exists():
         stored = json.loads(report_path.read_text())
-        eps = float(stored["config"]["epsilon"])
+        config = stored.get("config") if isinstance(stored, dict) else None
+        if not isinstance(config, dict) or "epsilon" not in config:
+            raise ValueError(f"{report_path}: report lacks 'config.epsilon'")
+        eps = float(config["epsilon"])
     else:
         eps = cfg.epsilon
     phi = fio.read_field(indir / "phi.bin")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SymmetryViolation
 from .grid import ComplexField2D, RealField2D, Symmetry, _tagged
 from .lump import SQRT2
-from .reduction import ReductionState, _StateDerivs
+from .reduction import ReductionState
 
 EDGE_MARGIN = 8
 
@@ -90,30 +90,17 @@ def _fd_onesided(x: np.ndarray, at: float, order: int) -> np.ndarray:
     return inv[:, order] * fact
 
 
-class _HybridDerivs(_StateDerivs):
-    """Derivatives of (f, g) with lump parts closed-form, the rest pointwise.
-
-    g = e (q + phi), f = 1 + e^2 f1 + e^4 f2 with f1 slaved to g1; every
-    combination reduces to lump derivatives (exact), phi derivatives
-    (spectral, phi is grid-native), and f2 derivatives (finite differences:
-    the transport solution is not band-limited and must not wrap).
-    """
-
-    def __init__(self, state: ReductionState, f2: RealField2D):
-        super().__init__(state)
-        g = state.grid
-        self.f2 = f2.values
-        self.f2_x = _fd_derivative(f2.values, g.dx, 0, 1)
-        self.f2_y = _fd_derivative(f2.values, g.dy, 1, 1)
-        self.f2_xx = _fd_derivative(f2.values, g.dx, 0, 2)
-        self.f2_yy = _fd_derivative(f2.values, g.dy, 1, 2)
-
-
 def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualReport":
     """Residuals of the coupled stretched system for the assembled profile.
 
     r1 =  c e dx g + e^4 dyy f + e^2 dxx f - (f^2 + g^2 - 1) f
     r2 = -c e dx f + e^4 dyy g + e^2 dxx g - (f^2 + g^2 - 1) g
+
+    g = e (q + phi), f = 1 + e^2 f1 + e^4 f2 with f1 slaved to g1: every
+    combination reduces to lump derivatives (exact) and phi derivatives
+    (spectral, phi is grid-native), both from the state's derivative table,
+    and f2 derivatives (finite differences: the transport solution is not
+    band-limited and must not wrap).
 
     Sups are taken over the interior window (EDGE_MARGIN nodes in from the
     box boundary): the sampled profile is not periodic and the outermost ring
@@ -124,29 +111,26 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     e4 = e2 * e2
     c = state.c
     g = state.grid
-    d = _HybridDerivs(state, f2)
+    d = state.derivs
 
     g1 = d.g1_d(0, 0)
     g1_x = d.g1_d(1, 0)
     g1_xx = d.g1_d(2, 0)
     g1_y = d.g1_d(0, 1)
     g1_yy = d.g1_d(0, 2)
-    g1_xy = d.g1_d(1, 1)
     g1_xxx = d.g1_d(3, 0)
     g1_xyy = d.g1_d(1, 2)
-    g1_xxy = d.g1_d(2, 1)
 
     f1 = 0.5 * SQRT2 * g1_x - 0.5 * g1**2
     f1_x = 0.5 * SQRT2 * g1_xx - g1 * g1_x
-    f1_y = 0.5 * SQRT2 * g1_xy - g1 * g1_y
     f1_xx = 0.5 * SQRT2 * g1_xxx - g1_x**2 - g1 * g1_xx
     f1_yy = 0.5 * SQRT2 * g1_xyy - g1_y**2 - g1 * g1_yy
 
-    fv = 1.0 + e2 * f1 + e4 * d.f2
+    fv = 1.0 + e2 * f1 + e4 * f2.values
     gv = eps * g1
-    f_x = e2 * f1_x + e4 * d.f2_x
-    f_xx = e2 * f1_xx + e4 * d.f2_xx
-    f_yy = e2 * f1_yy + e4 * d.f2_yy
+    f_x = e2 * f1_x + e4 * _fd_derivative(f2.values, g.dx, 0, 1)
+    f_xx = e2 * f1_xx + e4 * _fd_derivative(f2.values, g.dx, 0, 2)
+    f_yy = e2 * f1_yy + e4 * _fd_derivative(f2.values, g.dy, 1, 2)
     g_x = eps * g1_x
     g_xx = eps * g1_xx
     g_yy = eps * g1_yy

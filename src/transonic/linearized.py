@@ -24,6 +24,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 from scipy import fft as sfft
@@ -496,16 +497,21 @@ class NormSuite:
 
 def a_norm(f: RealField2D, eps: float) -> float:
     """Energy norm of the linearized problem (L2, eps-weighted derivatives)."""
+    return _a_norm(partial(derivative, f), eps)
+
+
+def _a_norm(df: Callable[[int, int], RealField2D], eps: float) -> float:
+    """``a_norm`` from a derivative getter ``df(m, n)`` of the field."""
     e4 = eps**4
     terms = [
-        l2_norm(derivative(f, 4, 0)) ** 2,
-        e4 * l2_norm(derivative(f, 2, 2)) ** 2,
-        e4**2 * l2_norm(derivative(f, 0, 4)) ** 2,
-        l2_norm(derivative(f, 2, 0)) ** 2,
-        2.0 * l2_norm(derivative(f, 1, 1)) ** 2,
-        l2_norm(derivative(f, 0, 2)) ** 2,
-        l2_norm(derivative(f, 1, 0)) ** 2,
-        l2_norm(derivative(f, 0, 1)) ** 2,
+        l2_norm(df(4, 0)) ** 2,
+        e4 * l2_norm(df(2, 2)) ** 2,
+        e4**2 * l2_norm(df(0, 4)) ** 2,
+        l2_norm(df(2, 0)) ** 2,
+        2.0 * l2_norm(df(1, 1)) ** 2,
+        l2_norm(df(0, 2)) ** 2,
+        l2_norm(df(1, 0)) ** 2,
+        l2_norm(df(0, 1)) ** 2,
     ]
     return math.sqrt(sum(terms))
 
@@ -525,25 +531,27 @@ def star_norm_terms(f: RealField2D, eps: float, delta: float) -> dict[str, float
     le = 1.0 / math.log(1.0 / eps) if 0 < eps < 1 else 1.0
     e = eps
     d = delta
+    # each derivative of f once, shared with the energy norm
+    df = cache(partial(derivative, f))
     terms: dict[str, float] = {}
-    terms["a"] = a_norm(f, eps)
+    terms["a"] = _a_norm(df, eps)
     terms["f_1md"] = weighted_sup(f, 1.0, d)
     terms["f_1_log"] = le * weighted_sup(f, 1.0, 0.0)
-    terms["fx_32md"] = weighted_sup(derivative(f, 1, 0), 1.5, d)
-    terms["fx_32"] = e**0.5 * weighted_sup(derivative(f, 1, 0), 1.5, 0.0)
-    terms["fxx_32"] = weighted_sup(derivative(f, 2, 0), 1.5, 0.0)
-    terms["fxxx_32"] = e**0.5 * weighted_sup(derivative(f, 3, 0), 1.5, 0.0)
-    terms["fx4_32"] = e**0.5 * weighted_sup(derivative(f, 4, 0), 1.5, 0.0)
-    terms["fy_32md"] = e**0.5 * weighted_sup(derivative(f, 0, 1), 1.5, d)
-    terms["fy_32"] = e**1.5 * weighted_sup(derivative(f, 0, 1), 1.5, 0.0)
-    terms["fyy_32"] = e**1.5 * weighted_sup(derivative(f, 0, 2), 1.5, 0.0)
-    terms["fy3_32"] = e**3.5 * weighted_sup(derivative(f, 0, 3), 1.5, 0.0)
-    terms["fy4_32"] = e**5.5 * weighted_sup(derivative(f, 0, 4), 1.5, 0.0)
-    terms["fxy_32"] = e**0.5 * weighted_sup(derivative(f, 1, 1), 1.5, 0.0)
-    terms["fxxy_32"] = e**0.5 * weighted_sup(derivative(f, 2, 1), 1.5, 0.0)
-    terms["fxyy_32"] = e**1.5 * weighted_sup(derivative(f, 1, 2), 1.5, 0.0)
-    terms["fxxyy_32"] = e**2.5 * weighted_sup(derivative(f, 2, 2), 1.5, 0.0)
-    adx = antiderivative_x(derivative(f, 0, 2))
+    terms["fx_32md"] = weighted_sup(df(1, 0), 1.5, d)
+    terms["fx_32"] = e**0.5 * weighted_sup(df(1, 0), 1.5, 0.0)
+    terms["fxx_32"] = weighted_sup(df(2, 0), 1.5, 0.0)
+    terms["fxxx_32"] = e**0.5 * weighted_sup(df(3, 0), 1.5, 0.0)
+    terms["fx4_32"] = e**0.5 * weighted_sup(df(4, 0), 1.5, 0.0)
+    terms["fy_32md"] = e**0.5 * weighted_sup(df(0, 1), 1.5, d)
+    terms["fy_32"] = e**1.5 * weighted_sup(df(0, 1), 1.5, 0.0)
+    terms["fyy_32"] = e**1.5 * weighted_sup(df(0, 2), 1.5, 0.0)
+    terms["fy3_32"] = e**3.5 * weighted_sup(df(0, 3), 1.5, 0.0)
+    terms["fy4_32"] = e**5.5 * weighted_sup(df(0, 4), 1.5, 0.0)
+    terms["fxy_32"] = e**0.5 * weighted_sup(df(1, 1), 1.5, 0.0)
+    terms["fxxy_32"] = e**0.5 * weighted_sup(df(2, 1), 1.5, 0.0)
+    terms["fxyy_32"] = e**1.5 * weighted_sup(df(1, 2), 1.5, 0.0)
+    terms["fxxyy_32"] = e**2.5 * weighted_sup(df(2, 2), 1.5, 0.0)
+    adx = antiderivative_x(df(0, 2))
     terms["ix_fyy"] = e**1.5 * weighted_sup(adx, 1.5, d)
     terms["ix_fy3"] = e**3.5 * weighted_sup(derivative(adx, 0, 1), 1.5, d)
     terms["ix_fy4"] = e**5.5 * weighted_sup(derivative(adx, 0, 2), 1.5, d)
@@ -618,12 +626,13 @@ def norm_suite(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> Norm
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 0.5]")
+    star_terms = star_norm_terms(f, eps, delta)
     return NormSuite(
         delta=delta,
-        a=a_norm(f, eps),
+        a=star_terms["a"],
         b=b_norm(f),
         c=c_norm(f),
-        star=star_norm(f, eps, delta),
+        star=sum(star_terms.values()),
         dstar=_norm_dstar(f, delta),
         tstar=_norm_tstar(f, delta),
         qstar=qstar_norm(f, eps, delta),

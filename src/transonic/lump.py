@@ -132,12 +132,15 @@ def lump_derivative(p: LumpParams, m: int, n: int, x, y):
     return _eval_table(items, power, p, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
+@lru_cache(maxsize=16)
 def sample_lump(p: LumpParams, g: Grid2D, m: int = 0, n: int = 0) -> RealField2D:
     """Sample d^m d^n q on the grid with the correct parity tag.
 
     The edge column x = -Lx (and row y = -Ly) is identified with +Lx under
     periodicity, so it is projected onto the parity class (odd samples get 0
-    there); interior nodes keep their exact closed-form values.
+    there); interior nodes keep their exact closed-form values.  Memoized on
+    the frozen (params, grid, m, n): the field is immutable, and the outer
+    iteration asks for the same few orders at every step.
     """
     vals = lump_derivative(p, m, n, g.X, g.Y)
     raw = RealField2D(g, vals, Symmetry.NONE)

@@ -10,20 +10,26 @@ Structure of one outer iteration at fixed eps:
    the bounded solution is picked by the decaying variation-of-parameters
    integral from +infinity, evaluated per y-line;
 3. the right-hand side for the imaginary correction phi is assembled in
-   divergence form: P1 = dx h1 and P2 = dy h2 are read off structurally
-   (never by inverting dy), the lump defect Gamma_q and the fast-decaying
-   remainder P3 are absorbed into h1 through the zero-mode-free dx^-1;
+   divergence form, dx h1 + dy h2: the integrands of P1 = dx h1 and
+   P2 = dy h2 are read off structurally (never by inverting dy), the lump
+   defect Gamma_q and the fast-decaying remainder P3 are absorbed into h1
+   through the zero-mode-free dx^-1;
 4. phi is updated by the preconditioned linearized solve.
 
 Derivatives of lump-dependent quantities are evaluated in closed form and
 only the phi/f2 parts spectrally, which keeps the periodic seam out of the
-assembled fields.
+assembled fields.  Each state holds one lazily filled derivative table
+(``ReductionState.derivs``) that the transport solve, its residual check,
+the right-hand side and the GP back-substitution all read, so every phi
+derivative of a step is taken once; the lump samples and Gamma_q depend only
+on (eps, grid) and are memoized, so a construction computes them once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -78,6 +84,34 @@ def F0_eval(eps: float, x, y):
     return Q ** f0_exponent(p)
 
 
+class _StateDerivs:
+    """Hybrid derivative table for g1 = q + phi on the grid, filled lazily.
+
+    Lump parts come from exact rational differentiation (the memoized
+    ``sample_lump``), phi parts from the spectral transform of the (periodic,
+    band-limited) correction; the combination keeps the periodic seam of the
+    sampled lump out of every assembled product.  The table holds params and
+    phi only, never its state, so a dropped state is freed without the cycle
+    collector.
+    """
+
+    def __init__(self, params: LumpParams, phi: RealField2D):
+        self.params = params
+        self.phi = phi
+        self._phi: dict[tuple[int, int], np.ndarray] = {(0, 0): phi.values}
+
+    def q_d(self, m: int, n: int) -> np.ndarray:
+        return sample_lump(self.params, self.phi.grid, m, n).values
+
+    def phi_d(self, m: int, n: int) -> np.ndarray:
+        if (m, n) not in self._phi:
+            self._phi[(m, n)] = derivative(self.phi, m, n).values
+        return self._phi[(m, n)]
+
+    def g1_d(self, m: int, n: int) -> np.ndarray:
+        return self.q_d(m, n) + self.phi_d(m, n)
+
+
 @dataclass(frozen=True)
 class ReductionState:
     """One snapshot of the construction at fixed eps."""
@@ -96,6 +130,11 @@ class ReductionState:
     def grid(self) -> Grid2D:
         return self.q.grid
 
+    @cached_property
+    def derivs(self) -> _StateDerivs:
+        """The derivative table of this state's phi."""
+        return _StateDerivs(self.params, self.phi)
+
 
 def build_state(
     eps: float, grid: Grid2D, phi: RealField2D | None = None, f2: RealField2D | None = None
@@ -104,7 +143,11 @@ def build_state(
     q = sample_lump(params, grid, 0, 0)
     if phi is None:
         phi = zeros(grid, Symmetry.ODD_X_EVEN_Y)
-    g1 = (q + phi).with_symmetry(Symmetry.ODD_X_EVEN_Y)
+    g1 = q + phi
+    if phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
+        # only a phi from outside the package can miss the tag; a tagged one
+        # makes q + phi exactly odd/even by algebra
+        g1 = g1.with_symmetry(Symmetry.ODD_X_EVEN_Y)
     return ReductionState(
         eps=eps,
         c=SQRT2 - eps**2,
@@ -116,38 +159,6 @@ def build_state(
         f2=f2,
         F0_exponent=f0_exponent(params),
     )
-
-
-class _StateDerivs:
-    """Hybrid derivative table for g1 = q + phi on the grid.
-
-    Lump parts come from exact rational differentiation, phi parts from the
-    spectral transform of the (periodic, band-limited) correction; the
-    combination keeps the periodic seam of the sampled lump out of every
-    assembled product.
-    """
-
-    PHI_ORDERS = ((1, 0), (2, 0), (0, 1), (0, 2), (1, 1))
-
-    def __init__(self, state: ReductionState):
-        self.state = state
-        self._q: dict[tuple[int, int], np.ndarray] = {}
-        self._phi: dict[tuple[int, int], np.ndarray] = {(0, 0): state.phi.values}
-        for mn in self.PHI_ORDERS:
-            self._phi[mn] = derivative(state.phi, *mn).values
-
-    def q_d(self, m: int, n: int) -> np.ndarray:
-        if (m, n) not in self._q:
-            self._q[(m, n)] = sample_lump(self.state.params, self.state.grid, m, n).values
-        return self._q[(m, n)]
-
-    def g1_d(self, m: int, n: int) -> np.ndarray:
-        return self.q_d(m, n) + self.phi_d(m, n)
-
-    def phi_d(self, m: int, n: int) -> np.ndarray:
-        if (m, n) not in self._phi:
-            self._phi[(m, n)] = derivative(self.state.phi, m, n).values
-        return self._phi[(m, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +220,7 @@ def _refined_sampling(
     grid = state.grid
     nxr = refine * grid.nx
     xr = -grid.Lx + (2.0 * grid.Lx / nxr) * np.arange(nxr)
-    phi_d = {mn: _interp_x(derivative(state.phi, *mn).values, refine) for mn in _TRANSPORT_ORDERS}
+    phi_d = {mn: _interp_x(state.derivs.phi_d(*mn), refine) for mn in _TRANSPORT_ORDERS}
     return xr, phi_d
 
 
@@ -338,8 +349,6 @@ def transport_residual(
     grid = state.grid
     eps = state.eps
     xr, phi_d = _refined_sampling(state, refine)
-    Xr = xr[:, None]
-    Yr = grid.y[None, :]
     f2r = _line_transport_solve(state, xr, phi_d, 1e-12, 80)
     g1, f1, dxf1, dyyg1 = _transport_terms(state, xr, phi_d)
     denom_c = SQRT2 - eps**2
@@ -355,8 +364,8 @@ def transport_residual(
     # (the -2 phi f2 piece of the rewritten map belongs to the left side here)
     rhs_full = dyyg1 + dxf1 - (f1 + eps**2 * f2r) ** 2 * g1
     resid = denom_c * dxf2 + 2.0 * g1 * f2r - rhs_full
-    inner = (np.abs(Xr) <= window * grid.Lx - 8 * h) & (np.ones_like(Yr, dtype=bool))
-    sup = float(np.max(np.abs(resid)[np.broadcast_to(inner, resid.shape)]))
+    inner = np.abs(xr) <= window * grid.Lx - 8 * h
+    sup = float(np.max(np.abs(resid[inner, :])))
 
     coarse_window = np.abs(grid.x) <= window * grid.Lx - 8 * h
     mismatch = float(
@@ -370,29 +379,16 @@ def transport_residual(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RhsBundle:
-    """Divergence-form right-hand side data for the linearized solve."""
-
-    P1: RealField2D
-    P2: RealField2D
-    P3: RealField2D
-    Gamma_q: RealField2D
-    P1_hat: RealField2D
-    h1: RealField2D
-    h2: RealField2D
-
-
-def gamma_q_field(state: ReductionState) -> RealField2D:
+@lru_cache(maxsize=4)
+def gamma_q_field(p: LumpParams, g: Grid2D) -> RealField2D:
     """Defect of the lump in the eps-perturbed equation, closed form.
 
     Combines to O(eps^2) with (1+r)^-5 decay: the lump solves its own
     rescaled equation exactly, so only the coefficient difference and the
-    eps-weighted y-terms survive.
+    eps-weighted y-terms survive.  Depends on (eps, grid) only, so it is
+    memoized and a construction evaluates it once.
     """
-    p = state.params
-    g = state.grid
-    e2 = state.eps**2
+    e2 = p.eps**2
     X, Y = g.X, g.Y
     d = lambda m, n: lump_derivative(p, m, n, X, Y)
     vals = (
@@ -407,23 +403,27 @@ def gamma_q_field(state: ReductionState) -> RealField2D:
     return symmetrize(raw, Symmetry.ODD_X_EVEN_Y)
 
 
-def _h_terms(state: ReductionState, d: _StateDerivs, f2: RealField2D):
-    """Readoff integrands of P1 = dx h1 and P2 = dy h2, fully expanded.
+def _rhs_integrands(
+    state: ReductionState, f2: RealField2D
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Readoff integrands h1 of P1 = dx h1 and h2 of P2 = dy h2, and the
+    fast-decaying remainder P3, fully expanded in one pass.
 
     Every composite derivative is expanded by the product rule and assembled
-    pointwise from the hybrid derivative table, so no spectral derivative
-    ever acts on a slowly-decaying sampled product.
+    pointwise from the state's hybrid derivative table, so no spectral
+    derivative ever acts on a slowly-decaying sampled product.
     """
-    eps = state.eps
-    e2 = eps**2
+    e2 = state.eps**2
     e4 = e2 * e2
     sc = SQRT2 - e2
+    d = state.derivs
 
-    g1 = d.q_d(0, 0) + d.phi_d(0, 0)
-    g1x = d.q_d(1, 0) + d.phi_d(1, 0)
-    g1xx = d.q_d(2, 0) + d.phi_d(2, 0)
-    g1y = d.q_d(0, 1) + d.phi_d(0, 1)
-    g1xy = d.q_d(1, 1) + d.phi_d(1, 1)
+    g1 = d.g1_d(0, 0)
+    g1x = d.g1_d(1, 0)
+    g1xx = d.g1_d(2, 0)
+    g1y = d.g1_d(0, 1)
+    g1xy = d.g1_d(1, 1)
+    g1yy = d.g1_d(0, 2)
     f1 = 0.5 * SQRT2 * g1x - 0.5 * g1**2
     f1x = 0.5 * SQRT2 * g1xx - g1 * g1x
     f1y = 0.5 * SQRT2 * g1xy - g1 * g1y
@@ -432,6 +432,11 @@ def _h_terms(state: ReductionState, d: _StateDerivs, f2: RealField2D):
     f2y = derivative(f2, 0, 1).values
 
     trio = f1 + e2 * f2v
+    cubic = 6.0 * e2 * f1 * f2v + e2 * trio**3 + 3.0 * e4 * f2v**2 + e2 * f2v * g1**2
+    mix = 2.0 * e2 * f1 * f2v * g1 + e4 * g1 * f2v**2
+    dyy_g1sq = 2.0 * (g1y**2 + g1 * g1yy)
+    dy_g1sq = 2.0 * g1 * g1y
+    dx_g1sq = 2.0 * g1 * g1x
 
     # h1: the x-integrand of P1
     h1 = (
@@ -447,7 +452,7 @@ def _h_terms(state: ReductionState, d: _StateDerivs, f2: RealField2D):
         - (e4 / sc) * f1**2
         + 2.0 * e2 * g1x * f2v
         + ((2.0 * e2 - 0.5 * SQRT2 * e4) / (2.0 - SQRT2 * e2)) * g1x**2
-        + sc * (6.0 * e2 * f1 * f2v + e2 * trio**3 + 3.0 * e4 * f2v**2 + e2 * f2v * g1**2)
+        + sc * cubic
         + 2.0 * e4 * f1 * f2v
         - SQRT2 * e2 * g1 * f1x
     )
@@ -466,30 +471,8 @@ def _h_terms(state: ReductionState, d: _StateDerivs, f2: RealField2D):
         - (2.0 * e4 / sc) * g1y * f1
         + (2.0 * e2 / sc) * g1y * g1x
     )
-    return h1, h2
 
-
-def _p3_field(state: ReductionState, d: _StateDerivs, f2: RealField2D) -> np.ndarray:
-    """The fast-decaying remainder P3, assembled pointwise."""
-    eps = state.eps
-    e2 = eps**2
-    e4 = e2 * e2
-    sc = SQRT2 - e2
-
-    g1 = d.q_d(0, 0) + d.phi_d(0, 0)
-    g1x = d.q_d(1, 0) + d.phi_d(1, 0)
-    g1y = d.q_d(0, 1) + d.phi_d(0, 1)
-    g1yy = d.q_d(0, 2) + d.phi_d(0, 2)
-    f1 = 0.5 * SQRT2 * g1x - 0.5 * g1**2
-    f2v = f2.values
-    trio = f1 + e2 * f2v
-    mix = 2.0 * e2 * f1 * f2v * g1 + e4 * g1 * f2v**2
-
-    dyy_g1sq = 2.0 * (g1y**2 + g1 * g1yy)
-    dy_g1sq = 2.0 * g1 * g1y
-    dx_g1sq = 2.0 * g1 * g1x
-
-    return (
+    p3 = (
         e2 * g1 * dyy_g1sq
         - (e4 / sc) * g1y * dy_g1sq
         - 2.0 * e4 * g1 * (2.0 * f2v + f1**2) * f2v
@@ -498,40 +481,32 @@ def _p3_field(state: ReductionState, d: _StateDerivs, f2: RealField2D) -> np.nda
         + (2.0 * e4 / sc) * mix * f1
         - (e2 / sc) * dx_g1sq * g1x
         - (2.0 * e2 / sc) * (g1 * (2.0 * f2v + f1**2) * g1x + g1x * mix)
-        + 2.0 * g1 * (6.0 * e2 * f1 * f2v + e2 * trio**3 + 3.0 * e4 * f2v**2 + e2 * f2v * g1**2)
+        + 2.0 * g1 * cubic
         - 2.0 * mix
         - 0.5 * e2 * g1**2 * dx_g1sq
     )
+    return h1, h2, p3
 
 
-def assemble_rhs(state: ReductionState, f2: RealField2D) -> RhsBundle:
-    """Build the divergence-form right-hand side for the linearized solve.
+def assemble_rhs(state: ReductionState, f2: RealField2D) -> tuple[RealField2D, RealField2D]:
+    """The divergence-form right-hand side (h1, h2) of the linearized solve,
+    whose source is dx h1 + dy h2.
 
-    h1 collects the structural x-integrand of P1 plus the x-antiderivatives
-    of the lump defect and of P3 plus the quadratic self-interaction of phi;
-    h2 is the structural y-integrand of P2.  Parity of every piece is
-    asserted through the field tags.
+    h1 (even/even) is the structural x-integrand of P1 plus the
+    x-antiderivatives of the lump defect Gamma_q and of P3 plus the quadratic
+    self-interaction of phi; h2 (odd/odd) is the structural y-integrand of
+    P2.  P1, P2 and P3 themselves are never formed as fields.
     """
     grid = state.grid
-    d = _StateDerivs(state)
-
-    h1_vals, h2_vals = _h_terms(state, d, f2)
+    h1_vals, h2_vals, p3_vals = _rhs_integrands(state, f2)
     h1_p1 = symmetrize(RealField2D(grid, h1_vals), Symmetry.EVEN_X_EVEN_Y)
     h2 = symmetrize(RealField2D(grid, h2_vals), Symmetry.ODD_X_ODD_Y)
-
-    gamma = gamma_q_field(state)
-    p3 = symmetrize(RealField2D(grid, _p3_field(state, d, f2)), Symmetry.ODD_X_EVEN_Y)
-
-    dphi = derivative(state.phi, 1, 0)
-    phi_sq = _tagged(grid, 3.0 * (SQRT2 - state.eps**2) * dphi.values**2, Symmetry.EVEN_X_EVEN_Y)
-
+    p3 = symmetrize(RealField2D(grid, p3_vals), Symmetry.ODD_X_EVEN_Y)
+    phi_sq_vals = 3.0 * (SQRT2 - state.eps**2) * state.derivs.phi_d(1, 0) ** 2
+    phi_sq = _tagged(grid, phi_sq_vals, Symmetry.EVEN_X_EVEN_Y)
+    gamma = gamma_q_field(state.params, grid)
     h1 = h1_p1 + antiderivative_x(gamma) + phi_sq + antiderivative_x(p3)
-
-    P1 = derivative(h1_p1, 1, 0)
-    P2 = derivative(h2, 0, 1)
-    P1_hat = P1 + gamma + derivative(phi_sq, 1, 0)
-
-    return RhsBundle(P1=P1, P2=P2, P3=p3, Gamma_q=gamma, P1_hat=P1_hat, h1=h1, h2=h2)
+    return h1, h2
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +563,8 @@ def outer_fixed_point(
     converged = False
     for it in range(1, max_iter + 1):
         f2 = solve_f2(state, tol=inner_tol, delta=delta)
-        bundle = assemble_rhs(state, f2)
-        phi_new = solve_linearized(op, bundle.h1, bundle.h2, tol=linear_tol)
+        h1, h2 = assemble_rhs(state, f2)
+        phi_new = solve_linearized(op, h1, h2, tol=linear_tol)
         unorm = star_norm_proxy(phi_new - prev_phi, eps, delta)
         updates.append(unorm)
         if len(updates) >= 2 and updates[-2] > 0:

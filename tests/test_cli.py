@@ -161,6 +161,18 @@ def test_sidecar_missing_key(tmp_path, capsys, command):
     assert rec["error"] == "ValueError" and "'Lx'" in rec["message"]
 
 
+@pytest.mark.parametrize("report", ["{}", '{"config": {}}', "[]"])
+def test_residual_report_lacks_epsilon(tmp_path, capsys, report):
+    # a report.json without config.epsilon is a validation error, not a traceback
+    grid = make_grid(16, 16, 5, 5)
+    fio.write_field(tmp_path, "phi", zeros(grid, Symmetry.ODD_X_EVEN_Y))
+    fio.write_field(tmp_path, "f2", zeros(grid, Symmetry.EVEN_X_EVEN_Y))
+    (tmp_path / "report.json").write_text(report)
+    assert main(["residual", "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "config.epsilon" in rec["message"]
+
+
 @pytest.mark.parametrize("command", ["norms", "residual"])
 def test_input_parity_checked(tmp_path, capsys, command):
     # the entry check is the only tag check on fields read from disk

@@ -1,6 +1,13 @@
+import gc
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import transonic.grid as grid_mod
+import transonic.lump as lump_mod
+import transonic.reduction as red_mod
 from transonic.errors import GuardViolated, SymmetryViolation
 from transonic.grid import (
     RealField2D,
@@ -11,9 +18,10 @@ from transonic.grid import (
     weighted_sup,
     zeros,
 )
-from transonic.lump import SQRT2, LumpParams, lump_eval
+from transonic.lump import SQRT2, LumpParams, lump_eval, sample_lump
 from transonic.reduction import (
     F0_eval,
+    _rhs_integrands,
     assemble_rhs,
     build_state,
     f0_exponent,
@@ -110,9 +118,27 @@ class TestSolveF2:
 class TestAssembleRhs:
     @pytest.fixture(scope="class")
     def bundle(self):
+        # the loop only needs (h1, h2); the pieces P1, P2, P3, Gamma_q and
+        # P1_hat = P1 + Gamma_q + dx(phi_sq) are rebuilt here from the same
+        # integrands and the state's derivative table
         st = build_state(0.15, GRID)
         f2 = solve_f2(st)
-        return st, f2, assemble_rhs(st, f2)
+        h1, h2 = assemble_rhs(st, f2)
+        h1_vals, h2_vals, p3_vals = _rhs_integrands(st, f2)
+        # the public constructor checks each declared parity to 1e-10
+        h1_p1 = RealField2D(GRID, h1_vals, Symmetry.EVEN_X_EVEN_Y)
+        P2 = derivative(RealField2D(GRID, h2_vals, Symmetry.ODD_X_ODD_Y), 0, 1)
+        P3 = RealField2D(GRID, p3_vals, Symmetry.ODD_X_EVEN_Y)
+        gamma = gamma_q_field(st.params, GRID)
+        phi_sq = RealField2D(
+            GRID, 3.0 * (SQRT2 - st.eps**2) * st.derivs.phi_d(1, 0) ** 2, Symmetry.EVEN_X_EVEN_Y
+        )
+        P1 = derivative(h1_p1, 1, 0)
+        b = SimpleNamespace(
+            h1=h1, h2=h2, P1=P1, P2=P2, P3=P3, Gamma_q=gamma,
+            P1_hat=P1 + gamma + derivative(phi_sq, 1, 0),
+        )
+        return st, f2, b
 
     def test_parities(self, bundle):
         _, _, b = bundle
@@ -134,8 +160,8 @@ class TestAssembleRhs:
         # |Gamma_q| <= C e^2 (1+r)^-5: the weighted sup over eps^2 stays bounded
         vals = {}
         for eps in (0.2, 0.1, 0.05):
-            st = build_state(eps, GRID)
-            vals[eps] = weighted_sup(gamma_q_field(st), 5.0, 0.0) / eps**2
+            p = LumpParams.from_epsilon(eps)
+            vals[eps] = weighted_sup(gamma_q_field(p, GRID), 5.0, 0.0) / eps**2
         ratios = [vals[0.2] / vals[0.1], vals[0.1] / vals[0.05]]
         assert all(0.25 <= r <= 4.0 for r in ratios)
 
@@ -198,6 +224,85 @@ class TestAssembleRhs:
         )
         rel2 = np.max(np.abs(b.P2.values - p2_direct)[interior]) / np.max(np.abs(b.P2.values))
         assert rel2 <= 2e-2
+
+
+SMALL = make_grid(64, 64, 20, 20)
+
+
+class TestBuildState:
+    def test_tagged_phi_not_rechecked(self, rand_field, monkeypatch):
+        phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=5, amplitude=1e-3)
+        calls = []
+        check = grid_mod._symmetry_defect
+        monkeypatch.setattr(
+            grid_mod, "_symmetry_defect", lambda *a: calls.append(a) or check(*a)
+        )
+        st = build_state(0.1, SMALL, phi=phi)
+        assert calls == []
+        assert st.g1.symmetry is Symmetry.ODD_X_EVEN_Y
+
+    def test_untagged_phi_checked(self, rand_field):
+        good = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=5, amplitude=1e-3)
+        st = build_state(0.1, SMALL, phi=RealField2D(SMALL, good.values))
+        assert st.g1.symmetry is Symmetry.ODD_X_EVEN_Y
+        bad = rand_field(SMALL, Symmetry.NONE, seed=5, amplitude=1e-3)
+        with pytest.raises(SymmetryViolation):
+            build_state(0.1, SMALL, phi=bad)
+
+
+class TestDerivativeTable:
+    def test_lump_work_independent_of_iterations(self, monkeypatch):
+        # the grid-sampled lump derivatives (sample_lump, Gamma_q) depend on
+        # (eps, grid) only: a longer outer iteration samples none more
+        calls = []
+        sample = lump_mod.lump_derivative
+
+        def counted(p, m, n, x, y):
+            if np.shape(x) == (SMALL.nx, SMALL.ny):
+                calls.append((m, n))
+            return sample(p, m, n, x, y)
+
+        monkeypatch.setattr(lump_mod, "lump_derivative", counted)
+        monkeypatch.setattr(red_mod, "lump_derivative", counted)
+        per_run = {}
+        for tol in (1e-3, 1e-9):
+            sample_lump.cache_clear()
+            gamma_q_field.cache_clear()
+            calls.clear()
+            _, rep = outer_fixed_point(0.1, SMALL, tol=tol)
+            per_run[rep.iterations] = len(calls)
+        assert len(per_run) == 2
+        assert len(set(per_run.values())) == 1
+
+    def test_phi_derivatives_taken_once(self, rand_field, monkeypatch):
+        phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
+        st = build_state(0.1, SMALL, phi=phi)
+        taken = []
+        spectral = red_mod.derivative
+
+        def counted(f, m, n):
+            if f is st.phi:
+                taken.append((m, n))
+            return spectral(f, m, n)
+
+        monkeypatch.setattr(red_mod, "derivative", counted)
+        assemble_rhs(st, solve_f2(st))
+        assert taken
+        assert len(taken) == len(set(taken))
+
+    def test_dropped_state_freed_without_gc(self, rand_field):
+        # the table must not refer back to its state: a cycle would keep
+        # every outer step's state alive until the cycle collector runs
+        phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
+        st = build_state(0.1, SMALL, phi=phi)
+        assemble_rhs(st, solve_f2(st))
+        ref = weakref.ref(st)
+        gc.disable()
+        try:
+            del st
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestOuterFixedPoint:
