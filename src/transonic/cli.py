@@ -346,6 +346,11 @@ def cmd_residual(cfg: RunConfig, args) -> int:
                 f"({key} = {getattr(phi.grid, key)} in {indir / 'phi.json'})"
             )
     f2 = fio.read_field(indir / "f2.bin")
+    if f2.grid != phi.grid:
+        raise ValueError(
+            f"{indir / 'f2.json'} grid {f2.grid} differs from "
+            f"{indir / 'phi.json'} grid {phi.grid}"
+        )
     state = build_state(eps, phi.grid, phi=phi, f2=f2)
     rpt = gp_system_residual(state, f2)
     rec = asdict(rpt)

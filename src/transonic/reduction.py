@@ -21,14 +21,15 @@ only the phi/f2 parts spectrally, which keeps the periodic seam out of the
 assembled fields.  Each state holds one lazily filled derivative table
 (``ReductionState.derivs``) that the transport solve, its residual check,
 the right-hand side and the GP back-substitution all read, so every phi
-derivative of a step is taken once; the lump samples and Gamma_q depend only
-on (eps, grid) and are memoized, so a construction computes them once.
+derivative of a step is taken once and the transport Picard runs once per
+phi; the lump samples, Gamma_q and its dx^-1 depend only on (eps, grid) and
+are memoized, so a construction computes them once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,9 +56,6 @@ from .linearized import (
     star_norm_proxy,
 )
 from .lump import SQRT2, LumpParams, lump_derivative, sample_lump
-
-F2_GUARD = 10.0
-
 
 def f1_from_g1(g1: RealField2D) -> RealField2D:
     """Pointwise slaving of the first real correction to g1."""
@@ -90,9 +88,10 @@ class _StateDerivs:
     Lump parts come from exact rational differentiation (the memoized
     ``sample_lump``), phi parts from the spectral transform of the (periodic,
     band-limited) correction; the combination keeps the periodic seam of the
-    sampled lump out of every assembled product.  The table holds params and
-    phi only, never its state, so a dropped state is freed without the cycle
-    collector.
+    sampled lump out of every assembled product.  The table also keeps the
+    fine transport solution of its phi, so the Picard solve runs once per phi.
+    It holds params and phi only, never its state, so a dropped state is
+    freed without the cycle collector.
     """
 
     def __init__(self, params: LumpParams, phi: RealField2D):
@@ -111,10 +110,19 @@ class _StateDerivs:
     def g1_d(self, m: int, n: int) -> np.ndarray:
         return self.q_d(m, n) + self.phi_d(m, n)
 
+    @cached_property
+    def f2_fine(self) -> np.ndarray:
+        """f2 on the x-refined sampling, from ``_line_transport_solve``."""
+        return _line_transport_solve(self)
+
 
 @dataclass(frozen=True)
 class ReductionState:
-    """One snapshot of the construction at fixed eps."""
+    """One snapshot of the construction at fixed eps.
+
+    ``derivs`` is the derivative table of this state's phi;
+    ``dataclasses.replace`` with a new f2 keeps it.
+    """
 
     eps: float
     c: float
@@ -124,16 +132,11 @@ class ReductionState:
     g1: RealField2D
     f1: RealField2D
     f2: RealField2D | None
-    F0_exponent: float
+    derivs: _StateDerivs = field(repr=False, compare=False)
 
     @property
     def grid(self) -> Grid2D:
         return self.q.grid
-
-    @cached_property
-    def derivs(self) -> _StateDerivs:
-        """The derivative table of this state's phi."""
-        return _StateDerivs(self.params, self.phi)
 
 
 def build_state(
@@ -157,7 +160,7 @@ def build_state(
         g1=g1,
         f1=f1_from_g1(g1),
         f2=f2,
-        F0_exponent=f0_exponent(params),
+        derivs=_StateDerivs(params, phi),
     )
 
 
@@ -209,110 +212,89 @@ def _interp_x(vals: np.ndarray, refine: int) -> np.ndarray:
     return np.real(np.fft.ifft(pad, axis=0)) * refine
 
 
+F2_GUARD = 10.0
+F2_REFINE = 4
+# pass budget of the transport Picard, and the |x| window (a fraction of Lx)
+# over which its check takes the sup
+F2_MAX_PASSES = 60
+F2_CHECK_WINDOW = 0.95
+
 _TRANSPORT_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 2))
 
 
-def _refined_sampling(
-    state: ReductionState, refine: int
-) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray]]:
-    """The x-refined nodes and the phi derivatives the transport needs,
-    trigonometrically interpolated onto them."""
-    grid = state.grid
-    nxr = refine * grid.nx
+def _transport_terms(d: _StateDerivs) -> tuple[np.ndarray, ...]:
+    """The x-refined nodes xr and, on (xr, grid.y), phi, g1, f1, dx f1 and
+    dyy g1: closed-form lump parts plus the phi derivatives trigonometrically
+    interpolated onto xr, with dx f1 = (sqrt2/2) dxx g1 - g1 dx g1."""
+    grid = d.phi.grid
+    nxr = F2_REFINE * grid.nx
     xr = -grid.Lx + (2.0 * grid.Lx / nxr) * np.arange(nxr)
-    phi_d = {mn: _interp_x(state.derivs.phi_d(*mn), refine) for mn in _TRANSPORT_ORDERS}
-    return xr, phi_d
-
-
-def _transport_terms(
-    state: ReductionState, xr: np.ndarray, phi_d: dict[tuple[int, int], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """g1, f1, dx f1 and dyy g1 on (xr, grid.y): closed-form lump parts plus
-    the interpolated phi parts, with dx f1 = (sqrt2/2) dxx g1 - g1 dx g1."""
     Xr = xr[:, None]
-    Yr = state.grid.y[None, :]
-    qd = {mn: lump_derivative(state.params, *mn, Xr, Yr) for mn in _TRANSPORT_ORDERS}
-    g1 = qd[(0, 0)] + phi_d[(0, 0)]
-    dxg1 = qd[(1, 0)] + phi_d[(1, 0)]
+    Yr = grid.y[None, :]
+    phi_d = {mn: _interp_x(d.phi_d(*mn), F2_REFINE) for mn in _TRANSPORT_ORDERS}
+    g1_d = {mn: lump_derivative(d.params, *mn, Xr, Yr) + phi_d[mn] for mn in _TRANSPORT_ORDERS}
+    g1 = g1_d[(0, 0)]
+    dxg1 = g1_d[(1, 0)]
     f1 = 0.5 * SQRT2 * dxg1 - 0.5 * g1**2
-    dxf1 = 0.5 * SQRT2 * (qd[(2, 0)] + phi_d[(2, 0)]) - g1 * dxg1
-    dyyg1 = qd[(0, 2)] + phi_d[(0, 2)]
-    return g1, f1, dxf1, dyyg1
+    dxf1 = 0.5 * SQRT2 * g1_d[(2, 0)] - g1 * dxg1
+    return xr, phi_d[(0, 0)], g1, f1, dxf1, g1_d[(0, 2)]
 
 
-def _line_transport_solve(
-    state: ReductionState,
-    xr: np.ndarray,
-    phi_d: dict[tuple[int, int], np.ndarray],
-    tol: float,
-    max_iter: int,
-) -> np.ndarray:
-    """Picard iteration of the variation-of-parameters map on an x-sampling.
+def _line_transport_solve(d: _StateDerivs) -> np.ndarray:
+    """Picard iteration of the variation-of-parameters map on the x-refined
+    sampling of ``_transport_terms``; returns f2 on (xr, grid.y).
 
-    Lump parts are evaluated in closed form on ``xr``; the phi parts must be
-    supplied already interpolated.  Returns f2 on (xr, grid.y).
+    One stop rule: the first pass whose sup change is at most
+    tau * max(1, sup |f2|), with tau = 32 eps_mach max F0 / min F0 on the
+    refined box.  Each pass divides by F0 and multiplies back, so rounding
+    returns amplified by up to that ratio and the change floors near it
+    (1e-12 to 1e-8 of the sup); tau sits above that floor, so the stop is
+    made by the contraction, and the pass count does not move with roundoff
+    changes of phi.  A change that is not finite means the map diverged.
     """
-    eps = state.eps
-    p = state.params
-    Xr = xr[:, None]
-    Yr = state.grid.y[None, :]
-    g1, f1, dxf1, dyyg1 = _transport_terms(state, xr, phi_d)
-    Q = p.B * Xr**2 + p.C * Yr**2 + p.E
-    F0 = Q**state.F0_exponent
+    p = d.params
+    eps = p.eps
+    xr, phi, g1, f1, dxf1, dyyg1 = _transport_terms(d)
+    power = f0_exponent(p)
+    F0 = (p.B * xr[:, None] ** 2 + p.C * d.phi.grid.y[None, :] ** 2 + p.E) ** power
+    tau = 32.0 * np.finfo(float).eps * float(F0.max() / F0.min())
     denom_c = SQRT2 - eps**2
-    decay_power = 2.0 * state.F0_exponent + 3.0
+    decay_power = 2.0 * power + 3.0
 
-    f2 = np.zeros((xr.size, state.grid.ny))
-    best_change = math.inf
-    since_improvement = 0
-    for _ in range(max_iter):
-        E = -2.0 * phi_d[(0, 0)] * f2 + dyyg1 + dxf1 - (f1 + eps**2 * f2) ** 2 * g1
-        # E is odd in x exactly; project out the unpaired edge column and
-        # rounding asymmetry before the F0-amplified antidifferentiation
-        E = 0.5 * (E - _reflect(E, 0))
-        u = _decaying_antiderivative(xr, E / (denom_c * F0), decay_power)
-        new = -F0 * u
-        change = float(np.max(np.abs(new - f2)))
-        scale = max(1.0, float(np.max(np.abs(new))))
-        f2 = new
-        if change <= tol * scale:
-            return f2
-        # the F0-amplified box edge floors the achievable update at ~1e4 ulp
-        # of the local roundoff and the iteration settles into a tiny limit
-        # cycle there; accept once no real progress is made at a level far
-        # below the scheme's truncation error
-        if change < 0.5 * best_change:
-            best_change = change
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= 5 and change <= 1e-6 * scale:
+    f2 = np.zeros_like(g1)
+    # a diverging map overflows on the way to the finiteness test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, F2_MAX_PASSES + 1):
+            E = -2.0 * phi * f2 + dyyg1 + dxf1 - (f1 + eps**2 * f2) ** 2 * g1
+            # E is odd in x exactly; project out the unpaired edge column and
+            # rounding asymmetry before the F0-amplified antidifferentiation
+            E = 0.5 * (E - _reflect(E, 0))
+            u = _decaying_antiderivative(xr, E / (denom_c * F0), decay_power)
+            new = -F0 * u
+            change = float(np.max(np.abs(new - f2)))
+            if not math.isfinite(change):
+                raise NotConverged(f"transport Picard diverged at pass {k}")
+            f2 = new
+            if change <= tau * max(1.0, float(np.max(np.abs(f2)))):
                 return f2
-    raise NotConverged(f"transport Picard did not reach {tol:.1e} in {max_iter} iterations")
+    raise NotConverged(f"transport Picard did not reach {tau:.1e} in {F2_MAX_PASSES} passes")
 
 
-F2_REFINE = 4
-
-
-def solve_f2(
-    state: ReductionState,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-    guard: float = F2_GUARD,
-    delta: float = DELTA_DEFAULT,
-    refine: int = F2_REFINE,
-) -> RealField2D:
+def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D:
     """Bounded solution of the transport equation for f2 at the given state.
 
     Picard iteration of the variation-of-parameters map; each pass integrates
     E/((sqrt2 - eps^2) F0) from +infinity along every y-line and multiplies by
     -F0.  The contraction factor scales like eps^(3/2), so plain iteration
-    converges quickly throughout the supported range.
+    converges quickly throughout the supported range; it stops on the one
+    rule of ``_line_transport_solve``, just above its roundoff floor.
 
     The line integrals run on an x-refined sampling (closed-form lump parts,
     trigonometric interpolation of phi): the growth of F0 toward the box edge
     amplifies any aliasing error of the integrand's antiderivative, and
     oversampling pushes that error to rounding level before the downsample.
+    The fine solution stays in the state's derivative table, where
+    ``transport_residual`` reads it.
     """
     eps = state.eps
     if eps > 0:
@@ -320,37 +302,31 @@ def solve_f2(
         # from the fourth-derivative sup terms even for the true solution, so
         # the contraction-regime check binds the weighted amplitude instead
         proxy = weighted_sup(state.phi, 1.0, delta)
-        if proxy > guard * eps**2:
+        if proxy > F2_GUARD * eps**2:
             raise GuardViolated(
                 f"phi too large for the transport contraction: weighted amplitude "
-                f"{proxy:.3e} > {guard} * eps^2 = {guard * eps**2:.3e}"
+                f"{proxy:.3e} > {F2_GUARD} * eps^2 = {F2_GUARD * eps**2:.3e}"
             )
-    xr, phi_d = _refined_sampling(state, refine)
-    f2_fine = _line_transport_solve(state, xr, phi_d, tol, max_iter)
-    return symmetrize(RealField2D(state.grid, f2_fine[::refine, :]), Symmetry.EVEN_X_EVEN_Y)
+    f2_fine = state.derivs.f2_fine
+    return symmetrize(RealField2D(state.grid, f2_fine[::F2_REFINE, :]), Symmetry.EVEN_X_EVEN_Y)
 
 
-def transport_residual(
-    state: ReductionState,
-    f2: RealField2D,
-    refine: int = 4,
-    fd_order: int = 8,
-    window: float = 0.95,
-) -> float:
-    """Independent back-substitution check of the transport equation.
+def transport_residual(state: ReductionState, f2: RealField2D) -> float:
+    """Back-substitution check of the transport equation.
 
-    Reruns the per-line solve on an x-refined sampling (closed-form lump
-    parts, zero-padded spectral interpolation of the phi parts), applies a
-    high-order centered finite difference in x, and returns the sup of the
-    equation residual over the interior window.  Also folds in the mismatch
-    between the refined and the returned coarse solution so agreement of the
-    two resolutions is part of the verdict.
+    Evaluates the equation on the state's fine transport solution, the one
+    ``solve_f2`` downsamples (solved here only if no solve has run for this
+    phi), with an 8th-order centered finite difference in x, and returns the
+    larger of the sup of its residual over the interior window and the sup
+    mismatch between ``f2`` and the downsampled fine solution there.  The
+    mismatch is at rounding level exactly when ``f2`` is this state's
+    solution.
     """
     grid = state.grid
     eps = state.eps
-    xr, phi_d = _refined_sampling(state, refine)
-    f2r = _line_transport_solve(state, xr, phi_d, 1e-12, 80)
-    g1, f1, dxf1, dyyg1 = _transport_terms(state, xr, phi_d)
+    d = state.derivs
+    f2r = d.f2_fine
+    xr, _, g1, f1, dxf1, dyyg1 = _transport_terms(d)
     denom_c = SQRT2 - eps**2
 
     # 8th-order centered first derivative, interior only (no wrap)
@@ -364,12 +340,12 @@ def transport_residual(
     # (the -2 phi f2 piece of the rewritten map belongs to the left side here)
     rhs_full = dyyg1 + dxf1 - (f1 + eps**2 * f2r) ** 2 * g1
     resid = denom_c * dxf2 + 2.0 * g1 * f2r - rhs_full
-    inner = np.abs(xr) <= window * grid.Lx - 8 * h
+    inner = np.abs(xr) <= F2_CHECK_WINDOW * grid.Lx - 8 * h
     sup = float(np.max(np.abs(resid[inner, :])))
 
-    coarse_window = np.abs(grid.x) <= window * grid.Lx - 8 * h
+    coarse_window = np.abs(grid.x) <= F2_CHECK_WINDOW * grid.Lx - 8 * h
     mismatch = float(
-        np.max(np.abs(f2r[::refine, :][coarse_window, :] - f2.values[coarse_window, :]))
+        np.max(np.abs(f2r[::F2_REFINE, :][coarse_window, :] - f2.values[coarse_window, :]))
     )
     return max(sup, mismatch)
 
@@ -401,6 +377,12 @@ def gamma_q_field(p: LumpParams, g: Grid2D) -> RealField2D:
     )
     raw = RealField2D(g, vals, Symmetry.NONE)
     return symmetrize(raw, Symmetry.ODD_X_EVEN_Y)
+
+
+@lru_cache(maxsize=4)
+def _gamma_q_antiderivative(p: LumpParams, g: Grid2D) -> RealField2D:
+    """dx^-1 Gamma_q, memoized like Gamma_q itself."""
+    return antiderivative_x(gamma_q_field(p, g))
 
 
 def _rhs_integrands(
@@ -504,8 +486,8 @@ def assemble_rhs(state: ReductionState, f2: RealField2D) -> tuple[RealField2D, R
     p3 = symmetrize(RealField2D(grid, p3_vals), Symmetry.ODD_X_EVEN_Y)
     phi_sq_vals = 3.0 * (SQRT2 - state.eps**2) * state.derivs.phi_d(1, 0) ** 2
     phi_sq = _tagged(grid, phi_sq_vals, Symmetry.EVEN_X_EVEN_Y)
-    gamma = gamma_q_field(state.params, grid)
-    h1 = h1_p1 + antiderivative_x(gamma) + phi_sq + antiderivative_x(p3)
+    gamma = _gamma_q_antiderivative(state.params, grid)
+    h1 = h1_p1 + gamma + phi_sq + antiderivative_x(p3)
     return h1, h2
 
 
@@ -531,8 +513,6 @@ def outer_fixed_point(
     tol: float = 1e-8,
     max_iter: int = 200,
     delta: float = DELTA_DEFAULT,
-    inner_tol: float = 1e-12,
-    linear_tol: float = 1e-9,
 ) -> tuple[ReductionState, FixedPointReport]:
     """Construct the corrected state by iterating transport + linearized solve.
 
@@ -545,8 +525,7 @@ def outer_fixed_point(
         raise ValueError("eps must lie in [0, 0.3]")
     state = build_state(eps, grid)
     if eps == 0.0:
-        f2 = solve_f2(state, tol=inner_tol)
-        state = build_state(eps, grid, phi=state.phi, f2=f2)
+        state = replace(state, f2=solve_f2(state))
         report = FixedPointReport(
             iterations=1,
             update_star_norms=(0.0,),
@@ -562,9 +541,9 @@ def outer_fixed_point(
     prev_phi = state.phi
     converged = False
     for it in range(1, max_iter + 1):
-        f2 = solve_f2(state, tol=inner_tol, delta=delta)
+        f2 = solve_f2(state, delta=delta)
         h1, h2 = assemble_rhs(state, f2)
-        phi_new = solve_linearized(op, h1, h2, tol=linear_tol)
+        phi_new = solve_linearized(op, h1, h2)
         unorm = star_norm_proxy(phi_new - prev_phi, eps, delta)
         updates.append(unorm)
         if len(updates) >= 2 and updates[-2] > 0:
@@ -586,9 +565,9 @@ def outer_fixed_point(
             f"after {len(updates)} iterations"
         )
     # refresh the transport solution at the final phi so the stored pair is
-    # self-consistent rather than lagging one iteration
-    f2 = solve_f2(state, tol=inner_tol, delta=delta)
-    state = build_state(eps, grid, phi=state.phi, f2=f2)
+    # self-consistent rather than lagging one iteration; the state keeps its
+    # table, so the transport check reads this solve
+    state = replace(state, f2=solve_f2(state, delta=delta))
     final_star = star_norm(state.phi, eps, delta)
     report = FixedPointReport(
         iterations=len(updates),

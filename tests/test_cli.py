@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transonic
 import transonic.io as fio
 import transonic.kernel as K
 from transonic.cli import main
@@ -233,3 +238,33 @@ def test_residual_grid_flags_checked(tmp_path, capsys):
         rec = json.loads(err[0])
         assert rec["error"] == "ValueError" and flag in rec["message"]
     assert not (run / "gp_residual.json").exists()
+
+
+@pytest.mark.parametrize("f2_grid", [(16, 16, 6.0, 5.0), (32, 16, 5.0, 5.0)], ids=["Lx", "nx"])
+def test_residual_f2_grid_checked(tmp_path, capsys, f2_grid):
+    # f2 from another box is a validation error naming both grids, not a
+    # residual on phi's grid or a broadcast error
+    fio.write_field(tmp_path, "phi", zeros(make_grid(16, 16, 5, 5), Symmetry.ODD_X_EVEN_Y))
+    fio.write_field(tmp_path, "f2", zeros(make_grid(*f2_grid), Symmetry.EVEN_X_EVEN_Y))
+    assert main(["residual", "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError"
+    assert "f2.json" in rec["message"] and "phi.json" in rec["message"]
+    assert not (tmp_path / "o" / "gp_residual.json").exists()
+
+
+def test_diverging_transport_one_error_line(tmp_path):
+    # a diverging transport Picard stops at the first non-finite change; no
+    # numpy warning reaches stderr (a subprocess, since pytest captures
+    # warnings before they are printed)
+    env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transonic.cli", "construct", "--nx", "32", "--ny", "32",
+         "--Lx", "40", "--Ly", "40", "--epsilon", "0.3", "--out", str(tmp_path / "c")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    rec = json.loads(err[0])
+    assert rec["error"] == "NotConverged" and "diverged" in rec["message"]

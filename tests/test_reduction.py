@@ -35,6 +35,17 @@ from transonic.reduction import (
 GRID = make_grid(256, 256, 40, 40)
 
 
+@pytest.fixture
+def picard_passes(monkeypatch):
+    """A list that grows by one entry per transport Picard pass."""
+    passes = []
+    antiderivative = red_mod._decaying_antiderivative
+    monkeypatch.setattr(
+        red_mod, "_decaying_antiderivative", lambda *a: passes.append(1) or antiderivative(*a)
+    )
+    return passes
+
+
 class TestF1:
     def test_zero(self):
         out = f1_from_g1(zeros(GRID, Symmetry.ODD_X_EVEN_Y))
@@ -107,12 +118,55 @@ class TestSolveF2:
         f2 = solve_f2(st)
         assert transport_residual(st, f2) <= 1e-7
 
+    def test_pass_count_stable_under_roundoff(self, rand_field, picard_passes):
+        # the stop sits above the roundoff floor: a 1e-13 change of phi moves
+        # neither the pass count nor f2 beyond the floor (up to ~6e-10 of its
+        # sup, from rounding amplified by max F0 / min F0 ~ 2e7 on this box)
+        g = make_grid(128, 128, 40, 40)
+        phi = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=1, amplitude=2e-3)
+        kick = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=101, amplitude=2e-16)
+        runs = []
+        for p in (phi, phi + kick):
+            picard_passes.clear()
+            runs.append((solve_f2(build_state(0.1, g, phi=p)), len(picard_passes)))
+        (f2a, na), (f2b, nb) = runs
+        assert na == nb
+        assert np.max(np.abs(f2a.values - f2b.values)) < 1e-9 * np.max(np.abs(f2a.values))
+
     def test_zero_hypothetical_forcing(self):
         # with every源 term removed the map returns the zero solution
         from transonic.reduction import _decaying_antiderivative
 
         u = _decaying_antiderivative(GRID.x, np.zeros((GRID.nx, GRID.ny)), 7.0)
         assert np.max(np.abs(u)) == 0.0
+
+
+class TestTransportResidual:
+    def test_reads_the_solve_of_solve_f2(self, rand_field, picard_passes):
+        phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
+        st = build_state(0.1, SMALL, phi=phi)
+        f2 = solve_f2(st)
+        picard_passes.clear()
+        assert transport_residual(st, f2) <= 1e-3
+        assert picard_passes == []
+
+    def test_reads_the_solve_of_outer_fixed_point(self, picard_passes):
+        state, _ = outer_fixed_point(0.1, SMALL, tol=1e-6)
+        picard_passes.clear()
+        assert transport_residual(state, state.f2) <= 1e-3
+        assert picard_passes == []
+
+    def test_reports_f2_of_another_phi(self, rand_field):
+        phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
+        st = build_state(0.1, SMALL, phi=phi)
+        other = solve_f2(build_state(0.1, SMALL, phi=phi.scaled(4.0)))
+        resid = transport_residual(st, other)
+        own = solve_f2(st)
+        # the check's coarse window: 8 refined steps are 2 grid steps
+        window = np.abs(SMALL.x) <= red_mod.F2_CHECK_WINDOW * SMALL.Lx - 2.0 * SMALL.dx
+        mismatch = float(np.max(np.abs(own.values - other.values)[window, :]))
+        assert mismatch > 2.0 * transport_residual(st, own)
+        assert resid >= 0.999 * mismatch
 
 
 class TestAssembleRhs:
@@ -268,6 +322,7 @@ class TestDerivativeTable:
         for tol in (1e-3, 1e-9):
             sample_lump.cache_clear()
             gamma_q_field.cache_clear()
+            red_mod._gamma_q_antiderivative.cache_clear()
             calls.clear()
             _, rep = outer_fixed_point(0.1, SMALL, tol=tol)
             per_run[rep.iterations] = len(calls)
@@ -289,6 +344,22 @@ class TestDerivativeTable:
         assemble_rhs(st, solve_f2(st))
         assert taken
         assert len(taken) == len(set(taken))
+
+    def test_gamma_q_antiderivative_once(self, rand_field, monkeypatch):
+        # dx^-1 Gamma_q depends on (eps, grid) only: after the first step
+        # assemble_rhs antidifferentiates P3 alone
+        antiderivative = red_mod.antiderivative_x
+        taken = []
+        monkeypatch.setattr(
+            red_mod, "antiderivative_x", lambda f: taken.append(1) or antiderivative(f)
+        )
+        red_mod._gamma_q_antiderivative.cache_clear()
+        for seed in (2, 3):
+            phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=seed, amplitude=1e-3)
+            st = build_state(0.1, SMALL, phi=phi)
+            taken.clear()
+            assemble_rhs(st, solve_f2(st))
+        assert len(taken) == 1
 
     def test_dropped_state_freed_without_gc(self, rand_field):
         # the table must not refer back to its state: a cycle would keep
