@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -164,8 +163,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, val)
             given.add(key)
     cfg.given = frozenset(given)
-    if getattr(args, "threads", None) is None and "TRANSONIC_THREADS" in os.environ:
-        cfg.threads = int(os.environ["TRANSONIC_THREADS"])
     cfg.validate()
     return cfg
 

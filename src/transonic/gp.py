@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SymmetryViolation
-from .grid import ComplexField2D, RealField2D, Symmetry, _tagged
+from .grid import ComplexField2D, Grid2D, RealField2D, Symmetry, _tagged
 from .lump import SQRT2
 from .reduction import ReductionState
 
@@ -51,6 +51,18 @@ def assemble_phi(state: ReductionState, f2: RealField2D) -> ComplexField2D:
     re = _tagged(state.grid, 1.0 + e2 * state.f1.values + e2**2 * f2.values, Symmetry.EVEN_X_EVEN_Y)
     im = state.g1.scaled(state.eps)
     return ComplexField2D(re=re, im=im)
+
+
+def _interior(g: Grid2D) -> tuple[slice, slice]:
+    """Index window EDGE_MARGIN nodes in from the box boundary, where sups and
+    the energy are taken; ValueError when the grid leaves it empty."""
+    m = EDGE_MARGIN
+    if min(g.nx, g.ny) <= 2 * m:
+        raise ValueError(
+            f"grid nx = {g.nx}, ny = {g.ny} leaves no interior inside the "
+            f"EDGE_MARGIN = {m} edge nodes: nx and ny must exceed {2 * m}"
+        )
+    return slice(m, g.nx - m), slice(m, g.ny - m)
 
 
 def _fd_derivative(vals: np.ndarray, h: float, axis: int, order: int = 1) -> np.ndarray:
@@ -111,6 +123,7 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     e4 = e2 * e2
     c = state.c
     g = state.grid
+    win = _interior(g)
     d = state.derivs
 
     g1 = d.g1_d(0, 0)
@@ -139,9 +152,6 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     r1 = c * eps * g_x + e4 * f_yy + e2 * f_xx - bulk * fv
     r2 = -c * eps * f_x + e4 * g_yy + e2 * g_xx - bulk * gv
 
-    m = EDGE_MARGIN
-    win = np.zeros((g.nx, g.ny), dtype=bool)
-    win[m : g.nx - m, m : g.ny - m] = True
     wgt = (1.0 + g.r) ** 3
 
     q = d.q_d(0, 0)
@@ -153,8 +163,8 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     return GpResidualReport(
         eps=eps,
         c=c,
-        res1_sup=float(np.max(np.abs(r1)[win])),
-        res2_sup=float(np.max(np.abs(r2)[win])),
+        res1_sup=float(np.max(np.abs(r1[win]))),
+        res2_sup=float(np.max(np.abs(r2[win]))),
         res1_weighted=float(np.max((wgt * np.abs(r1))[win])),
         res2_weighted=float(np.max((wgt * np.abs(r2))[win])),
         energy=energy(phi_c, eps),
@@ -175,6 +185,7 @@ def energy(phi: ComplexField2D, eps: float) -> float:
     phase rotation and free of periodic-seam energy.
     """
     g = phi.grid
+    win = _interior(g)
     e2 = eps * eps
     fx = _fd_derivative(phi.re.values, g.dx, 0, 1)
     fy = _fd_derivative(phi.re.values, g.dy, 1, 1)
@@ -185,8 +196,7 @@ def energy(phi: ComplexField2D, eps: float) -> float:
     dens = 0.5 * grad_sq + 0.25 * quart
     # quadrature over the interior window: the outermost ring holds the
     # box-edge seam of sampled slowly-decaying fields, not physical density
-    m = EDGE_MARGIN
-    return float(np.sum(dens[m:-m, m:-m]) * g.dx * g.dy / eps**3)
+    return float(np.sum(dens[win]) * g.dx * g.dy / eps**3)
 
 
 def farfield_fit(phi: ComplexField2D, eps: float) -> tuple[float, float, float]:

@@ -273,13 +273,35 @@ def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
     return vals
 
 
-def _spectral_hat(f: RealField2D) -> np.ndarray:
-    """Unnormalized half-spectrum rfft2 of the values."""
-    return sfft.rfft2(f.values)
+def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> RealField2D:
+    """The Fourier multiplier ``factors`` (rfft2 layout, applied one after
+    another) acting on ``f``, projected onto ``symmetry`` and tagged with it.
+
+    Every full-grid spectral operation of the package goes through here.
+    """
+    hat = sfft.rfft2(f.values)
+    for factor in factors:
+        hat *= factor
+    vals = sfft.irfft2(hat, s=(f.grid.nx, f.grid.ny))
+    return _tagged(f.grid, _project_parity(vals, symmetry), symmetry)
 
 
-def _inverse_hat(grid: Grid2D, hat: np.ndarray) -> np.ndarray:
-    return sfft.irfft2(hat, s=(grid.nx, grid.ny))
+def _ik_power(k: np.ndarray, order: int) -> np.ndarray:
+    """(i k)^order on one wavenumber axis; for odd orders the Nyquist entry
+    (the largest |k|) is zeroed so that real data stay real."""
+    factor = (1j * k) ** order
+    if order % 2 == 1:
+        factor[np.argmax(np.abs(k))] = 0.0
+    return factor
+
+
+def _check_zero_x_mean(f: RealField2D, what: str) -> None:
+    """Raise NonZeroMean unless every y-line of ``f`` has zero x-mean to
+    ``ZERO_MEAN_TOL`` of its sup, as the zero-mode-free dx^-1 requires."""
+    scale = float(np.max(np.abs(f.values)))
+    worst = float(np.max(np.abs(f.values.mean(axis=0))))
+    if worst > ZERO_MEAN_TOL * scale:
+        raise NonZeroMean(f"{what}: x-line mean {worst:.3e} exceeds {ZERO_MEAN_TOL:.1e} * sup")
 
 
 def derivative(f: RealField2D, m: int, n: int) -> RealField2D:
@@ -293,58 +315,33 @@ def derivative(f: RealField2D, m: int, n: int) -> RealField2D:
         raise ValueError("derivative orders must satisfy 0 <= m, n <= 4")
     if m == 0 and n == 0:
         return f
-    grid = f.grid
-    hat = _spectral_hat(f)
+    factors = []
     if m:
-        fx = (1j * grid.kx) ** m
-        if m % 2 == 1:
-            fx[grid.nx // 2] = 0.0
-        hat = hat * fx[:, None]
+        factors.append(_ik_power(f.grid.kx, m)[:, None])
     if n:
-        fy = (1j * grid.ky_r) ** n
-        if n % 2 == 1:
-            fy[-1] = 0.0
-        hat = hat * fy[None, :]
-    sym = f.symmetry.differentiated(m, n)
-    return _tagged(grid, _project_parity(_inverse_hat(grid, hat), sym), sym)
+        factors.append(_ik_power(f.grid.ky_r, n)[None, :])
+    return _multiplied(f, f.symmetry.differentiated(m, n), *factors)
 
 
-def x_line_means(f: RealField2D) -> np.ndarray:
-    """Mean over x of every y-line, shape (ny,)."""
-    return f.values.mean(axis=0)
-
-
-def antiderivative_x(f: RealField2D, zero_mean_tol: float = ZERO_MEAN_TOL) -> RealField2D:
+def antiderivative_x(f: RealField2D) -> RealField2D:
     """Zero-mode-free x-antiderivative: divide by (i xi1), drop the xi1 = 0 row.
 
     Requires zero x-mean on every y-line (relative to the field's sup), which
     holds automatically for odd-in-x data.  For integrands decaying in x this
     coincides with -int_x^inf f ds up to truncation error.
     """
-    scale = float(np.max(np.abs(f.values)))
-    if scale > 0.0:
-        worst = float(np.max(np.abs(x_line_means(f))))
-        if worst > zero_mean_tol * scale:
-            raise NonZeroMean(
-                f"x-line mean {worst:.3e} exceeds {zero_mean_tol:.1e} * sup"
-            )
+    _check_zero_x_mean(f, "antiderivative_x")
     grid = f.grid
-    hat = _spectral_hat(f)
     inv = np.zeros_like(grid.kx, dtype=np.complex128)
     nz = grid.kx != 0.0
     inv[nz] = 1.0 / (1j * grid.kx[nz])
     inv[grid.nx // 2] = 0.0
-    hat = hat * inv[:, None]
-    sym = f.symmetry.differentiated(1, 0)
-    return _tagged(grid, _project_parity(_inverse_hat(grid, hat), sym), sym)
+    return _multiplied(f, f.symmetry.differentiated(1, 0), inv[:, None])
 
 
 def dealias(f: RealField2D) -> RealField2D:
     """Truncate the spectrum with the 2/3 rule."""
-    hat = _spectral_hat(f)
-    hat *= f.grid.dealias_mask
-    vals = _project_parity(_inverse_hat(f.grid, hat), f.symmetry)
-    return _tagged(f.grid, vals, f.symmetry)
+    return _multiplied(f, f.symmetry, f.grid.dealias_mask)
 
 
 def product_dealiased(f: RealField2D, g: RealField2D) -> RealField2D:

@@ -31,7 +31,7 @@ from scipy import fft as sfft
 from scipy import integrate
 
 from .errors import ImaginaryResidue, QuadratureNotConverged
-from .grid import Grid2D, RealField2D, Symmetry
+from .grid import Grid2D, RealField2D, Symmetry, _ik_power
 
 SQRT2 = math.sqrt(2.0)
 QUAD_TOL = 1e-8
@@ -127,24 +127,16 @@ def branch_point(p: KernelSymbolParams) -> float | None:
 class DispersionRoots:
     """Factorization data of the normalized symbol at a given eps.
 
-    Provides the root functions a(xi), b(xi) (real below the branch point
-    c_eps, complex conjugates with positive-real-part square roots beyond),
-    the discriminant root D(xi), and the reduced integrand profiles M_m.
+    Provides the branch point c_eps, the discriminant root D(xi), and the
+    reduced integrand profiles M_m.
     """
 
     eps: float
     c_eps: float
-    d_eps: float
 
     @property
     def params(self) -> KernelSymbolParams:
         return KernelSymbolParams.normalized(self.eps)
-
-    def a(self, xi):
-        return _roots_ab(self.params, xi)[0]
-
-    def b(self, xi):
-        return _roots_ab(self.params, xi)[1]
 
     def D(self, xi):
         """sqrt of the discriminant; real positive on (-c_eps, c_eps)."""
@@ -171,14 +163,12 @@ class DispersionRoots:
 
 
 def dispersion_roots(eps: float) -> DispersionRoots:
-    """Roots c_eps, d_eps of the normalized discriminant, by the closed form."""
+    """Branch point c_eps of the normalized discriminant, by the closed form."""
     if not (0 < eps <= 0.5):
         raise ValueError("eps must lie in (0, 0.5]")
     e2 = eps**2
-    root = math.sqrt(1.0 - e2 + e2 * e2)
-    c2 = (1.0 - 2.0 * e2 + 2.0 * root) / (3.0 * e2)
-    d2 = (-1.0 + 2.0 * e2 + 2.0 * root) / (3.0 * e2)
-    return DispersionRoots(eps=eps, c_eps=math.sqrt(c2), d_eps=math.sqrt(d2))
+    c2 = (1.0 - 2.0 * e2 + 2.0 * math.sqrt(1.0 - e2 + e2 * e2)) / (3.0 * e2)
+    return DispersionRoots(eps=eps, c_eps=math.sqrt(c2))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +303,7 @@ def kernel_residue_eval(
         return 0.0
 
     c_branch = branch_point(p)
-    c = c_branch if c_branch is not None else 1.0 / p.eps
+    c = _scale_xi(p)
     f = _integrand(p, m, n, y)
     weight = "cos" if m % 2 == 0 else "sin"
     wfun = math.cos if m % 2 == 0 else math.sin
@@ -433,17 +423,7 @@ def _symbol_ratio(p: KernelSymbolParams, g: Grid2D, m: int, n: int) -> np.ndarra
     ky = 2.0 * np.pi * np.fft.fftfreq(g.ny, d=g.dy)
     KX, KY = np.meshgrid(kx, ky, indexing="ij")
     denom = symbol_eval(p, KX, KY)
-    numer = np.ones_like(KX, dtype=np.complex128)
-    if m:
-        fx = (1j * kx) ** m
-        if m % 2 == 1:
-            fx[g.nx // 2] = 0.0
-        numer = numer * fx[:, None]
-    if n:
-        fy = (1j * ky) ** n
-        if n % 2 == 1:
-            fy[g.ny // 2] = 0.0
-        numer = numer * fy[None, :]
+    numer = _ik_power(kx, m)[:, None] * _ik_power(ky, n)[None, :]
     ratio = np.zeros_like(numer)
     nz = denom != 0.0
     ratio[nz] = numer[nz] / denom[nz]
@@ -630,13 +610,17 @@ def decay_scan(
     )
 
 
+# Gauss-Legendre nodes of ``integral_scan``: in the first-quadrant angle, and
+# in radius on each dyadic shell
+SCAN_THETA_NODES = 16
+SCAN_SHELL_NODES = 8
+
+
 def integral_scan(
     p: KernelSymbolParams,
     m: int,
     n: int,
     r: float,
-    n_theta: int = 16,
-    n_shell: int = 8,
     shells: int = 12,
 ) -> float:
     """Quadrature of |d^m d^n K| over the disc B_r(0).
@@ -657,10 +641,10 @@ def integral_scan(
     spline = RectBivariateSpline(grid.x, grid.y, fld.values, kx=3, ky=3)
     y_switch = 3.0 * grid.dy
 
-    tn, tw = np.polynomial.legendre.leggauss(n_theta)
+    tn, tw = np.polynomial.legendre.leggauss(SCAN_THETA_NODES)
     thetas = 0.25 * math.pi * (tn + 1.0)
     twgt = 0.25 * math.pi * tw
-    rn, rw = np.polynomial.legendre.leggauss(n_shell)
+    rn, rw = np.polynomial.legendre.leggauss(SCAN_SHELL_NODES)
 
     total = 0.0
     hi = r

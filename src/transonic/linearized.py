@@ -30,12 +30,13 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
-from .errors import MultipleNegative, NonZeroMean, NotConverged, SymmetryViolation
+from .errors import MultipleNegative, NotConverged, SymmetryViolation
 from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
-    _project_parity,
+    _check_zero_x_mean,
+    _multiplied,
     _reflect,
     _tagged,
     antiderivative_x,
@@ -43,7 +44,6 @@ from .grid import (
     derivative,
     l2_norm,
     product_dealiased,
-    symmetrize,
     weighted_sup,
 )
 from .lump import SQRT2, LumpParams, sample_lump
@@ -117,17 +117,8 @@ def apply_linearized(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
     """Full linearized operator applied to an odd-in-x, even-in-y field."""
     if phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
         raise SymmetryViolation("apply_linearized expects an odd_x_even_y field")
-    out = _apply_constant(op, phi)
-    return out - _coupling(op, phi, op.coeff_nl)
-
-
-def _apply_constant(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
-    """Constant-coefficient part, diagonal in Fourier space."""
-    grid = phi.grid
-    hat = sfft.rfft2(phi.values)
-    hat *= _constant_symbol(op, grid)
-    vals = _project_parity(sfft.irfft2(hat, s=(grid.nx, grid.ny)), phi.symmetry)
-    return _tagged(grid, vals, phi.symmetry)
+    const = _multiplied(phi, phi.symmetry, _constant_symbol(op, phi.grid))
+    return const - _coupling(op, phi, op.coeff_nl)
 
 
 def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
@@ -137,13 +128,9 @@ def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealFi
     coefficient and without the epsilon-weighted y-terms; annihilates the
     translation modes dq/dx and dq/dy.
     """
-    grid = phi.grid
-    hat = sfft.rfft2(phi.values)
-    kx = grid.kx[:, None]
-    ky = grid.ky_r[None, :]
-    hat *= kx**4 + op.c2 * kx**2 + 2.0 * ky**2
-    vals = _project_parity(sfft.irfft2(hat, s=(grid.nx, grid.ny)), phi.symmetry)
-    const = _tagged(grid, vals, phi.symmetry)
+    kx = phi.grid.kx[:, None]
+    ky = phi.grid.ky_r[None, :]
+    const = _multiplied(phi, phi.symmetry, kx**4 + op.c2 * kx**2 + 2.0 * ky**2)
     return const - _coupling(op, phi, op.coeff_lump_nl)
 
 
@@ -173,7 +160,6 @@ def solve_linearized(
         raise SymmetryViolation("h2 must be tagged odd_x_odd_y")
     grid = h1.grid
     rhs = derivative(h1, 1, 0) + derivative(h2, 0, 1)
-    rhs = symmetrize(rhs, Symmetry.ODD_X_EVEN_Y)
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
         return RealField2D(grid, np.zeros_like(rhs.values), Symmetry.ODD_X_EVEN_Y)
@@ -214,10 +200,6 @@ def solve_linearized(
 # ---------------------------------------------------------------------------
 
 
-def _x_mean_removed(vals: np.ndarray) -> np.ndarray:
-    return vals - vals.mean(axis=0, keepdims=True)
-
-
 def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
     """Reduced operator: -dxx psi + c2 psi + V psi + 2 dx^-2 dyy psi.
 
@@ -227,25 +209,15 @@ def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
     zero-x-mean convention (the discrete antiderivative fixes integration
     constants per y-line, so the operator is only defined modulo x-constants).
     """
+    _check_zero_x_mean(psi, "apply_L")
     grid = psi.grid
-    scale = float(np.max(np.abs(psi.values)))
-    if scale > 0:
-        worst = float(np.max(np.abs(psi.values.mean(axis=0))))
-        if worst > 1e-8 * scale:
-            raise NonZeroMean("apply_L requires zero x-mean on every y-line")
-    hat = sfft.rfft2(psi.values)
-    kx = grid.kx[:, None]
-    ky = grid.ky_r[None, :]
-    sym = kx**2 + op.c2
-    hat_local = hat * sym
     ratio = np.zeros((grid.nx, grid.ky_r.size))
     nzx = grid.kx != 0.0
-    ratio[nzx, :] = 2.0 * ky**2 / (grid.kx[nzx, None] ** 2)
-    hat_nonlocal = hat * ratio
-    out = sfft.irfft2(hat_local + hat_nonlocal, s=(grid.nx, grid.ny))
-    out += op.coeff_lump_nl * _potential_product(op, psi).values
-    out = _x_mean_removed(out)
-    return RealField2D(grid, out, Symmetry.NONE)
+    ratio[nzx, :] = 2.0 * grid.ky_r[None, :] ** 2 / (grid.kx[nzx, None] ** 2)
+    symbol = grid.kx[:, None] ** 2 + op.c2 + ratio
+    out = _multiplied(psi, Symmetry.NONE, symbol).values
+    out = out + op.coeff_lump_nl * _potential_product(op, psi).values
+    return RealField2D(grid, out - out.mean(axis=0, keepdims=True), Symmetry.NONE)
 
 
 @dataclass(frozen=True)

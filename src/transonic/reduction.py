@@ -89,7 +89,8 @@ class _StateDerivs:
     ``sample_lump``), phi parts from the spectral transform of the (periodic,
     band-limited) correction; the combination keeps the periodic seam of the
     sampled lump out of every assembled product.  The table also keeps the
-    fine transport solution of its phi, so the Picard solve runs once per phi.
+    x-refined transport terms and the fine transport solution of its phi, so
+    the Picard solve runs once per phi and its check rebuilds nothing.
     It holds params and phi only, never its state, so a dropped state is
     freed without the cycle collector.
     """
@@ -109,6 +110,23 @@ class _StateDerivs:
 
     def g1_d(self, m: int, n: int) -> np.ndarray:
         return self.q_d(m, n) + self.phi_d(m, n)
+
+    @cached_property
+    def transport_terms(self) -> tuple[np.ndarray, ...]:
+        """The x-refined nodes xr and, on (xr, grid.y), phi, g1, f1, dx f1 and
+        dyy g1: the memoized lump samples of the x-refined grid plus the phi
+        derivatives trigonometrically interpolated onto xr, with
+        dx f1 = (sqrt2/2) dxx g1 - g1 dx g1."""
+        grid = self.phi.grid
+        fine = Grid2D(F2_REFINE * grid.nx, grid.ny, grid.Lx, grid.Ly)
+        phi_d = {mn: _interp_x(self.phi_d(*mn), F2_REFINE) for mn in _TRANSPORT_ORDERS}
+        g1_d = {mn: sample_lump(self.params, fine, *mn).values + phi_d[mn]
+                for mn in _TRANSPORT_ORDERS}
+        g1 = g1_d[(0, 0)]
+        dxg1 = g1_d[(1, 0)]
+        f1 = 0.5 * SQRT2 * dxg1 - 0.5 * g1**2
+        dxf1 = 0.5 * SQRT2 * g1_d[(2, 0)] - g1 * dxg1
+        return fine.x, phi_d[(0, 0)], g1, f1, dxf1, g1_d[(0, 2)]
 
     @cached_property
     def f2_fine(self) -> np.ndarray:
@@ -198,8 +216,6 @@ def _decaying_antiderivative(grid_x: np.ndarray, I_vals: np.ndarray, decay_power
 def _interp_x(vals: np.ndarray, refine: int) -> np.ndarray:
     """Zero-padded trigonometric interpolation along axis 0 (exact for the
     band-limited representation)."""
-    if refine == 1:
-        return vals
     nx = vals.shape[0]
     nxr = refine * nx
     hat = np.fft.fft(vals, axis=0)
@@ -222,27 +238,9 @@ F2_CHECK_WINDOW = 0.95
 _TRANSPORT_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 2))
 
 
-def _transport_terms(d: _StateDerivs) -> tuple[np.ndarray, ...]:
-    """The x-refined nodes xr and, on (xr, grid.y), phi, g1, f1, dx f1 and
-    dyy g1: closed-form lump parts plus the phi derivatives trigonometrically
-    interpolated onto xr, with dx f1 = (sqrt2/2) dxx g1 - g1 dx g1."""
-    grid = d.phi.grid
-    nxr = F2_REFINE * grid.nx
-    xr = -grid.Lx + (2.0 * grid.Lx / nxr) * np.arange(nxr)
-    Xr = xr[:, None]
-    Yr = grid.y[None, :]
-    phi_d = {mn: _interp_x(d.phi_d(*mn), F2_REFINE) for mn in _TRANSPORT_ORDERS}
-    g1_d = {mn: lump_derivative(d.params, *mn, Xr, Yr) + phi_d[mn] for mn in _TRANSPORT_ORDERS}
-    g1 = g1_d[(0, 0)]
-    dxg1 = g1_d[(1, 0)]
-    f1 = 0.5 * SQRT2 * dxg1 - 0.5 * g1**2
-    dxf1 = 0.5 * SQRT2 * g1_d[(2, 0)] - g1 * dxg1
-    return xr, phi_d[(0, 0)], g1, f1, dxf1, g1_d[(0, 2)]
-
-
 def _line_transport_solve(d: _StateDerivs) -> np.ndarray:
     """Picard iteration of the variation-of-parameters map on the x-refined
-    sampling of ``_transport_terms``; returns f2 on (xr, grid.y).
+    sampling of ``d.transport_terms``; returns f2 on (xr, grid.y).
 
     One stop rule: the first pass whose sup change is at most
     tau * max(1, sup |f2|), with tau = 32 eps_mach max F0 / min F0 on the
@@ -254,7 +252,7 @@ def _line_transport_solve(d: _StateDerivs) -> np.ndarray:
     """
     p = d.params
     eps = p.eps
-    xr, phi, g1, f1, dxf1, dyyg1 = _transport_terms(d)
+    xr, phi, g1, f1, dxf1, dyyg1 = d.transport_terms
     power = f0_exponent(p)
     F0 = (p.B * xr[:, None] ** 2 + p.C * d.phi.grid.y[None, :] ** 2 + p.E) ** power
     tau = 32.0 * np.finfo(float).eps * float(F0.max() / F0.min())
@@ -326,7 +324,7 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
     eps = state.eps
     d = state.derivs
     f2r = d.f2_fine
-    xr, _, g1, f1, dxf1, dyyg1 = _transport_terms(d)
+    xr, _, g1, f1, dxf1, dyyg1 = d.transport_terms
     denom_c = SQRT2 - eps**2
 
     # 8th-order centered first derivative, interior only (no wrap)

@@ -253,6 +253,20 @@ def test_residual_f2_grid_checked(tmp_path, capsys, f2_grid):
     assert not (tmp_path / "o" / "gp_residual.json").exists()
 
 
+def test_residual_grid_inside_edge_margin(tmp_path, capsys):
+    # a 16^2 construction leaves no interior for the GP check: one error
+    # line naming the grid and the margin, not numpy's empty-reduction error
+    run = tmp_path / "c"
+    grid = ["--nx", "16", "--ny", "16", "--Lx", "5", "--Ly", "5"]
+    assert main(["construct", "--epsilon", "0.1", "--out", str(run)] + grid) == 0
+    capsys.readouterr()
+    assert main(["residual", "--in", str(run)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError"
+    assert "EDGE_MARGIN" in rec["message"] and "nx = 16" in rec["message"]
+    assert not (run / "gp_residual.json").exists()
+
+
 def test_diverging_transport_one_error_line(tmp_path):
     # a diverging transport Picard stops at the first non-finite change; no
     # numpy warning reaches stderr (a subprocess, since pytest captures

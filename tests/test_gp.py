@@ -114,6 +114,14 @@ class TestEnergy:
         # edge stencil rounding leaves ~1e-22; the bulk is exactly zero
         assert abs(energy(ComplexField2D(re=one, im=z), 0.1)) <= 1e-18
 
+    def test_grid_inside_edge_margin_rejected(self):
+        # the interior window is empty at 16^2: an error, not an energy of 0
+        g = make_grid(16, 16, 5, 5)
+        re = RealField2D(g, np.full((16, 16), 1.5), Symmetry.EVEN_X_EVEN_Y)
+        phi = ComplexField2D(re=re, im=zeros(g, Symmetry.ODD_X_EVEN_Y))
+        with pytest.raises(ValueError, match="EDGE_MARGIN"):
+            energy(phi, 0.1)
+
     def test_phase_invariance(self, converged):
         phi = assemble_phi(converged, converged.f2)
         e0 = energy(phi, converged.eps)

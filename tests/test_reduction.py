@@ -150,6 +150,21 @@ class TestTransportResidual:
         assert transport_residual(st, f2) <= 1e-3
         assert picard_passes == []
 
+    def test_reads_the_terms_of_solve_f2(self, rand_field, monkeypatch):
+        # the refined transport terms are built once per phi, by the solve
+        phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
+        st = build_state(0.1, SMALL, phi=phi)
+        f2 = solve_f2(st)
+        rebuilt = []
+        interp, sample = red_mod._interp_x, lump_mod.lump_derivative
+        monkeypatch.setattr(red_mod, "_interp_x", lambda *a: rebuilt.append(1) or interp(*a))
+        monkeypatch.setattr(lump_mod, "lump_derivative",
+                            lambda *a: rebuilt.append(1) or sample(*a))
+        monkeypatch.setattr(red_mod, "lump_derivative",
+                            lambda *a: rebuilt.append(1) or sample(*a))
+        assert transport_residual(st, f2) <= 1e-3
+        assert rebuilt == []
+
     def test_reads_the_solve_of_outer_fixed_point(self, picard_passes):
         state, _ = outer_fixed_point(0.1, SMALL, tol=1e-6)
         picard_passes.clear()
@@ -306,13 +321,14 @@ class TestBuildState:
 
 class TestDerivativeTable:
     def test_lump_work_independent_of_iterations(self, monkeypatch):
-        # the grid-sampled lump derivatives (sample_lump, Gamma_q) depend on
-        # (eps, grid) only: a longer outer iteration samples none more
+        # the lump derivatives sampled on the grid and on the x-refined
+        # transport grid (sample_lump, Gamma_q) depend on (eps, grid) only: a
+        # longer outer iteration samples none more
         calls = []
         sample = lump_mod.lump_derivative
 
         def counted(p, m, n, x, y):
-            if np.shape(x) == (SMALL.nx, SMALL.ny):
+            if np.shape(x)[0] in (SMALL.nx, red_mod.F2_REFINE * SMALL.nx):
                 calls.append((m, n))
             return sample(p, m, n, x, y)
 
