@@ -308,6 +308,8 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         "contraction_ratios": list(report.contraction_ratios),
         "final_phi_star": report.final_phi_star,
         "converged": report.converged,
+        "picard_passes": list(report.picard_passes),
+        "minres_iterations": list(report.minres_iterations),
         "transport_residual_sup": transport_residual(state, state.f2),
     }
     _write_json(out / "report.json", rec)

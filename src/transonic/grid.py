@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -363,8 +363,16 @@ def weighted_sup(f: RealField2D, p: float, delta: float) -> float:
         raise ValueError("p must be >= 0")
     if not (0 <= delta < 1):
         raise ValueError("delta must lie in [0, 1)")
-    w = (1.0 + f.grid.r) ** (p - delta)
-    return float(np.max(w * np.abs(f.values)))
+    return float(np.max(_radial_weight(f.grid, p - delta) * np.abs(f.values)))
+
+
+@lru_cache(maxsize=8)
+def _radial_weight(grid: Grid2D, power: float) -> np.ndarray:
+    """(1 + r)^power on the grid, memoized: the norm suite asks for a few
+    powers over and over."""
+    w = (1.0 + grid.r) ** power
+    w.flags.writeable = False
+    return w
 
 
 def l2_norm(f: RealField2D) -> float:

@@ -140,8 +140,10 @@ def solve_linearized(
     h2: RealField2D,
     tol: float = 1e-9,
     max_iter: int = 200,
-) -> RealField2D:
-    """Solve the linearized problem with right-hand side dx h1 + dy h2.
+    x0: RealField2D | None = None,
+) -> tuple[RealField2D, int]:
+    """Solve the linearized problem with right-hand side dx h1 + dy h2;
+    returns the solution and the number of MINRES iterations it took.
 
     Preconditioned MINRES (Paige & Saunders), the method for this symmetric
     indefinite problem (one negative direction, the Morse-index one), on the
@@ -152,7 +154,8 @@ def solve_linearized(
     plain relative L2 residual of ``apply_linearized`` on the full grid; so
     MINRES restarts from its own iterate until the plain residual meets
     ``tol``, for at most ``_MINRES_PASSES`` passes of ``40 * max_iter``
-    iterations each.
+    iterations each.  The first pass starts from ``x0`` (an odd_x_even_y
+    field, such as the previous solution of a fixed-point iteration) if given.
     """
     if h1.symmetry is not Symmetry.EVEN_X_EVEN_Y:
         raise SymmetryViolation("h1 must be tagged even_x_even_y")
@@ -162,15 +165,18 @@ def solve_linearized(
     rhs = derivative(h1, 1, 0) + derivative(h2, 0, 1)
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
-        return RealField2D(grid, np.zeros_like(rhs.values), Symmetry.ODD_X_EVEN_Y)
+        return RealField2D(grid, np.zeros_like(rhs.values), Symmetry.ODD_X_EVEN_Y), 0
 
     mx, my = grid.nx // 2, grid.ny // 2
     ntot = (mx - 1) * (my + 1)
     sym = _constant_symbol(op, grid)[1:mx, :, None]
     kx = grid.kx[1:mx, None, None]
     potential = _quarter_potential(op)
+    applies = 0
 
     def matvec(v: np.ndarray) -> np.ndarray:
+        nonlocal applies
+        applies += 1
         # the coupling -dx T[(T dq)(T dx phi)]: dx takes sine to cosine
         # coefficients by a multiply by kx, and cosine to sine ones by -kx
         c = v.reshape(sym.shape)
@@ -181,14 +187,18 @@ def solve_linearized(
     A = LinearOperator((ntot, ntot), matvec=matvec, dtype=float)
     M = LinearOperator((ntot, ntot), matvec=lambda v: v / sym.ravel(), dtype=float)
     b = _sine_cosine_coefficients(rhs.values[..., None]).ravel()
-    sol = None
+    sol = None if x0 is None else _sine_cosine_coefficients(x0.values[..., None]).ravel()
+    # MINRES applies A once per iteration, and once more for the residual of
+    # a given start
+    starts = 0
     for _ in range(_MINRES_PASSES):
+        starts += sol is not None
         sol, info = minres(A, b, x0=sol, M=M, rtol=tol * 1e-2, maxiter=40 * max_iter)
         vals = _sine_cosine_values(sol.reshape(sym.shape))[..., 0]
         phi = _tagged(grid, vals, Symmetry.ODD_X_EVEN_Y)
         res = l2_norm(apply_linearized(op, phi) - rhs) / rhs_norm
         if res <= tol:
-            return phi
+            return phi, applies - starts
     raise NotConverged(
         f"linearized solve: relative residual {res:.3e} > {tol:.1e} "
         f"after {_MINRES_PASSES} MINRES passes (minres info={info})"

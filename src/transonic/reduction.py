@@ -8,7 +8,9 @@ Structure of one outer iteration at fixed eps:
 2. the second real correction f2 solves a first-order transport equation in x
    whose homogeneous solution F0 is an exact power of the lump denominator;
    the bounded solution is picked by the decaying variation-of-parameters
-   integral from +infinity, evaluated per y-line;
+   integral from +infinity, evaluated per y-line on the half line x >= 0
+   with real sine and cosine transforms (the integrand is odd in x), for
+   the lines y >= 0 only (every term is even in y);
 3. the right-hand side for the imaginary correction phi is assembled in
    divergence form, dx h1 + dy h2: the integrands of P1 = dx h1 and
    P2 = dy h2 are read off structurally (never by inverting dy), the lump
@@ -16,14 +18,18 @@ Structure of one outer iteration at fixed eps:
    through the zero-mode-free dx^-1;
 4. phi is updated by the preconditioned linearized solve.
 
+Steps 2 and 4 are iterative solves, and each starts from the previous outer
+step's solution: the transport Picard from its fine f2, MINRES from its phi.
+
 Derivatives of lump-dependent quantities are evaluated in closed form and
 only the phi/f2 parts spectrally, which keeps the periodic seam out of the
 assembled fields.  Each state holds one lazily filled derivative table
 (``ReductionState.derivs``) that the transport solve, its residual check,
 the right-hand side and the GP back-substitution all read, so every phi
 derivative of a step is taken once and the transport Picard runs once per
-phi; the lump samples, Gamma_q and its dx^-1 depend only on (eps, grid) and
-are memoized, so a construction computes them once.
+phi; the lump samples, Gamma_q and its dx^-1, and the lump data of the
+transport lines depend only on (eps, grid) and are memoized, so a
+construction computes them once.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
-    _reflect,
     _tagged,
     antiderivative_x,
     derivative,
@@ -90,14 +95,16 @@ class _StateDerivs:
     band-limited) correction; the combination keeps the periodic seam of the
     sampled lump out of every assembled product.  The table also keeps the
     x-refined transport terms and the fine transport solution of its phi, so
-    the Picard solve runs once per phi and its check rebuilds nothing.
-    It holds params and phi only, never its state, so a dropped state is
-    freed without the cycle collector.
+    the Picard solve runs once per phi and its check rebuilds nothing;
+    ``f2_start``, the fine f2 of the previous outer step, is where that
+    Picard run starts.  It holds params, phi and that start only, never its
+    state, so a dropped state is freed without the cycle collector.
     """
 
-    def __init__(self, params: LumpParams, phi: RealField2D):
+    def __init__(self, params: LumpParams, phi: RealField2D, f2_start: np.ndarray | None = None):
         self.params = params
         self.phi = phi
+        self.f2_start = f2_start
         self._phi: dict[tuple[int, int], np.ndarray] = {(0, 0): phi.values}
 
     def q_d(self, m: int, n: int) -> np.ndarray:
@@ -112,25 +119,27 @@ class _StateDerivs:
         return self.q_d(m, n) + self.phi_d(m, n)
 
     @cached_property
-    def transport_terms(self) -> tuple[np.ndarray, ...]:
-        """The x-refined nodes xr and, on (xr, grid.y), phi, g1, f1, dx f1 and
-        dyy g1: the memoized lump samples of the x-refined grid plus the phi
-        derivatives trigonometrically interpolated onto xr, with
+    def transport_terms(self) -> tuple:
+        """The (eps, grid) data of ``_transport_lump`` and, on its quarter
+        lines, phi, g1, f1, dx f1 and dyy g1: the memoized lump orders plus
+        the phi derivatives interpolated onto the refined half lines, with
         dx f1 = (sqrt2/2) dxx g1 - g1 dx g1."""
-        grid = self.phi.grid
-        fine = Grid2D(F2_REFINE * grid.nx, grid.ny, grid.Lx, grid.Ly)
-        phi_d = {mn: _interp_x(self.phi_d(*mn), F2_REFINE) for mn in _TRANSPORT_ORDERS}
-        g1_d = {mn: sample_lump(self.params, fine, *mn).values + phi_d[mn]
-                for mn in _TRANSPORT_ORDERS}
+        lump = _transport_lump(self.params, self.phi.grid, F2_REFINE)
+        phi_d = {
+            mn: _refined_lines(_quarter_lines(self.phi_d(*mn)), _x_parity(mn), F2_REFINE)
+            for mn in _TRANSPORT_ORDERS
+        }
+        g1_d = {mn: lump.q_d[mn] + phi_d[mn] for mn in _TRANSPORT_ORDERS}
         g1 = g1_d[(0, 0)]
         dxg1 = g1_d[(1, 0)]
         f1 = 0.5 * SQRT2 * dxg1 - 0.5 * g1**2
         dxf1 = 0.5 * SQRT2 * g1_d[(2, 0)] - g1 * dxg1
-        return fine.x, phi_d[(0, 0)], g1, f1, dxf1, g1_d[(0, 2)]
+        return lump, phi_d[(0, 0)], g1, f1, dxf1, g1_d[(0, 2)]
 
     @cached_property
-    def f2_fine(self) -> np.ndarray:
-        """f2 on the x-refined sampling, from ``_line_transport_solve``."""
+    def transport_solve(self) -> tuple[np.ndarray, int]:
+        """f2 on the quarter lines, from ``_line_transport_solve``, and the
+        number of Picard passes it took."""
         return _line_transport_solve(self)
 
 
@@ -158,8 +167,14 @@ class ReductionState:
 
 
 def build_state(
-    eps: float, grid: Grid2D, phi: RealField2D | None = None, f2: RealField2D | None = None
+    eps: float,
+    grid: Grid2D,
+    phi: RealField2D | None = None,
+    f2: RealField2D | None = None,
+    f2_start: np.ndarray | None = None,
 ) -> ReductionState:
+    """State at (eps, phi); ``f2_start`` is the fine transport solution of a
+    previous state on the same grid, where this state's Picard run starts."""
     params = LumpParams.from_epsilon(eps)
     q = sample_lump(params, grid, 0, 0)
     if phi is None:
@@ -178,54 +193,85 @@ def build_state(
         g1=g1,
         f1=f1_from_g1(g1),
         f2=f2,
-        derivs=_StateDerivs(params, phi),
+        derivs=_StateDerivs(params, phi, f2_start),
     )
 
 
 # ---------------------------------------------------------------------------
 # transport solve for f2
 # ---------------------------------------------------------------------------
+#
+# Every transport quantity has a parity in x and is even in y, so the solve
+# runs on the quarter lines: the nodes x = 0..Lx of each line y = 0..Ly,
+# n/2 + 1 of each, with x along the contiguous last axis.  On the periodic
+# grid a line odd in x vanishes at x = 0 and x = Lx, and its samples between
+# are the data of a DST-I; an even line is fixed by all n/2 + 1 samples, the
+# data of a DCT-I (the layout of the quarter-box bases of ``linearized``).
 
 
-def _decaying_antiderivative(grid_x: np.ndarray, I_vals: np.ndarray, decay_power: float) -> np.ndarray:
-    """u(x_j) = int_x^inf I ds per y-line, spectral cumulative rule plus an
-    algebraic tail correction fitted to the stated decay power.
+def _quarter_lines(vals: np.ndarray) -> np.ndarray:
+    """Full-grid samples (nx, ny) to their quarter lines (ny/2 + 1, nx/2 + 1):
+    row b holds y = b dy, column a holds x = a dx, the node x = Lx (y = Ly)
+    being the periodic copy of -Lx (-Ly)."""
+    nx, ny = vals.shape
+    ix = (nx // 2 + np.arange(nx // 2 + 1)) % nx
+    iy = (ny // 2 + np.arange(ny // 2 + 1)) % ny
+    return np.ascontiguousarray(vals.T[np.ix_(iy, ix)])
 
-    ``I_vals`` has shape (nx, ny); the integrand must be periodic-friendly in
-    the sense that its values at the two ends of the line agree to within the
-    decay of the data (true here: the transport integrand dies like r^-(2p+3)).
+
+def _even_full_grid(lines: np.ndarray) -> np.ndarray:
+    """Inverse of ``_quarter_lines`` for data even in x and in y."""
+    ny2, nx2 = lines.shape
+    ix = np.abs(np.arange(2 * (nx2 - 1)) - (nx2 - 1))
+    iy = np.abs(np.arange(2 * (ny2 - 1)) - (ny2 - 1))
+    return lines.T[np.ix_(ix, iy)]
+
+
+def _refined_lines(lines: np.ndarray, parity: int, refine: int) -> np.ndarray:
+    """Zero-padded trigonometric interpolation of half lines of x-parity
+    ``parity`` (+1 even, -1 odd) onto ``refine`` times as many intervals.
+
+    An odd line is its sine series (a DST-I of the interior samples), an
+    even one its cosine series (a DCT-I, with the Nyquist term halved as the
+    interior terms of the longer DCT-I count twice); both are summed at the
+    fine nodes by the transform of the padded coefficients.  Exact for the
+    band-limited representation.
     """
-    nx = grid_x.size
-    L = -grid_x[0]
-    dxs = grid_x[1] - grid_x[0]
-    m = I_vals.mean(axis=0, keepdims=True)
-    tilde = I_vals - m
-    hat = sfft.fft(tilde, axis=0)
-    k = 2.0 * np.pi * np.fft.fftfreq(nx, d=dxs)
-    inv = np.zeros_like(k, dtype=np.complex128)
-    inv[k != 0] = 1.0 / (1j * k[k != 0])
-    U = np.real(sfft.ifft(hat * inv[:, None], axis=0))
-    # int_{x_j}^{L} I = (U(L) - U(x_j)) + m (L - x_j); U is periodic so U(L) = U[0]
-    base = (U[0:1, :] - U) + m * (L - grid_x)[:, None]
-    # tail int_L^inf ~ I(x_last) x_last / (kappa - 1) with kappa the decay power
-    I_last = I_vals[-1:, :]
-    tail = I_last * grid_x[-1] / max(decay_power - 1.0, 1.0)
-    return base + tail
+    m = lines.shape[-1] - 1
+    batch = lines.shape[:-1]
+    if parity < 0:
+        coef = np.zeros(batch + (refine * m - 1,))
+        coef[..., : m - 1] = sfft.dst(lines[..., 1:-1], type=1, axis=-1)
+        out = np.zeros(batch + (refine * m + 1,))
+        out[..., 1:-1] = sfft.dst(coef, type=1, axis=-1, overwrite_x=True)
+    else:
+        coef = np.zeros(batch + (refine * m + 1,))
+        coef[..., : m + 1] = sfft.dct(lines, type=1, axis=-1)
+        coef[..., m] *= 0.5
+        out = sfft.dct(coef, type=1, axis=-1, overwrite_x=True)
+    out /= 2 * m
+    return out
 
 
-def _interp_x(vals: np.ndarray, refine: int) -> np.ndarray:
-    """Zero-padded trigonometric interpolation along axis 0 (exact for the
-    band-limited representation)."""
-    nx = vals.shape[0]
-    nxr = refine * nx
-    hat = np.fft.fft(vals, axis=0)
-    pad = np.zeros((nxr, vals.shape[1]), dtype=complex)
-    h = nx // 2
-    pad[:h, :] = hat[:h, :]
-    pad[-h:, :] = hat[-h:, :]
-    pad[h, :] = 0.5 * hat[h, :]
-    pad[nxr - h, :] += 0.5 * hat[h, :]
-    return np.real(np.fft.ifft(pad, axis=0)) * refine
+def _decaying_antiderivative(x: np.ndarray, I_vals: np.ndarray, decay_power: float) -> np.ndarray:
+    """u(x_j) = int_{x_j}^inf I ds on half lines x = 0..L (the last axis of
+    ``I_vals``) of an integrand odd in x: a spectral rule plus an algebraic
+    tail correction fitted to the stated decay power.
+
+    The sine series of I (a DST-I of its interior samples) integrates
+    termwise to a cosine series U with no mean term, summed by a DCT-I, and
+    int_{x_j}^L I = U(L) - U(x_j).  The tail int_L^inf I is taken as
+    I(L - h) (L - h) / (kappa - 1) with kappa the decay power, since the
+    integrand dies like r^-(2p+3) and vanishes at the node L itself.
+    """
+    m = x.size - 1
+    h = x[1] - x[0]
+    c = np.zeros_like(I_vals)
+    c[..., 1:-1] = sfft.dst(I_vals[..., 1:-1], type=1, axis=-1)
+    c[..., 1:-1] *= -h / (2.0 * np.pi * np.arange(1, m))
+    U = sfft.dct(c, type=1, axis=-1, overwrite_x=True)
+    tail = I_vals[..., -2:-1] * x[-2] / max(decay_power - 1.0, 1.0)
+    return (U[..., -1:] - U) + tail
 
 
 F2_GUARD = 10.0
@@ -238,44 +284,90 @@ F2_CHECK_WINDOW = 0.95
 _TRANSPORT_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 2))
 
 
-def _line_transport_solve(d: _StateDerivs) -> np.ndarray:
-    """Picard iteration of the variation-of-parameters map on the x-refined
-    sampling of ``d.transport_terms``; returns f2 on (xr, grid.y).
+def _x_parity(order: tuple[int, int]) -> int:
+    """x-parity of the derivative ``order`` of q and of phi (both odd in x)."""
+    return Symmetry.ODD_X_EVEN_Y.differentiated(*order).x_parity
+
+
+@dataclass(frozen=True)
+class _TransportLump:
+    """What the transport solve needs of (eps, grid, refine) alone, on the
+    quarter lines of the x-refined grid: the half-line nodes ``x``, the lump
+    orders ``q_d`` of ``_TRANSPORT_ORDERS``, the integrating factor F0 and
+    (sqrt2 - eps^2) F0, the Picard stop level ``tau`` and the decay power of
+    the Picard integrand."""
+
+    x: np.ndarray
+    q_d: dict
+    F0: np.ndarray
+    cF0: np.ndarray
+    tau: float
+    decay_power: float
+
+
+@lru_cache(maxsize=4)
+def _transport_lump(p: LumpParams, g: Grid2D, refine: int) -> _TransportLump:
+    """The memoized ``_TransportLump``: a construction computes it once.
+
+    tau = 32 eps_mach max F0 / min F0 on the refined box: each Picard pass
+    divides by F0 and multiplies back, so rounding returns amplified by up
+    to that ratio.
+    """
+    m = refine * g.nx // 2
+    x = (g.Lx / m) * np.arange(m + 1)
+    X, Y = np.meshgrid(x, g.dy * np.arange(g.ny // 2 + 1))
+    q_d = {}
+    for mn in _TRANSPORT_ORDERS:
+        vals = lump_derivative(p, *mn, X, Y)
+        if _x_parity(mn) < 0:
+            # zero at x = 0 and at x = Lx, the periodic copy of -Lx
+            vals[:, [0, -1]] = 0.0
+        q_d[mn] = vals
+    F0 = F0_eval(p.eps, X, Y)
+    return _TransportLump(
+        x=x,
+        q_d=q_d,
+        F0=F0,
+        cF0=(SQRT2 - p.eps**2) * F0,
+        tau=32.0 * np.finfo(float).eps * float(F0.max() / F0.min()),
+        decay_power=2.0 * f0_exponent(p) + 3.0,
+    )
+
+
+def _line_transport_solve(d: _StateDerivs) -> tuple[np.ndarray, int]:
+    """Picard iteration of the variation-of-parameters map on the quarter
+    lines of ``d.transport_terms``, from ``d.f2_start`` (zero if none);
+    returns f2 there and the number of passes.
 
     One stop rule: the first pass whose sup change is at most
-    tau * max(1, sup |f2|), with tau = 32 eps_mach max F0 / min F0 on the
-    refined box.  Each pass divides by F0 and multiplies back, so rounding
-    returns amplified by up to that ratio and the change floors near it
-    (1e-12 to 1e-8 of the sup); tau sits above that floor, so the stop is
+    tau * max(1, sup |f2|) (``_transport_lump``).  The change floors near
+    1e-12 to 1e-8 of the sup; tau sits above that floor, so the stop is
     made by the contraction, and the pass count does not move with roundoff
     changes of phi.  A change that is not finite means the map diverged.
     """
-    p = d.params
-    eps = p.eps
-    xr, phi, g1, f1, dxf1, dyyg1 = d.transport_terms
-    power = f0_exponent(p)
-    F0 = (p.B * xr[:, None] ** 2 + p.C * d.phi.grid.y[None, :] ** 2 + p.E) ** power
-    tau = 32.0 * np.finfo(float).eps * float(F0.max() / F0.min())
-    denom_c = SQRT2 - eps**2
-    decay_power = 2.0 * power + 3.0
-
-    f2 = np.zeros_like(g1)
+    e2 = d.params.eps**2
+    lump, phi, g1, f1, dxf1, dyyg1 = d.transport_terms
+    f2 = np.zeros_like(g1) if d.f2_start is None else d.f2_start
     # a diverging map overflows on the way to the finiteness test below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, F2_MAX_PASSES + 1):
-            E = -2.0 * phi * f2 + dyyg1 + dxf1 - (f1 + eps**2 * f2) ** 2 * g1
-            # E is odd in x exactly; project out the unpaired edge column and
-            # rounding asymmetry before the F0-amplified antidifferentiation
-            E = 0.5 * (E - _reflect(E, 0))
-            u = _decaying_antiderivative(xr, E / (denom_c * F0), decay_power)
-            new = -F0 * u
+            # odd in x, and exactly 0 at x = 0 and x = Lx with its odd factors
+            E = -2.0 * phi * f2 + dyyg1 + dxf1 - (f1 + e2 * f2) ** 2 * g1
+            new = -lump.F0 * _decaying_antiderivative(lump.x, E / lump.cF0, lump.decay_power)
             change = float(np.max(np.abs(new - f2)))
             if not math.isfinite(change):
                 raise NotConverged(f"transport Picard diverged at pass {k}")
             f2 = new
-            if change <= tau * max(1.0, float(np.max(np.abs(f2)))):
-                return f2
-    raise NotConverged(f"transport Picard did not reach {tau:.1e} in {F2_MAX_PASSES} passes")
+            if change <= lump.tau * max(1.0, float(np.max(np.abs(f2)))):
+                return f2, k
+    raise NotConverged(
+        f"transport Picard did not reach {lump.tau:.1e} in {F2_MAX_PASSES} passes"
+    )
+
+
+def _coarse_f2(d: _StateDerivs) -> np.ndarray:
+    """The fine transport solution of ``d`` downsampled to the full grid."""
+    return _even_full_grid(d.transport_solve[0][:, ::F2_REFINE])
 
 
 def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D:
@@ -285,14 +377,18 @@ def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D
     E/((sqrt2 - eps^2) F0) from +infinity along every y-line and multiplies by
     -F0.  The contraction factor scales like eps^(3/2), so plain iteration
     converges quickly throughout the supported range; it stops on the one
-    rule of ``_line_transport_solve``, just above its roundoff floor.
+    rule of ``_line_transport_solve``, just above its roundoff floor.  Inside
+    ``outer_fixed_point`` each solve starts from the previous step's fine f2.
 
     The line integrals run on an x-refined sampling (closed-form lump parts,
     trigonometric interpolation of phi): the growth of F0 toward the box edge
     amplifies any aliasing error of the integrand's antiderivative, and
     oversampling pushes that error to rounding level before the downsample.
-    The fine solution stays in the state's derivative table, where
-    ``transport_residual`` reads it.
+    Since E is odd in x and every quantity is even in y, only the half lines
+    x = 0..Lx of the lines y = 0..Ly are solved, with real sine and cosine
+    transforms; f2, even in both, is unfolded from them.  The fine solution
+    stays in the state's derivative table, where ``transport_residual`` reads
+    it.
     """
     eps = state.eps
     if eps > 0:
@@ -305,8 +401,7 @@ def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D
                 f"phi too large for the transport contraction: weighted amplitude "
                 f"{proxy:.3e} > {F2_GUARD} * eps^2 = {F2_GUARD * eps**2:.3e}"
             )
-    f2_fine = state.derivs.f2_fine
-    return symmetrize(RealField2D(state.grid, f2_fine[::F2_REFINE, :]), Symmetry.EVEN_X_EVEN_Y)
+    return _tagged(state.grid, _coarse_f2(state.derivs), Symmetry.EVEN_X_EVEN_Y)
 
 
 def transport_residual(state: ReductionState, f2: RealField2D) -> float:
@@ -314,37 +409,35 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
 
     Evaluates the equation on the state's fine transport solution, the one
     ``solve_f2`` downsamples (solved here only if no solve has run for this
-    phi), with an 8th-order centered finite difference in x, and returns the
-    larger of the sup of its residual over the interior window and the sup
-    mismatch between ``f2`` and the downsampled fine solution there.  The
-    mismatch is at rounding level exactly when ``f2`` is this state's
-    solution.
+    phi), with an 8th-order centered finite difference in x (continued
+    across x = 0 by the evenness of f2), and returns the larger of the sup
+    of its residual over the interior window and the sup mismatch between
+    ``f2`` and the downsampled fine solution there.  The mismatch is at
+    rounding level exactly when ``f2`` is this state's solution.
     """
     grid = state.grid
     eps = state.eps
     d = state.derivs
-    f2r = d.f2_fine
-    xr, _, g1, f1, dxf1, dyyg1 = d.transport_terms
-    denom_c = SQRT2 - eps**2
+    f2r = d.transport_solve[0]
+    lump, _, g1, f1, dxf1, dyyg1 = d.transport_terms
+    x = lump.x
 
-    # 8th-order centered first derivative, interior only (no wrap)
-    h = xr[1] - xr[0]
+    # 8th-order centered first derivative on the nodes x < Lx - 4h
+    h = x[1] - x[0]
     c = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / (840.0 * h)
-    dxf2 = np.zeros_like(f2r)
-    for k, ck in enumerate(c):
-        if ck != 0.0:
-            dxf2 += ck * np.roll(f2r, 4 - k, axis=0)
+    n = x.size - 4
+    ext = np.concatenate([f2r[:, 4:0:-1], f2r], axis=1)
+    dxf2 = sum(ck * ext[:, k : k + n] for k, ck in enumerate(c) if ck != 0.0)
     # the original equation: c dx f2 + 2 g1 f2 = dyy g1 + dx f1 - (f1+e^2 f2)^2 g1
     # (the -2 phi f2 piece of the rewritten map belongs to the left side here)
-    rhs_full = dyyg1 + dxf1 - (f1 + eps**2 * f2r) ** 2 * g1
-    resid = denom_c * dxf2 + 2.0 * g1 * f2r - rhs_full
-    inner = np.abs(xr) <= F2_CHECK_WINDOW * grid.Lx - 8 * h
-    sup = float(np.max(np.abs(resid[inner, :])))
+    f2n, g1n = f2r[:, :n], g1[:, :n]
+    rhs_full = dyyg1[:, :n] + dxf1[:, :n] - (f1[:, :n] + eps**2 * f2n) ** 2 * g1n
+    resid = (SQRT2 - eps**2) * dxf2 + 2.0 * g1n * f2n - rhs_full
+    inner = x[:n] <= F2_CHECK_WINDOW * grid.Lx - 8 * h
+    sup = float(np.max(np.abs(resid[:, inner])))
 
     coarse_window = np.abs(grid.x) <= F2_CHECK_WINDOW * grid.Lx - 8 * h
-    mismatch = float(
-        np.max(np.abs(f2r[::F2_REFINE, :][coarse_window, :] - f2.values[coarse_window, :]))
-    )
+    mismatch = float(np.max(np.abs(_coarse_f2(d)[coarse_window, :] - f2.values[coarse_window, :])))
     return max(sup, mismatch)
 
 
@@ -496,13 +589,20 @@ def assemble_rhs(state: ReductionState, f2: RealField2D) -> tuple[RealField2D, R
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Convergence record of the outer iteration."""
+    """Convergence record of the outer iteration.
+
+    ``minres_iterations`` holds the MINRES iterations of each outer step;
+    ``picard_passes`` the transport Picard passes of each outer step, then
+    of the closing transport solve at the final phi.
+    """
 
     iterations: int
     update_star_norms: tuple[float, ...]
     contraction_ratios: tuple[float, ...]
     final_phi_star: float
     converged: bool
+    picard_passes: tuple[int, ...]
+    minres_iterations: tuple[int, ...]
 
 
 def outer_fixed_point(
@@ -515,9 +615,12 @@ def outer_fixed_point(
     """Construct the corrected state by iterating transport + linearized solve.
 
     Plain Picard: every right-hand-side term carries a positive power of eps,
-    so the update map contracts at rate ~ eps^(1/2); a damped half step
-    toward the previous phi is taken only when a measured ratio exceeds 0.9.
-    Stops when the weighted stopping proxy of the update falls below ``tol``.
+    so the update map contracts at rate ~ eps^(1/2).  Stops when the weighted
+    stopping proxy of the update falls below ``tol``, and raises
+    ``NotConverged`` once two consecutive update ratios are at least 1 (the
+    map does not contract) or after ``max_iter`` steps.  Each step's
+    transport Picard starts from the previous step's fine f2, and its MINRES
+    from the previous phi.
     """
     if not (0.0 <= eps <= 0.3):
         raise ValueError("eps must lie in [0, 0.3]")
@@ -530,30 +633,34 @@ def outer_fixed_point(
             contraction_ratios=(),
             final_phi_star=0.0,
             converged=True,
+            picard_passes=(state.derivs.transport_solve[1],),
+            minres_iterations=(),
         )
         return state, report
 
     op = make_linearized_operator(eps, grid, state.params)
     updates: list[float] = []
     ratios: list[float] = []
-    prev_phi = state.phi
+    passes: list[int] = []
+    minres_iters: list[int] = []
     converged = False
     for it in range(1, max_iter + 1):
         f2 = solve_f2(state, delta=delta)
+        f2_fine, n_passes = state.derivs.transport_solve
+        passes.append(n_passes)
         h1, h2 = assemble_rhs(state, f2)
-        phi_new = solve_linearized(op, h1, h2)
-        unorm = star_norm_proxy(phi_new - prev_phi, eps, delta)
+        phi_new, n_minres = solve_linearized(op, h1, h2, x0=state.phi if it > 1 else None)
+        minres_iters.append(n_minres)
+        unorm = star_norm_proxy(phi_new - state.phi, eps, delta)
         updates.append(unorm)
         if len(updates) >= 2 and updates[-2] > 0:
             ratios.append(updates[-1] / updates[-2])
-            if ratios[-1] > 0.9:
-                # damped step as the safeguarded fallback out of a slow regime
-                phi_new = symmetrize(
-                    RealField2D(grid, 0.5 * (phi_new.values + prev_phi.values)),
-                    Symmetry.ODD_X_EVEN_Y,
+            if len(ratios) >= 2 and min(ratios[-2:]) >= 1.0:
+                raise NotConverged(
+                    f"outer fixed point does not contract: update ratios "
+                    f"{ratios[-2]:.3f}, {ratios[-1]:.3f} at iteration {it}"
                 )
-        state = build_state(eps, grid, phi=phi_new, f2=f2)
-        prev_phi = phi_new
+        state = build_state(eps, grid, phi=phi_new, f2=f2, f2_start=f2_fine)
         if unorm <= tol:
             converged = True
             break
@@ -566,6 +673,7 @@ def outer_fixed_point(
     # self-consistent rather than lagging one iteration; the state keeps its
     # table, so the transport check reads this solve
     state = replace(state, f2=solve_f2(state, delta=delta))
+    passes.append(state.derivs.transport_solve[1])
     final_star = star_norm(state.phi, eps, delta)
     report = FixedPointReport(
         iterations=len(updates),
@@ -573,5 +681,7 @@ def outer_fixed_point(
         contraction_ratios=tuple(ratios),
         final_phi_star=final_star,
         converged=converged,
+        picard_passes=tuple(passes),
+        minres_iterations=tuple(minres_iters),
     )
     return state, report

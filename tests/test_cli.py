@@ -211,6 +211,19 @@ def test_construct_residual_roundtrip(tmp_path, capsys):
     assert (out / "gp_residual.json").exists()
 
 
+def test_construct_threads_same_bytes(tmp_path):
+    # --threads splits scipy.fft transforms across workers; every transform
+    # of the package goes through it, and the fields are the same bytes
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["construct", "--epsilon", "0.1", "--threads", threads,
+                     "--out", str(out)] + SMALL) == 0
+        outs.append(out)
+    for f in ("phi.bin", "f1.bin", "f2.bin", "g1.bin"):
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+
 @pytest.mark.slow
 def test_construct_deterministic(tmp_path):
     outs = []

@@ -199,6 +199,18 @@ class TestNorms:
         assert vals[0] > 0
         assert abs(vals[1] - vals[0]) / vals[0] < 0.05  # stable under doubling
 
+    def test_weighted_sup_weight_memoized(self, rand_field):
+        # the weight is built once per (grid, p - delta), and every call
+        # returns exactly the value of the direct formula
+        g = make_grid(64, 64, 9, 9)
+        fields = [rand_field(g, Symmetry.NONE, seed=s) for s in (1, 2)]
+        grid_module._radial_weight.cache_clear()
+        for p, delta in ((1.5, 0.1), (1.0, 0.0), (1.5, 0.1)):
+            for f in fields:
+                direct = float(np.max((1.0 + g.r) ** (p - delta) * np.abs(f.values)))
+                assert weighted_sup(f, p, delta) == direct
+        assert grid_module._radial_weight.cache_info().misses == 2
+
     def test_l2_norm_area(self):
         g = make_grid(16, 16, 1, 1)
         assert l2_norm(constant(g, 1.0)) == pytest.approx(2.0)

@@ -116,8 +116,11 @@ class TestSolve:
     def test_zero_rhs(self):
         g = make_grid(64, 64, 10, 10)
         op = make_linearized_operator(0.1, g)
-        phi = solve_linearized(op, zeros(g, Symmetry.EVEN_X_EVEN_Y), zeros(g, Symmetry.ODD_X_ODD_Y))
+        phi, iterations = solve_linearized(
+            op, zeros(g, Symmetry.EVEN_X_EVEN_Y), zeros(g, Symmetry.ODD_X_ODD_Y)
+        )
         assert np.max(np.abs(phi.values)) == 0.0
+        assert iterations == 0
 
     def test_symmetry_guards(self):
         g = make_grid(64, 64, 10, 10)
@@ -134,7 +137,7 @@ class TestSolve:
         rhs = apply_linearized(op, phi_star)
         h1 = antiderivative_x(rhs).with_symmetry(Symmetry.EVEN_X_EVEN_Y)
         h2 = zeros(g, Symmetry.ODD_X_ODD_Y)
-        phi = solve_linearized(op, h1, h2, tol=1e-10)
+        phi, _ = solve_linearized(op, h1, h2, tol=1e-10)
         assert np.max(np.abs(phi.values - phi_star.values)) <= 1e-6
 
     def test_restarted_minres_meets_tol(self, rand_field, monkeypatch):
@@ -154,10 +157,37 @@ class TestSolve:
         op = make_linearized_operator(0.1, g)
         h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=0, kmax=6)
         h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=50, kmax=6)
-        phi = solve_linearized(op, h1, h2, tol=1e-9)
+        phi, _ = solve_linearized(op, h1, h2, tol=1e-9)
         rhs = symmetrize(derivative(h1, 1, 0) + derivative(h2, 0, 1), Symmetry.ODD_X_EVEN_Y)
         assert len(passes) >= 2
         assert l2_norm(apply_linearized(op, phi) - rhs) <= 1e-9 * l2_norm(rhs)
+
+    def test_iteration_count_and_start(self, rand_field, monkeypatch):
+        # the count returned is MINRES's own, cold and from a start; a start
+        # near the solution saves iterations
+        import transonic.linearized as lin
+
+        seen = []
+        minres = lin.minres
+
+        def counted(*args, **kwargs):
+            n = []
+            out = minres(*args, callback=lambda xk: n.append(1), **kwargs)
+            seen.append(len(n))
+            return out
+
+        monkeypatch.setattr(lin, "minres", counted)
+        g = make_grid(64, 64, 10, 10)
+        op = make_linearized_operator(0.1, g)
+        h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=1, kmax=6)
+        h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=51, kmax=6)
+        phi, cold = solve_linearized(op, h1, h2)
+        assert cold == sum(seen) > 0
+        seen.clear()
+        kick = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=9, amplitude=1e-4)
+        _, warm = solve_linearized(op, h1, h2, x0=phi + kick.scaled(np.max(np.abs(phi.values))))
+        assert warm == sum(seen)
+        assert warm < cold
 
     def test_unreachable_tol_raises(self, rand_field):
         g = make_grid(64, 64, 10, 10)
@@ -178,7 +208,7 @@ class TestSolve:
             for s in range(10):
                 h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=s, kmax=6)
                 h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=50 + s, kmax=6)
-                phi = solve_linearized(op, h1, h2, tol=1e-9)
+                phi, _ = solve_linearized(op, h1, h2, tol=1e-9)
                 vals.append(a_norm(phi, eps) / (b_norm(h1) + c_norm(h2)))
             ratios[n] = max(vals)
         assert ratios[256] <= 2.0 * ratios[128]
@@ -372,7 +402,7 @@ def test_linear_solve_matches_dense_reference(rand_field, monkeypatch):
                         lambda *a, **k: operators.append(k["matvec"]) or make(*a, **k))
     h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=2, kmax=6)
     h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=3, kmax=6)
-    phi = solve_linearized(op, h1, h2, tol=1e-12)
+    phi, _ = solve_linearized(op, h1, h2, tol=1e-12)
     matvec = operators[0]  # the operator; the preconditioner comes second
     Hc = np.column_stack([matvec(e) for e in np.eye(R.shape[1])])
     ref = R.T @ H @ R

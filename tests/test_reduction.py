@@ -8,7 +8,7 @@ import pytest
 import transonic.grid as grid_mod
 import transonic.lump as lump_mod
 import transonic.reduction as red_mod
-from transonic.errors import GuardViolated, SymmetryViolation
+from transonic.errors import GuardViolated, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
@@ -137,8 +137,86 @@ class TestSolveF2:
         # with every源 term removed the map returns the zero solution
         from transonic.reduction import _decaying_antiderivative
 
-        u = _decaying_antiderivative(GRID.x, np.zeros((GRID.nx, GRID.ny)), 7.0)
+        x = GRID.dx * np.arange(GRID.nx // 2 + 1)
+        u = _decaying_antiderivative(x, np.zeros((GRID.ny // 2 + 1, x.size)), 7.0)
         assert np.max(np.abs(u)) == 0.0
+
+
+def _full_line_antiderivative(grid_x, I_vals, decay_power):
+    """Reference: the complex full-line rule on (nx, lines) samples, the mean
+    term integrated exactly, the spectral cumulative integral of the rest,
+    and the same tail correction at x = L - h."""
+    L = -grid_x[0]
+    m = I_vals.mean(axis=0, keepdims=True)
+    hat = np.fft.fft(I_vals - m, axis=0)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid_x.size, d=grid_x[1] - grid_x[0])
+    inv = np.zeros_like(k, dtype=np.complex128)
+    inv[k != 0] = 1.0 / (1j * k[k != 0])
+    U = np.real(np.fft.ifft(hat * inv[:, None], axis=0))
+    base = (U[0:1, :] - U) + m * (L - grid_x)[:, None]
+    return base + I_vals[-1:, :] * grid_x[-1] / max(decay_power - 1.0, 1.0)
+
+
+def _complex_interp_x(vals, refine):
+    """Reference: zero-padded complex trigonometric interpolation along axis
+    0, the Nyquist coefficient split evenly between +k and -k."""
+    nx = vals.shape[0]
+    nxr = refine * nx
+    hat = np.fft.fft(vals, axis=0)
+    pad = np.zeros((nxr, vals.shape[1]), dtype=complex)
+    h = nx // 2
+    pad[:h, :] = hat[:h, :]
+    pad[nxr - h + 1 :, :] = hat[h + 1 :, :]
+    pad[h, :] = pad[nxr - h, :] = 0.5 * hat[h, :]
+    return np.real(np.fft.ifft(pad, axis=0)) * refine
+
+
+class TestHalfLineTransforms:
+    def test_antiderivative_matches_full_line(self):
+        n, L = 256, 40.0
+        h = 2.0 * L / n
+        x_half = h * np.arange(n // 2 + 1)
+        y = np.linspace(0.0, 30.0, 7)[:, None]
+        lines = x_half * (1.0 + y**2) / (1.0 + x_half**2 + y**2) ** 3
+        lines[:, [0, -1]] = 0.0  # odd: zero at x = 0 and at x = L, the copy of -L
+        # the full periodic line x = -L..L-h, odd about x = 0
+        idx = np.arange(n) - n // 2
+        full = (np.sign(idx) * lines[:, np.abs(idx)]).T
+        grid_x = -L + h * np.arange(n)
+        ref = _full_line_antiderivative(grid_x, full, 5.0)
+        ref_half = np.concatenate([ref[n // 2 :], ref[:1]]).T
+        u = red_mod._decaying_antiderivative(x_half, lines, 5.0)
+        assert np.max(np.abs(u - ref_half)) <= 1e-13 * np.max(np.abs(ref_half))
+
+    @pytest.mark.parametrize("sym", [Symmetry.ODD_X_EVEN_Y, Symmetry.EVEN_X_EVEN_Y])
+    def test_interpolation_matches_complex_zero_padding(self, rand_field, sym):
+        f = rand_field(SMALL, sym, seed=4, kmax=SMALL.nx // 2)  # up to the Nyquist row
+        ref = red_mod._quarter_lines(_complex_interp_x(f.values, 4))
+        out = red_mod._refined_lines(red_mod._quarter_lines(f.values), sym.x_parity, 4)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_quarter_lines_round_trip(self, rand_field):
+        f = rand_field(SMALL, Symmetry.EVEN_X_EVEN_Y, seed=6)
+        lines = red_mod._quarter_lines(f.values)
+        assert lines.shape == (SMALL.ny // 2 + 1, SMALL.nx // 2 + 1)
+        assert lines.flags.c_contiguous
+        assert np.array_equal(red_mod._even_full_grid(lines), f.values)
+
+    def test_refine_4_resolves_f2(self, monkeypatch):
+        # f2 of a 128^2 construction at F2_REFINE = 4 against 8, over the
+        # transport check's window: 3.2e-4 of the sup measured, 0.37 at 2
+        g = make_grid(128, 128, 40, 40)
+        state, _ = outer_fixed_point(0.1, g)
+        f2 = {}
+        for refine in (2, 4, 8):
+            monkeypatch.setattr(red_mod, "F2_REFINE", refine)
+            f2[refine] = solve_f2(build_state(0.1, g, phi=state.phi)).values
+        window = np.abs(g.x) <= red_mod.F2_CHECK_WINDOW * g.Lx - 2.0 * g.dx
+        scale = np.max(np.abs(f2[8]))
+        gap = {r: np.max(np.abs(f2[r] - f2[8])[window, :]) / scale for r in (2, 4)}
+        assert gap[4] <= 1e-3
+        assert gap[2] >= 1e-1
 
 
 class TestTransportResidual:
@@ -156,8 +234,8 @@ class TestTransportResidual:
         st = build_state(0.1, SMALL, phi=phi)
         f2 = solve_f2(st)
         rebuilt = []
-        interp, sample = red_mod._interp_x, lump_mod.lump_derivative
-        monkeypatch.setattr(red_mod, "_interp_x", lambda *a: rebuilt.append(1) or interp(*a))
+        interp, sample = red_mod._refined_lines, lump_mod.lump_derivative
+        monkeypatch.setattr(red_mod, "_refined_lines", lambda *a: rebuilt.append(1) or interp(*a))
         monkeypatch.setattr(lump_mod, "lump_derivative",
                             lambda *a: rebuilt.append(1) or sample(*a))
         monkeypatch.setattr(red_mod, "lump_derivative",
@@ -321,14 +399,16 @@ class TestBuildState:
 
 class TestDerivativeTable:
     def test_lump_work_independent_of_iterations(self, monkeypatch):
-        # the lump derivatives sampled on the grid and on the x-refined
-        # transport grid (sample_lump, Gamma_q) depend on (eps, grid) only: a
-        # longer outer iteration samples none more
+        # the lump derivatives sampled on the grid and on the quarter lines
+        # of the x-refined transport grid (sample_lump, Gamma_q, the
+        # transport lump data) depend on (eps, grid) only: a longer outer
+        # iteration samples none more
         calls = []
         sample = lump_mod.lump_derivative
+        lines = (SMALL.ny // 2 + 1, red_mod.F2_REFINE * SMALL.nx // 2 + 1)
 
         def counted(p, m, n, x, y):
-            if np.shape(x)[0] in (SMALL.nx, red_mod.F2_REFINE * SMALL.nx):
+            if np.shape(x) in ((SMALL.nx, SMALL.ny), lines):
                 calls.append((m, n))
             return sample(p, m, n, x, y)
 
@@ -339,6 +419,7 @@ class TestDerivativeTable:
             sample_lump.cache_clear()
             gamma_q_field.cache_clear()
             red_mod._gamma_q_antiderivative.cache_clear()
+            red_mod._transport_lump.cache_clear()
             calls.clear()
             _, rep = outer_fixed_point(0.1, SMALL, tol=tol)
             per_run[rep.iterations] = len(calls)
@@ -393,6 +474,40 @@ class TestDerivativeTable:
 
 
 class TestOuterFixedPoint:
+    def test_warm_starts_save_work(self, monkeypatch):
+        # the transport Picard starts from the previous fine f2 and MINRES
+        # from the previous phi; starting both from zero takes more of each
+        # and the same outer iterations
+        _, warm = outer_fixed_point(0.1, SMALL)
+        build, solve = red_mod.build_state, red_mod.solve_linearized
+        monkeypatch.setattr(
+            red_mod, "build_state", lambda *a, f2_start=None, **k: build(*a, **k)
+        )
+        monkeypatch.setattr(
+            red_mod, "solve_linearized", lambda *a, x0=None, **k: solve(*a, **k)
+        )
+        _, cold = outer_fixed_point(0.1, SMALL)
+        assert warm.iterations == cold.iterations
+        assert len(warm.picard_passes) == warm.iterations + 1
+        assert len(warm.minres_iterations) == warm.iterations
+        assert sum(warm.picard_passes) < sum(cold.picard_passes)
+        assert sum(warm.minres_iterations) < sum(cold.minres_iterations)
+
+    def test_non_contracting_map_stops_early(self, rand_field, monkeypatch):
+        # a linear solve whose updates double each step: NotConverged once
+        # two consecutive update ratios reach 1, not after max_iter steps
+        base = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=7, amplitude=1e-8)
+        calls = []
+
+        def doubling(*a, **k):
+            calls.append(1)
+            return base.scaled(2.0 ** len(calls)), 0
+
+        monkeypatch.setattr(red_mod, "solve_linearized", doubling)
+        with pytest.raises(NotConverged, match="does not contract"):
+            outer_fixed_point(0.1, SMALL, max_iter=200)
+        assert len(calls) == 3
+
     def test_eps_zero_trivial(self):
         g = make_grid(64, 64, 20, 20)
         state, rep = outer_fixed_point(0.0, g)
