@@ -271,6 +271,8 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         "epsilon": cfg.epsilon,
         "iterations": res.iterations,
         "max_residual": res.max_residual,
+        "unknowns": res.unknowns,
+        "solver": res.solver,
         "seed": seed,
     }
     _write_json(out / "eigen.json", rec)

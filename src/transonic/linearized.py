@@ -245,9 +245,10 @@ class EigenResult:
     ``pairs`` holds the lowest eigenpairs in ascending order; ``phi0`` is the
     ground state (the single negative direction), ``phi1`` its x-antiderivative
     (odd in x, even in y), ``lambda2`` the smallest positive eigenvalue.
-    ``iterations`` counts the LOBPCG iterations up to the returned block and
-    ``max_residual`` is the largest ||L v - lambda v||_2 over the returned
-    pairs (unit vectors in the grid's Euclidean norm).
+    ``iterations`` counts the LOBPCG iterations up to the returned block (0
+    when ``solver`` is ``"dense"``), ``unknowns`` is the size of the problem
+    LOBPCG was given, and ``max_residual`` is the largest ||L v - lambda v||_2
+    over the returned pairs (unit vectors in the grid's Euclidean norm).
     """
 
     pairs: tuple[EigenPair, ...]
@@ -258,6 +259,8 @@ class EigenResult:
     negative_count: int
     iterations: int
     max_residual: float
+    unknowns: int
+    solver: str
 
 
 # The quarter-box cosine and sine bases.  On the periodic grid the even
@@ -359,43 +362,59 @@ def eigen_extremes(
     """Lowest eigenpairs of the reduced operator on the even/even, zero-x-mean
     subspace, by LOBPCG with the constant-coefficient symbol as preconditioner.
 
-    LOBPCG runs on the orthonormal cosine coefficients of the quarter box
-    (see ``_cosine_coefficients``), so parity and zero x-mean hold by
-    construction: the constant and nonlocal symbols and the preconditioner
-    are diagonal, and only the potential term transforms, once per block.
+    The operator acts on the orthonormal cosine coefficients of the quarter
+    box (see ``_cosine_coefficients``), so parity and zero x-mean hold by
+    construction: the constant and nonlocal symbols are diagonal, and only
+    the potential term transforms, once per block.  The potential term masks
+    its input and its output with the 2/3 dealias mask, so on these
+    coefficients the operator is block diagonal: a coupled block on the
+    coefficients inside the mask, and the diagonal symbol outside it, where
+    every unit coefficient vector is an exact eigenvector.  LOBPCG (block
+    size k + 3) runs on the inside coefficients only; the lowest k of its
+    eigenvalues and the outside diagonal values together are returned.  When
+    the inside block is too small for LOBPCG (fewer than five times the block
+    size), scipy's ``lobpcg`` solves it densely instead; ``iterations`` is
+    then 0 and ``solver`` is ``"dense"``.
 
-    Raises NotConverged when a returned pair misses ``tol`` in
-    ||L v - lambda v||_2, and MultipleNegative when more than one negative
+    Raises ValueError unless 2 <= k <= (nx/2)(ny/2 + 1), the dimension of
+    the subspace; NotConverged when a returned pair misses ``tol`` in
+    ||L v - lambda v||_2; and MultipleNegative when more than one negative
     eigenvalue shows up: Morse index one is the structural hypothesis of the
     whole construction, so a second negative direction signals an inadequate
     grid or an eps out of regime.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
     grid = op.q.grid
     nx, ny = grid.nx, grid.ny
     mx, my = nx // 2, ny // 2
-    ntot = mx * (my + 1)
+    if not 2 <= k <= mx * (my + 1):
+        raise ValueError(f"k must lie in [2, {mx * (my + 1)}], the coefficients on this grid")
     kx2 = grid.kx[1 : mx + 1, None, None] ** 2
     ky2 = grid.ky_r[None, :, None] ** 2
     symbol = kx2 + op.c2 + 2.0 * ky2 / kx2
-    pre_sym = 1.0 / (symbol + 1.0)
+    # the mask is a product of x and y masks, so on rows 1..mx it keeps a
+    # leading ax-by-ay rectangle of the coefficients
+    inside = grid.dealias_mask[1 : mx + 1]
+    ax, ay = int(inside[:, 0].sum()), int(inside[0].sum())
+    unknowns = ax * ay
+    sym_in = symbol[:ax, :ay]
+    pre_sym = 1.0 / (sym_in + 1.0)
     potential = _quarter_potential(op)
 
     def matvec_block(X: np.ndarray) -> np.ndarray:
-        C = X.reshape(mx, my + 1, -1)
+        C = X.reshape(ax, ay, -1)
         tv = np.zeros((mx + 1, my + 1, C.shape[2]))
-        tv[1:] = C
-        out = symbol * C
-        out += op.coeff_lump_nl * potential(tv)[1:]
-        return out.reshape(ntot, -1)
+        tv[1 : ax + 1, :ay] = C
+        out = sym_in * C
+        out += op.coeff_lump_nl * potential(tv)[1 : ax + 1, :ay]
+        return out.reshape(unknowns, -1)
 
     def prec_block(X: np.ndarray) -> np.ndarray:
-        return (pre_sym * X.reshape(mx, my + 1, -1)).reshape(ntot, -1)
+        return (pre_sym * X.reshape(ax, ay, -1)).reshape(unknowns, -1)
 
-    A = LinearOperator((ntot, ntot), matvec=lambda v: matvec_block(v.reshape(-1, 1)).ravel(),
+    shape = (unknowns, unknowns)
+    A = LinearOperator(shape, matvec=lambda v: matvec_block(v.reshape(-1, 1)).ravel(),
                        matmat=matvec_block, dtype=float)
-    M = LinearOperator((ntot, ntot), matvec=lambda v: prec_block(v.reshape(-1, 1)).ravel(),
+    M = LinearOperator(shape, matvec=lambda v: prec_block(v.reshape(-1, 1)).ravel(),
                        matmat=prec_block, dtype=float)
 
     rng = np.random.default_rng(seed)
@@ -405,29 +424,40 @@ def eigen_extremes(
     start[:, :, 0] = -op.dq.values * np.exp(-0.05 * grid.r**2)
     for j in range(1, block):
         start[:, :, j] = rng.standard_normal((nx, ny))
-    X = _cosine_coefficients(start).reshape(ntot, block)
+    X = _cosine_coefficients(start)[:ax, :ay].reshape(unknowns, block)
 
     with warnings.catch_warnings():
-        # the residual check below gives the verdict
-        warnings.filterwarnings("ignore", message="(Exited|Failed)", category=UserWarning)
-        vals, vecs, history = lobpcg(A, X, M=M, tol=tol, maxiter=max_iter, largest=False,
-                                     retResidualNormsHistory=True)
-    order = np.argsort(vals)[:k]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    max_residual = float(np.max(np.linalg.norm(A.matmat(vecs) - vecs * vals, axis=0)))
+        # the residual check below gives the verdict; a small problem is
+        # solved densely, which scipy announces and returns without history
+        warnings.filterwarnings("ignore", message="(Exited|Failed|The problem size)",
+                                category=UserWarning)
+        vals, vecs, *history = lobpcg(A, X, M=M, tol=tol, maxiter=max_iter, largest=False,
+                                      retResidualNormsHistory=True)
+    solver = "lobpcg" if history else "dense"
+    iterations = len(history[0]) - 2 if history else 0
+
+    # merge with the outside diagonal: lowest k of both, inside first on ties
+    candidates = np.concatenate([vals, np.where(inside, np.inf, symbol[..., 0]).ravel()])
+    order = np.argsort(candidates, kind="stable")[:k]
+    won = order < vals.size
+    vals_in, vecs_in = vals[order[won]], vecs[:, order[won]]
+    residuals = np.linalg.norm(A.matmat(vecs_in) - vecs_in * vals_in, axis=0)
+    max_residual = float(np.max(residuals, initial=0.0))
     if not max_residual <= tol:
         raise NotConverged(
             f"LOBPCG: residual {max_residual:.3e} > {tol:.1e} "
-            f"after {len(history) - 2} iterations"
+            f"after {iterations} iterations"
         )
 
-    full = _cosine_values(vecs.reshape(mx, my + 1, k))
+    coeffs = np.zeros((mx, my + 1, k))
+    coeffs[:ax, :ay, won] = vecs_in.reshape(ax, ay, -1)
+    coeffs.reshape(-1, k)[order[~won] - vals.size, np.flatnonzero(~won)] = 1.0
+    full = _cosine_values(coeffs)
     pairs = []
     for j in range(k):
         f = RealField2D(grid, full[:, :, j])
         f = f.scaled(1.0 / l2_norm(f))
-        pairs.append(EigenPair(eigenvalue=float(vals[j]), psi=f))
+        pairs.append(EigenPair(eigenvalue=float(candidates[order[j]]), psi=f))
 
     neg = [p for p in pairs if p.eigenvalue < 0.0]
     if len(neg) == 0:
@@ -447,8 +477,10 @@ def eigen_extremes(
         lambda1=pairs[0].eigenvalue,
         lambda2=float(pos[0]) if pos else math.nan,
         negative_count=len(neg),
-        iterations=len(history) - 2,
+        iterations=iterations,
         max_residual=max_residual,
+        unknowns=unknowns,
+        solver=solver,
     )
 
 

@@ -61,6 +61,9 @@ def test_eigen_and_norms(tmp_path, capsys):
     rec = json.loads((tmp_path / "eigen.json").read_text())
     assert rec["negative_count"] == 1
     assert rec["seed"] == 7  # the default when --seed is omitted
+    # LOBPCG gets the cosine coefficients inside the 2/3 mask: 21 x 22 at 64^2
+    assert rec["unknowns"] == 21 * 22
+    assert rec["solver"] == "lobpcg"
     code = main(["norms", "--in", str(tmp_path / "phi1.bin"), "--epsilon", "0.1"])
     assert code == 0
     out = capsys.readouterr().out.splitlines()
@@ -295,3 +298,23 @@ def test_diverging_transport_one_error_line(tmp_path):
     assert len(err) == 1
     rec = json.loads(err[0])
     assert rec["error"] == "NotConverged" and "diverged" in rec["message"]
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_eigen_small_grid_dense_path(tmp_path, k):
+    # at 16^2 the in-mask block (30 unknowns) is below five block widths, so
+    # scipy solves it densely; its warning must not reach stderr (a
+    # subprocess, since pytest captures warnings before they are printed)
+    env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transonic.cli", "eigen", "--nx", "16", "--ny", "16",
+         "--Lx", "10", "--Ly", "10", "--epsilon", "0.1", "--k", str(k),
+         "--out", str(tmp_path / "e")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rec = json.loads((tmp_path / "e" / "eigen.json").read_text())
+    assert rec["solver"] == "dense" and rec["iterations"] == 0
+    assert rec["unknowns"] == 5 * 6
+    assert len(rec["eigenvalues"]) == k and rec["negative_count"] == 1

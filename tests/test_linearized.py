@@ -296,6 +296,11 @@ class TestEigen:
         op, _ = eigdata[0.1]
         with pytest.raises(ValueError):
             eigen_extremes(op, k=1)
+        # no more pairs than cosine coefficients: 8 x 9 at 16^2
+        small = make_linearized_operator(0.1, make_grid(16, 16, 10, 10))
+        assert eigen_extremes(small, k=72).pairs[-1].eigenvalue < math.inf
+        with pytest.raises(ValueError):
+            eigen_extremes(small, k=73)
 
     def test_convergence_reported(self, eigdata):
         _, res = eigdata[0.1]
@@ -322,12 +327,13 @@ def test_cosine_basis_is_isometric_projection():
         assert np.sum(coeffs[:, :, j] ** 2) == pytest.approx(np.sum(proj**2), rel=1e-13)
 
 
-def test_eigen_matches_dense_reference():
+@pytest.mark.parametrize("n, L, k, merged", [(64, 20, 3, False), (16, 80, 6, True)],
+                         ids=["64-L20-k3", "16-L80-k6"])
+def test_eigen_matches_dense_reference(n, L, k, merged):
     # apply_L assembled on an orthonormal basis of the even/even, zero-x-mean
-    # subspace of a 64^2 grid, independent of the cosine basis LOBPCG uses
-    g = make_grid(64, 64, 20, 20)
+    # subspace of an n^2 grid, independent of the cosine basis LOBPCG uses
+    g = make_grid(n, n, L, L)
     op = make_linearized_operator(0.1, g)
-    n = g.nx
     orbit = np.zeros((n, n, n // 2 + 1, n // 2 + 1))
     for p in range(n // 2 + 1):
         for q in range(n // 2 + 1):
@@ -342,10 +348,16 @@ def test_eigen_matches_dense_reference():
     H = basis.T @ images
     evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
 
-    k = 3
     res = eigen_extremes(op, k=k, tol=1e-9)
     got = np.array([p.eigenvalue for p in res.pairs])
     assert np.max(np.abs(got - evals[:k]) / np.abs(evals[:k])) <= 1e-8
+    # the out-of-mask coefficients are exact eigenvectors with the diagonal
+    # symbol; at 16^2, L = 80 one of them is among the lowest k
+    kx = g.kx[1 : n // 2 + 1, None]
+    ky = g.ky_r[None, :]
+    diagonal = (kx**2 + op.c2 + 2.0 * ky**2 / kx**2)[~g.dealias_mask[1 : n // 2 + 1]]
+    hits = np.min(np.abs(got[:, None] - diagonal[None, :]), axis=1) <= 1e-12 * np.abs(got)
+    assert hits.any() == merged
     ref = RealField2D(g, (basis @ evecs[:, 0]).reshape(n, n))
     ref = ref.scaled(1.0 / l2_norm(ref))
     ref_vals = ref.values * np.sign(inner(ref, res.phi0))
