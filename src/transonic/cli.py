@@ -303,19 +303,19 @@ def cmd_construct(cfg: RunConfig, args) -> int:
     fio.write_field(out, "g1", state.g1)
     fio.write_field(out, "f1", state.f1)
     fio.write_field(out, "f2", state.f2)
+    suite = norm_suite(state.phi, cfg.epsilon, cfg.delta)
     rec = {
         "config": asdict(cfg),
         "iterations": report.iterations,
         "update_star_norms": list(report.update_star_norms),
         "contraction_ratios": list(report.contraction_ratios),
-        "final_phi_star": report.final_phi_star,
+        "final_phi_star": suite.star,
         "converged": report.converged,
         "picard_passes": list(report.picard_passes),
         "minres_iterations": list(report.minres_iterations),
         "transport_residual_sup": transport_residual(state, state.f2),
     }
     _write_json(out / "report.json", rec)
-    suite = norm_suite(state.phi, cfg.epsilon, cfg.delta)
     with (out / "norms.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         row = asdict(suite)
@@ -323,7 +323,7 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         w.writerow(["field"] + keys)
         w.writerow(["phi"] + [row[k] for k in keys])
     print(f"converged in {report.iterations} iterations; "
-          f"final weighted norm {report.final_phi_star:.6e}")
+          f"final weighted norm {suite.star:.6e}")
     print(f"wrote {out}/phi.bin f1.bin f2.bin g1.bin report.json norms.csv")
     return 0
 

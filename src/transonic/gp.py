@@ -21,7 +21,7 @@ import numpy as np
 from .errors import SymmetryViolation
 from .grid import ComplexField2D, Grid2D, RealField2D, Symmetry, _tagged
 from .lump import SQRT2
-from .reduction import ReductionState
+from .reduction import ReductionState, f1_derivative
 
 EDGE_MARGIN = 8
 
@@ -129,15 +129,10 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     g1 = d.g1_d(0, 0)
     g1_x = d.g1_d(1, 0)
     g1_xx = d.g1_d(2, 0)
-    g1_y = d.g1_d(0, 1)
     g1_yy = d.g1_d(0, 2)
-    g1_xxx = d.g1_d(3, 0)
-    g1_xyy = d.g1_d(1, 2)
-
-    f1 = 0.5 * SQRT2 * g1_x - 0.5 * g1**2
-    f1_x = 0.5 * SQRT2 * g1_xx - g1 * g1_x
-    f1_xx = 0.5 * SQRT2 * g1_xxx - g1_x**2 - g1 * g1_xx
-    f1_yy = 0.5 * SQRT2 * g1_xyy - g1_y**2 - g1 * g1_yy
+    f1, f1_x, f1_xx, f1_yy = (
+        f1_derivative(d.g1_d, *mn) for mn in ((0, 0), (1, 0), (2, 0), (0, 2))
+    )
 
     fv = 1.0 + e2 * f1 + e4 * f2.values
     gv = eps * g1

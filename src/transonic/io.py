@@ -9,6 +9,7 @@ with x fastest, next to a JSON sidecar carrying the grid and tag metadata:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,16 @@ def read_field(bin_path: Path) -> RealField2D:
     for key in ("nx", "ny", "Lx", "Ly", "symmetry"):
         if not isinstance(meta, dict) or key not in meta:
             raise ValueError(f"{json_path}: sidecar lacks {key!r}")
+    for key, kinds, what in (
+        ("nx", int, "an integer"),
+        ("ny", int, "an integer"),
+        ("Lx", (int, float), "a finite real number"),
+        ("Ly", (int, float), "a finite real number"),
+    ):
+        v = meta[key]
+        finite = not isinstance(v, float) or math.isfinite(v)
+        if isinstance(v, bool) or not isinstance(v, kinds) or not finite:
+            raise ValueError(f"{json_path}: sidecar {key!r} is {v!r}, not {what}")
     grid = make_grid(meta["nx"], meta["ny"], meta["Lx"], meta["Ly"])
     raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != grid.nx * grid.ny:

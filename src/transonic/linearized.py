@@ -487,6 +487,11 @@ def eigen_extremes(
 # ---------------------------------------------------------------------------
 # weighted norm suite
 # ---------------------------------------------------------------------------
+#
+# A suite reads the derivatives of its field f from one table df(m, n), the
+# memoized ``cache(partial(derivative, f))``, and evaluates each summand once.
+
+_Table = Callable[[int, int], RealField2D]
 
 
 @dataclass(frozen=True)
@@ -509,15 +514,30 @@ class NormSuite:
     pstar: float
 
 
-def a_norm(f: RealField2D, eps: float) -> float:
-    """Energy norm of the linearized problem (L2, eps-weighted derivatives)."""
-    return _a_norm(partial(derivative, f), eps)
+def _l2_pair(f: RealField2D, g: RealField2D) -> float:
+    """sqrt(||f||^2 + ||g||^2)."""
+    return math.sqrt(l2_norm(f) ** 2 + l2_norm(g) ** 2)
 
 
-def _a_norm(df: Callable[[int, int], RealField2D], eps: float) -> float:
-    """``a_norm`` from a derivative getter ``df(m, n)`` of the field."""
+def b_norm(f: RealField2D) -> float:
+    """L2 right-hand-side norm (value and x-derivative)."""
+    return _l2_pair(f, derivative(f, 1, 0))
+
+
+def c_norm(f: RealField2D) -> float:
+    """L2 right-hand-side norm (value and y-derivative)."""
+    return _l2_pair(f, derivative(f, 0, 1))
+
+
+def _star_terms(f: RealField2D, df: _Table, eps: float, delta: float) -> dict[str, float]:
+    """Every summand of the weighted solution norm of ``f``, by name, from
+    its derivative table ``df``; ``a`` is the energy norm of the linearized
+    problem (L2, eps-weighted derivatives)."""
+    le = 1.0 / math.log(1.0 / eps) if 0 < eps < 1 else 1.0
+    e = eps
+    d = delta
     e4 = eps**4
-    terms = [
+    energy = [
         l2_norm(df(4, 0)) ** 2,
         e4 * l2_norm(df(2, 2)) ** 2,
         e4**2 * l2_norm(df(0, 4)) ** 2,
@@ -527,28 +547,8 @@ def _a_norm(df: Callable[[int, int], RealField2D], eps: float) -> float:
         l2_norm(df(1, 0)) ** 2,
         l2_norm(df(0, 1)) ** 2,
     ]
-    return math.sqrt(sum(terms))
-
-
-def b_norm(f: RealField2D) -> float:
-    """L2 right-hand-side norm (value and x-derivative)."""
-    return math.sqrt(l2_norm(f) ** 2 + l2_norm(derivative(f, 1, 0)) ** 2)
-
-
-def c_norm(f: RealField2D) -> float:
-    """L2 right-hand-side norm (value and y-derivative)."""
-    return math.sqrt(l2_norm(f) ** 2 + l2_norm(derivative(f, 0, 1)) ** 2)
-
-
-def star_norm_terms(f: RealField2D, eps: float, delta: float) -> dict[str, float]:
-    """Every summand of the weighted solution norm, by name."""
-    le = 1.0 / math.log(1.0 / eps) if 0 < eps < 1 else 1.0
-    e = eps
-    d = delta
-    # each derivative of f once, shared with the energy norm
-    df = cache(partial(derivative, f))
     terms: dict[str, float] = {}
-    terms["a"] = _a_norm(df, eps)
+    terms["a"] = math.sqrt(sum(energy))
     terms["f_1md"] = weighted_sup(f, 1.0, d)
     terms["f_1_log"] = le * weighted_sup(f, 1.0, 0.0)
     terms["fx_32md"] = weighted_sup(df(1, 0), 1.5, d)
@@ -577,62 +577,32 @@ def star_norm_terms(f: RealField2D, eps: float, delta: float) -> dict[str, float
 STAR_PROXY_EXCLUDED = ("fy4_32", "ix_fy4")
 
 
-def star_norm(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> float:
-    return sum(star_norm_terms(f, eps, delta).values())
-
-
 def star_norm_proxy(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> float:
-    terms = star_norm_terms(f, eps, delta)
+    """The weighted solution norm without its ``STAR_PROXY_EXCLUDED`` terms,
+    the stopping proxy of the outer fixed point."""
+    terms = _star_terms(f, cache(partial(derivative, f)), eps, delta)
     return sum(v for k, v in terms.items() if k not in STAR_PROXY_EXCLUDED)
 
 
-def _norm_dstar(f: RealField2D, delta: float) -> float:
-    return (
-        b_norm(f)
-        + weighted_sup(f, 2.5, delta)
-        + weighted_sup(derivative(f, 1, 0), 2.5, delta)
-        + weighted_sup(derivative(f, 2, 0), 2.5, delta)
+def _transport_norms(f: RealField2D, df: _Table, eps: float, delta: float) -> tuple[float, float]:
+    """qstar and pstar of ``f``: pstar's four weighted sups are among qstar's."""
+    e = eps
+    w = lambda g: weighted_sup(g, 1.5, delta)
+    s00, s10, s01, s02 = w(f), w(df(1, 0)), w(df(0, 1)), w(df(0, 2))
+    qstar = (
+        s00 + s10 + w(df(2, 0)) + e * w(df(3, 0))
+        + e**2 * s01 + e**2 * w(df(1, 1)) + e**4 * s02 + e**4 * w(df(1, 2))
     )
-
-
-def _norm_tstar(f: RealField2D, delta: float) -> float:
-    return (
-        c_norm(f)
-        + weighted_sup(f, 3.0, delta)
-        + weighted_sup(derivative(f, 0, 1), 3.0, delta)
-        + weighted_sup(derivative(f, 1, 1), 3.0, delta)
-    )
+    return qstar, s00 + s10 + e**2 * s01 + e**4 * s02
 
 
 def qstar_norm(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> float:
     """Weighted transport-solution norm (the one the f2 estimates live in)."""
-    e = eps
-    d = delta
-    return (
-        weighted_sup(f, 1.5, d)
-        + weighted_sup(derivative(f, 1, 0), 1.5, d)
-        + weighted_sup(derivative(f, 2, 0), 1.5, d)
-        + e * weighted_sup(derivative(f, 3, 0), 1.5, d)
-        + e**2 * weighted_sup(derivative(f, 0, 1), 1.5, d)
-        + e**2 * weighted_sup(derivative(f, 1, 1), 1.5, d)
-        + e**4 * weighted_sup(derivative(f, 0, 2), 1.5, d)
-        + e**4 * weighted_sup(derivative(f, 1, 2), 1.5, d)
-    )
-
-
-def _norm_pstar(f: RealField2D, eps: float, delta: float) -> float:
-    e = eps
-    d = delta
-    return (
-        weighted_sup(f, 1.5, d)
-        + weighted_sup(derivative(f, 1, 0), 1.5, d)
-        + e**2 * weighted_sup(derivative(f, 0, 1), 1.5, d)
-        + e**4 * weighted_sup(derivative(f, 0, 2), 1.5, d)
-    )
+    return _transport_norms(f, partial(derivative, f), eps, delta)[0]
 
 
 def norm_suite(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> NormSuite:
-    """Evaluate every norm of the suite on one field.
+    """Evaluate every norm of the suite on one field, from one derivative table.
 
     Terms that are trivial for the field's symmetry class are still computed
     and reported; nothing is skipped silently.  Raises NonZeroMean if an
@@ -640,15 +610,20 @@ def norm_suite(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> Norm
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 0.5]")
-    star_terms = star_norm_terms(f, eps, delta)
+    df = cache(partial(derivative, f))
+    star_terms = _star_terms(f, df, eps, delta)
+    qstar, pstar = _transport_norms(f, df, eps, delta)
+    b = _l2_pair(f, df(1, 0))
+    c = _l2_pair(f, df(0, 1))
+    w = lambda g, p: weighted_sup(g, p, delta)
     return NormSuite(
         delta=delta,
         a=star_terms["a"],
-        b=b_norm(f),
-        c=c_norm(f),
+        b=b,
+        c=c,
         star=sum(star_terms.values()),
-        dstar=_norm_dstar(f, delta),
-        tstar=_norm_tstar(f, delta),
-        qstar=qstar_norm(f, eps, delta),
-        pstar=_norm_pstar(f, eps, delta),
+        dstar=b + w(f, 2.5) + w(df(1, 0), 2.5) + w(df(2, 0), 2.5),
+        tstar=c + w(f, 3.0) + w(df(0, 1), 3.0) + w(df(1, 1), 3.0),
+        qstar=qstar,
+        pstar=pstar,
     )

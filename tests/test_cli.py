@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -169,6 +170,26 @@ def test_sidecar_missing_key(tmp_path, capsys, command):
     assert rec["error"] == "ValueError" and "'Lx'" in rec["message"]
 
 
+@pytest.mark.parametrize("command", ["norms", "residual"])
+@pytest.mark.parametrize(
+    "key, value", [("nx", "16"), ("nx", 16.0), ("ny", True), ("Lx", None), ("Ly", "5")]
+)
+def test_sidecar_value_wrong_type(tmp_path, capsys, command, key, value):
+    # a grid value of the wrong type is a validation error naming the key,
+    # not a TypeError traceback from inside make_grid
+    grid = make_grid(16, 16, 5, 5)
+    fio.write_field(tmp_path, "phi", zeros(grid, Symmetry.ODD_X_EVEN_Y))
+    fio.write_field(tmp_path, "f2", zeros(grid, Symmetry.EVEN_X_EVEN_Y))
+    sidecar = tmp_path / "phi.json"
+    meta = json.loads(sidecar.read_text())
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    flag = str(tmp_path / "phi.bin") if command == "norms" else str(tmp_path)
+    assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and repr(key) in rec["message"]
+
+
 @pytest.mark.parametrize("report", ["{}", '{"config": {}}', "[]"])
 def test_residual_report_lacks_epsilon(tmp_path, capsys, report):
     # a report.json without config.epsilon is a validation error, not a traceback
@@ -206,6 +227,10 @@ def test_construct_residual_roundtrip(tmp_path, capsys):
         assert (out / f"{name}.bin").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
+    # the report's star norm is the star column of norms.csv, one evaluation
+    with (out / "norms.csv").open(newline="") as fh:
+        (norms,) = csv.DictReader(fh)
+    assert report["final_phi_star"] == float(norms["star"])
     capsys.readouterr()
     code = main(["residual", "--in", str(out)])
     assert code == 0

@@ -22,7 +22,6 @@ from transonic.linearized import (
     _cosine_values,
     _sine_cosine_coefficients,
     _sine_cosine_values,
-    a_norm,
     apply_L,
     apply_linearized,
     apply_lump_linearization,
@@ -31,8 +30,8 @@ from transonic.linearized import (
     eigen_extremes,
     make_linearized_operator,
     norm_suite,
+    qstar_norm,
     solve_linearized,
-    star_norm,
     star_norm_proxy,
 )
 from transonic.lump import SQRT2, LumpParams, lump_derivative, sample_lump
@@ -209,7 +208,7 @@ class TestSolve:
                 h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=s, kmax=6)
                 h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=50 + s, kmax=6)
                 phi, _ = solve_linearized(op, h1, h2, tol=1e-9)
-                vals.append(a_norm(phi, eps) / (b_norm(h1) + c_norm(h2)))
+                vals.append(norm_suite(phi, eps).a / (b_norm(h1) + c_norm(h2)))
             ratios[n] = max(vals)
         assert ratios[256] <= 2.0 * ratios[128]
         assert ratios[128] <= 2.0 * ratios[256]
@@ -453,4 +452,14 @@ class TestNormSuite:
     def test_proxy_excludes_most_singular_terms(self, rand_field):
         g = make_grid(64, 64, 10, 10)
         f = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=14)
-        assert star_norm_proxy(f, 0.1) <= star_norm(f, 0.1)
+        assert star_norm_proxy(f, 0.1) <= norm_suite(f, 0.1).star
+
+    def test_suite_matches_standalone_norms(self, rand_field):
+        # the suite reads one derivative table; the standalone norms take
+        # their own derivatives, and every sum has the same term order
+        g = make_grid(64, 64, 10, 10)
+        f = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=15)
+        s = norm_suite(f, 0.1)
+        assert s.qstar == qstar_norm(f, 0.1)
+        assert s.b == b_norm(f)
+        assert s.c == c_norm(f)

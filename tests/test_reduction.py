@@ -18,6 +18,7 @@ from transonic.grid import (
     weighted_sup,
     zeros,
 )
+from transonic.linearized import norm_suite
 from transonic.lump import SQRT2, LumpParams, lump_eval, sample_lump
 from transonic.reduction import (
     F0_eval,
@@ -25,6 +26,7 @@ from transonic.reduction import (
     assemble_rhs,
     build_state,
     f0_exponent,
+    f1_derivative,
     f1_from_g1,
     gamma_q_field,
     outer_fixed_point,
@@ -69,6 +71,20 @@ class TestF1:
         dxg1 = derivative(st.g1, 1, 0)
         resid = SQRT2 * dxg1.values - 2.0 * st.f1.values - st.g1.values**2
         assert np.max(np.abs(resid)) <= 1e-10
+
+    @pytest.mark.parametrize("order", [(1, 0), (0, 1), (2, 0), (0, 2)])
+    def test_product_rule_orders(self, rand_field, order):
+        # g1 band-limited to |k| < n/6, so g1^2 is not aliased and the
+        # spectral derivative of f1 is exact to rounding
+        g = make_grid(64, 64, 10, 10)
+        g1 = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=3, kmax=8)
+        got = f1_derivative(lambda m, n: derivative(g1, m, n).values, *order)
+        ref = derivative(f1_from_g1(g1), *order).values
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_product_rule_order_guard(self):
+        with pytest.raises(ValueError, match="f1 order"):
+            f1_derivative(lambda m, n: np.zeros(1), 1, 1)
 
 
 class TestF0:
@@ -398,6 +414,14 @@ class TestBuildState:
 
 
 class TestDerivativeTable:
+    def test_g1_orders_memoized_and_read_only(self, rand_field):
+        phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=4, amplitude=1e-3)
+        d = build_state(0.1, SMALL, phi=phi).derivs
+        g1_x = d.g1_d(1, 0)
+        assert d.g1_d(1, 0) is g1_x
+        assert not g1_x.flags.writeable
+        assert np.array_equal(g1_x, d.q_d(1, 0) + derivative(phi, 1, 0).values)
+
     def test_lump_work_independent_of_iterations(self, monkeypatch):
         # the lump derivatives sampled on the grid and on the quarter lines
         # of the x-refined transport grid (sample_lump, Gamma_q, the
@@ -512,7 +536,7 @@ class TestOuterFixedPoint:
         g = make_grid(64, 64, 20, 20)
         state, rep = outer_fixed_point(0.0, g)
         assert rep.iterations == 1
-        assert rep.final_phi_star == 0.0
+        assert norm_suite(state.phi, 0.0).star == 0.0
         assert np.max(np.abs(state.phi.values)) == 0.0
         assert state.f2 is not None
 
@@ -526,7 +550,7 @@ class TestOuterFixedPoint:
         state, rep = outer_fixed_point(0.2, g, tol=1e-8)
         assert rep.converged
         assert all(r < 1.0 for r in rep.contraction_ratios)
-        assert rep.final_phi_star > 0
+        assert norm_suite(state.phi, 0.2).star > 0
         # updates decay monotonically after the first step
         ups = rep.update_star_norms
         assert all(ups[i + 1] < ups[i] for i in range(1, len(ups) - 1))
