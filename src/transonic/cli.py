@@ -40,7 +40,7 @@ from .kernel import (
     kernel_residue_eval,
 )
 from .linearized import make_linearized_operator, eigen_extremes, norm_suite
-from .lump import LumpParams, kpi_residual, linearized_kernel_residuals, sample_lump
+from .lump import LumpParams, check_eps, kpi_residual, linearized_kernel_residuals, sample_lump
 from .reduction import build_state, outer_fixed_point, transport_residual
 from .gp import gp_system_residual
 
@@ -68,9 +68,8 @@ class RunConfig:
     # ``asdict`` and the reports leave it out
     given = frozenset()
 
-    def validate(self) -> None:
-        if not (0.0 <= self.epsilon <= 0.5):
-            raise ValueError("epsilon out of supported range [0, 0.5]")
+    def validate(self, command: str) -> None:
+        check_eps(self.epsilon, command)
         if self.preset not in ("normalized", "gp"):
             raise ValueError(f"unknown preset {self.preset!r}")
         if not (0.0 < self.delta <= 0.5):
@@ -163,7 +162,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, val)
             given.add(key)
     cfg.given = frozenset(given)
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 
@@ -337,6 +336,7 @@ def cmd_residual(cfg: RunConfig, args) -> int:
         if not isinstance(config, dict) or "epsilon" not in config:
             raise ValueError(f"{report_path}: report lacks 'config.epsilon'")
         eps = float(config["epsilon"])
+        check_eps(eps, "residual")
     else:
         eps = cfg.epsilon
     phi = fio.read_field(indir / "phi.bin")

@@ -165,6 +165,27 @@ def _reflect(v: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.concatenate([v[:1], v[:0:-1]]), 0, axis)
 
 
+def _kept(n: int, parity: int) -> slice:
+    """Indices that fix data of ``parity`` on n points: 0..n/2, or 1..n/2-1 if odd."""
+    return slice(0, n // 2 + 1) if parity > 0 else slice(1, n // 2)
+
+
+def _quarter(v: np.ndarray, px: int, py: int) -> np.ndarray:
+    """The quarter box of data of parities (px, py) along the leading two axes."""
+    return v[_kept(v.shape[0], px), _kept(v.shape[1], py)]
+
+
+def _unfold(q: np.ndarray, px: int, py: int) -> np.ndarray:
+    """Inverse of ``_quarter``: the full period of the data from its quarter box."""
+    nx, ny = 2 * (q.shape[0] - px), 2 * (q.shape[1] - py)
+    hx, hy = nx // 2, ny // 2
+    out = np.zeros((nx, ny) + q.shape[2:])
+    out[_kept(nx, px), _kept(ny, py)] = q
+    np.multiply(out[: hx + 1, hy - 1 : 0 : -1], py, out=out[: hx + 1, hy + 1 :])
+    np.multiply(out[hx - 1 : 0 : -1], px, out=out[hx + 1 :])
+    return out
+
+
 def _symmetry_defect(values: np.ndarray, symmetry: Symmetry) -> float:
     """Max relative deviation of ``values`` from its declared parity."""
     scale = float(np.max(np.abs(values)))
@@ -274,16 +295,38 @@ def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
 
 
 def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> RealField2D:
-    """The Fourier multiplier ``factors`` (rfft2 layout, applied one after
-    another) acting on ``f``, projected onto ``symmetry`` and tagged with it.
-
-    Every full-grid spectral operation of the package goes through here.
+    """The Fourier multiplier ``factors`` (rfft2 layout, their product) acting
+    on ``f``, tagged ``symmetry``: every full-grid spectral operation of the
+    package.  Between parity classes it runs on the quarter box, where the
+    DFT of even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I (-i times
+    the DST-I) of its samples (Martucci 1994): each complex factor (one per
+    axis at most, varying along it) is made real by the classes' phases, and
+    the output is in its class by construction.  Untagged data take rfft2.
     """
-    hat = sfft.rfft2(f.values)
+    grid = f.grid
+    pin, pout = (f.symmetry.x_parity, f.symmetry.y_parity), (symmetry.x_parity, symmetry.y_parity)
+    if 0 in pin + pout:
+        hat = sfft.rfft2(f.values)
+        for factor in factors:
+            hat *= factor
+        vals = sfft.irfft2(hat, s=(grid.nx, grid.ny))
+        return _tagged(grid, _project_parity(vals, symmetry), symmetry)
+    q = _quarter(f.values, *pin)
+    for axis, p in enumerate(pin):
+        q = (sfft.dct if p > 0 else sfft.dst)(q, type=1, axis=axis, overwrite_x=axis > 0)
+    rows = lambda p: (_kept(grid.nx, p[0]), _kept(grid.ny, p[1]))
+    hat = np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1))
+    hat[rows(pin)] = q
     for factor in factors:
-        hat *= factor
-    vals = sfft.irfft2(hat, s=(f.grid.nx, f.grid.ny))
-    return _tagged(f.grid, _project_parity(vals, symmetry), symmetry)
+        if np.iscomplexobj(factor):
+            axis = int(factor.shape[0] == 1)
+            # phase(in) / phase(out), with phase(even) = 1 and phase(odd) = -i
+            factor = ((-1j) ** ((pin[axis] - pout[axis]) // -2) * factor).real
+        hat *= factor[: grid.nx // 2 + 1]
+    q = hat[rows(pout)]
+    for axis, p in enumerate(pout):
+        q = (sfft.idct if p > 0 else sfft.idst)(q, type=1, axis=axis, overwrite_x=True)
+    return _tagged(grid, _unfold(q, *pout), symmetry)
 
 
 def _ik_power(k: np.ndarray, order: int) -> np.ndarray:

@@ -32,8 +32,8 @@ from scipy import integrate
 
 from .errors import ImaginaryResidue, QuadratureNotConverged
 from .grid import Grid2D, RealField2D, Symmetry, _ik_power
+from .lump import SQRT2, check_eps
 
-SQRT2 = math.sqrt(2.0)
 QUAD_TOL = 1e-8
 
 ALLOWED_ORDERS = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)}
@@ -63,8 +63,7 @@ class KernelSymbolParams:
     def __post_init__(self):
         if not (self.a4 > 0 and self.a2 > 0 and self.b2 > 0 and self.g > 0 and self.d4 > 0):
             raise ValueError("all symbol coefficients must be positive")
-        if not (0 < self.eps <= 0.5):
-            raise ValueError("eps must lie in (0, 0.5]")
+        check_eps(self.eps, "kernel")
 
 
 def symbol_eval(p: KernelSymbolParams, xi1, xi2):
@@ -164,8 +163,7 @@ class DispersionRoots:
 
 def dispersion_roots(eps: float) -> DispersionRoots:
     """Branch point c_eps of the normalized discriminant, by the closed form."""
-    if not (0 < eps <= 0.5):
-        raise ValueError("eps must lie in (0, 0.5]")
+    check_eps(eps, "kernel")
     e2 = eps**2
     c2 = (1.0 - 2.0 * e2 + 2.0 * math.sqrt(1.0 - e2 + e2 * e2)) / (3.0 * e2)
     return DispersionRoots(eps=eps, c_eps=math.sqrt(c2))

@@ -36,9 +36,12 @@ from .grid import (
     RealField2D,
     Symmetry,
     _check_zero_x_mean,
+    _kept,
     _multiplied,
-    _reflect,
+    _project_parity,
+    _quarter,
     _tagged,
+    _unfold,
     antiderivative_x,
     dealias,
     derivative,
@@ -147,15 +150,15 @@ def solve_linearized(
 
     Preconditioned MINRES (Paige & Saunders), the method for this symmetric
     indefinite problem (one negative direction, the Morse-index one), on the
-    sine-cosine coefficients of the quarter box (``_sine_cosine_coefficients``),
+    sine-cosine coefficients of the quarter box (``_coefficients``),
     where the constant symbol and the preconditioner, its inverse, are diagonal.
     MINRES stops on the preconditioned residual, in which the inverse
     fourth-order symbol damps the high frequencies, while the verdict is the
     plain relative L2 residual of ``apply_linearized`` on the full grid; so
     MINRES restarts from its own iterate until the plain residual meets
     ``tol``, for at most ``_MINRES_PASSES`` passes of ``40 * max_iter``
-    iterations each.  The first pass starts from ``x0`` (an odd_x_even_y
-    field, such as the previous solution of a fixed-point iteration) if given.
+    iterations each.  The first pass starts from ``x0`` (a field tagged
+    odd_x_even_y, such as the previous solution of a fixed-point iteration) if given.
     """
     if h1.symmetry is not Symmetry.EVEN_X_EVEN_Y:
         raise SymmetryViolation("h1 must be tagged even_x_even_y")
@@ -186,15 +189,15 @@ def solve_linearized(
 
     A = LinearOperator((ntot, ntot), matvec=matvec, dtype=float)
     M = LinearOperator((ntot, ntot), matvec=lambda v: v / sym.ravel(), dtype=float)
-    b = _sine_cosine_coefficients(rhs.values[..., None]).ravel()
-    sol = None if x0 is None else _sine_cosine_coefficients(x0.values[..., None]).ravel()
+    b = _coefficients(rhs.values[..., None], -1).ravel()
+    sol = None if x0 is None else _coefficients(x0.values[..., None], -1).ravel()
     # MINRES applies A once per iteration, and once more for the residual of
     # a given start
     starts = 0
     for _ in range(_MINRES_PASSES):
         starts += sol is not None
         sol, info = minres(A, b, x0=sol, M=M, rtol=tol * 1e-2, maxiter=40 * max_iter)
-        vals = _sine_cosine_values(sol.reshape(sym.shape))[..., 0]
+        vals = _values(sol.reshape(sym.shape), -1)[..., 0]
         phi = _tagged(grid, vals, Symmetry.ODD_X_EVEN_Y)
         res = l2_norm(apply_linearized(op, phi) - rhs) / rhs_norm
         if res <= tol:
@@ -263,85 +266,53 @@ class EigenResult:
     solver: str
 
 
-# The quarter-box cosine and sine bases.  On the periodic grid the even
-# reflection about index 0 fixes the nodes 0 and n/2, so an even field is
-# fixed by its n/2 + 1 samples on indices 0..n/2, and its DFT is exactly the
-# DCT-I of those samples; an odd field vanishes at both nodes, and its DFT is
-# exactly -i times the DST-I of its samples on indices 1..n/2-1.  With the
-# trapezoid weights w = (1, 2, ..., 2, 1) the full-grid sum of f g equals
-# sum w_p w_q f_pq g_pq; so the orthonormal DCT-I (DST-I along an odd axis)
-# of sqrt(w_p w_q) f_pq is an isometry from the fields of one parity class
-# (full grid, Euclidean) onto their coefficients.  The coefficient (m, l) is
-# sqrt(w_m w_l / (nx ny)) times the DFT coefficient (i times it along a sine
-# axis), so every Fourier symbol acts on it as a diagonal multiply, and the
-# cosine row m = 0 holds the x-means of the y-lines.
+# The quarter-box cosine and sine bases.  An even (odd) field is fixed by its
+# quarter box (``grid._quarter``), whose DCT-I (DST-I) is its DFT, as in
+# ``grid._multiplied``.  With the trapezoid weights w = (1, 2, ..., 2, 1) the
+# full-grid sum of f g equals sum w_p w_q f_pq g_pq; so the orthonormal DCT-I
+# (DST-I along an odd axis) of sqrt(w_p w_q) f_pq is an isometry from the
+# fields of one parity class (full grid, Euclidean) onto their coefficients.
+# The coefficient (m, l) is sqrt(w_m w_l / (nx ny)) times the DFT coefficient
+# (i times it along a sine axis), so every Fourier symbol acts on it as a
+# diagonal multiply, and the cosine row m = 0 holds the x-means of the y-lines.
 
 
-def _fold(v: np.ndarray, axis: int, parity: int) -> np.ndarray:
-    """Parity part (+1 even, -1 odd) of periodic samples along ``axis``, kept
-    on indices 0..n/2 (even) or 1..n/2-1 (odd)."""
-    v = np.moveaxis(v, axis, 0)
-    n = v.shape[0]
-    part = 0.5 * (v + parity * _reflect(v, 0))
-    return np.moveaxis(part[: n // 2 + 1] if parity > 0 else part[1 : n // 2], 0, axis)
-
-
-def _unfold(q: np.ndarray, axis: int, parity: int) -> np.ndarray:
-    """Inverse of ``_fold`` on data of that parity: the kept samples to the period."""
-    q = np.moveaxis(q, axis, 0)
-    if parity < 0:
-        zero = np.zeros_like(q[:1])
-        q = np.concatenate([zero, q, zero])
-    return np.moveaxis(np.concatenate([q, parity * q[-2:0:-1]]), 0, axis)
-
-
-def _quarter_weights(nx: int, ny: int) -> np.ndarray:
-    """sqrt(w_p w_q) on the quarter box, shaped (nx/2+1, ny/2+1, 1)."""
+def _quarter_weights(nx: int, ny: int, px: int) -> np.ndarray:
+    """sqrt(w_p w_q) on the quarter box of parity px in x, even in y, shaped (.., .., 1)."""
     sx, sy = (np.sqrt(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]) for n in (nx, ny))
-    return (sx[:, None] * sy[None, :])[..., None]
+    return (sx[:, None] * sy[None, :])[_kept(nx, px), :, None]
 
 
-def _cosine_coefficients(vals: np.ndarray) -> np.ndarray:
-    """Full-grid columns (nx, ny, b) to the orthonormal cosine coefficients
-    of their even/even, zero-x-mean projection, rows m = 1..nx/2."""
-    quarter = _fold(_fold(vals, 0, 1), 1, 1)
-    quarter *= _quarter_weights(vals.shape[0], vals.shape[1])
-    return sfft.dctn(quarter, type=1, axes=(0, 1), norm="ortho")[1:]
+def _ortho(q: np.ndarray, px: int) -> np.ndarray:
+    """Orthonormal DCT-I (px = 1) or DST-I (px = -1) in x, DCT-I in y: self-inverse."""
+    if px > 0:
+        return sfft.dctn(q, type=1, axes=(0, 1), norm="ortho")
+    return sfft.dct(sfft.dst(q, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
 
 
-def _cosine_values(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of ``_cosine_coefficients``: rows m = 1..nx/2 to full-grid
-    columns, exactly even in x and y and of zero x-mean."""
-    padded = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
-    quarter = sfft.dctn(padded, type=1, axes=(0, 1), norm="ortho")
-    quarter /= _quarter_weights(2 * coeffs.shape[0], 2 * (coeffs.shape[1] - 1))
-    return _unfold(_unfold(quarter, 0, 1), 1, 1)
+def _coefficients(vals: np.ndarray, px: int) -> np.ndarray:
+    """Full-grid columns (nx, ny, b) of parity px in x, even in y, to their
+    orthonormal coefficients: the cosine rows m = 1..nx/2 (dropping the
+    x-means) or the sine rows m = 1..nx/2-1."""
+    coeffs = _ortho(_quarter(vals, px, 1) * _quarter_weights(vals.shape[0], vals.shape[1], px), px)
+    return coeffs[1:] if px > 0 else coeffs
 
 
-def _sine_cosine_coefficients(vals: np.ndarray) -> np.ndarray:
-    """Full-grid columns (nx, ny, b) to the orthonormal DST-I(x) x DCT-I(y)
-    coefficients of their odd/even projection, rows m = 1..nx/2-1."""
-    quarter = _fold(_fold(vals, 0, -1), 1, 1)
-    quarter *= _quarter_weights(vals.shape[0], vals.shape[1])[1:-1]
-    return sfft.dct(sfft.dst(quarter, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-
-
-def _sine_cosine_values(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of ``_sine_cosine_coefficients``: full-grid columns, exactly
-    odd in x and even in y."""
-    quarter = sfft.dct(sfft.dst(coeffs, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
-    quarter /= _quarter_weights(2 * (coeffs.shape[0] + 1), 2 * (coeffs.shape[1] - 1))[1:-1]
-    return _unfold(_unfold(quarter, 0, -1), 1, 1)
+def _values(coeffs: np.ndarray, px: int) -> np.ndarray:
+    """Inverse of ``_coefficients``: full-grid columns, exactly in their class."""
+    if px > 0:
+        coeffs = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
+    quarter = _ortho(coeffs, px)
+    quarter /= _quarter_weights(2 * (coeffs.shape[0] - px), 2 * (coeffs.shape[1] - 1), px)
+    return _unfold(quarter, px, 1)
 
 
 def _quarter_potential(op: LinearizedOperator) -> Callable[[np.ndarray], np.ndarray]:
     """T[(T dq) f] on cosine coefficients (nx/2+1, ny/2+1, b) of the quarter
-    box, overwriting them.  T dq comes from an unnormalized DCT-I pair, which
-    is the rfft2/irfft2 round trip of an even/even field."""
+    box, overwriting them."""
     grid = op.dq.grid
     mask = grid.dealias_mask[: grid.nx // 2 + 1, :, None]
-    dq_quarter = op.dq.values[: grid.nx // 2 + 1, : grid.ny // 2 + 1]
-    tdq = sfft.dctn(sfft.dctn(dq_quarter, type=1) * mask[..., 0], type=1) / (grid.nx * grid.ny)
+    tdq = _quarter(dealias(op.dq).values, 1, 1)
 
     def product(tv: np.ndarray) -> np.ndarray:
         tv *= mask
@@ -363,7 +334,7 @@ def eigen_extremes(
     subspace, by LOBPCG with the constant-coefficient symbol as preconditioner.
 
     The operator acts on the orthonormal cosine coefficients of the quarter
-    box (see ``_cosine_coefficients``), so parity and zero x-mean hold by
+    box (see ``_coefficients``), so parity and zero x-mean hold by
     construction: the constant and nonlocal symbols are diagonal, and only
     the potential term transforms, once per block.  The potential term masks
     its input and its output with the 2/3 dealias mask, so on these
@@ -419,12 +390,13 @@ def eigen_extremes(
 
     rng = np.random.default_rng(seed)
     block = k + 3
+    even = partial(_project_parity, symmetry=Symmetry.EVEN_X_EVEN_Y)
     start = np.empty((nx, ny, block))
     # seed the ground-state direction with the lump potential well shape
-    start[:, :, 0] = -op.dq.values * np.exp(-0.05 * grid.r**2)
+    start[:, :, 0] = even(-op.dq.values * np.exp(-0.05 * grid.r**2))
     for j in range(1, block):
-        start[:, :, j] = rng.standard_normal((nx, ny))
-    X = _cosine_coefficients(start)[:ax, :ay].reshape(unknowns, block)
+        start[:, :, j] = even(rng.standard_normal((nx, ny)))
+    X = _coefficients(start, 1)[:ax, :ay].reshape(unknowns, block)
 
     with warnings.catch_warnings():
         # the residual check below gives the verdict; a small problem is
@@ -452,7 +424,7 @@ def eigen_extremes(
     coeffs = np.zeros((mx, my + 1, k))
     coeffs[:ax, :ay, won] = vecs_in.reshape(ax, ay, -1)
     coeffs.reshape(-1, k)[order[~won] - vals.size, np.flatnonzero(~won)] = 1.0
-    full = _cosine_values(coeffs)
+    full = _values(coeffs, 1)
     pairs = []
     for j in range(k):
         f = RealField2D(grid, full[:, :, j])

@@ -19,7 +19,20 @@ import numpy as np
 from .grid import Grid2D, RealField2D, Symmetry, symmetrize
 
 SQRT2 = math.sqrt(2.0)
-EPS_MAX = 0.5
+
+# Valid eps per subcommand; LumpParams reads lump-check's, the kernel symbol kernel's.
+EPS_RANGES = {"lump-check": "[0, 0.5)", "eigen": "[0, 0.5)", "norms": "[0, 0.5)",
+              "kernel": "(0, 0.5]", "kernel-scan": "(0, 0.5]",
+              "construct": "[0, 0.3]", "residual": "[0, 0.3]"}
+
+
+def check_eps(eps: float, command: str) -> None:
+    """Raise ValueError, naming the range, unless ``eps`` is valid for ``command``."""
+    span = EPS_RANGES[command]
+    lo, hi = (float(t) for t in span[1:-1].split(","))
+    above = lo <= eps if span[0] == "[" else lo < eps
+    if not (above and (eps <= hi if span[-1] == "]" else eps < hi)):
+        raise ValueError(f"epsilon {eps} is outside {span}, the range of {command}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +47,7 @@ class LumpParams:
 
     @staticmethod
     def from_epsilon(eps: float) -> "LumpParams":
-        if eps < 0 or eps >= EPS_MAX:
-            raise ValueError(f"eps must lie in [0, {EPS_MAX}), got {eps}")
+        check_eps(eps, "lump-check")
         s = 2.0 * SQRT2 - eps**2
         A = (2.0 * SQRT2 / s) ** 2 * math.sqrt(8.0 - 2.0 * SQRT2 * eps**2)
         B = s / (2.0 * SQRT2)

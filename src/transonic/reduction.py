@@ -64,7 +64,7 @@ from .linearized import (
     solve_linearized,
     star_norm_proxy,
 )
-from .lump import SQRT2, LumpParams, lump_derivative, sample_lump
+from .lump import SQRT2, LumpParams, check_eps, lump_derivative, sample_lump
 
 
 def f1_derivative(g1_d: Callable[[int, int], np.ndarray], m: int, n: int) -> np.ndarray:
@@ -652,8 +652,7 @@ def outer_fixed_point(
     transport Picard starts from the previous step's fine f2, and its MINRES
     from the previous phi.
     """
-    if not (0.0 <= eps <= 0.3):
-        raise ValueError("eps must lie in [0, 0.3]")
+    check_eps(eps, "construct")
     state = build_state(eps, grid)
     if eps == 0.0:
         state = replace(state, f2=solve_f2(state))

@@ -11,8 +11,9 @@ import pytest
 import transonic
 import transonic.io as fio
 import transonic.kernel as K
-from transonic.cli import main
+from transonic.cli import build_parser, load_config, main
 from transonic.grid import Symmetry, make_grid, zeros
+from transonic.lump import EPS_RANGES
 
 SMALL = ["--nx", "64", "--ny", "64", "--Lx", "20", "--Ly", "20"]
 
@@ -188,6 +189,49 @@ def test_sidecar_value_wrong_type(tmp_path, capsys, command, key, value):
     assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError" and repr(key) in rec["message"]
+
+
+# the epsilon just outside each end of every subcommand's range, and just
+# inside it where the end is open
+EPS_EDGES = {
+    "lump-check": (-1e-3, 0.0, 0.499, 0.5),
+    "eigen": (-1e-3, 0.0, 0.499, 0.5),
+    "norms": (-1e-3, 0.0, 0.499, 0.5),
+    "kernel": (0.0, 1e-3, 0.5, 0.501),
+    "kernel-scan": (0.0, 1e-3, 0.5, 0.501),
+    "construct": (-1e-3, 0.0, 0.3, 0.301),
+    "residual": (-1e-3, 0.0, 0.3, 0.301),
+}
+EPS_FLAGS = {
+    "kernel": ["--m", "1", "--n", "0", "--x", "1", "--y", "1"],
+    "kernel-scan": ["--m", "1", "--n", "0"],
+    "norms": ["--in", "missing.bin"],
+    "residual": ["--in", "missing"],
+}
+
+
+@pytest.mark.parametrize("command, side", [(c, s) for c in EPS_EDGES for s in ("low", "high")])
+def test_epsilon_range_checked_before_work(tmp_path, capsys, command, side):
+    # out of range: exit 1 with one JSON line naming the subcommand's range,
+    # before any input is read or output written; the edge itself is accepted
+    low_out, low_in, high_in, high_out = EPS_EDGES[command]
+    outside, inside = (low_out, low_in) if side == "low" else (high_out, high_in)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)] + SMALL + EPS_FLAGS.get(command, [])
+    assert main(argv + ["--epsilon", str(outside)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError"
+    assert EPS_RANGES[command] in rec["message"] and command in rec["message"]
+    assert not out.exists()
+    args = build_parser().parse_args(argv + ["--epsilon", str(inside)])
+    assert load_config(args).epsilon == inside
+
+
+def test_residual_checks_the_stored_epsilon(tmp_path, capsys):
+    (tmp_path / "report.json").write_text('{"config": {"epsilon": 0.4}}')
+    assert main(["residual", "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "[0, 0.3]" in rec["message"]
 
 
 @pytest.mark.parametrize("report", ["{}", '{"config": {}}', "[]"])

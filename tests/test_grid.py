@@ -1,9 +1,11 @@
 import importlib
 import math
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 import transonic
 import transonic.grid as grid_module
@@ -12,6 +14,7 @@ from transonic.errors import GridMismatch, NonZeroMean, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
+    _ik_power,
     _symmetry_defect,
     antiderivative_x,
     constant,
@@ -25,6 +28,7 @@ from transonic.grid import (
     zeros,
 )
 from transonic.io import read_field, write_field
+from transonic.linearized import _constant_symbol, apply_L, make_linearized_operator
 from transonic.lump import LumpParams, lump_derivative, lump_eval, sample_lump
 
 
@@ -273,9 +277,9 @@ def _inverse_ik(k):
 
 
 class TestProjectionRemovesOnlyRoundoff:
-    """Every operation projects its output onto the tag it computes.  Against
-    an unprojected FFT reference that costs only roundoff; a wrong tag would
-    project the field away and fail here."""
+    """Every operation builds its output in the class of the tag it computes.
+    Against an unprojected FFT reference that costs only roundoff; a wrong tag
+    would drop the field's part in the other classes and fail here."""
 
     GRID = make_grid(64, 64, 9, 9)
     # a derivative of order m + n scales the transform roundoff near the
@@ -318,6 +322,116 @@ class TestProjectionRemovesOnlyRoundoff:
         ref = _fourier_multiply(self.GRID, f.values, keep, keep)
         assert np.max(np.abs(ref - f.values)) > 1e-3  # the truncation does something
         self._assert_close(dealias(f).values, ref, sym.value)
+
+
+def _rfft_route(f, *factors):
+    """The multiplier ``factors`` by a plain rfft2/irfft2 round trip, with no
+    parity projection."""
+    hat = sfft.rfft2(f.values)
+    for factor in factors:
+        hat = hat * factor
+    return sfft.irfft2(hat, s=f.values.shape)
+
+
+class TestQuarterBoxMultiplier:
+    """Tagged multipliers run on the quarter box (one DCT-I or DST-I per axis
+    and its inverse); against the rfft2 route they cost only roundoff, on a
+    non-square grid with content up to both Nyquist wavenumbers."""
+
+    GRID = make_grid(64, 32, 9, 5)
+
+    def _field(self, sym, seed, zero_mean=False):
+        raw = np.random.default_rng(seed).standard_normal((self.GRID.nx, self.GRID.ny))
+        vals = symmetrize(RealField2D(self.GRID, raw), sym).values
+        if zero_mean:
+            vals = vals - vals.mean(axis=0)
+        f = RealField2D(self.GRID, vals, sym)
+        hat = np.abs(sfft.rfft2(f.values))
+        if sym.x_parity > 0:
+            assert np.max(hat[self.GRID.nx // 2]) > 1e-3 * np.max(hat)
+        if sym.y_parity > 0:
+            assert np.max(hat[:, -1]) > 1e-3 * np.max(hat)
+        return f
+
+    @staticmethod
+    def _assert_close(got, ref, what):
+        assert got.symmetry is not Symmetry.NONE
+        err = np.max(np.abs(got.values - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref)), f"{what}: {err:.3e}"
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_derivative(self, sym):
+        f = self._field(sym, seed=31)
+        for m in range(5):
+            for n in range(5):
+                if m == n == 0:
+                    continue
+                factors = [_ik_power(self.GRID.kx, m)[:, None],
+                           _ik_power(self.GRID.ky_r, n)[None, :]]
+                got = derivative(f, m, n)
+                assert got.symmetry is sym.differentiated(m, n)
+                self._assert_close(got, _rfft_route(f, *factors), f"{sym.value} ({m}, {n})")
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_antiderivative_x(self, sym):
+        f = self._field(sym, seed=32, zero_mean=True)
+        kx = self.GRID.kx
+        inv = np.zeros(kx.shape, dtype=complex)
+        inv[kx != 0] = 1.0 / (1j * kx[kx != 0])
+        inv[self.GRID.nx // 2] = 0.0
+        self._assert_close(antiderivative_x(f), _rfft_route(f, inv[:, None]), sym.value)
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_dealias(self, sym):
+        f = self._field(sym, seed=33)
+        self._assert_close(dealias(f), _rfft_route(f, self.GRID.dealias_mask), sym.value)
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_constant_symbol(self, sym):
+        f = self._field(sym, seed=34)
+        symbol = _constant_symbol(make_linearized_operator(0.1, self.GRID), self.GRID)
+        got = grid_module._multiplied(f, sym, symbol)
+        self._assert_close(got, _rfft_route(f, symbol), sym.value)
+
+
+def test_construct_takes_no_full_grid_transform(tmp_path, monkeypatch):
+    # a construction multiplies only tagged fields, all on the quarter box: no
+    # rfft2/irfft2 call and no projection of a tagged field; untagged data
+    # (apply_L) keep the rfft2 route, byte for byte
+    calls = []
+
+    def counted(name):
+        real = getattr(sfft, name)
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(sfft, name, counted(name))
+    project = grid_module._project_parity
+    projected = []
+
+    def recorded(vals, symmetry):
+        caller = sys._getframe(1)
+        f = caller.f_locals.get("f", caller.f_locals.get("self"))
+        projected.append((caller.f_code.co_name, getattr(f, "symmetry", None)))
+        return project(vals, symmetry)
+
+    for info in pkgutil.iter_modules(transonic.__path__):
+        mod = importlib.import_module(f"transonic.{info.name}")
+        if getattr(mod, "_project_parity", None) is project:
+            monkeypatch.setattr(mod, "_project_parity", recorded)
+    run = str(tmp_path / "c")
+    assert main(["construct", "--epsilon", "0.2", "--tol", "1e-6", "--out", run] + SMALL) == 0
+    assert calls == []
+    assert projected and all(sym is Symmetry.NONE for _, sym in projected), set(projected)
+
+    g = make_grid(64, 64, 20, 20)
+    psi = RealField2D(g, np.random.default_rng(5).standard_normal((64, 64)))
+    psi = RealField2D(g, psi.values - psi.values.mean(axis=0))
+    apply_L(make_linearized_operator(0.1, g), psi)
+    assert calls.count("rfft2") > 0 and calls.count("irfft2") > 0
+    factor = _ik_power(g.kx, 2)[:, None]
+    got = grid_module._multiplied(psi, Symmetry.NONE, factor).values
+    assert np.array_equal(got, sfft.irfft2(sfft.rfft2(psi.values) * factor, s=(64, 64)))
 
 
 class TestTagInvariant:

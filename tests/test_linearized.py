@@ -7,6 +7,7 @@ from transonic.errors import NonZeroMean, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
+    _project_parity,
     antiderivative_x,
     constant,
     derivative,
@@ -18,10 +19,8 @@ from transonic.grid import (
 )
 from transonic.linearized import (
     LinearizedOperator,
-    _cosine_coefficients,
-    _cosine_values,
-    _sine_cosine_coefficients,
-    _sine_cosine_values,
+    _coefficients,
+    _values,
     apply_L,
     apply_linearized,
     apply_lump_linearization,
@@ -316,9 +315,9 @@ def test_cosine_basis_is_isometric_projection():
     g = make_grid(32, 16, 5, 5)
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((g.nx, g.ny, 2))
-    coeffs = _cosine_coefficients(raw)
+    coeffs = _coefficients(_project_parity(raw, Symmetry.EVEN_X_EVEN_Y), 1)
     assert coeffs.shape == (g.nx // 2, g.ny // 2 + 1, 2)
-    back = _cosine_values(coeffs)
+    back = _values(coeffs, 1)
     for j in range(2):
         proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.EVEN_X_EVEN_Y).values
         proj = proj - proj.mean(axis=0, keepdims=True)
@@ -367,9 +366,9 @@ def test_sine_cosine_basis_is_isometric_projection():
     g = make_grid(32, 16, 5, 5)
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((g.nx, g.ny, 2))
-    coeffs = _sine_cosine_coefficients(raw)
+    coeffs = _coefficients(_project_parity(raw, Symmetry.ODD_X_EVEN_Y), -1)
     assert coeffs.shape == (g.nx // 2 - 1, g.ny // 2 + 1, 2)
-    back = _sine_cosine_values(coeffs)
+    back = _values(coeffs, -1)
     for j in range(2):
         proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.ODD_X_EVEN_Y).values
         assert np.max(np.abs(back[:, :, j] - proj)) <= 1e-13
