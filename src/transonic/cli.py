@@ -46,8 +46,11 @@ from .gp import gp_system_residual
 
 COMMANDS = ("lump-check", "kernel", "kernel-scan", "eigen", "norms", "construct", "residual")
 
-VALIDATION_ERRORS = (ValueError, GuardViolated, SymmetryViolation, NonZeroMean, FileNotFoundError)
-SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, ImaginaryResidue)
+VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, FileNotFoundError)
+# eps is range-checked before any work, so a GuardViolated (the transport
+# amplitude guard of ``solve_f2``) says the grid is too coarse: a solver verdict
+SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, ImaginaryResidue,
+                 GuardViolated)
 
 
 @dataclass
@@ -269,6 +272,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         "eigenvalues": [p.eigenvalue for p in res.pairs],
         "epsilon": cfg.epsilon,
         "iterations": res.iterations,
+        "block": res.block,
         "max_residual": res.max_residual,
         "unknowns": res.unknowns,
         "solver": res.solver,

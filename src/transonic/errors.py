@@ -31,7 +31,7 @@ class ImaginaryResidue(TransonicError):
 
 
 class GuardViolated(TransonicError):
-    """An input left the regime in which a contraction is guaranteed."""
+    """A solve left the regime in which its contraction is guaranteed."""
 
 
 class MultipleNegative(TransonicError):

@@ -54,6 +54,16 @@ from .lump import SQRT2, LumpParams, sample_lump
 DELTA_DEFAULT = 0.1
 # restarts of MINRES from its own iterate in ``solve_linearized``
 _MINRES_PASSES = 3
+# LOBPCG's preconditioner in ``eigen_extremes`` is 1 / (S - c2 + gap): the
+# wanted eigenvalues sit just below the continuum edge c2.  At 512^2,
+# eps = 0.1, k = 4, block k + 1, seeds 2-6, the gaps 1, 0.5, 0.25 and 0.1
+# took 40-46, 44-47, 56-59 and 70-76 iterations, and (S + 1)^-1 took 81-97
+_PRECONDITIONER_GAP = 1.0
+# LOBPCG is asked for tol times this: it returns the iterate of least mean
+# residual, so one pair can miss the target it was given, while the verdict
+# holds every pair to tol.  At 512^2, k = 4, eps in {0, 0.1, 0.2}, seeds 2-7,
+# the verdict failed 2 of 18 runs at factor 1, 1 at 1/2 and none at 1/4
+_LOBPCG_TOL_FACTOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -173,19 +183,21 @@ def solve_linearized(
     mx, my = grid.nx // 2, grid.ny // 2
     ntot = (mx - 1) * (my + 1)
     sym = _constant_symbol(op, grid)[1:mx, :, None]
-    kx = grid.kx[1:mx, None, None]
-    potential = _quarter_potential(op)
+    ax, ay = _dealias_rectangle(grid)
+    kx = grid.kx[1 : ax + 1, None, None]
+    potential = _quarter_potential(op, op.coeff_nl)
     applies = 0
 
     def matvec(v: np.ndarray) -> np.ndarray:
         nonlocal applies
         applies += 1
         # the coupling -dx T[(T dq)(T dx phi)]: dx takes sine to cosine
-        # coefficients by a multiply by kx, and cosine to sine ones by -kx
+        # coefficients by a multiply by kx, and cosine to sine ones by -kx;
+        # T keeps the sine rows 1..ax of the dealias rectangle
         c = v.reshape(sym.shape)
-        tv = np.zeros((mx + 1, my + 1, 1))
-        tv[1:mx] = kx * c
-        return (sym * c + op.coeff_nl * kx * potential(tv)[1:mx]).ravel()
+        out = sym * c
+        out[:ax, :ay] += kx * potential(kx * c[:ax, :ay])
+        return out.ravel()
 
     A = LinearOperator((ntot, ntot), matvec=matvec, dtype=float)
     M = LinearOperator((ntot, ntot), matvec=lambda v: v / sym.ravel(), dtype=float)
@@ -248,9 +260,10 @@ class EigenResult:
     ``pairs`` holds the lowest eigenpairs in ascending order; ``phi0`` is the
     ground state (the single negative direction), ``phi1`` its x-antiderivative
     (odd in x, even in y), ``lambda2`` the smallest positive eigenvalue.
-    ``iterations`` counts the LOBPCG iterations up to the returned block (0
-    when ``solver`` is ``"dense"``), ``unknowns`` is the size of the problem
-    LOBPCG was given, and ``max_residual`` is the largest ||L v - lambda v||_2
+    ``iterations`` counts the LOBPCG iterations up to the returned block and
+    ``block`` is the LOBPCG block width (both 0 when ``solver`` is
+    ``"dense"``), ``unknowns`` is the size of the problem LOBPCG was given,
+    and ``max_residual`` is the largest ||L v - lambda v||_2
     over the returned pairs (unit vectors in the grid's Euclidean norm).
     """
 
@@ -261,6 +274,7 @@ class EigenResult:
     lambda2: float
     negative_count: int
     iterations: int
+    block: int
     max_residual: float
     unknowns: int
     solver: str
@@ -307,18 +321,38 @@ def _values(coeffs: np.ndarray, px: int) -> np.ndarray:
     return _unfold(quarter, px, 1)
 
 
-def _quarter_potential(op: LinearizedOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """T[(T dq) f] on cosine coefficients (nx/2+1, ny/2+1, b) of the quarter
-    box, overwriting them."""
-    grid = op.dq.grid
-    mask = grid.dealias_mask[: grid.nx // 2 + 1, :, None]
-    tdq = _quarter(dealias(op.dq).values, 1, 1)
+def _dealias_rectangle(grid: Grid2D) -> tuple[int, int]:
+    """(ax, ay): the 2/3 dealias mask, a product of x and y masks, keeps the
+    cosine rows 0..ax and the columns 0..ay-1 of the quarter box."""
+    inside = grid.dealias_mask[: grid.nx // 2 + 1]
+    return int(inside[:, 0].sum()) - 1, int(inside[0].sum())
 
-    def product(tv: np.ndarray) -> np.ndarray:
-        tv *= mask
-        tv = sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
-        tv *= tdq[..., None]
-        return mask * sfft.dctn(tv, type=1, axes=(0, 1), norm="ortho", overwrite_x=True)
+
+def _quarter_potential(op: LinearizedOperator, coeff: float) -> Callable[[np.ndarray], np.ndarray]:
+    """coeff T[(T dq) f] on the cosine coefficients of the quarter box, with
+    T the 2/3 dealias mask.
+
+    T keeps one leading rectangle of the quarter box (``_dealias_rectangle``;
+    171 x 171 of 257 x 257 at 512^2), so the map takes the rectangle to
+    itself and needs no mask multiply: a y-DCT-I of only the rectangle's
+    rows into a zero-padded array, the x-DCT-I, a multiply by coeff T dq,
+    then the inverse transforms, computing only the rectangle's columns and
+    then its rows.  Both callers have a zero x-mean row m = 0 on input and
+    discard it on output, so the map takes and returns the rows m = 1..ax,
+    shaped (ax, ay, b).
+    """
+    grid = op.dq.grid
+    mx, my = grid.nx // 2, grid.ny // 2
+    ax, ay = _dealias_rectangle(grid)
+    weight = coeff * _quarter(dealias(op.dq).values, 1, 1)[..., None]
+
+    def product(f: np.ndarray) -> np.ndarray:
+        t = np.zeros((mx + 1, my + 1, f.shape[2]))
+        t[1 : ax + 1] = sfft.dct(f, type=1, n=my + 1, axis=1, norm="ortho")
+        t = sfft.dct(t, type=1, axis=0, norm="ortho", overwrite_x=True)
+        t *= weight
+        t = sfft.dct(t, type=1, axis=1, norm="ortho", overwrite_x=True)[:, :ay]
+        return sfft.dct(t, type=1, axis=0, norm="ortho")[1 : ax + 1]
 
     return product
 
@@ -331,21 +365,34 @@ def eigen_extremes(
     seed: int = 7,
 ) -> EigenResult:
     """Lowest eigenpairs of the reduced operator on the even/even, zero-x-mean
-    subspace, by LOBPCG with the constant-coefficient symbol as preconditioner.
+    subspace, by LOBPCG preconditioned with the constant-coefficient symbol.
 
     The operator acts on the orthonormal cosine coefficients of the quarter
     box (see ``_coefficients``), so parity and zero x-mean hold by
-    construction: the constant and nonlocal symbols are diagonal, and only
-    the potential term transforms, once per block.  The potential term masks
-    its input and its output with the 2/3 dealias mask, so on these
+    construction: the constant and nonlocal symbol S = kx^2 + c2 + 2 ky^2/kx^2
+    is diagonal, and only the potential term transforms, once per block.  The
+    potential term is dealiased on input and output, so on these
     coefficients the operator is block diagonal: a coupled block on the
-    coefficients inside the mask, and the diagonal symbol outside it, where
-    every unit coefficient vector is an exact eigenvector.  LOBPCG (block
-    size k + 3) runs on the inside coefficients only; the lowest k of its
-    eigenvalues and the outside diagonal values together are returned.  When
-    the inside block is too small for LOBPCG (fewer than five times the block
-    size), scipy's ``lobpcg`` solves it densely instead; ``iterations`` is
-    then 0 and ``solver`` is ``"dense"``.
+    coefficients inside the dealias rectangle (``_quarter_potential``), and
+    the diagonal symbol outside it, where every unit coefficient vector is an
+    exact eigenvector.  LOBPCG runs on the inside coefficients only; the
+    lowest k of its eigenvalues and the outside diagonal values together are
+    returned.
+
+    The preconditioner is 1 / (S - c2 + ``_PRECONDITIONER_GAP``): the wanted
+    eigenvalues above the negative one sit just below the continuum edge c2,
+    and an approximate inverse of the operator shifted next to them
+    separates those modes, where (S + 1)^-1 is nearly flat across them.
+    S - c2 is at least the smallest kx^2, so the preconditioner stays
+    positive definite on every grid and every eps.  The block width is
+    k + 1: at 512^2 it was the fastest of k + 1, k + 2 and k + 3, and at
+    1024^2 faster than k + 3, since wider blocks save fewer iterations than
+    they cost per iteration.  LOBPCG is asked for
+    ``tol * _LOBPCG_TOL_FACTOR``, since it returns its iterate of least mean
+    residual; every returned pair is then checked against ``tol`` itself.
+    When the inside block is too small for LOBPCG (fewer than five times the
+    block width), scipy's ``lobpcg`` solves it densely instead;
+    ``iterations`` and ``block`` are then 0 and ``solver`` is ``"dense"``.
 
     Raises ValueError unless 2 <= k <= (nx/2)(ny/2 + 1), the dimension of
     the subspace; NotConverged when a returned pair misses ``tol`` in
@@ -362,21 +409,16 @@ def eigen_extremes(
     kx2 = grid.kx[1 : mx + 1, None, None] ** 2
     ky2 = grid.ky_r[None, :, None] ** 2
     symbol = kx2 + op.c2 + 2.0 * ky2 / kx2
-    # the mask is a product of x and y masks, so on rows 1..mx it keeps a
-    # leading ax-by-ay rectangle of the coefficients
-    inside = grid.dealias_mask[1 : mx + 1]
-    ax, ay = int(inside[:, 0].sum()), int(inside[0].sum())
+    ax, ay = _dealias_rectangle(grid)
     unknowns = ax * ay
     sym_in = symbol[:ax, :ay]
-    pre_sym = 1.0 / (sym_in + 1.0)
-    potential = _quarter_potential(op)
+    pre_sym = 1.0 / (sym_in - op.c2 + _PRECONDITIONER_GAP)
+    potential = _quarter_potential(op, op.coeff_lump_nl)
 
     def matvec_block(X: np.ndarray) -> np.ndarray:
         C = X.reshape(ax, ay, -1)
-        tv = np.zeros((mx + 1, my + 1, C.shape[2]))
-        tv[1 : ax + 1, :ay] = C
         out = sym_in * C
-        out += op.coeff_lump_nl * potential(tv)[1 : ax + 1, :ay]
+        out += potential(C)
         return out.reshape(unknowns, -1)
 
     def prec_block(X: np.ndarray) -> np.ndarray:
@@ -389,7 +431,7 @@ def eigen_extremes(
                        matmat=prec_block, dtype=float)
 
     rng = np.random.default_rng(seed)
-    block = k + 3
+    block = k + 1
     even = partial(_project_parity, symmetry=Symmetry.EVEN_X_EVEN_Y)
     start = np.empty((nx, ny, block))
     # seed the ground-state direction with the lump potential well shape
@@ -403,12 +445,13 @@ def eigen_extremes(
         # solved densely, which scipy announces and returns without history
         warnings.filterwarnings("ignore", message="(Exited|Failed|The problem size)",
                                 category=UserWarning)
-        vals, vecs, *history = lobpcg(A, X, M=M, tol=tol, maxiter=max_iter, largest=False,
-                                      retResidualNormsHistory=True)
+        vals, vecs, *history = lobpcg(A, X, M=M, tol=tol * _LOBPCG_TOL_FACTOR, maxiter=max_iter,
+                                      largest=False, retResidualNormsHistory=True)
     solver = "lobpcg" if history else "dense"
     iterations = len(history[0]) - 2 if history else 0
 
     # merge with the outside diagonal: lowest k of both, inside first on ties
+    inside = grid.dealias_mask[1 : mx + 1]
     candidates = np.concatenate([vals, np.where(inside, np.inf, symbol[..., 0]).ravel()])
     order = np.argsort(candidates, kind="stable")[:k]
     won = order < vals.size
@@ -450,6 +493,7 @@ def eigen_extremes(
         lambda2=float(pos[0]) if pos else math.nan,
         negative_count=len(neg),
         iterations=iterations,
+        block=block if history else 0,
         max_residual=max_residual,
         unknowns=unknowns,
         solver=solver,

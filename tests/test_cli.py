@@ -26,6 +26,17 @@ def test_epsilon_guard_exit_code():
     assert main(["construct", "--epsilon", "0.9"] + SMALL) == 1
 
 
+def test_coarse_grid_guard_is_a_solver_verdict(tmp_path, capsys):
+    # eps = 0.1 is in range; the transport amplitude guard fires because a
+    # 64-point axis is too coarse for a 40 box, which is a solver verdict
+    code = main(["construct", "--nx", "64", "--ny", "64", "--Lx", "40", "--Ly", "40",
+                 "--epsilon", "0.1", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "GuardViolated"
+
+
 def test_integral_radii_guard():
     assert main(["kernel-scan", "--epsilon", "0.2", "--m", "1", "--n", "0",
                  "--mode", "integral", "--Lx", "1.5"]) == 1
@@ -66,6 +77,7 @@ def test_eigen_and_norms(tmp_path, capsys):
     # LOBPCG gets the cosine coefficients inside the 2/3 mask: 21 x 22 at 64^2
     assert rec["unknowns"] == 21 * 22
     assert rec["solver"] == "lobpcg"
+    assert rec["block"] == 3 + 1
     code = main(["norms", "--in", str(tmp_path / "phi1.bin"), "--epsilon", "0.1"])
     assert code == 0
     out = capsys.readouterr().out.splitlines()
@@ -369,11 +381,12 @@ def test_diverging_transport_one_error_line(tmp_path):
     assert rec["error"] == "NotConverged" and "diverged" in rec["message"]
 
 
-@pytest.mark.parametrize("k", [4, 12])
+@pytest.mark.parametrize("k", [6, 12])
 def test_eigen_small_grid_dense_path(tmp_path, k):
-    # at 16^2 the in-mask block (30 unknowns) is below five block widths, so
-    # scipy solves it densely; its warning must not reach stderr (a
-    # subprocess, since pytest captures warnings before they are printed)
+    # at 16^2 the in-mask block (30 unknowns) is below five block widths
+    # (5 (k + 1) = 35 and 65), so scipy solves it densely; its warning must
+    # not reach stderr (a subprocess, since pytest captures warnings before
+    # they are printed)
     env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "transonic.cli", "eigen", "--nx", "16", "--ny", "16",
@@ -385,5 +398,6 @@ def test_eigen_small_grid_dense_path(tmp_path, k):
     assert proc.stderr == ""
     rec = json.loads((tmp_path / "e" / "eigen.json").read_text())
     assert rec["solver"] == "dense" and rec["iterations"] == 0
+    assert rec["block"] == 0
     assert rec["unknowns"] == 5 * 6
     assert len(rec["eigenvalues"]) == k and rec["negative_count"] == 1

@@ -1,15 +1,19 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from transonic.errors import NonZeroMean, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
     _project_parity,
+    _quarter,
     antiderivative_x,
     constant,
+    dealias,
     derivative,
     inner,
     l2_norm,
@@ -20,6 +24,8 @@ from transonic.grid import (
 from transonic.linearized import (
     LinearizedOperator,
     _coefficients,
+    _dealias_rectangle,
+    _quarter_potential,
     _values,
     apply_L,
     apply_linearized,
@@ -325,13 +331,12 @@ def test_cosine_basis_is_isometric_projection():
         assert np.sum(coeffs[:, :, j] ** 2) == pytest.approx(np.sum(proj**2), rel=1e-13)
 
 
-@pytest.mark.parametrize("n, L, k, merged", [(64, 20, 3, False), (16, 80, 6, True)],
-                         ids=["64-L20-k3", "16-L80-k6"])
-def test_eigen_matches_dense_reference(n, L, k, merged):
-    # apply_L assembled on an orthonormal basis of the even/even, zero-x-mean
-    # subspace of an n^2 grid, independent of the cosine basis LOBPCG uses
-    g = make_grid(n, n, L, L)
-    op = make_linearized_operator(0.1, g)
+def dense_reduced_operator(op):
+    """apply_L assembled on an orthonormal basis of the even/even, zero-x-mean
+    subspace of the operator's n^2 grid, independent of the cosine basis
+    LOBPCG uses: the basis and the eigenpairs of the symmetrized matrix."""
+    g = op.q.grid
+    n = g.nx
     orbit = np.zeros((n, n, n // 2 + 1, n // 2 + 1))
     for p in range(n // 2 + 1):
         for q in range(n // 2 + 1):
@@ -345,6 +350,15 @@ def test_eigen_matches_dense_reference(n, L, k, merged):
     ])
     H = basis.T @ images
     evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
+    return basis, evals, evecs
+
+
+@pytest.mark.parametrize("n, L, k, merged", [(64, 20, 3, False), (16, 80, 6, True)],
+                         ids=["64-L20-k3", "16-L80-k6"])
+def test_eigen_matches_dense_reference(n, L, k, merged):
+    g = make_grid(n, n, L, L)
+    op = make_linearized_operator(0.1, g)
+    basis, evals, evecs = dense_reduced_operator(op)
 
     res = eigen_extremes(op, k=k, tol=1e-9)
     got = np.array([p.eigenvalue for p in res.pairs])
@@ -360,6 +374,55 @@ def test_eigen_matches_dense_reference(n, L, k, merged):
     ref = ref.scaled(1.0 / l2_norm(ref))
     ref_vals = ref.values * np.sign(inner(ref, res.phi0))
     assert np.max(np.abs(res.phi0.values - ref_vals)) <= 1e-6 * np.max(np.abs(ref_vals))
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.2], ids=["eps0", "eps0.2"])
+def dense_reference(request):
+    op = make_linearized_operator(request.param, make_grid(64, 64, 20, 20))
+    return op, dense_reduced_operator(op)[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_eigen_verdict_has_margin(dense_reference, seed):
+    # LOBPCG returns its iterate of least mean residual, so it is asked for a
+    # tighter target than the verdict: at the default tol every pair passes
+    op, evals = dense_reference
+    tol = inspect.signature(eigen_extremes).parameters["tol"].default
+    res = eigen_extremes(op, seed=seed)
+    assert res.solver == "lobpcg"
+    assert res.max_residual <= tol
+    got = np.array([p.eigenvalue for p in res.pairs])
+    assert np.max(np.abs(got - evals[: got.size])) <= 1e-8
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (64, 32)])
+def test_pruned_potential_matches_masked_transforms(nx, ny):
+    # the masked full-box DCT-I pair, against the routine that maps the
+    # dealias rectangle to itself
+    g = make_grid(nx, ny, 20, 10)
+    op = make_linearized_operator(0.1, g)
+    mx, my = nx // 2, ny // 2
+    mask = g.dealias_mask[: mx + 1, :, None]
+    tdq = _quarter(dealias(op.dq).values, 1, 1)[..., None]
+
+    def masked(tv):
+        t = sfft.dctn(mask * tv, type=1, axes=(0, 1), norm="ortho")
+        return op.coeff_nl * mask * sfft.dctn(tdq * t, type=1, axes=(0, 1), norm="ortho")
+
+    ax, ay = _dealias_rectangle(g)
+    potential = _quarter_potential(op, op.coeff_nl)
+    rng = np.random.default_rng(5)
+    kx = g.kx[1:mx, None, None]
+    # the eigen block, and MINRES's kx times sine coefficients
+    for rows in (rng.standard_normal((ax, ay, 3)), kx * rng.standard_normal((mx - 1, my + 1, 1))):
+        tv = np.zeros((mx + 1, my + 1, rows.shape[2]))
+        tv[1 : rows.shape[0] + 1, : rows.shape[1]] = rows
+        ref = masked(tv)
+        got = potential(rows[:ax, :ay])
+        assert got.shape == (ax, ay, rows.shape[2])
+        assert np.max(np.abs(got - ref[1 : ax + 1, :ay])) <= 1e-15 * np.max(np.abs(ref))
+        ref[1 : ax + 1, :ay] = 0.0
+        assert not ref[1:].any()
 
 
 def test_sine_cosine_basis_is_isometric_projection():
