@@ -23,6 +23,7 @@ from scipy import fft as sfft
 
 from . import io as fio
 from .errors import (
+    GridMismatch,
     GuardViolated,
     ImaginaryResidue,
     MultipleNegative,
@@ -46,7 +47,7 @@ from .gp import gp_system_residual
 
 COMMANDS = ("lump-check", "kernel", "kernel-scan", "eigen", "norms", "construct", "residual")
 
-VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, FileNotFoundError)
+VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, GridMismatch, FileNotFoundError)
 # eps is range-checked before any work, so a GuardViolated (the transport
 # amplitude guard of ``solve_f2``) says the grid is too coarse: a solver verdict
 SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, ImaginaryResidue,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SymmetryViolation
-from .grid import ComplexField2D, Grid2D, RealField2D, Symmetry, _tagged
+from .grid import ComplexField2D, Grid2D, RealField2D, Symmetry, _tagged, _unfold
 from .lump import SQRT2
 from .reduction import ReductionState, f1_derivative
 
@@ -48,7 +48,7 @@ def assemble_phi(state: ReductionState, f2: RealField2D) -> ComplexField2D:
     if f2.symmetry is not Symmetry.EVEN_X_EVEN_Y:
         raise SymmetryViolation("assemble_phi expects an even_x_even_y f2")
     e2 = state.eps**2
-    re = _tagged(state.grid, 1.0 + e2 * state.f1.values + e2**2 * f2.values, Symmetry.EVEN_X_EVEN_Y)
+    re = _tagged(state.grid, 1.0 + e2 * state.f1.data + e2**2 * f2.data, Symmetry.EVEN_X_EVEN_Y)
     im = state.g1.scaled(state.eps)
     return ComplexField2D(re=re, im=im)
 
@@ -112,7 +112,8 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     combination reduces to lump derivatives (exact) and phi derivatives
     (spectral, phi is grid-native), both from the state's derivative table,
     and f2 derivatives (finite differences: the transport solution is not
-    band-limited and must not wrap).
+    band-limited and must not wrap).  The table's quarter-box orders are
+    unfolded to the full grid, where the stencils run.
 
     Sups are taken over the interior window (EDGE_MARGIN nodes in from the
     box boundary): the sampled profile is not periodic and the outermost ring
@@ -126,13 +127,11 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     win = _interior(g)
     d = state.derivs
 
-    g1 = d.g1_d(0, 0)
-    g1_x = d.g1_d(1, 0)
-    g1_xx = d.g1_d(2, 0)
-    g1_yy = d.g1_d(0, 2)
-    f1, f1_x, f1_xx, f1_yy = (
-        f1_derivative(d.g1_d, *mn) for mn in ((0, 0), (1, 0), (2, 0), (0, 2))
-    )
+    orders = ((0, 0), (1, 0), (2, 0), (0, 2))
+    # the stored orders, all even in y, unfolded by their x-parity
+    full = lambda vals, px, m: _unfold(vals, px * (-1) ** m, 1)
+    g1, g1_x, g1_xx, g1_yy = (full(d.g1_d(*mn), -1, mn[0]) for mn in orders)
+    f1, f1_x, f1_xx, f1_yy = (full(f1_derivative(d.g1_d, *mn), 1, mn[0]) for mn in orders)
 
     fv = 1.0 + e2 * f1 + e4 * f2.values
     gv = eps * g1
@@ -149,7 +148,7 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
 
     wgt = (1.0 + g.r) ** 3
 
-    q = d.q_d(0, 0)
+    q = full(d.q_d(0, 0), -1, 0)
     gap_field = np.sqrt((fv - 1.0) ** 2 + (gv - eps * q) ** 2) / e2
 
     phi_c = assemble_phi(state, f2)

@@ -7,15 +7,25 @@ differentiation, antidifferentiation and dealiased products are exact for
 band-limited data.  Fields are immutable after construction; every operation
 is a pure function returning a new field.
 
+Storage: a tagged :class:`RealField2D` holds only its quarter box, the
+samples x = i dx, y = j dy for i, j = 0..n/2 (x in [0, Lx], y in [0, Ly];
+the node Lx is the periodic copy of -Lx), from which the parity fixes the
+whole period.  An odd axis holds exact zeros at 0 and n/2, so fields of any
+two classes have the same shape and pointwise algebra on them stays in its
+class.  An untagged field holds all nx x ny samples; ``values`` unfolds the
+full grid on demand.
+
 Invariant: every tagged :class:`RealField2D` is exactly parity-symmetric.
 The tag is checked only where data enter, in the public constructor (hence
 ``with_symmetry`` and ``io.read_field``); operations whose output parity
-follows from algebra build through ``_tagged``, which trusts it.
+follows from algebra build through ``_tagged``, which trusts it and adopts
+their array with no copy.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -81,8 +91,9 @@ def _is_power_of_two(n: int) -> bool:
 class Grid2D:
     """Uniform periodic grid on [-Lx, Lx) x [-Ly, Ly).
 
-    Points are x_j = -Lx + j*(2Lx/nx), y_k = -Ly + k*(2Ly/ny); the matching
-    wavenumbers are xi1 = pi*m/Lx and xi2 = pi*n/Ly in standard FFT ordering.
+    Points are x_j = (j - nx/2) dx, y_k = (k - ny/2) dy, dx = 2Lx/nx and
+    dy = 2Ly/ny, exactly symmetric about 0; the matching wavenumbers are
+    xi1 = pi*m/Lx and xi2 = pi*n/Ly in standard FFT ordering.
     """
 
     nx: int
@@ -108,11 +119,11 @@ class Grid2D:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return -self.Lx + self.dx * np.arange(self.nx)
+        return self.dx * (np.arange(self.nx) - self.nx // 2)
 
     @cached_property
     def y(self) -> np.ndarray:
-        return -self.Ly + self.dy * np.arange(self.ny)
+        return self.dy * (np.arange(self.ny) - self.ny // 2)
 
     @cached_property
     def X(self) -> np.ndarray:
@@ -165,25 +176,45 @@ def _reflect(v: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.concatenate([v[:1], v[:0:-1]]), 0, axis)
 
 
-def _kept(n: int, parity: int) -> slice:
-    """Indices that fix data of ``parity`` on n points: 0..n/2, or 1..n/2-1 if odd."""
-    return slice(0, n // 2 + 1) if parity > 0 else slice(1, n // 2)
+def _quarter_axes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of the quarter box, x as a column and y as a row."""
+    return grid.dx * np.arange(grid.nx // 2 + 1.0)[:, None], grid.dy * np.arange(grid.ny // 2 + 1.0)
 
 
-def _quarter(v: np.ndarray, px: int, py: int) -> np.ndarray:
-    """The quarter box of data of parities (px, py) along the leading two axes."""
-    return v[_kept(v.shape[0], px), _kept(v.shape[1], py)]
+def _stored(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
+    """The samples of full-grid ``vals`` a field of ``symmetry`` stores, fresh if tagged."""
+    if symmetry is Symmetry.NONE:
+        return vals
+    return vals[np.ix_(*(np.r_[n // 2 : n, 0] for n in vals.shape[:2]))]
+
+
+def _kept(parity: int) -> slice:
+    """Indices of a quarter axis that fix data of ``parity``: 0..n/2, or 1..n/2-1 if odd."""
+    return slice(None) if parity > 0 else slice(1, -1)
+
+
+def _quarter(q: np.ndarray, px: int, py: int) -> np.ndarray:
+    """The samples that fix data of parities (px, py) in its stored quarter."""
+    return q[_kept(px), _kept(py)]
+
+
+def _padded(k: np.ndarray, px: int, py: int) -> np.ndarray:
+    """Inverse of ``_quarter``: the stored quarter, zero at the ends of an odd axis."""
+    if px > 0 and py > 0:
+        return k
+    q = np.zeros((k.shape[0] + 2 * (px < 0), k.shape[1] + 2 * (py < 0)) + k.shape[2:])
+    q[_kept(px), _kept(py)] = k
+    return q
 
 
 def _unfold(q: np.ndarray, px: int, py: int) -> np.ndarray:
-    """Inverse of ``_quarter``: the full period of the data from its quarter box."""
-    nx, ny = 2 * (q.shape[0] - px), 2 * (q.shape[1] - py)
-    hx, hy = nx // 2, ny // 2
-    out = np.zeros((nx, ny) + q.shape[2:])
-    out[_kept(nx, px), _kept(ny, py)] = q
-    np.multiply(out[: hx + 1, hy - 1 : 0 : -1], py, out=out[: hx + 1, hy + 1 :])
-    np.multiply(out[hx - 1 : 0 : -1], px, out=out[hx + 1 :])
-    return out
+    """The full period of data of parities (px, py) from its stored quarter:
+    per axis the node -L (the copy of L), the mirror image of 1..n/2-1 times
+    the parity, then 0..n/2-1."""
+    for axis, p in enumerate((px, py)):
+        v = np.moveaxis(q, axis, 0)
+        q = np.moveaxis(np.concatenate([v[-1:], p * v[-2:0:-1], v[:-1]]), 0, axis)
+    return q
 
 
 def _symmetry_defect(values: np.ndarray, symmetry: Symmetry) -> float:
@@ -203,18 +234,19 @@ class RealField2D:
     """A real scalar field sampled on a :class:`Grid2D`.
 
     A tag other than NONE means the values are exactly in that parity class.
-    The public constructor is where data enter: it checks shape, finiteness
-    and the tag to ``SYMMETRY_TOL`` relative, and projects the sub-tolerance
-    remainder away.  Package operations build through ``_tagged`` instead,
-    which keeps the shape and finiteness checks but trusts the tag.
+    The public constructor, ``RealField2D(grid, values, symmetry)`` with all
+    nx x ny samples, is where data enter: it checks shape, finiteness and
+    the tag to ``SYMMETRY_TOL`` relative, projects the sub-tolerance
+    remainder away and keeps the stored samples (module docstring) in
+    ``data``.  Package operations build through ``_tagged`` instead.
     """
 
     grid: Grid2D
-    values: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
     symmetry: Symmetry = Symmetry.NONE
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.data, dtype=np.float64)
         if vals.shape != (self.grid.nx, self.grid.ny):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid "
@@ -222,7 +254,6 @@ class RealField2D:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        vals = vals.copy()
         if self.symmetry is not Symmetry.NONE:
             defect = _symmetry_defect(vals, self.symmetry)
             if defect > SYMMETRY_TOL:
@@ -234,22 +265,30 @@ class RealField2D:
             # symmetric even through cancellation-heavy differences
             if defect > 0.0:
                 vals = _project_parity(vals, self.symmetry)
+        data = np.array(_stored(vals, self.symmetry))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """All nx x ny samples, read-only: ``data`` unfolded if tagged."""
+        if self.symmetry is Symmetry.NONE:
+            return self.data
+        vals = _unfold(self.data, self.symmetry.x_parity, self.symmetry.y_parity)
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        return vals
 
     # -- small arithmetic helpers (pointwise, tags tracked) -----------------
     def __add__(self, other: "RealField2D") -> "RealField2D":
-        _check_same_grid(self, other)
         sym = self.symmetry if self.symmetry is other.symmetry else Symmetry.NONE
-        return _tagged(self.grid, self.values + other.values, sym)
+        return _combined(np.add, self, other, sym)
 
     def __sub__(self, other: "RealField2D") -> "RealField2D":
-        _check_same_grid(self, other)
         sym = self.symmetry if self.symmetry is other.symmetry else Symmetry.NONE
-        return _tagged(self.grid, self.values - other.values, sym)
+        return _combined(np.subtract, self, other, sym)
 
     def scaled(self, c: float) -> "RealField2D":
-        return _tagged(self.grid, c * self.values, self.symmetry)
+        return _tagged(self.grid, c * self.data, self.symmetry)
 
     def with_symmetry(self, symmetry: Symmetry) -> "RealField2D":
         """Re-tag (and validate) the same values under a new symmetry."""
@@ -278,11 +317,21 @@ def _check_same_grid(f: RealField2D, g: RealField2D) -> None:
 
 
 def _tagged(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
-    """Field from values exactly in the parity class ``symmetry`` by
-    construction: shape and finiteness are checked, the tag is trusted."""
-    f = RealField2D(grid, vals)
-    object.__setattr__(f, "symmetry", symmetry)
+    """Field adopting ``vals``, fresh stored samples of data exactly in the
+    class ``symmetry`` by construction: made read-only, not copied or checked."""
+    vals.flags.writeable = False
+    f = object.__new__(RealField2D)
+    vars(f).update(grid=grid, data=vals, symmetry=symmetry)
     return f
+
+
+def _combined(op, f: RealField2D, g: RealField2D, symmetry: Symmetry) -> RealField2D:
+    """``op(f, g)`` pointwise, tagged ``symmetry``: on the quarters if that is
+    a parity class (both are then tagged), else on the full grid."""
+    _check_same_grid(f, g)
+    if symmetry is Symmetry.NONE:
+        return _tagged(f.grid, op(f.values, g.values), symmetry)
+    return _tagged(f.grid, op(f.data, g.data), symmetry)
 
 
 def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
@@ -297,11 +346,11 @@ def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
 def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> RealField2D:
     """The Fourier multiplier ``factors`` (rfft2 layout, their product) acting
     on ``f``, tagged ``symmetry``: every full-grid spectral operation of the
-    package.  Between parity classes it runs on the quarter box, where the
-    DFT of even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I (-i times
-    the DST-I) of its samples (Martucci 1994): each complex factor (one per
-    axis at most, varying along it) is made real by the classes' phases, and
-    the output is in its class by construction.  Untagged data take rfft2.
+    package.  Between parity classes it runs on the stored quarters, where
+    the DFT of even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I (-i
+    times the DST-I) of its samples (Martucci 1994): each complex factor (one
+    per axis at most, varying along it) is made real by the classes' phases,
+    and the output is in its class by construction.  Untagged data take rfft2.
     """
     grid = f.grid
     pin, pout = (f.symmetry.x_parity, f.symmetry.y_parity), (symmetry.x_parity, symmetry.y_parity)
@@ -309,24 +358,22 @@ def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> Rea
         hat = sfft.rfft2(f.values)
         for factor in factors:
             hat *= factor
-        vals = sfft.irfft2(hat, s=(grid.nx, grid.ny))
-        return _tagged(grid, _project_parity(vals, symmetry), symmetry)
-    q = _quarter(f.values, *pin)
+        vals = _project_parity(sfft.irfft2(hat, s=(grid.nx, grid.ny)), symmetry)
+        return _tagged(grid, _stored(vals, symmetry), symmetry)
+    q = _quarter(f.data, *pin)
     for axis, p in enumerate(pin):
         q = (sfft.dct if p > 0 else sfft.dst)(q, type=1, axis=axis, overwrite_x=axis > 0)
-    rows = lambda p: (_kept(grid.nx, p[0]), _kept(grid.ny, p[1]))
-    hat = np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1))
-    hat[rows(pin)] = q
+    hat = _padded(q, *pin)
     for factor in factors:
         if np.iscomplexobj(factor):
             axis = int(factor.shape[0] == 1)
             # phase(in) / phase(out), with phase(even) = 1 and phase(odd) = -i
             factor = ((-1j) ** ((pin[axis] - pout[axis]) // -2) * factor).real
         hat *= factor[: grid.nx // 2 + 1]
-    q = hat[rows(pout)]
+    q = _quarter(hat, *pout)
     for axis, p in enumerate(pout):
         q = (sfft.idct if p > 0 else sfft.idst)(q, type=1, axis=axis, overwrite_x=True)
-    return _tagged(grid, _unfold(q, *pout), symmetry)
+    return _tagged(grid, _padded(q, *pout), symmetry)
 
 
 def _ik_power(k: np.ndarray, order: int) -> np.ndarray:
@@ -340,8 +387,11 @@ def _ik_power(k: np.ndarray, order: int) -> np.ndarray:
 
 def _check_zero_x_mean(f: RealField2D, what: str) -> None:
     """Raise NonZeroMean unless every y-line of ``f`` has zero x-mean to
-    ``ZERO_MEAN_TOL`` of its sup, as the zero-mode-free dx^-1 requires."""
-    scale = float(np.max(np.abs(f.values)))
+    ``ZERO_MEAN_TOL`` of its sup, as the zero-mode-free dx^-1 requires
+    (odd-in-x data have it exactly)."""
+    if f.symmetry.x_parity < 0:
+        return
+    scale = float(np.max(np.abs(f.data)))
     worst = float(np.max(np.abs(f.values.mean(axis=0))))
     if worst > ZERO_MEAN_TOL * scale:
         raise NonZeroMean(f"{what}: x-line mean {worst:.3e} exceeds {ZERO_MEAN_TOL:.1e} * sup")
@@ -395,9 +445,7 @@ def product_dealiased(f: RealField2D, g: RealField2D) -> RealField2D:
     The symmetry tag is the parity product.
     """
     _check_same_grid(f, g)
-    ft = dealias(f)
-    gt = dealias(g)
-    return _tagged(f.grid, ft.values * gt.values, f.symmetry.product(g.symmetry))
+    return _combined(np.multiply, dealias(f), dealias(g), f.symmetry.product(g.symmetry))
 
 
 def weighted_sup(f: RealField2D, p: float, delta: float) -> float:
@@ -406,32 +454,62 @@ def weighted_sup(f: RealField2D, p: float, delta: float) -> float:
         raise ValueError("p must be >= 0")
     if not (0 <= delta < 1):
         raise ValueError("delta must lie in [0, 1)")
-    return float(np.max(_radial_weight(f.grid, p - delta) * np.abs(f.values)))
+    w = _radial_weight(f.grid, p - delta)
+    if f.symmetry is Symmetry.NONE:
+        w = _unfold(w, 1, 1)
+    return float(np.max(w * np.abs(f.data)))
 
 
 @lru_cache(maxsize=8)
 def _radial_weight(grid: Grid2D, power: float) -> np.ndarray:
-    """(1 + r)^power on the grid, memoized: the norm suite asks for a few
-    powers over and over."""
-    w = (1.0 + grid.r) ** power
+    """(1 + r)^power on the quarter box, memoized: the norm suite asks for a
+    few powers over and over."""
+    w = (1.0 + np.hypot(*_quarter_axes(grid))) ** power
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=8)
+def _multiplicity(grid: Grid2D) -> np.ndarray:
+    """The grid points each quarter-box sample of an even/even field stands
+    for: 1 at the indices 0 and n/2, 2 inside, per axis."""
+    mx, my = (np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] for n in (grid.nx, grid.ny))
+    w = mx[:, None] * my[None, :]
     w.flags.writeable = False
     return w
 
 
 def l2_norm(f: RealField2D) -> float:
     """sqrt(sum f^2 dx dy): the rectangle rule, exact for the periodic box."""
-    return float(np.sqrt(np.sum(f.values**2) * f.grid.dx * f.grid.dy))
+    return math.sqrt(inner(f, f))
 
 
 def inner(f: RealField2D, g: RealField2D) -> float:
-    """L2 inner product with the grid measure."""
+    """L2 inner product with the grid measure; exactly 0 for a product odd in x or y."""
     _check_same_grid(f, g)
-    return float(np.sum(f.values * g.values) * f.grid.dx * f.grid.dy)
+    symmetry = f.symmetry.product(g.symmetry)
+    if symmetry is Symmetry.NONE:
+        total = np.sum(f.values * g.values)
+    elif symmetry is Symmetry.EVEN_X_EVEN_Y:
+        total = np.sum(_multiplicity(f.grid) * f.data * g.data)
+    else:
+        total = 0.0
+    return float(total * f.grid.dx * f.grid.dy)
 
 
 def symmetrize(f: RealField2D, symmetry: Symmetry) -> RealField2D:
     """Orthogonal projection onto the given parity class."""
-    return _tagged(f.grid, _project_parity(f.values, symmetry), symmetry)
+    return _tagged(f.grid, _stored(_project_parity(f.values, symmetry), symmetry), symmetry)
+
+
+def _sampled(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
+    """Field from closed-form samples on ``_quarter_axes``: along an odd axis
+    the nodes 0 and L (the periodic copy of -L) are set to 0."""
+    if symmetry.x_parity < 0:
+        vals[[0, -1]] = 0.0
+    if symmetry.y_parity < 0:
+        vals[:, [0, -1]] = 0.0
+    return _tagged(grid, vals, symmetry)
 
 
 def zeros(grid: Grid2D, symmetry: Symmetry = Symmetry.NONE) -> RealField2D:

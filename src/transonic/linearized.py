@@ -38,8 +38,9 @@ from .grid import (
     _check_zero_x_mean,
     _kept,
     _multiplied,
+    _padded,
     _project_parity,
-    _quarter,
+    _stored,
     _tagged,
     _unfold,
     antiderivative_x,
@@ -48,6 +49,7 @@ from .grid import (
     l2_norm,
     product_dealiased,
     weighted_sup,
+    zeros,
 )
 from .lump import SQRT2, LumpParams, sample_lump
 
@@ -174,11 +176,13 @@ def solve_linearized(
         raise SymmetryViolation("h1 must be tagged even_x_even_y")
     if h2.symmetry is not Symmetry.ODD_X_ODD_Y:
         raise SymmetryViolation("h2 must be tagged odd_x_odd_y")
+    if x0 is not None and x0.symmetry is not Symmetry.ODD_X_EVEN_Y:
+        raise SymmetryViolation("x0 must be tagged odd_x_even_y")
     grid = h1.grid
     rhs = derivative(h1, 1, 0) + derivative(h2, 0, 1)
     rhs_norm = l2_norm(rhs)
     if rhs_norm == 0.0:
-        return RealField2D(grid, np.zeros_like(rhs.values), Symmetry.ODD_X_EVEN_Y), 0
+        return zeros(grid, Symmetry.ODD_X_EVEN_Y), 0
 
     mx, my = grid.nx // 2, grid.ny // 2
     ntot = (mx - 1) * (my + 1)
@@ -201,8 +205,8 @@ def solve_linearized(
 
     A = LinearOperator((ntot, ntot), matvec=matvec, dtype=float)
     M = LinearOperator((ntot, ntot), matvec=lambda v: v / sym.ravel(), dtype=float)
-    b = _coefficients(rhs.values[..., None], -1).ravel()
-    sol = None if x0 is None else _coefficients(x0.values[..., None], -1).ravel()
+    b = _coefficients(rhs.data[..., None], -1).ravel()
+    sol = None if x0 is None else _coefficients(x0.data[..., None], -1).ravel()
     # MINRES applies A once per iteration, and once more for the residual of
     # a given start
     starts = 0
@@ -280,12 +284,13 @@ class EigenResult:
     solver: str
 
 
-# The quarter-box cosine and sine bases.  An even (odd) field is fixed by its
-# quarter box (``grid._quarter``), whose DCT-I (DST-I) is its DFT, as in
-# ``grid._multiplied``.  With the trapezoid weights w = (1, 2, ..., 2, 1) the
-# full-grid sum of f g equals sum w_p w_q f_pq g_pq; so the orthonormal DCT-I
-# (DST-I along an odd axis) of sqrt(w_p w_q) f_pq is an isometry from the
-# fields of one parity class (full grid, Euclidean) onto their coefficients.
+# The quarter-box cosine and sine bases.  An even (odd) field is fixed by the
+# samples of its stored quarter that ``grid._quarter`` keeps, whose DCT-I
+# (DST-I) is its DFT, as in ``grid._multiplied``.  With the trapezoid weights
+# w = (1, 2, ..., 2, 1) the full-grid sum of f g equals sum w_p w_q f_pq g_pq;
+# so the orthonormal DCT-I (DST-I along an odd axis) of sqrt(w_p w_q) f_pq is
+# an isometry from the fields of one parity class (full grid, Euclidean) onto
+# their coefficients.
 # The coefficient (m, l) is sqrt(w_m w_l / (nx ny)) times the DFT coefficient
 # (i times it along a sine axis), so every Fourier symbol acts on it as a
 # diagonal multiply, and the cosine row m = 0 holds the x-means of the y-lines.
@@ -294,7 +299,7 @@ class EigenResult:
 def _quarter_weights(nx: int, ny: int, px: int) -> np.ndarray:
     """sqrt(w_p w_q) on the quarter box of parity px in x, even in y, shaped (.., .., 1)."""
     sx, sy = (np.sqrt(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]) for n in (nx, ny))
-    return (sx[:, None] * sy[None, :])[_kept(nx, px), :, None]
+    return (sx[:, None] * sy[None, :])[_kept(px), :, None]
 
 
 def _ortho(q: np.ndarray, px: int) -> np.ndarray:
@@ -304,21 +309,22 @@ def _ortho(q: np.ndarray, px: int) -> np.ndarray:
     return sfft.dct(sfft.dst(q, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
 
 
-def _coefficients(vals: np.ndarray, px: int) -> np.ndarray:
-    """Full-grid columns (nx, ny, b) of parity px in x, even in y, to their
-    orthonormal coefficients: the cosine rows m = 1..nx/2 (dropping the
-    x-means) or the sine rows m = 1..nx/2-1."""
-    coeffs = _ortho(_quarter(vals, px, 1) * _quarter_weights(vals.shape[0], vals.shape[1], px), px)
+def _coefficients(q: np.ndarray, px: int) -> np.ndarray:
+    """Stored quarter columns (nx/2+1, ny/2+1, b) of parity px in x, even in
+    y, to their orthonormal coefficients: the cosine rows m = 1..nx/2
+    (dropping the x-means) or the sine rows m = 1..nx/2-1."""
+    nx, ny = 2 * (q.shape[0] - 1), 2 * (q.shape[1] - 1)
+    coeffs = _ortho(q[_kept(px)] * _quarter_weights(nx, ny, px), px)
     return coeffs[1:] if px > 0 else coeffs
 
 
 def _values(coeffs: np.ndarray, px: int) -> np.ndarray:
-    """Inverse of ``_coefficients``: full-grid columns, exactly in their class."""
+    """Inverse of ``_coefficients``: stored quarter columns, exactly in their class."""
     if px > 0:
         coeffs = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
     quarter = _ortho(coeffs, px)
     quarter /= _quarter_weights(2 * (coeffs.shape[0] - px), 2 * (coeffs.shape[1] - 1), px)
-    return _unfold(quarter, px, 1)
+    return _padded(quarter, px, 1)
 
 
 def _dealias_rectangle(grid: Grid2D) -> tuple[int, int]:
@@ -344,7 +350,7 @@ def _quarter_potential(op: LinearizedOperator, coeff: float) -> Callable[[np.nda
     grid = op.dq.grid
     mx, my = grid.nx // 2, grid.ny // 2
     ax, ay = _dealias_rectangle(grid)
-    weight = coeff * _quarter(dealias(op.dq).values, 1, 1)[..., None]
+    weight = coeff * dealias(op.dq).data[..., None]
 
     def product(f: np.ndarray) -> np.ndarray:
         t = np.zeros((mx + 1, my + 1, f.shape[2]))
@@ -438,7 +444,7 @@ def eigen_extremes(
     start[:, :, 0] = even(-op.dq.values * np.exp(-0.05 * grid.r**2))
     for j in range(1, block):
         start[:, :, j] = even(rng.standard_normal((nx, ny)))
-    X = _coefficients(start, 1)[:ax, :ay].reshape(unknowns, block)
+    X = _coefficients(_stored(start, Symmetry.EVEN_X_EVEN_Y), 1)[:ax, :ay].reshape(unknowns, block)
 
     with warnings.catch_warnings():
         # the residual check below gives the verdict; a small problem is
@@ -467,7 +473,7 @@ def eigen_extremes(
     coeffs = np.zeros((mx, my + 1, k))
     coeffs[:ax, :ay, won] = vecs_in.reshape(ax, ay, -1)
     coeffs.reshape(-1, k)[order[~won] - vals.size, np.flatnonzero(~won)] = 1.0
-    full = _values(coeffs, 1)
+    full = _unfold(_values(coeffs, 1), 1, 1)
     pairs = []
     for j in range(k):
         f = RealField2D(grid, full[:, :, j])

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid2D, RealField2D, Symmetry, symmetrize
+from .grid import Grid2D, RealField2D, Symmetry, _quarter_axes, _sampled
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,15 +148,14 @@ def lump_derivative(p: LumpParams, m: int, n: int, x, y):
 def sample_lump(p: LumpParams, g: Grid2D, m: int = 0, n: int = 0) -> RealField2D:
     """Sample d^m d^n q on the grid with the correct parity tag.
 
-    The edge column x = -Lx (and row y = -Ly) is identified with +Lx under
-    periodicity, so it is projected onto the parity class (odd samples get 0
-    there); interior nodes keep their exact closed-form values.  Memoized on
+    The closed form is evaluated on the quarter box only; along an odd axis
+    the edge node Lx (Ly), identified with -Lx under periodicity, gets 0,
+    and the other nodes keep their exact closed-form values.  Memoized on
     the frozen (params, grid, m, n): the field is immutable, and the outer
     iteration asks for the same few orders at every step.
     """
-    vals = lump_derivative(p, m, n, g.X, g.Y)
-    raw = RealField2D(g, vals, Symmetry.NONE)
-    return symmetrize(raw, Symmetry.ODD_X_EVEN_Y.differentiated(m, n))
+    vals = lump_derivative(p, m, n, *_quarter_axes(g))
+    return _sampled(g, vals, Symmetry.ODD_X_EVEN_Y.differentiated(m, n))
 
 
 def kpi_residual(p: LumpParams, g: Grid2D, nonlinear_coeff: float | None = None) -> RealField2D:

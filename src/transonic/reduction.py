@@ -23,13 +23,15 @@ step's solution: the transport Picard from its fine f2, MINRES from its phi.
 
 Derivatives of lump-dependent quantities are evaluated in closed form and
 only the phi/f2 parts spectrally, which keeps the periodic seam out of the
-assembled fields.  Each state holds one lazily filled derivative table
-(``ReductionState.derivs``) that the transport solve, its residual check,
-the right-hand side and the GP back-substitution all read, so every phi
-derivative of a step is taken once and the transport Picard runs once per
-phi; the lump samples, Gamma_q and its dx^-1, and the lump data of the
-transport lines depend only on (eps, grid) and are memoized, so a
-construction computes them once.
+assembled fields.  Every field here is parity-tagged, so all of this runs on
+the stored quarter boxes (``grid`` module docstring), and the transport
+lines are those quarters, transposed.  Each state holds one lazily filled
+derivative table (``ReductionState.derivs``) that the transport solve, its
+residual check, the right-hand side and the GP back-substitution all read,
+so every phi derivative of a step is taken once and the transport Picard
+runs once per phi; the lump samples, Gamma_q and its dx^-1, and the lump
+data of the transport lines depend only on (eps, grid) and are memoized,
+so a construction computes them once.
 
 The stored ``state.f1`` alone takes a spectral dx of the sampled g1
 (``f1_from_g1``): the closed form would move it and the GP energy by about
@@ -51,10 +53,11 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
+    _quarter_axes,
+    _sampled,
     _tagged,
     antiderivative_x,
     derivative,
-    symmetrize,
     weighted_sup,
     zeros,
 )
@@ -87,7 +90,7 @@ def f1_from_g1(g1: RealField2D) -> RealField2D:
     """Pointwise slaving of the first real correction to g1 (spectral dx g1)."""
     if g1.symmetry is not Symmetry.ODD_X_EVEN_Y:
         raise SymmetryViolation("f1_from_g1 expects an odd_x_even_y field")
-    dg1 = {(0, 0): g1.values, (1, 0): derivative(g1, 1, 0).values}
+    dg1 = {(0, 0): g1.data, (1, 0): derivative(g1, 1, 0).data}
     vals = f1_derivative(lambda m, n: dg1[m, n], 0, 0)
     return _tagged(g1.grid, vals, Symmetry.EVEN_X_EVEN_Y)
 
@@ -109,9 +112,9 @@ def F0_eval(eps: float, x, y):
 
 
 def _g1_order(params: LumpParams, phi_table: Callable, m: int, n: int) -> np.ndarray:
-    """Read-only (m, n) order of g1 = q + phi: exact lump plus spectral phi."""
+    """Read-only (m, n) order of g1 = q + phi, stored: exact lump plus spectral phi."""
     dphi = phi_table(m, n)
-    vals = sample_lump(params, dphi.grid, m, n).values + dphi.values
+    vals = sample_lump(params, dphi.grid, m, n).data + dphi.data
     vals.flags.writeable = False
     return vals
 
@@ -149,10 +152,10 @@ class _StateDerivs:
         return cache(partial(_g1_order, self.params, self._phi_table))
 
     def q_d(self, m: int, n: int) -> np.ndarray:
-        return sample_lump(self.params, self.phi.grid, m, n).values
+        return sample_lump(self.params, self.phi.grid, m, n).data
 
     def phi_d(self, m: int, n: int) -> np.ndarray:
-        return self._phi_table(m, n).values
+        return self._phi_table(m, n).data
 
     @cached_property
     def transport_terms(self) -> tuple:
@@ -213,11 +216,10 @@ def build_state(
     q = sample_lump(params, grid, 0, 0)
     if phi is None:
         phi = zeros(grid, Symmetry.ODD_X_EVEN_Y)
+    elif phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
+        # only a phi from outside the package can miss the tag
+        phi = phi.with_symmetry(Symmetry.ODD_X_EVEN_Y)
     g1 = q + phi
-    if phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
-        # only a phi from outside the package can miss the tag; a tagged one
-        # makes q + phi exactly odd/even by algebra
-        g1 = g1.with_symmetry(Symmetry.ODD_X_EVEN_Y)
     return ReductionState(
         eps=eps,
         c=SQRT2 - eps**2,
@@ -243,22 +245,11 @@ def build_state(
 # data of a DCT-I (the layout of the quarter-box bases of ``linearized``).
 
 
-def _quarter_lines(vals: np.ndarray) -> np.ndarray:
-    """Full-grid samples (nx, ny) to their quarter lines (ny/2 + 1, nx/2 + 1):
-    row b holds y = b dy, column a holds x = a dx, the node x = Lx (y = Ly)
-    being the periodic copy of -Lx (-Ly)."""
-    nx, ny = vals.shape
-    ix = (nx // 2 + np.arange(nx // 2 + 1)) % nx
-    iy = (ny // 2 + np.arange(ny // 2 + 1)) % ny
-    return np.ascontiguousarray(vals.T[np.ix_(iy, ix)])
-
-
-def _even_full_grid(lines: np.ndarray) -> np.ndarray:
-    """Inverse of ``_quarter_lines`` for data even in x and in y."""
-    ny2, nx2 = lines.shape
-    ix = np.abs(np.arange(2 * (nx2 - 1)) - (nx2 - 1))
-    iy = np.abs(np.arange(2 * (ny2 - 1)) - (ny2 - 1))
-    return lines.T[np.ix_(ix, iy)]
+def _quarter_lines(q: np.ndarray) -> np.ndarray:
+    """The stored quarter box (``grid`` module docstring) of a field even in
+    y to its quarter lines (ny/2 + 1, nx/2 + 1), or back: row b holds
+    y = b dy, column a holds x = a dx."""
+    return np.ascontiguousarray(q.T)
 
 
 def _refined_lines(lines: np.ndarray, parity: int, refine: int) -> np.ndarray:
@@ -400,8 +391,8 @@ def _line_transport_solve(d: _StateDerivs) -> tuple[np.ndarray, int]:
 
 
 def _coarse_f2(d: _StateDerivs) -> np.ndarray:
-    """The fine transport solution of ``d`` downsampled to the full grid."""
-    return _even_full_grid(d.transport_solve[0][:, ::F2_REFINE])
+    """The fine transport solution of ``d`` downsampled to the stored quarter."""
+    return _quarter_lines(d.transport_solve[0][:, ::F2_REFINE])
 
 
 def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D:
@@ -471,7 +462,8 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
     sup = float(np.max(np.abs(resid[:, inner])))
 
     coarse_window = np.abs(grid.x) <= F2_CHECK_WINDOW * grid.Lx - 8 * h
-    mismatch = float(np.max(np.abs(_coarse_f2(d)[coarse_window, :] - f2.values[coarse_window, :])))
+    diff = (f2 - _tagged(grid, _coarse_f2(d), Symmetry.EVEN_X_EVEN_Y)).values
+    mismatch = float(np.max(np.abs(diff[coarse_window])))
     return max(sup, mismatch)
 
 
@@ -490,8 +482,8 @@ def gamma_q_field(p: LumpParams, g: Grid2D) -> RealField2D:
     memoized and a construction evaluates it once.
     """
     e2 = p.eps**2
-    X, Y = g.X, g.Y
-    d = lambda m, n: lump_derivative(p, m, n, X, Y)
+    x, y = _quarter_axes(g)
+    d = lambda m, n: lump_derivative(p, m, n, x, y)
     vals = (
         -d(4, 0)
         + (2.0 * SQRT2 - e2) * d(2, 0)
@@ -500,8 +492,7 @@ def gamma_q_field(p: LumpParams, g: Grid2D) -> RealField2D:
         - 2.0 * e2 * d(2, 2)
         - e2**2 * d(0, 4)
     )
-    raw = RealField2D(g, vals, Symmetry.NONE)
-    return symmetrize(raw, Symmetry.ODD_X_EVEN_Y)
+    return _sampled(g, vals, Symmetry.ODD_X_EVEN_Y)
 
 
 @lru_cache(maxsize=4)
@@ -514,7 +505,8 @@ def _rhs_integrands(
     state: ReductionState, f2: RealField2D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Readoff integrands h1 of P1 = dx h1 and h2 of P2 = dy h2, and the
-    fast-decaying remainder P3, fully expanded in one pass.
+    fast-decaying remainder P3, fully expanded in one pass on the stored
+    quarter box of each (even/even, odd/odd and odd/even).
 
     Every composite derivative is expanded by the product rule and assembled
     pointwise from the state's hybrid derivative table, so no spectral
@@ -531,9 +523,9 @@ def _rhs_integrands(
     g1y = d.g1_d(0, 1)
     g1yy = d.g1_d(0, 2)
     f1, f1x, f1y = (f1_derivative(d.g1_d, *mn) for mn in ((0, 0), (1, 0), (0, 1)))
-    f2v = f2.values
-    f2x = derivative(f2, 1, 0).values
-    f2y = derivative(f2, 0, 1).values
+    f2v = f2.data
+    f2x = derivative(f2, 1, 0).data
+    f2y = derivative(f2, 0, 1).data
 
     trio = f1 + e2 * f2v
     cubic = 6.0 * e2 * f1 * f2v + e2 * trio**3 + 3.0 * e4 * f2v**2 + e2 * f2v * g1**2
@@ -601,11 +593,14 @@ def assemble_rhs(state: ReductionState, f2: RealField2D) -> tuple[RealField2D, R
     self-interaction of phi; h2 (odd/odd) is the structural y-integrand of
     P2.  P1, P2 and P3 themselves are never formed as fields.
     """
+    if f2.symmetry is not Symmetry.EVEN_X_EVEN_Y:
+        raise SymmetryViolation("assemble_rhs expects an even_x_even_y f2")
     grid = state.grid
     h1_vals, h2_vals, p3_vals = _rhs_integrands(state, f2)
-    h1_p1 = symmetrize(RealField2D(grid, h1_vals), Symmetry.EVEN_X_EVEN_Y)
-    h2 = symmetrize(RealField2D(grid, h2_vals), Symmetry.ODD_X_ODD_Y)
-    p3 = symmetrize(RealField2D(grid, p3_vals), Symmetry.ODD_X_EVEN_Y)
+    # pointwise algebra of the stored quarters stays exactly in its class
+    h1_p1 = _tagged(grid, h1_vals, Symmetry.EVEN_X_EVEN_Y)
+    h2 = _tagged(grid, h2_vals, Symmetry.ODD_X_ODD_Y)
+    p3 = _tagged(grid, p3_vals, Symmetry.ODD_X_EVEN_Y)
     phi_sq_vals = 3.0 * (SQRT2 - state.eps**2) * state.derivs.phi_d(1, 0) ** 2
     phi_sq = _tagged(grid, phi_sq_vals, Symmetry.EVEN_X_EVEN_Y)
     gamma = _gamma_q_antiderivative(state.params, grid)

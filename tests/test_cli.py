@@ -115,6 +115,21 @@ def test_kernel_fft_imaginary_residue_exit(monkeypatch, capsys):
     assert json.loads(err[0])["error"] == "ImaginaryResidue"
 
 
+def test_every_package_error_has_one_exit_code():
+    # a TransonicError leaves main() as exit 1 (validation) or 2 (solver
+    # verdict), never as a traceback
+    import inspect
+
+    import transonic.cli as cli
+    import transonic.errors as errors
+
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(c, errors.TransonicError) and c is not errors.TransonicError]
+    assert len(classes) >= 8
+    for c in classes:
+        assert (c in cli.VALIDATION_ERRORS) + (c in cli.SOLVER_ERRORS) == 1, c.__name__
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_residual_explicit_out(tmp_path, monkeypatch, how):
     # an explicit output directory wins even when it is the default "runs"

@@ -10,7 +10,8 @@ from transonic.grid import (
     RealField2D,
     Symmetry,
     _project_parity,
-    _quarter,
+    _stored,
+    _unfold,
     antiderivative_x,
     constant,
     dealias,
@@ -131,6 +132,18 @@ class TestSolve:
         op = make_linearized_operator(0.1, g)
         with pytest.raises(SymmetryViolation):
             solve_linearized(op, zeros(g, Symmetry.ODD_X_EVEN_Y), zeros(g, Symmetry.ODD_X_ODD_Y))
+
+    @pytest.mark.parametrize("sym", [Symmetry.NONE, Symmetry.EVEN_X_EVEN_Y])
+    def test_start_must_be_odd_even(self, rand_field, sym):
+        # an untagged start, odd/even in its values, is refused like a wrong class
+        g = make_grid(64, 64, 10, 10)
+        op = make_linearized_operator(0.1, g)
+        x0 = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=1).values
+        if sym is Symmetry.EVEN_X_EVEN_Y:
+            x0 = np.abs(x0)
+        h1, h2 = zeros(g, Symmetry.EVEN_X_EVEN_Y), zeros(g, Symmetry.ODD_X_ODD_Y)
+        with pytest.raises(SymmetryViolation, match="x0"):
+            solve_linearized(op, h1, h2, x0=RealField2D(g, x0, sym))
 
     def test_manufactured_recovery(self, rand_field):
         # band-limited manufactured solution: full right-hand side folded into
@@ -321,9 +334,10 @@ def test_cosine_basis_is_isometric_projection():
     g = make_grid(32, 16, 5, 5)
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((g.nx, g.ny, 2))
-    coeffs = _coefficients(_project_parity(raw, Symmetry.EVEN_X_EVEN_Y), 1)
+    even = Symmetry.EVEN_X_EVEN_Y
+    coeffs = _coefficients(_stored(_project_parity(raw, even), even), 1)
     assert coeffs.shape == (g.nx // 2, g.ny // 2 + 1, 2)
-    back = _values(coeffs, 1)
+    back = _unfold(_values(coeffs, 1), 1, 1)
     for j in range(2):
         proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.EVEN_X_EVEN_Y).values
         proj = proj - proj.mean(axis=0, keepdims=True)
@@ -403,7 +417,7 @@ def test_pruned_potential_matches_masked_transforms(nx, ny):
     op = make_linearized_operator(0.1, g)
     mx, my = nx // 2, ny // 2
     mask = g.dealias_mask[: mx + 1, :, None]
-    tdq = _quarter(dealias(op.dq).values, 1, 1)[..., None]
+    tdq = _stored(dealias(op.dq).values, Symmetry.EVEN_X_EVEN_Y)[..., None]
 
     def masked(tv):
         t = sfft.dctn(mask * tv, type=1, axes=(0, 1), norm="ortho")
@@ -429,9 +443,10 @@ def test_sine_cosine_basis_is_isometric_projection():
     g = make_grid(32, 16, 5, 5)
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((g.nx, g.ny, 2))
-    coeffs = _coefficients(_project_parity(raw, Symmetry.ODD_X_EVEN_Y), -1)
+    odd = Symmetry.ODD_X_EVEN_Y
+    coeffs = _coefficients(_stored(_project_parity(raw, odd), odd), -1)
     assert coeffs.shape == (g.nx // 2 - 1, g.ny // 2 + 1, 2)
-    back = _values(coeffs, -1)
+    back = _unfold(_values(coeffs, -1), -1, 1)
     for j in range(2):
         proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.ODD_X_EVEN_Y).values
         assert np.max(np.abs(back[:, :, j] - proj)) <= 1e-13
@@ -460,8 +475,8 @@ def test_linear_solve_matches_dense_reference(rand_field, monkeypatch):
     H = basis.T @ images
 
     # the coefficient basis vectors in closed form: normalized sin(kx x) in
-    # x, normalized cos(ky y) in y, on the grid indices
-    j = np.arange(n)
+    # x, normalized cos(ky y) in y, at the grid's x_j / dx = j - n/2
+    j = np.arange(n) - h
     sines = np.sin(np.pi * np.outer(j, np.arange(1, h)) / h) / math.sqrt(h)
     cosines = np.cos(np.pi * np.outer(j, np.arange(h + 1)) / h) * math.sqrt(2.0 / n)
     cosines[:, [0, h]] /= math.sqrt(2.0)

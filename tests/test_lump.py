@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transonic.grid import Symmetry, derivative, make_grid
+from transonic.grid import RealField2D, Symmetry, derivative, make_grid, symmetrize
 from transonic.lump import (
     SQRT2,
     LumpParams,
@@ -166,3 +166,14 @@ def test_spectral_derivative_agrees_interior():
     interior = (np.abs(g.X) < 10) & (np.abs(g.Y) < 10)
     rel = np.max(np.abs(spec.values - exact)[interior]) / np.max(np.abs(exact))
     assert rel <= 1e-5
+
+
+def test_quarter_samples_are_the_projected_full_grid_samples():
+    # the closed form taken on the quarter box x, y >= 0 only is, byte for
+    # byte, the parity projection of its samples on the whole grid, for the
+    # six Gamma_q orders and the lump itself
+    p = LumpParams.from_epsilon(0.1)
+    for m, n in ((0, 0), (4, 0), (2, 0), (1, 0), (0, 2), (2, 2), (0, 4)):
+        sym = Symmetry.ODD_X_EVEN_Y.differentiated(m, n)
+        full = symmetrize(RealField2D(GRID, lump_derivative(p, m, n, GRID.X, GRID.Y)), sym)
+        assert sample_lump(p, GRID, m, n).data.tobytes() == full.data.tobytes()

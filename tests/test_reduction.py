@@ -12,6 +12,8 @@ from transonic.errors import GuardViolated, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
+    _stored,
+    _unfold,
     derivative,
     l2_norm,
     make_grid,
@@ -207,17 +209,20 @@ class TestHalfLineTransforms:
     @pytest.mark.parametrize("sym", [Symmetry.ODD_X_EVEN_Y, Symmetry.EVEN_X_EVEN_Y])
     def test_interpolation_matches_complex_zero_padding(self, rand_field, sym):
         f = rand_field(SMALL, sym, seed=4, kmax=SMALL.nx // 2)  # up to the Nyquist row
-        ref = red_mod._quarter_lines(_complex_interp_x(f.values, 4))
-        out = red_mod._refined_lines(red_mod._quarter_lines(f.values), sym.x_parity, 4)
+        ref = red_mod._quarter_lines(_stored(_complex_interp_x(f.values, 4), sym))
+        out = red_mod._refined_lines(red_mod._quarter_lines(f.data), sym.x_parity, 4)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_quarter_lines_round_trip(self, rand_field):
         f = rand_field(SMALL, Symmetry.EVEN_X_EVEN_Y, seed=6)
-        lines = red_mod._quarter_lines(f.values)
+        lines = red_mod._quarter_lines(f.data)
         assert lines.shape == (SMALL.ny // 2 + 1, SMALL.nx // 2 + 1)
         assert lines.flags.c_contiguous
-        assert np.array_equal(red_mod._even_full_grid(lines), f.values)
+        # row b, column a: the samples at y = b dy, x = a dx
+        half = slice(SMALL.nx // 2, None)
+        assert np.array_equal(lines[:-1, :-1], f.values[half, half].T)
+        assert np.array_equal(_unfold(red_mod._quarter_lines(lines), 1, 1), f.values)
 
     def test_refine_4_resolves_f2(self, monkeypatch):
         # f2 of a 128^2 construction at F2_REFINE = 4 against 8, over the
@@ -287,15 +292,18 @@ class TestAssembleRhs:
         st = build_state(0.15, GRID)
         f2 = solve_f2(st)
         h1, h2 = assemble_rhs(st, f2)
+        # the integrands are quarter boxes: unfolded, the public constructor
+        # checks each declared parity to 1e-10 (the zeros of an odd axis too)
+        def field(vals, sym):
+            return RealField2D(GRID, _unfold(vals, sym.x_parity, sym.y_parity), sym)
+
         h1_vals, h2_vals, p3_vals = _rhs_integrands(st, f2)
-        # the public constructor checks each declared parity to 1e-10
-        h1_p1 = RealField2D(GRID, h1_vals, Symmetry.EVEN_X_EVEN_Y)
-        P2 = derivative(RealField2D(GRID, h2_vals, Symmetry.ODD_X_ODD_Y), 0, 1)
-        P3 = RealField2D(GRID, p3_vals, Symmetry.ODD_X_EVEN_Y)
+        h1_p1 = field(h1_vals, Symmetry.EVEN_X_EVEN_Y)
+        P2 = derivative(field(h2_vals, Symmetry.ODD_X_ODD_Y), 0, 1)
+        P3 = field(p3_vals, Symmetry.ODD_X_EVEN_Y)
         gamma = gamma_q_field(st.params, GRID)
-        phi_sq = RealField2D(
-            GRID, 3.0 * (SQRT2 - st.eps**2) * st.derivs.phi_d(1, 0) ** 2, Symmetry.EVEN_X_EVEN_Y
-        )
+        phi_sq = field(3.0 * (SQRT2 - st.eps**2) * st.derivs.phi_d(1, 0) ** 2,
+                       Symmetry.EVEN_X_EVEN_Y)
         P1 = derivative(h1_p1, 1, 0)
         b = SimpleNamespace(
             h1=h1, h2=h2, P1=P1, P2=P2, P3=P3, Gamma_q=gamma,
@@ -420,7 +428,7 @@ class TestDerivativeTable:
         g1_x = d.g1_d(1, 0)
         assert d.g1_d(1, 0) is g1_x
         assert not g1_x.flags.writeable
-        assert np.array_equal(g1_x, d.q_d(1, 0) + derivative(phi, 1, 0).values)
+        assert np.array_equal(g1_x, d.q_d(1, 0) + derivative(phi, 1, 0).data)
 
     def test_lump_work_independent_of_iterations(self, monkeypatch):
         # the lump derivatives sampled on the grid and on the quarter lines
@@ -430,9 +438,10 @@ class TestDerivativeTable:
         calls = []
         sample = lump_mod.lump_derivative
         lines = (SMALL.ny // 2 + 1, red_mod.F2_REFINE * SMALL.nx // 2 + 1)
+        quarter = (SMALL.nx // 2 + 1, 1)  # the x column of the grid's quarter box
 
         def counted(p, m, n, x, y):
-            if np.shape(x) in ((SMALL.nx, SMALL.ny), lines):
+            if np.shape(x) in ((SMALL.nx, SMALL.ny), quarter, lines):
                 calls.append((m, n))
             return sample(p, m, n, x, y)
 
