@@ -7,19 +7,19 @@ differentiation, antidifferentiation and dealiased products are exact for
 band-limited data.  Fields are immutable after construction; every operation
 is a pure function returning a new field.
 
-Storage: a tagged :class:`RealField2D` holds only its quarter box, the
-samples x = i dx, y = j dy for i, j = 0..n/2 (x in [0, Lx], y in [0, Ly];
-the node Lx is the periodic copy of -Lx), from which the parity fixes the
-whole period.  An odd axis holds exact zeros at 0 and n/2, so fields of any
-two classes have the same shape and pointwise algebra on them stays in its
-class.  An untagged field holds all nx x ny samples; ``values`` unfolds the
-full grid on demand.
+Every :class:`RealField2D` carries one of the four parity classes and holds
+only its quarter box, the samples x = i dx, y = j dy for i, j = 0..n/2 (x
+in [0, Lx], y in [0, Ly]; the node Lx is the periodic copy of -Lx), from
+which the parity fixes the whole period.  An odd axis holds exact zeros at
+0 and n/2, so fields of any two classes have the same shape and pointwise
+algebra on them stays in its class.  ``values`` unfolds the full grid on
+demand.
 
-Invariant: every tagged :class:`RealField2D` is exactly parity-symmetric.
-The tag is checked only where data enter, in the public constructor (hence
-``with_symmetry`` and ``io.read_field``); operations whose output parity
-follows from algebra build through ``_tagged``, which trusts it and adopts
-their array with no copy.
+Invariant: every :class:`RealField2D` is exactly parity-symmetric.  The
+class is checked only where data enter, in the public constructor (hence
+``io.read_field``); operations whose output parity follows from algebra
+build through ``_tagged``, which trusts it and adopts their array with no
+copy.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ ZERO_MEAN_TOL = 1e-8
 class Symmetry(str, enum.Enum):
     """Parity class of a real field: parity in x crossed with parity in y.
 
-    ``NONE`` means untagged; the other members assert f(-x,y) = +/- f(x,y)
-    and f(x,-y) = +/- f(x,y) pointwise on the grid.
+    Each member asserts f(-x,y) = +/- f(x,y) and f(x,-y) = +/- f(x,y)
+    pointwise on the grid.
     """
 
-    NONE = "none"
     ODD_X_EVEN_Y = "odd_x_even_y"
     EVEN_X_EVEN_Y = "even_x_even_y"
     ODD_X_ODD_Y = "odd_x_odd_y"
@@ -53,21 +52,15 @@ class Symmetry(str, enum.Enum):
 
     @property
     def x_parity(self) -> int:
-        """+1 even, -1 odd, 0 untagged."""
-        if self is Symmetry.NONE:
-            return 0
+        """+1 even, -1 odd."""
         return -1 if self.value.startswith("odd_x") else 1
 
     @property
     def y_parity(self) -> int:
-        if self is Symmetry.NONE:
-            return 0
         return -1 if self.value.endswith("odd_y") else 1
 
     @staticmethod
     def from_parities(px: int, py: int) -> "Symmetry":
-        if px == 0 or py == 0:
-            return Symmetry.NONE
         x = "odd_x" if px < 0 else "even_x"
         y = "odd_y" if py < 0 else "even_y"
         return Symmetry(f"{x}_{y}")
@@ -155,14 +148,6 @@ class Grid2D:
         my = np.arange(self.ny // 2 + 1) <= self.ny // 3
         return mx[:, None] & my[None, :]
 
-    def same_as(self, other: "Grid2D") -> bool:
-        return (
-            self.nx == other.nx
-            and self.ny == other.ny
-            and self.Lx == other.Lx
-            and self.Ly == other.Ly
-        )
-
 
 def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> Grid2D:
     """Build a periodic grid; rejects non-power-of-two sizes and Lx,Ly <= 0."""
@@ -181,10 +166,8 @@ def _quarter_axes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     return grid.dx * np.arange(grid.nx // 2 + 1.0)[:, None], grid.dy * np.arange(grid.ny // 2 + 1.0)
 
 
-def _stored(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
-    """The samples of full-grid ``vals`` a field of ``symmetry`` stores, fresh if tagged."""
-    if symmetry is Symmetry.NONE:
-        return vals
+def _stored(vals: np.ndarray) -> np.ndarray:
+    """The quarter-box samples of full-grid ``vals`` a field stores, fresh."""
     return vals[np.ix_(*(np.r_[n // 2 : n, 0] for n in vals.shape[:2]))]
 
 
@@ -224,26 +207,25 @@ def _symmetry_defect(values: np.ndarray, symmetry: Symmetry) -> float:
         return 0.0
     worst = 0.0
     for axis, p in enumerate((symmetry.x_parity, symmetry.y_parity)):
-        if p != 0:
-            worst = max(worst, float(np.max(np.abs(_reflect(values, axis) - p * values))))
+        worst = max(worst, float(np.max(np.abs(_reflect(values, axis) - p * values))))
     return worst / scale
 
 
 @dataclass(frozen=True)
 class RealField2D:
-    """A real scalar field sampled on a :class:`Grid2D`.
+    """A real scalar field sampled on a :class:`Grid2D`, exactly in the
+    parity class ``symmetry``.
 
-    A tag other than NONE means the values are exactly in that parity class.
     The public constructor, ``RealField2D(grid, values, symmetry)`` with all
     nx x ny samples, is where data enter: it checks shape, finiteness and
-    the tag to ``SYMMETRY_TOL`` relative, projects the sub-tolerance
-    remainder away and keeps the stored samples (module docstring) in
+    the class to ``SYMMETRY_TOL`` relative, projects the sub-tolerance
+    remainder away and keeps the quarter box (module docstring) in
     ``data``.  Package operations build through ``_tagged`` instead.
     """
 
     grid: Grid2D
     data: np.ndarray = field(repr=False)
-    symmetry: Symmetry = Symmetry.NONE
+    symmetry: Symmetry
 
     def __post_init__(self):
         vals = np.asarray(self.data, dtype=np.float64)
@@ -254,45 +236,36 @@ class RealField2D:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        if self.symmetry is not Symmetry.NONE:
-            defect = _symmetry_defect(vals, self.symmetry)
-            if defect > SYMMETRY_TOL:
-                raise SymmetryViolation(
-                    f"declared {self.symmetry.value} violated: relative defect "
-                    f"{defect:.3e} > {SYMMETRY_TOL:.1e}"
-                )
-            # make the parity exact so downstream arithmetic stays exactly
-            # symmetric even through cancellation-heavy differences
-            if defect > 0.0:
-                vals = _project_parity(vals, self.symmetry)
-        data = np.array(_stored(vals, self.symmetry))
+        defect = _symmetry_defect(vals, self.symmetry)
+        if defect > SYMMETRY_TOL:
+            raise SymmetryViolation(
+                f"declared {self.symmetry.value} violated: relative defect "
+                f"{defect:.3e} > {SYMMETRY_TOL:.1e}"
+            )
+        # make the parity exact so downstream arithmetic stays exactly
+        # symmetric even through cancellation-heavy differences
+        if defect > 0.0:
+            vals = _project_parity(vals, self.symmetry)
+        data = _stored(vals)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     @cached_property
     def values(self) -> np.ndarray:
-        """All nx x ny samples, read-only: ``data`` unfolded if tagged."""
-        if self.symmetry is Symmetry.NONE:
-            return self.data
+        """All nx x ny samples, read-only: ``data`` unfolded."""
         vals = _unfold(self.data, self.symmetry.x_parity, self.symmetry.y_parity)
         vals.flags.writeable = False
         return vals
 
-    # -- small arithmetic helpers (pointwise, tags tracked) -----------------
+    # -- small arithmetic helpers (pointwise, in one class) -----------------
     def __add__(self, other: "RealField2D") -> "RealField2D":
-        sym = self.symmetry if self.symmetry is other.symmetry else Symmetry.NONE
-        return _combined(np.add, self, other, sym)
+        return _combined(np.add, self, other, _same_class(self, other))
 
     def __sub__(self, other: "RealField2D") -> "RealField2D":
-        sym = self.symmetry if self.symmetry is other.symmetry else Symmetry.NONE
-        return _combined(np.subtract, self, other, sym)
+        return _combined(np.subtract, self, other, _same_class(self, other))
 
     def scaled(self, c: float) -> "RealField2D":
         return _tagged(self.grid, c * self.data, self.symmetry)
-
-    def with_symmetry(self, symmetry: Symmetry) -> "RealField2D":
-        """Re-tag (and validate) the same values under a new symmetry."""
-        return RealField2D(self.grid, self.values, symmetry)
 
 
 @dataclass(frozen=True)
@@ -303,7 +276,7 @@ class ComplexField2D:
     im: RealField2D
 
     def __post_init__(self):
-        if not self.re.grid.same_as(self.im.grid):
+        if self.re.grid != self.im.grid:
             raise GridMismatch("re and im parts live on different grids")
 
     @property
@@ -312,8 +285,15 @@ class ComplexField2D:
 
 
 def _check_same_grid(f: RealField2D, g: RealField2D) -> None:
-    if not f.grid.same_as(g.grid):
+    if f.grid != g.grid:
         raise GridMismatch("fields are on different grids")
+
+
+def _same_class(f: RealField2D, g: RealField2D) -> Symmetry:
+    """The class of ``f`` and ``g``; a sum of two classes is in none."""
+    if f.symmetry is not g.symmetry:
+        raise SymmetryViolation(f"{f.symmetry.value} and {g.symmetry.value} fields do not add")
+    return f.symmetry
 
 
 def _tagged(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
@@ -326,40 +306,31 @@ def _tagged(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
 
 
 def _combined(op, f: RealField2D, g: RealField2D, symmetry: Symmetry) -> RealField2D:
-    """``op(f, g)`` pointwise, tagged ``symmetry``: on the quarters if that is
-    a parity class (both are then tagged), else on the full grid."""
+    """``op(f, g)`` pointwise on the quarters, tagged ``symmetry``."""
     _check_same_grid(f, g)
-    if symmetry is Symmetry.NONE:
-        return _tagged(f.grid, op(f.values, g.values), symmetry)
     return _tagged(f.grid, op(f.data, g.data), symmetry)
 
 
 def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
-    """Orthogonal projection onto the parity class ``symmetry``, exactly
-    symmetric, so transform roundoff never reaches a tagged field."""
+    """Orthogonal projection of full-grid data onto the parity class
+    ``symmetry``, exactly symmetric: data that enter are made exact here."""
     for axis, p in enumerate((symmetry.x_parity, symmetry.y_parity)):
-        if p != 0:
-            vals = 0.5 * (vals + p * _reflect(vals, axis))
+        vals = 0.5 * (vals + p * _reflect(vals, axis))
     return vals
 
 
 def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> RealField2D:
-    """The Fourier multiplier ``factors`` (rfft2 layout, their product) acting
-    on ``f``, tagged ``symmetry``: every full-grid spectral operation of the
-    package.  Between parity classes it runs on the stored quarters, where
-    the DFT of even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I (-i
-    times the DST-I) of its samples (Martucci 1994): each complex factor (one
-    per axis at most, varying along it) is made real by the classes' phases,
-    and the output is in its class by construction.  Untagged data take rfft2.
+    """The Fourier multiplier ``factors`` (in the (nx, ny/2+1) layout of a
+    real 2-D DFT, their product) acting on ``f``, tagged ``symmetry``: every
+    spectral operation of the package on fields.  It runs on the stored
+    quarters only, where the DFT of even (odd) data on k = 0..n/2
+    (1..n/2-1) is the DCT-I (-i times the DST-I) of its samples (Martucci
+    1994): each complex factor (one per axis at most, varying along it) is
+    made real by the classes' phases, and the output is in its class by
+    construction.
     """
     grid = f.grid
     pin, pout = (f.symmetry.x_parity, f.symmetry.y_parity), (symmetry.x_parity, symmetry.y_parity)
-    if 0 in pin + pout:
-        hat = sfft.rfft2(f.values)
-        for factor in factors:
-            hat *= factor
-        vals = _project_parity(sfft.irfft2(hat, s=(grid.nx, grid.ny)), symmetry)
-        return _tagged(grid, _stored(vals, symmetry), symmetry)
     q = _quarter(f.data, *pin)
     for axis, p in enumerate(pin):
         q = (sfft.dct if p > 0 else sfft.dst)(q, type=1, axis=axis, overwrite_x=axis > 0)
@@ -454,10 +425,7 @@ def weighted_sup(f: RealField2D, p: float, delta: float) -> float:
         raise ValueError("p must be >= 0")
     if not (0 <= delta < 1):
         raise ValueError("delta must lie in [0, 1)")
-    w = _radial_weight(f.grid, p - delta)
-    if f.symmetry is Symmetry.NONE:
-        w = _unfold(w, 1, 1)
-    return float(np.max(w * np.abs(f.data)))
+    return float(np.max(_radial_weight(f.grid, p - delta) * np.abs(f.data)))
 
 
 @lru_cache(maxsize=8)
@@ -487,19 +455,10 @@ def l2_norm(f: RealField2D) -> float:
 def inner(f: RealField2D, g: RealField2D) -> float:
     """L2 inner product with the grid measure; exactly 0 for a product odd in x or y."""
     _check_same_grid(f, g)
-    symmetry = f.symmetry.product(g.symmetry)
-    if symmetry is Symmetry.NONE:
-        total = np.sum(f.values * g.values)
-    elif symmetry is Symmetry.EVEN_X_EVEN_Y:
-        total = np.sum(_multiplicity(f.grid) * f.data * g.data)
-    else:
-        total = 0.0
+    if f.symmetry.product(g.symmetry) is not Symmetry.EVEN_X_EVEN_Y:
+        return 0.0
+    total = np.sum(_multiplicity(f.grid) * f.data * g.data)
     return float(total * f.grid.dx * f.grid.dy)
-
-
-def symmetrize(f: RealField2D, symmetry: Symmetry) -> RealField2D:
-    """Orthogonal projection onto the given parity class."""
-    return _tagged(f.grid, _stored(_project_parity(f.values, symmetry), symmetry), symmetry)
 
 
 def _sampled(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
@@ -512,7 +471,7 @@ def _sampled(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
     return _tagged(grid, vals, symmetry)
 
 
-def zeros(grid: Grid2D, symmetry: Symmetry = Symmetry.NONE) -> RealField2D:
+def zeros(grid: Grid2D, symmetry: Symmetry) -> RealField2D:
     return RealField2D(grid, np.zeros((grid.nx, grid.ny)), symmetry)
 
 

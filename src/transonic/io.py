@@ -3,7 +3,8 @@ Binary field format shared by all CLI tools.
 
 A field is stored as a header-free little-endian float64 array, row-major
 with x fastest, next to a JSON sidecar carrying the grid and tag metadata:
-{nx, ny, Lx, Ly, symmetry, quantity-name}.
+{nx, ny, Lx, Ly, symmetry, quantity-name}, where symmetry is one of the
+four parity classes.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ def read_field(bin_path: Path) -> RealField2D:
         finite = not isinstance(v, float) or math.isfinite(v)
         if isinstance(v, bool) or not isinstance(v, kinds) or not finite:
             raise ValueError(f"{json_path}: sidecar {key!r} is {v!r}, not {what}")
+    classes = [s.value for s in Symmetry]
+    if meta["symmetry"] not in classes:
+        raise ValueError(f"{json_path}: sidecar 'symmetry' is {meta['symmetry']!r}, "
+                         f"not one of the parity classes {', '.join(classes)}")
     grid = make_grid(meta["nx"], meta["ny"], meta["Lx"], meta["Ly"])
     raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != grid.nx * grid.ny:

@@ -42,7 +42,6 @@ from .grid import (
     _project_parity,
     _stored,
     _tagged,
-    _unfold,
     antiderivative_x,
     dealias,
     derivative,
@@ -237,6 +236,11 @@ def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
     requires zero x-mean on every y-line; the output is returned in the same
     zero-x-mean convention (the discrete antiderivative fixes integration
     constants per y-line, so the operator is only defined modulo x-constants).
+
+    The full-grid reference for ``eigen_extremes``, independent of its
+    cosine coefficients: the symbol takes its own rfft2/irfft2 round trip on
+    all nx x ny samples, and the result enters through the public
+    constructor, in the class of ``psi``.
     """
     _check_zero_x_mean(psi, "apply_L")
     grid = psi.grid
@@ -244,9 +248,9 @@ def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
     nzx = grid.kx != 0.0
     ratio[nzx, :] = 2.0 * grid.ky_r[None, :] ** 2 / (grid.kx[nzx, None] ** 2)
     symbol = grid.kx[:, None] ** 2 + op.c2 + ratio
-    out = _multiplied(psi, Symmetry.NONE, symbol).values
+    out = sfft.irfft2(sfft.rfft2(psi.values) * symbol, s=(grid.nx, grid.ny))
     out = out + op.coeff_lump_nl * _potential_product(op, psi).values
-    return RealField2D(grid, out - out.mean(axis=0, keepdims=True), Symmetry.NONE)
+    return RealField2D(grid, out - out.mean(axis=0, keepdims=True), psi.symmetry)
 
 
 @dataclass(frozen=True)
@@ -444,7 +448,7 @@ def eigen_extremes(
     start[:, :, 0] = even(-op.dq.values * np.exp(-0.05 * grid.r**2))
     for j in range(1, block):
         start[:, :, j] = even(rng.standard_normal((nx, ny)))
-    X = _coefficients(_stored(start, Symmetry.EVEN_X_EVEN_Y), 1)[:ax, :ay].reshape(unknowns, block)
+    X = _coefficients(_stored(start), 1)[:ax, :ay].reshape(unknowns, block)
 
     with warnings.catch_warnings():
         # the residual check below gives the verdict; a small problem is
@@ -473,10 +477,10 @@ def eigen_extremes(
     coeffs = np.zeros((mx, my + 1, k))
     coeffs[:ax, :ay, won] = vecs_in.reshape(ax, ay, -1)
     coeffs.reshape(-1, k)[order[~won] - vals.size, np.flatnonzero(~won)] = 1.0
-    full = _unfold(_values(coeffs, 1), 1, 1)
+    quarters = _values(coeffs, 1)
     pairs = []
     for j in range(k):
-        f = RealField2D(grid, full[:, :, j])
+        f = _tagged(grid, np.ascontiguousarray(quarters[:, :, j]), Symmetry.EVEN_X_EVEN_Y)
         f = f.scaled(1.0 / l2_norm(f))
         pairs.append(EigenPair(eigenvalue=float(candidates[order[j]]), psi=f))
 
@@ -489,7 +493,7 @@ def eigen_extremes(
             + ", ".join(f"{p.eigenvalue:.4e}" for p in neg)
         )
     pos = [p.eigenvalue for p in pairs if p.eigenvalue > 0.0]
-    phi0 = pairs[0].psi.with_symmetry(Symmetry.EVEN_X_EVEN_Y)
+    phi0 = pairs[0].psi
     phi1 = antiderivative_x(phi0)
     return EigenResult(
         pairs=tuple(pairs),
@@ -539,16 +543,6 @@ class NormSuite:
 def _l2_pair(f: RealField2D, g: RealField2D) -> float:
     """sqrt(||f||^2 + ||g||^2)."""
     return math.sqrt(l2_norm(f) ** 2 + l2_norm(g) ** 2)
-
-
-def b_norm(f: RealField2D) -> float:
-    """L2 right-hand-side norm (value and x-derivative)."""
-    return _l2_pair(f, derivative(f, 1, 0))
-
-
-def c_norm(f: RealField2D) -> float:
-    """L2 right-hand-side norm (value and y-derivative)."""
-    return _l2_pair(f, derivative(f, 0, 1))
 
 
 def _star_terms(f: RealField2D, df: _Table, eps: float, delta: float) -> dict[str, float]:
@@ -616,11 +610,6 @@ def _transport_norms(f: RealField2D, df: _Table, eps: float, delta: float) -> tu
         + e**2 * s01 + e**2 * w(df(1, 1)) + e**4 * s02 + e**4 * w(df(1, 2))
     )
     return qstar, s00 + s10 + e**2 * s01 + e**4 * s02
-
-
-def qstar_norm(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> float:
-    """Weighted transport-solution norm (the one the f2 estimates live in)."""
-    return _transport_norms(f, partial(derivative, f), eps, delta)[0]
 
 
 def norm_suite(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> NormSuite:

@@ -159,45 +159,36 @@ def sample_lump(p: LumpParams, g: Grid2D, m: int = 0, n: int = 0) -> RealField2D
 
 
 def kpi_residual(p: LumpParams, g: Grid2D, nonlinear_coeff: float | None = None) -> RealField2D:
-    """Residual of the lump's own fourth-order equation, closed-form derivatives.
+    """Residual of the lump's own fourth-order equation, closed-form derivatives
+    on the quarter box, odd in x and even in y like q.
 
     Vanishes identically (to rounding) for the exact nonlinear coefficient;
     ``nonlinear_coeff`` overrides it for coefficient-perturbation checks.
     """
     c2 = 2.0 * SQRT2 - p.eps**2
     cnl = p.nonlinear_coeff if nonlinear_coeff is None else nonlinear_coeff
-    q_x4 = lump_derivative(p, 4, 0, g.X, g.Y)
-    q_x2 = lump_derivative(p, 2, 0, g.X, g.Y)
-    q_y2 = lump_derivative(p, 0, 2, g.X, g.Y)
-    q_x = lump_derivative(p, 1, 0, g.X, g.Y)
-    q_xx = q_x2
+    X, Y = _quarter_axes(g)
+    d = lambda m, n: lump_derivative(p, m, n, X, Y)
+    q_xx = d(2, 0)
     # d/dx (q_x)^2 = 2 q_x q_xx
-    # near machine zero for the exact coefficient: leave untagged, a relative
-    # parity check on a roundoff-level field is meaningless
-    vals = q_x4 - c2 * q_x2 - cnl * 2.0 * q_x * q_xx - 2.0 * q_y2
-    return RealField2D(g, vals, Symmetry.NONE)
-
-
-def lump_kernel_fields(p: LumpParams, g: Grid2D) -> tuple[RealField2D, RealField2D]:
-    """The two translation modes (dq/dx, dq/dy) sampled on the grid."""
-    return sample_lump(p, g, 1, 0), sample_lump(p, g, 0, 1)
+    vals = d(4, 0) - c2 * q_xx - cnl * 2.0 * d(1, 0) * q_xx - 2.0 * d(0, 2)
+    return _sampled(g, vals, Symmetry.ODD_X_EVEN_Y)
 
 
 def linearized_kernel_residuals(p: LumpParams, g: Grid2D) -> tuple[RealField2D, RealField2D]:
     """Residuals of the lump linearization applied to the translation modes.
 
-    Assembled entirely from closed-form derivatives (no grid truncation), so
-    both fields vanish to rounding when the modes really span the kernel.
+    Assembled entirely from closed-form derivatives on the quarter box (no
+    grid truncation), so both fields vanish to rounding when the modes
+    really span the kernel.  The x mode's residual is even/even, the y
+    mode's odd/odd.
     """
     c2 = 2.0 * SQRT2 - p.eps**2
     cl = 6.0 * SQRT2 * p.B ** 2.5
-    X, Y = g.X, g.Y
+    X, Y = _quarter_axes(g)
     d = lambda m, n: lump_derivative(p, m, n, X, Y)
     # v = dq/dx: fifth-order identity from differentiating the lump equation in x
     res_x = d(5, 0) - c2 * d(3, 0) - cl * (d(2, 0) ** 2 + d(1, 0) * d(3, 0)) - 2.0 * d(1, 2)
     # v = dq/dy: differentiate in y instead
     res_y = d(4, 1) - c2 * d(2, 1) - cl * (d(2, 0) * d(1, 1) + d(1, 0) * d(2, 1)) - 2.0 * d(0, 3)
-    return (
-        RealField2D(g, res_x, Symmetry.NONE),
-        RealField2D(g, res_y, Symmetry.NONE),
-    )
+    return _sampled(g, res_x, Symmetry.EVEN_X_EVEN_Y), _sampled(g, res_y, Symmetry.ODD_X_ODD_Y)

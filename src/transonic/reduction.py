@@ -217,8 +217,7 @@ def build_state(
     if phi is None:
         phi = zeros(grid, Symmetry.ODD_X_EVEN_Y)
     elif phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
-        # only a phi from outside the package can miss the tag
-        phi = phi.with_symmetry(Symmetry.ODD_X_EVEN_Y)
+        raise SymmetryViolation("phi must be tagged odd_x_even_y")
     g1 = q + phi
     return ReductionState(
         eps=eps,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transonic.grid import RealField2D, symmetrize
+from transonic.grid import RealField2D, _project_parity
 
 
 def band_limited_field(grid, symmetry, seed, kmax=8, amplitude=1.0):
@@ -16,7 +16,7 @@ def band_limited_field(grid, symmetry, seed, kmax=8, amplitude=1.0):
     hat[:kmax, :kmax] = rng.standard_normal((kmax, kmax)) + 1j * rng.standard_normal((kmax, kmax))
     hat[-kmax:, :kmax] = rng.standard_normal((kmax, kmax)) + 1j * rng.standard_normal((kmax, kmax))
     vals = np.fft.irfft2(hat, s=(grid.nx, grid.ny))
-    f = symmetrize(RealField2D(grid, vals), symmetry)
+    f = RealField2D(grid, _project_parity(vals, symmetry), symmetry)
     top = float(np.max(np.abs(f.values)))
     if top == 0.0:
         raise AssertionError("degenerate random field")

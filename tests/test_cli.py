@@ -288,6 +288,17 @@ def test_input_parity_checked(tmp_path, capsys, command):
     assert rec["error"] == "SymmetryViolation" and "odd_x_even_y" in rec["message"]
 
 
+def test_untagged_sidecar_rejected(tmp_path, capsys):
+    # "none" (an untagged field) is not one of the four parity classes
+    np.zeros(16 * 16).astype("<f8").tofile(tmp_path / "phi.bin")
+    meta = {"nx": 16, "ny": 16, "Lx": 5.0, "Ly": 5.0, "symmetry": "none", "quantity-name": "phi"}
+    (tmp_path / "phi.json").write_text(json.dumps(meta))
+    assert main(["norms", "--in", str(tmp_path / "phi.bin")]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and str(tmp_path / "phi.json") in rec["message"]
+    assert all(s.value in rec["message"] for s in Symmetry)
+
+
 @pytest.mark.slow
 def test_construct_residual_roundtrip(tmp_path, capsys):
     out = tmp_path / "run"

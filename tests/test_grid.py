@@ -15,6 +15,7 @@ from transonic.grid import (
     RealField2D,
     Symmetry,
     _ik_power,
+    _project_parity,
     _symmetry_defect,
     antiderivative_x,
     constant,
@@ -23,7 +24,6 @@ from transonic.grid import (
     l2_norm,
     make_grid,
     product_dealiased,
-    symmetrize,
     weighted_sup,
     zeros,
 )
@@ -74,7 +74,7 @@ class TestDerivative:
 
     def test_commutes(self, rand_field):
         g = make_grid(64, 64, 9, 9)
-        f = rand_field(g, Symmetry.NONE, seed=3)
+        f = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=3)
         a = derivative(derivative(f, 1, 0), 0, 1)
         b = derivative(f, 1, 1)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
@@ -82,7 +82,7 @@ class TestDerivative:
     def test_order_guard(self):
         g = make_grid(32, 32, 5, 5)
         with pytest.raises(ValueError):
-            derivative(zeros(g), 5, 0)
+            derivative(zeros(g, Symmetry.ODD_X_EVEN_Y), 5, 0)
 
     def test_fourth_derivative_matches_closed_form(self):
         # resolution floor: dx ~ 0.08 and a box large enough that the seam
@@ -120,7 +120,7 @@ class TestAntiderivative:
 
     def test_roundtrip_removes_x_mean(self, rand_field):
         g = make_grid(64, 64, 9, 9)
-        f = rand_field(g, Symmetry.NONE, seed=11)
+        f = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=11)
         d = derivative(f, 1, 0)
         back = antiderivative_x(d)
         target = f.values - f.values.mean(axis=0, keepdims=True)
@@ -146,7 +146,7 @@ class TestProduct:
     def test_identity_factor(self, rand_field):
         g = make_grid(64, 64, 9, 9)
         f = constant(g, 1.0)
-        h = rand_field(g, Symmetry.NONE, seed=4)
+        h = rand_field(g, Symmetry.EVEN_X_ODD_Y, seed=4)
         prod = product_dealiased(f, h)
         assert np.max(np.abs(prod.values - dealias(h).values)) < 1e-13
 
@@ -178,8 +178,8 @@ class TestProduct:
         assert errs[1] <= 0.6 * errs[0]
 
     def test_grid_mismatch(self):
-        a = zeros(make_grid(32, 32, 5, 5))
-        b = zeros(make_grid(32, 32, 6, 5))
+        a = zeros(make_grid(32, 32, 5, 5), Symmetry.EVEN_X_EVEN_Y)
+        b = zeros(make_grid(32, 32, 6, 5), Symmetry.EVEN_X_EVEN_Y)
         with pytest.raises(GridMismatch):
             product_dealiased(a, b)
 
@@ -187,11 +187,11 @@ class TestProduct:
 class TestNorms:
     def test_weighted_sup_zero(self):
         g = make_grid(32, 32, 5, 5)
-        assert weighted_sup(zeros(g), 2.0, 0.1) == 0.0
+        assert weighted_sup(zeros(g, Symmetry.EVEN_X_EVEN_Y), 2.0, 0.1) == 0.0
 
     def test_weighted_sup_exact_cancellation(self):
         g = make_grid(128, 128, 20, 20)
-        f = RealField2D(g, (1.0 + g.r) ** -2.0)
+        f = RealField2D(g, (1.0 + g.r) ** -2.0, Symmetry.EVEN_X_EVEN_Y)
         assert weighted_sup(f, 2.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_weighted_sup_lump_bounded(self):
@@ -207,7 +207,7 @@ class TestNorms:
         # the weight is built once per (grid, p - delta), and every call
         # returns exactly the value of the direct formula
         g = make_grid(64, 64, 9, 9)
-        fields = [rand_field(g, Symmetry.NONE, seed=s) for s in (1, 2)]
+        fields = [rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=s) for s in (1, 2)]
         grid_module._radial_weight.cache_clear()
         for p, delta in ((1.5, 0.1), (1.0, 0.0), (1.5, 0.1)):
             for f in fields:
@@ -230,8 +230,8 @@ class TestNorms:
 
     def test_monotone_under_domination(self, rand_field):
         g = make_grid(64, 64, 9, 9)
-        f = rand_field(g, Symmetry.NONE, seed=8)
-        big = RealField2D(g, 2.0 * np.abs(f.values))
+        f = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=8)
+        big = RealField2D(g, 2.0 * np.abs(f.values), Symmetry.EVEN_X_EVEN_Y)
         assert weighted_sup(big, 1.5, 0.1) >= weighted_sup(f, 1.5, 0.1)
         assert l2_norm(big) >= l2_norm(f)
 
@@ -244,20 +244,20 @@ class TestSymmetryTags:
         with pytest.raises(SymmetryViolation):
             RealField2D(g, vals, Symmetry.ODD_X_EVEN_Y)
 
-    def test_symmetrize_projects(self, rand_field):
+    def test_projected_data_enter_tagged(self):
         g = make_grid(32, 32, 5, 5)
-        f = rand_field(g, Symmetry.NONE, seed=9)
-        s = symmetrize(f, Symmetry.ODD_X_ODD_Y)
+        raw = np.random.default_rng(9).standard_normal((32, 32))
+        s = RealField2D(g, _project_parity(raw, Symmetry.ODD_X_ODD_Y), Symmetry.ODD_X_ODD_Y)
         assert s.symmetry is Symmetry.ODD_X_ODD_Y
 
     def test_fields_are_immutable(self):
         g = make_grid(32, 32, 5, 5)
-        f = zeros(g)
+        f = zeros(g, Symmetry.ODD_X_EVEN_Y)
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
 
-TAGS = [s for s in Symmetry if s is not Symmetry.NONE]
+TAGS = list(Symmetry)
 SMALL = ["--nx", "64", "--ny", "64", "--Lx", "20", "--Ly", "20"]
 
 
@@ -342,7 +342,7 @@ class TestQuarterBoxMultiplier:
 
     def _field(self, sym, seed, zero_mean=False):
         raw = np.random.default_rng(seed).standard_normal((self.GRID.nx, self.GRID.ny))
-        vals = symmetrize(RealField2D(self.GRID, raw), sym).values
+        vals = _project_parity(raw, sym)
         if zero_mean:
             vals = vals - vals.mean(axis=0)
         f = RealField2D(self.GRID, vals, sym)
@@ -355,7 +355,7 @@ class TestQuarterBoxMultiplier:
 
     @staticmethod
     def _assert_close(got, ref, what):
-        assert got.symmetry is not Symmetry.NONE
+        assert got.symmetry in TAGS
         err = np.max(np.abs(got.values - ref))
         assert err <= 1e-13 * np.max(np.abs(ref)), f"{what}: {err:.3e}"
 
@@ -395,10 +395,10 @@ class TestQuarterBoxMultiplier:
 
 
 def test_construct_takes_no_full_grid_transform(tmp_path, monkeypatch):
-    # a construction multiplies only tagged fields, all on the quarter box: no
+    # a construction multiplies fields on the quarter box only: no
     # rfft2/irfft2 call and no parity projection at all (the lump samples
-    # are taken on the quarter box); untagged data (apply_L) keep the rfft2
-    # route, byte for byte
+    # are taken on the quarter box); apply_L, the full-grid test reference,
+    # still takes the rfft2 route
     calls = []
 
     def counted(name):
@@ -426,13 +426,12 @@ def test_construct_takes_no_full_grid_transform(tmp_path, monkeypatch):
     assert projected == []
 
     g = make_grid(64, 64, 20, 20)
-    psi = RealField2D(g, np.random.default_rng(5).standard_normal((64, 64)))
-    psi = RealField2D(g, psi.values - psi.values.mean(axis=0))
-    apply_L(make_linearized_operator(0.1, g), psi)
+    even = Symmetry.EVEN_X_EVEN_Y
+    psi = _project_parity(np.random.default_rng(5).standard_normal((64, 64)), even)
+    psi = RealField2D(g, psi - psi.mean(axis=0), even)
+    out = apply_L(make_linearized_operator(0.1, g), psi)
     assert calls.count("rfft2") > 0 and calls.count("irfft2") > 0
-    factor = _ik_power(g.kx, 2)[:, None]
-    got = grid_module._multiplied(psi, Symmetry.NONE, factor).values
-    assert np.array_equal(got, sfft.irfft2(sfft.rfft2(psi.values) * factor, s=(64, 64)))
+    assert out.symmetry is even
 
 
 class TestTagInvariant:
@@ -467,7 +466,7 @@ class TestIO:
         f = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=10)
         binp = write_field(tmp_path, "sample", f)
         back = read_field(binp)
-        assert back.grid.same_as(g)
+        assert back.grid == g
         assert back.symmetry is f.symmetry
         assert np.array_equal(back.values, f.values)
 
@@ -475,7 +474,7 @@ class TestIO:
         import json
 
         g = make_grid(32, 32, 5, 5)
-        write_field(tmp_path, "z", zeros(g))
+        write_field(tmp_path, "z", zeros(g, Symmetry.ODD_X_EVEN_Y))
         meta = json.loads((tmp_path / "z.json").read_text())
         assert set(meta) == {"nx", "ny", "Lx", "Ly", "symmetry", "quantity-name"}
         assert meta["quantity-name"] == "z"

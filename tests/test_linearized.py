@@ -19,7 +19,7 @@ from transonic.grid import (
     inner,
     l2_norm,
     make_grid,
-    symmetrize,
+    weighted_sup,
     zeros,
 )
 from transonic.linearized import (
@@ -31,16 +31,18 @@ from transonic.linearized import (
     apply_L,
     apply_linearized,
     apply_lump_linearization,
-    b_norm,
-    c_norm,
     eigen_extremes,
     make_linearized_operator,
     norm_suite,
-    qstar_norm,
     solve_linearized,
     star_norm_proxy,
 )
 from transonic.lump import SQRT2, LumpParams, lump_derivative, sample_lump
+
+
+def l2_pair(f, g):
+    """sqrt(||f||^2 + ||g||^2): the b norm of f with g = dx f, the c norm with g = dy f."""
+    return math.sqrt(l2_norm(f) ** 2 + l2_norm(g) ** 2)
 
 
 def zero_coupling_operator(eps, grid):
@@ -133,14 +135,16 @@ class TestSolve:
         with pytest.raises(SymmetryViolation):
             solve_linearized(op, zeros(g, Symmetry.ODD_X_EVEN_Y), zeros(g, Symmetry.ODD_X_ODD_Y))
 
-    @pytest.mark.parametrize("sym", [Symmetry.NONE, Symmetry.EVEN_X_EVEN_Y])
+    @pytest.mark.parametrize("sym", [Symmetry.ODD_X_ODD_Y, Symmetry.EVEN_X_EVEN_Y])
     def test_start_must_be_odd_even(self, rand_field, sym):
-        # an untagged start, odd/even in its values, is refused like a wrong class
+        # a start of any other class is refused
         g = make_grid(64, 64, 10, 10)
         op = make_linearized_operator(0.1, g)
         x0 = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=1).values
         if sym is Symmetry.EVEN_X_EVEN_Y:
             x0 = np.abs(x0)
+        else:
+            x0 = x0 * np.sin(np.pi * g.Y / g.Ly)
         h1, h2 = zeros(g, Symmetry.EVEN_X_EVEN_Y), zeros(g, Symmetry.ODD_X_ODD_Y)
         with pytest.raises(SymmetryViolation, match="x0"):
             solve_linearized(op, h1, h2, x0=RealField2D(g, x0, sym))
@@ -152,7 +156,7 @@ class TestSolve:
         op = make_linearized_operator(0.1, g)
         phi_star = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=5)
         rhs = apply_linearized(op, phi_star)
-        h1 = antiderivative_x(rhs).with_symmetry(Symmetry.EVEN_X_EVEN_Y)
+        h1 = antiderivative_x(rhs)
         h2 = zeros(g, Symmetry.ODD_X_ODD_Y)
         phi, _ = solve_linearized(op, h1, h2, tol=1e-10)
         assert np.max(np.abs(phi.values - phi_star.values)) <= 1e-6
@@ -175,7 +179,7 @@ class TestSolve:
         h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=0, kmax=6)
         h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=50, kmax=6)
         phi, _ = solve_linearized(op, h1, h2, tol=1e-9)
-        rhs = symmetrize(derivative(h1, 1, 0) + derivative(h2, 0, 1), Symmetry.ODD_X_EVEN_Y)
+        rhs = derivative(h1, 1, 0) + derivative(h2, 0, 1)
         assert len(passes) >= 2
         assert l2_norm(apply_linearized(op, phi) - rhs) <= 1e-9 * l2_norm(rhs)
 
@@ -226,7 +230,9 @@ class TestSolve:
                 h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=s, kmax=6)
                 h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=50 + s, kmax=6)
                 phi, _ = solve_linearized(op, h1, h2, tol=1e-9)
-                vals.append(norm_suite(phi, eps).a / (b_norm(h1) + c_norm(h2)))
+                b = l2_pair(h1, derivative(h1, 1, 0))
+                c = l2_pair(h2, derivative(h2, 0, 1))
+                vals.append(norm_suite(phi, eps).a / (b + c))
             ratios[n] = max(vals)
         assert ratios[256] <= 2.0 * ratios[128]
         assert ratios[128] <= 2.0 * ratios[256]
@@ -243,7 +249,8 @@ class TestReducedOperator:
         g = make_grid(64, 64, 10, 10)
         op = make_linearized_operator(0.1, g)
         psi = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=7)
-        psi = RealField2D(g, psi.values - psi.values.mean(axis=0, keepdims=True))
+        psi = RealField2D(g, psi.values - psi.values.mean(axis=0, keepdims=True),
+                          Symmetry.EVEN_X_EVEN_Y)
         a = apply_L(op, psi.scaled(2.0))
         b = apply_L(op, psi).scaled(2.0)
         assert np.max(np.abs(a.values - b.values)) <= 1e-12 * np.max(np.abs(b.values))
@@ -335,11 +342,11 @@ def test_cosine_basis_is_isometric_projection():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((g.nx, g.ny, 2))
     even = Symmetry.EVEN_X_EVEN_Y
-    coeffs = _coefficients(_stored(_project_parity(raw, even), even), 1)
+    coeffs = _coefficients(_stored(_project_parity(raw, even)), 1)
     assert coeffs.shape == (g.nx // 2, g.ny // 2 + 1, 2)
     back = _unfold(_values(coeffs, 1), 1, 1)
     for j in range(2):
-        proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.EVEN_X_EVEN_Y).values
+        proj = _project_parity(raw[:, :, j], Symmetry.EVEN_X_EVEN_Y)
         proj = proj - proj.mean(axis=0, keepdims=True)
         assert np.max(np.abs(back[:, :, j] - proj)) <= 1e-13
         assert np.sum(coeffs[:, :, j] ** 2) == pytest.approx(np.sum(proj**2), rel=1e-13)
@@ -360,7 +367,8 @@ def dense_reduced_operator(op):
     basis = U[:, sv > 1e-8 * sv[0]]
     assert basis.shape[1] == (n // 2) * (n // 2 + 1)
     images = np.column_stack([
-        apply_L(op, RealField2D(g, col.reshape(n, n))).values.ravel() for col in basis.T
+        apply_L(op, RealField2D(g, col.reshape(n, n), Symmetry.EVEN_X_EVEN_Y)).values.ravel()
+        for col in basis.T
     ])
     H = basis.T @ images
     evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
@@ -384,7 +392,7 @@ def test_eigen_matches_dense_reference(n, L, k, merged):
     diagonal = (kx**2 + op.c2 + 2.0 * ky**2 / kx**2)[~g.dealias_mask[1 : n // 2 + 1]]
     hits = np.min(np.abs(got[:, None] - diagonal[None, :]), axis=1) <= 1e-12 * np.abs(got)
     assert hits.any() == merged
-    ref = RealField2D(g, (basis @ evecs[:, 0]).reshape(n, n))
+    ref = RealField2D(g, (basis @ evecs[:, 0]).reshape(n, n), Symmetry.EVEN_X_EVEN_Y)
     ref = ref.scaled(1.0 / l2_norm(ref))
     ref_vals = ref.values * np.sign(inner(ref, res.phi0))
     assert np.max(np.abs(res.phi0.values - ref_vals)) <= 1e-6 * np.max(np.abs(ref_vals))
@@ -417,7 +425,7 @@ def test_pruned_potential_matches_masked_transforms(nx, ny):
     op = make_linearized_operator(0.1, g)
     mx, my = nx // 2, ny // 2
     mask = g.dealias_mask[: mx + 1, :, None]
-    tdq = _stored(dealias(op.dq).values, Symmetry.EVEN_X_EVEN_Y)[..., None]
+    tdq = _stored(dealias(op.dq).values)[..., None]
 
     def masked(tv):
         t = sfft.dctn(mask * tv, type=1, axes=(0, 1), norm="ortho")
@@ -444,11 +452,11 @@ def test_sine_cosine_basis_is_isometric_projection():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((g.nx, g.ny, 2))
     odd = Symmetry.ODD_X_EVEN_Y
-    coeffs = _coefficients(_stored(_project_parity(raw, odd), odd), -1)
+    coeffs = _coefficients(_stored(_project_parity(raw, odd)), -1)
     assert coeffs.shape == (g.nx // 2 - 1, g.ny // 2 + 1, 2)
     back = _unfold(_values(coeffs, -1), -1, 1)
     for j in range(2):
-        proj = symmetrize(RealField2D(g, raw[:, :, j]), Symmetry.ODD_X_EVEN_Y).values
+        proj = _project_parity(raw[:, :, j], Symmetry.ODD_X_EVEN_Y)
         assert np.max(np.abs(back[:, :, j] - proj)) <= 1e-13
         assert np.sum(coeffs[:, :, j] ** 2) == pytest.approx(np.sum(proj**2), rel=1e-13)
 
@@ -496,7 +504,7 @@ def test_linear_solve_matches_dense_reference(rand_field, monkeypatch):
     ref = R.T @ H @ R
     assert np.max(np.abs(Hc - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    rhs = symmetrize(derivative(h1, 1, 0) + derivative(h2, 0, 1), Symmetry.ODD_X_EVEN_Y)
+    rhs = derivative(h1, 1, 0) + derivative(h2, 0, 1)
     phi_ref = basis @ np.linalg.solve(H, basis.T @ rhs.values.ravel())
     assert np.max(np.abs(phi.values.ravel() - phi_ref)) <= 1e-9 * np.max(np.abs(phi_ref))
 
@@ -522,7 +530,7 @@ class TestNormSuite:
     def test_antiderivative_term_requires_zero_mean(self):
         g = make_grid(64, 64, 10, 10)
         vals = np.cos(np.pi * g.Y / g.Ly) * (2.0 + np.cos(np.pi * g.X / g.Lx))
-        f = RealField2D(g, vals)
+        f = RealField2D(g, vals, Symmetry.EVEN_X_EVEN_Y)
         with pytest.raises(NonZeroMean):
             norm_suite(f, 0.1)
 
@@ -532,11 +540,17 @@ class TestNormSuite:
         assert star_norm_proxy(f, 0.1) <= norm_suite(f, 0.1).star
 
     def test_suite_matches_standalone_norms(self, rand_field):
-        # the suite reads one derivative table; the standalone norms take
+        # the suite reads one derivative table; the norms written out here take
         # their own derivatives, and every sum has the same term order
         g = make_grid(64, 64, 10, 10)
         f = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=15)
         s = norm_suite(f, 0.1)
-        assert s.qstar == qstar_norm(f, 0.1)
-        assert s.b == b_norm(f)
-        assert s.c == c_norm(f)
+        e = 0.1
+        w = lambda m, n: weighted_sup(derivative(f, m, n), 1.5, 0.1)
+        qstar = (
+            w(0, 0) + w(1, 0) + w(2, 0) + e * w(3, 0)
+            + e**2 * w(0, 1) + e**2 * w(1, 1) + e**4 * w(0, 2) + e**4 * w(1, 2)
+        )
+        assert s.qstar == qstar
+        assert s.b == l2_pair(f, derivative(f, 1, 0))
+        assert s.c == l2_pair(f, derivative(f, 0, 1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transonic.grid import RealField2D, Symmetry, derivative, make_grid, symmetrize
+from transonic.grid import RealField2D, Symmetry, _project_parity, derivative, make_grid
 from transonic.lump import (
     SQRT2,
     LumpParams,
@@ -9,7 +9,6 @@ from transonic.lump import (
     linearized_kernel_residuals,
     lump_derivative,
     lump_eval,
-    lump_kernel_fields,
     sample_lump,
 )
 
@@ -110,7 +109,7 @@ def test_kpi_residual_coefficient_perturbation():
 
 def test_kernel_field_tags_and_values():
     p = LumpParams.from_epsilon(0.0)
-    fx, fy = lump_kernel_fields(p, GRID)
+    fx, fy = sample_lump(p, GRID, 1, 0), sample_lump(p, GRID, 0, 1)
     assert fx.symmetry is Symmetry.EVEN_X_EVEN_Y
     assert fy.symmetry is Symmetry.ODD_X_ODD_Y
     i = GRID.nx // 2
@@ -124,6 +123,26 @@ def test_translation_modes_in_kernel(eps):
     rx, ry = linearized_kernel_residuals(LumpParams.from_epsilon(eps), GRID)
     assert np.max(np.abs(rx.values)) <= 1e-7
     assert np.max(np.abs(ry.values)) <= 1e-7
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("n, L", [(64, 20), (512, 40)])
+def test_lump_check_sups_are_the_full_grid_sups(n, L, eps):
+    # the residuals are taken on the quarter box only; the sups lump-check
+    # reports are, bit for bit, those of the closed forms on the whole grid
+    g = make_grid(n, n, L, L)
+    p = LumpParams.from_epsilon(eps)
+    c2 = 2.0 * SQRT2 - eps**2
+    cl = 6.0 * SQRT2 * p.B**2.5
+    d = lambda m, k: lump_derivative(p, m, k, g.X, g.Y)
+    full = (
+        d(4, 0) - c2 * d(2, 0) - p.nonlinear_coeff * 2.0 * d(1, 0) * d(2, 0) - 2.0 * d(0, 2),
+        d(5, 0) - c2 * d(3, 0) - cl * (d(2, 0) ** 2 + d(1, 0) * d(3, 0)) - 2.0 * d(1, 2),
+        d(4, 1) - c2 * d(2, 1) - cl * (d(2, 0) * d(1, 1) + d(1, 0) * d(2, 1)) - 2.0 * d(0, 3),
+    )
+    got = (kpi_residual(p, g), *linearized_kernel_residuals(p, g))
+    for f, ref in zip(got, full):
+        assert np.max(np.abs(f.values)) == np.max(np.abs(ref))
 
 
 def test_parity_exact():
@@ -175,5 +194,6 @@ def test_quarter_samples_are_the_projected_full_grid_samples():
     p = LumpParams.from_epsilon(0.1)
     for m, n in ((0, 0), (4, 0), (2, 0), (1, 0), (0, 2), (2, 2), (0, 4)):
         sym = Symmetry.ODD_X_EVEN_Y.differentiated(m, n)
-        full = symmetrize(RealField2D(GRID, lump_derivative(p, m, n, GRID.X, GRID.Y)), sym)
+        full = lump_derivative(p, m, n, GRID.X, GRID.Y)
+        full = RealField2D(GRID, _project_parity(full, sym), sym)
         assert sample_lump(p, GRID, m, n).data.tobytes() == full.data.tobytes()

@@ -209,7 +209,7 @@ class TestHalfLineTransforms:
     @pytest.mark.parametrize("sym", [Symmetry.ODD_X_EVEN_Y, Symmetry.EVEN_X_EVEN_Y])
     def test_interpolation_matches_complex_zero_padding(self, rand_field, sym):
         f = rand_field(SMALL, sym, seed=4, kmax=SMALL.nx // 2)  # up to the Nyquist row
-        ref = red_mod._quarter_lines(_stored(_complex_interp_x(f.values, 4), sym))
+        ref = red_mod._quarter_lines(_stored(_complex_interp_x(f.values, 4)))
         out = red_mod._refined_lines(red_mod._quarter_lines(f.data), sym.x_parity, 4)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -353,24 +353,26 @@ class TestAssembleRhs:
             return derivative(f, 0, k)
 
         def prod(a, b):
-            return RealField2D(GRID, a.values * b.values)
+            return RealField2D(GRID, a.values * b.values, a.symmetry.product(b.symmetry))
 
-        trio = RealField2D(GRID, (f1.values + e2 * f2.values))
-        mix = RealField2D(GRID, g1.values * f1.values**2 + 2 * e2 * f1.values * f2.values * g1.values + e4 * g1.values * f2.values**2)
+        even, odd = Symmetry.EVEN_X_EVEN_Y, Symmetry.ODD_X_EVEN_Y
+        trio = RealField2D(GRID, (f1.values + e2 * f2.values), even)
+        mix = RealField2D(GRID, g1.values * f1.values**2 + 2 * e2 * f1.values * f2.values * g1.values + e4 * g1.values * f2.values**2, odd)
         cubic = RealField2D(
             GRID,
             6 * e2 * f1.values * f2.values
             + e2 * trio.values**3
             + 3 * e4 * f2.values**2
             + e2 * f2.values * g1.values**2,
+            even,
         )
         p1_direct = (
             dx(prod(g1, dx(g1)), 2).scaled(e2).values
             + dx(mix, 2).scaled(e2).values
-            - dx(RealField2D(GRID, f2.values**2)).scaled(sc * e4).values
-            - dx(RealField2D(GRID, f1.values**2)).scaled(e4 / sc).values
+            - dx(RealField2D(GRID, f2.values**2, even)).scaled(sc * e4).values
+            - dx(RealField2D(GRID, f1.values**2, even)).scaled(e4 / sc).values
             + dx(prod(dx(g1), f2)).scaled(2 * e2).values
-            + dx(RealField2D(GRID, dx(g1).values**2)).scaled(
+            + dx(RealField2D(GRID, dx(g1).values**2, even)).scaled(
                 (2 * e2 - 0.5 * SQRT2 * e4) / (2 - SQRT2 * e2)
             ).values
             + dx(cubic).scaled(sc).values
@@ -412,13 +414,11 @@ class TestBuildState:
         assert calls == []
         assert st.g1.symmetry is Symmetry.ODD_X_EVEN_Y
 
-    def test_untagged_phi_checked(self, rand_field):
-        good = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=5, amplitude=1e-3)
-        st = build_state(0.1, SMALL, phi=RealField2D(SMALL, good.values))
-        assert st.g1.symmetry is Symmetry.ODD_X_EVEN_Y
-        bad = rand_field(SMALL, Symmetry.NONE, seed=5, amplitude=1e-3)
-        with pytest.raises(SymmetryViolation):
-            build_state(0.1, SMALL, phi=bad)
+    def test_wrong_class_phi_rejected(self, rand_field):
+        for sym in (s for s in Symmetry if s is not Symmetry.ODD_X_EVEN_Y):
+            bad = rand_field(SMALL, sym, seed=5, amplitude=1e-3)
+            with pytest.raises(SymmetryViolation, match="phi"):
+                build_state(0.1, SMALL, phi=bad)
 
 
 class TestDerivativeTable:

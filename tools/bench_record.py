@@ -18,9 +18,15 @@ holding this script) ``ROUNDS`` times with ``--trace 0`` and then once with
 * ``correct``, ``attempted``, ``failed``: the harness's checks of all runs;
 * ``per_layer``: the per-layer metrics of the traced run.
 
+It then times, once per checkout and with one BLAS thread, two steps the
+harness does not run, into ``<out>/BENCH_steps.json``: an in-process
+``construct --epsilon 0.1`` at 512^2 (wall time, peak RSS and outer
+iterations) and the tier-1 suite (``pytest -q`` from the checkout, its wall
+time and summary line).
+
 With ``--parent``, a checkout of the parent commit, every run is made on
-both checkouts in turn, the first of each pair alternating, and the
-parent's files go to ``<out>/parent/``: medians of runs minutes apart drift
+both checkouts in turn, the first of each pair alternating (the two steps
+too), and the parent's files go to ``<out>/parent/``: medians of runs minutes apart drift
 by tens of percent on this kind of machine, so only files recorded
 interleaved compare.  ``--out`` defaults to ``bench/`` in the current
 directory.  The harness is only run, never changed; its work directory
@@ -32,15 +38,30 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("construct", "spectrum", "kernel-scan")
 SECONDS = 10
 ROUNDS = 2
 RUN_METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# the in-process construct step: prints its timing record as the last line
+CONSTRUCT_512 = """
+import json, resource, tempfile, time
+from transonic.cli import main
+with tempfile.TemporaryDirectory() as out:
+    t0 = time.perf_counter()
+    code = main(["construct", "--epsilon", "0.1", "--nx", "512", "--ny", "512", "--out", out])
+    wall = time.perf_counter() - t0
+    iterations = json.load(open(out + "/report.json"))["iterations"] if code == 0 else None
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": rss, "iterations": iterations}))
+"""
 
 
 def git(repo: Path, *args: str) -> str:
@@ -134,6 +155,45 @@ class Recording:
         }
 
 
+def step(repo: Path, args: list) -> tuple[subprocess.CompletedProcess, float]:
+    """``python args`` in ``repo`` with its ``src`` on the path and one BLAS
+    thread; returns the process and its wall time."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(repo / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=repo, env=env,
+                          capture_output=True, text=True)
+    return proc, time.perf_counter() - t0
+
+
+def construct_512(repo: Path) -> dict:
+    proc, _ = step(repo, ["-c", CONSTRUCT_512])
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"construct at 512^2 in {repo} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def tier1(repo: Path) -> dict:
+    proc, wall = step(repo, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             "--continue-on-collection-errors"])
+    lines = proc.stdout.strip().splitlines()
+    return {"exit": proc.returncode, "wall_s": wall, "summary": lines[-1] if lines else ""}
+
+
+def record_steps(outs: dict) -> None:
+    """Time the two fixed steps once per checkout and write ``BENCH_steps.json``."""
+    results = {repo: {"revision": revision(repo), "threads": ONE_THREAD} for repo in outs}
+    for i, (name, fn) in enumerate((("construct_512", construct_512), ("tier1", tier1))):
+        for repo in list(outs)[:: -1 if i % 2 else 1]:
+            results[repo][name] = fn(repo)
+    for repo, out in outs.items():
+        path = out / "BENCH_steps.json"
+        path.write_text(json.dumps(results[repo], indent=1, sort_keys=True) + "\n")
+        rec = results[repo]
+        print(f"{path}: construct 512^2 {rec['construct_512']['wall_s']:.3g} s, "
+              f"tier-1 {rec['tier1']['wall_s']:.3g} s ({rec['tier1']['summary']})")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -158,6 +218,7 @@ def main(argv=None) -> int:
             print(f"{path}: wall_s median {wall['median']:.4g} s "
                   f"[{wall['q1']:.4g}, {wall['q3']:.4g}] over {wall['n']} runs, "
                   f"correct {result['correct']}")
+    record_steps(outs)
     return 0
 
 
