@@ -25,7 +25,6 @@ from . import io as fio
 from .errors import (
     GridMismatch,
     GuardViolated,
-    ImaginaryResidue,
     MultipleNegative,
     NonZeroMean,
     NotConverged,
@@ -50,8 +49,7 @@ COMMANDS = ("lump-check", "kernel", "kernel-scan", "eigen", "norms", "construct"
 VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, GridMismatch, FileNotFoundError)
 # eps is range-checked before any work, so a GuardViolated (the transport
 # amplitude guard of ``solve_f2``) says the grid is too coarse: a solver verdict
-SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, ImaginaryResidue,
-                 GuardViolated)
+SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, GuardViolated)
 
 
 @dataclass

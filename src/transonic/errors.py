@@ -25,11 +25,6 @@ class QuadratureNotConverged(TransonicError):
     """Adaptive quadrature could not reach the requested accuracy."""
 
 
-class ImaginaryResidue(TransonicError):
-    """An inverse transform that must give a real field left an imaginary
-    part above tolerance: the symbol ratio lost its Hermitian symmetry."""
-
-
 class GuardViolated(TransonicError):
     """A solve left the regime in which its contraction is guaranteed."""
 

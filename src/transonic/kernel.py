@@ -9,7 +9,10 @@ and the kernel derivative d^m/dx^m d^n/dy^n K is computed by two independent
 routes:
 
 * ``kernel_fft``      -- 2D Fourier inversion on a periodic grid (this is the
-  periodized kernel, i.e. the free-space kernel plus its box images);
+  periodized kernel, i.e. the free-space kernel plus its box images): the
+  symbol ratio applied to the grid delta by ``grid._multiplied``, the
+  package's one quarter-box Fourier multiplier, so the field is real and in
+  its parity class by construction;
 * ``kernel_residue_eval`` -- contour integration in xi2 reduces the double
   integral to a 1D oscillatory integral in xi1, evaluated by adaptive
   Gauss-Kronrod panels with a square-root substitution at the branch points
@@ -27,11 +30,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 from scipy import integrate
 
-from .errors import ImaginaryResidue, QuadratureNotConverged
-from .grid import Grid2D, RealField2D, Symmetry, _ik_power
+from .errors import QuadratureNotConverged
+from .grid import Grid2D, RealField2D, Symmetry, _ik_power, _multiplied, _tagged
 from .lump import SQRT2, check_eps
 
 QUAD_TOL = 1e-8
@@ -126,8 +128,8 @@ def branch_point(p: KernelSymbolParams) -> float | None:
 class DispersionRoots:
     """Factorization data of the normalized symbol at a given eps.
 
-    Provides the branch point c_eps, the discriminant root D(xi), and the
-    reduced integrand profiles M_m.
+    Provides the branch point c_eps and the discriminant root D(xi), the
+    closed-form references of ``branch_point`` and ``_roots_ab``.
     """
 
     eps: float
@@ -140,25 +142,6 @@ class DispersionRoots:
     def D(self, xi):
         """sqrt of the discriminant; real positive on (-c_eps, c_eps)."""
         return np.sqrt(_discriminant(self.params, xi))
-
-    def M(self, m: int, xi):
-        """Reduced 1D integrand profile xi^m * sqrt(1+e^2 xi^2 - D) / (...).
-
-        Tends to sgn(xi) xi^(m-1) as xi -> 0; bounded at the origin for
-        m >= 1 and vanishing there for m >= 2.
-        """
-        e2 = self.eps**2
-        xi = np.asarray(xi, dtype=float)
-        s = xi * xi
-        droot = self.D(xi)
-        # rationalized: 1 + e^2 xi^2 - D = 4 e^4 (xi^2 + xi^4) / (1 + e^2 xi^2 + D)
-        colsum = 1.0 + e2 * s + droot
-        low = 4.0 * e2**2 * (s + s * s) / colsum
-        root_low = np.sqrt(low)
-        denom = SQRT2 * e2 * s * (1.0 + s) + (SQRT2 / 2.0) * np.abs(xi) * np.sqrt(1.0 + s) * low
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(np.abs(xi) > 0, xi**m * root_low / denom, 0.0)
-        return out
 
 
 def dispersion_roots(eps: float) -> DispersionRoots:
@@ -312,14 +295,18 @@ def kernel_residue_eval(
     err = 0.0
     abs_scale = 0.0
 
-    def add(val, e, mag):
+    def add(val, e):
         nonlocal total, err, abs_scale
         total += val
         err += e
-        abs_scale = max(abs_scale, abs(mag))
+        abs_scale = max(abs_scale, abs(val))
 
     def osc(xi):
         return wfun(x * xi)
+
+    def panel(h, lo, hi, **weighted):
+        v, e = integrate.quad(h, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11, **weighted)
+        add(v, e)
 
     # slowly-decaying tails on the axis: subtract the sgn-type constant
     # asymptote (improper sin-transform 1/x) and the 1/xi term (cosine/sine
@@ -329,40 +316,32 @@ def kernel_residue_eval(
         ell, ell1 = _axis_tail_coeffs(p, m, n)
 
     # panel 1: [0, c/2], plain adaptive GK
-    v, e = integrate.quad(
-        lambda xi: osc(xi) * f(xi), 0.0, 0.5 * c, limit=400, epsabs=1e-13, epsrel=1e-11
-    )
-    add(v, e, v)
+    panel(lambda xi: osc(xi) * f(xi), 0.0, 0.5 * c)
 
     if c_branch is not None:
         # panels 2-3: square-root substitution u^2 = c -+ xi at the branch point
-        for hi, orient in ((c, -1.0), (2.0 * c, +1.0)):
+        for orient in (-1.0, +1.0):
             def g(u, orient=orient):
                 xi = c + orient * u * u
                 return 2.0 * u * osc(xi) * f(xi)
 
-            umax = math.sqrt(0.5 * c if orient < 0 else c)
-            v, e = integrate.quad(g, 0.0, umax, limit=400, epsabs=1e-13, epsrel=1e-11)
-            add(v, e, v)
+            panel(g, 0.0, math.sqrt(0.5 * c if orient < 0 else c))
     else:
         # smooth everywhere: plain panel up to the tail start
-        v, e = integrate.quad(
-            lambda xi: osc(xi) * f(xi), 0.5 * c, 2.0 * c, limit=400, epsabs=1e-13, epsrel=1e-11
-        )
-        add(v, e, v)
+        panel(lambda xi: osc(xi) * f(xi), 0.5 * c, 2.0 * c)
+
+    def tail(h, cut):
+        """Geometric panels on [2c, cut): oscillatory weight when x > 0."""
+        lo = 2.0 * c
+        while lo < cut:
+            hi = min(lo * 4.0, cut)
+            panel(h, lo, hi, **({"weight": weight, "wvar": x} if x > 0 else {}))
+            lo = hi
 
     # tail panel [2c, infinity): exponentially damped for y > 0 (truncate),
     # oscillatory-weight quadrature for y = 0
     if y > 0.0:
-        cut = min(_decay_cutoff(p, y, c), 2.0 * c + 2e5)
-        lo = 2.0 * c
-        while lo < cut:
-            hi = min(lo * 4.0, cut)
-            v, e = integrate.quad(
-                f, lo, hi, weight=weight, wvar=x, limit=400, epsabs=1e-13, epsrel=1e-11
-            ) if x > 0 else integrate.quad(f, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11)
-            add(v, e, v)
-            lo = hi
+        tail(f, min(_decay_cutoff(p, y, c), 2.0 * c + 2e5))
     else:
         from scipy.special import sici
 
@@ -376,28 +355,17 @@ def kernel_residue_eval(
 
         # subtracted integrand decays at least like xi^-2: geometric
         # oscillatory panels to a finite cutoff, remainder below 1e-12
-        cut = 3e4 * max(c, 1.0)
-        lo = 2.0 * c
-        while lo < cut:
-            hi = min(lo * 4.0, cut)
-            if x > 0:
-                v, e = integrate.quad(
-                    fr, lo, hi, weight=weight, wvar=x, limit=400, epsabs=1e-13, epsrel=1e-11
-                )
-            else:
-                v, e = integrate.quad(fr, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11)
-            add(v, e, v)
-            lo = hi
+        tail(fr, 3e4 * max(c, 1.0))
         if x > 0:
             si, ci = sici(2.0 * c * x)
             if ell != 0.0:
                 # int_a^inf sin(x xi) dxi = cos(a x)/x as an improper limit
                 tail_exact = ell * (math.cos(2.0 * c * x) / x)
-                add(tail_exact, 0.0, tail_exact)
+                add(tail_exact, 0.0)
             if ell1 != 0.0:
                 # int_a^inf w(x xi)/xi dxi in terms of Si/Ci
                 tail_exact = ell1 * ((math.pi / 2.0 - si) if weight == "sin" else -ci)
-                add(tail_exact, 0.0, tail_exact)
+                add(tail_exact, 0.0)
 
     value = front * total
     scale = max(abs(total), 1e-3 * abs_scale, 1e-300)
@@ -415,41 +383,29 @@ def kernel_residue_eval(
 # ---------------------------------------------------------------------------
 
 
-def _symbol_ratio(p: KernelSymbolParams, g: Grid2D, m: int, n: int) -> np.ndarray:
-    """(i xi1)^m (i xi2)^n / denominator on the full FFT grid, origin zeroed."""
-    kx = g.kx
-    ky = 2.0 * np.pi * np.fft.fftfreq(g.ny, d=g.dy)
-    KX, KY = np.meshgrid(kx, ky, indexing="ij")
-    denom = symbol_eval(p, KX, KY)
-    numer = _ik_power(kx, m)[:, None] * _ik_power(ky, n)[None, :]
-    ratio = np.zeros_like(numer)
-    nz = denom != 0.0
-    ratio[nz] = numer[nz] / denom[nz]
-    return ratio
-
-
 def kernel_fft(p: KernelSymbolParams, g: Grid2D, m: int, n: int) -> RealField2D:
-    """Periodic-grid kernel derivative by inverse FFT of the symbol ratio.
+    """Periodic-grid kernel derivative: the multiplier (i xi1)^m (i xi2)^n / d,
+    origin zeroed, applied to the grid delta 1/(dx dy) at the origin.
 
     Normalized so that applying the discrete symbol to the (0,0) kernel
     reproduces the discrete delta minus its mean.  Values equal the
     free-space kernel plus its periodic images; the image contribution is
-    what a domain-doubling study sees shrink.  Raises ``ImaginaryResidue``
-    when the inverse transform is not real to 1e-10 of its largest value.
+    what a domain-doubling study sees shrink.  The delta is even/even, so
+    the output is real and in the class of the order by construction.
     """
     if (m, n) not in ALLOWED_ORDERS:
         raise ValueError(f"unsupported derivative order ({m}, {n})")
-    ratio = _symbol_ratio(p, g, m, n)
-    ix = np.arange(g.nx)
-    iy = np.arange(g.ny)
-    phase = ((-1.0) ** ix)[:, None] * ((-1.0) ** iy)[None, :]
-    vals = sfft.ifft2(ratio * phase) * (g.nx * g.ny / (4.0 * g.Lx * g.Ly))
-    resid = np.max(np.abs(vals.imag))
-    scale = np.max(np.abs(vals.real)) + 1e-300
-    if resid > 1e-10 * scale:
-        raise ImaginaryResidue(f"kernel field has imaginary residue {resid:.2e}")
-    sym = Symmetry.from_parities(-1 if m % 2 else 1, -1 if n % 2 else 1)
-    return RealField2D(g, vals.real, sym)
+    delta = np.zeros((g.nx // 2 + 1, g.ny // 2 + 1))
+    delta[0, 0] = 1.0 / (g.dx * g.dy)
+    denom = symbol_eval(p, g.kx[:, None], g.ky_r[None, :])
+    denom[0, 0] = np.inf  # 1/inf = 0: the zero mode, the delta's mean, is dropped
+    return _multiplied(
+        _tagged(g, delta, Symmetry.EVEN_X_EVEN_Y),
+        Symmetry.from_parities((-1) ** m, (-1) ** n),
+        _ik_power(g.kx, m)[:, None],
+        _ik_power(g.ky_r, n)[None, :],
+        1.0 / denom,
+    )
 
 
 def _panel_nodes(xi_max: float, osc_phase: float, origin_scale: float, growth: float, order: int):

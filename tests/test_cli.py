@@ -10,7 +10,6 @@ import pytest
 
 import transonic
 import transonic.io as fio
-import transonic.kernel as K
 from transonic.cli import build_parser, load_config, main
 from transonic.grid import Symmetry, make_grid, zeros
 from transonic.lump import EPS_RANGES
@@ -103,18 +102,6 @@ def test_eigen_honours_max_iter(tmp_path, capsys):
     assert not (tmp_path / "eigen.json").exists()
 
 
-def test_kernel_fft_imaginary_residue_exit(monkeypatch, capsys):
-    ratio = K._symbol_ratio
-    # a purely imaginary inverse transform: the realness check must fire
-    monkeypatch.setattr(K, "_symbol_ratio", lambda *a: 1j * ratio(*a))
-    code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "0",
-                 "--x", "3", "--y", "2", "--nx", "32", "--ny", "32"])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"] == "ImaginaryResidue"
-
-
 def test_every_package_error_has_one_exit_code():
     # a TransonicError leaves main() as exit 1 (validation) or 2 (solver
     # verdict), never as a traceback
@@ -125,7 +112,7 @@ def test_every_package_error_has_one_exit_code():
 
     classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
                if issubclass(c, errors.TransonicError) and c is not errors.TransonicError]
-    assert len(classes) >= 8
+    assert len(classes) >= 7
     for c in classes:
         assert (c in cli.VALIDATION_ERRORS) + (c in cli.SOLVER_ERRORS) == 1, c.__name__
 

@@ -437,8 +437,9 @@ def test_construct_takes_no_full_grid_transform(tmp_path, monkeypatch):
 class TestTagInvariant:
     def test_every_tagged_build_is_exact(self, tmp_path, monkeypatch):
         # every field an operation builds with a trusted tag must already be
-        # exactly symmetric: construct, residual and eigen at 64^2, with the
-        # trusted builder checked in every module that imports it
+        # exactly symmetric: construct, residual, eigen and an odd/odd kernel
+        # at 64^2, with the trusted builder checked in every module that
+        # imports it
         trusted = grid_module._tagged
         defects = []
 
@@ -455,6 +456,8 @@ class TestTagInvariant:
         assert main(["construct", "--epsilon", "0.2", "--tol", "1e-6", "--out", run] + SMALL) == 0
         assert main(["residual", "--in", run, "--out", str(tmp_path / "r")]) == 0
         assert main(["eigen", "--epsilon", "0.1", "--k", "3", "--out", str(tmp_path / "e")]
+                    + SMALL) == 0
+        assert main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "1", "--x", "3", "--y", "2"]
                     + SMALL) == 0
         assert len(defects) > 100
         assert max(defects) == 0.0

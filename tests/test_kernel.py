@@ -7,6 +7,7 @@ import transonic.kernel as K
 from transonic.errors import QuadratureNotConverged
 from transonic.grid import Symmetry, make_grid
 from transonic.kernel import (
+    ALLOWED_ORDERS,
     FAR_FIELD_SLOPE,
     KernelSymbolParams,
     decay_scan,
@@ -111,33 +112,32 @@ class TestDispersionRoots:
         with pytest.raises(ValueError):
             dispersion_roots(0.0)
 
-    def test_reduced_profile_limits(self):
-        dr = dispersion_roots(0.1)
-        assert np.real(dr.M(1, 1e-4)) == pytest.approx(1.0, abs=1e-5)
-        assert np.real(dr.M(1, -1e-4)) == pytest.approx(-1.0, abs=1e-5)
-        assert abs(dr.M(2, 1e-4)) <= 2e-4
-        assert abs(dr.M(3, 1e-4)) <= 2e-8
-
 
 class TestKernelFft:
-    def test_discrete_delta(self):
-        # applying the discrete symbol to the pole-zeroed kernel gives the
-        # grid delta minus its mean
-        p = KernelSymbolParams.normalized(0.2)
+    @pytest.mark.parametrize("preset", ["normalized", "gp"])
+    @pytest.mark.parametrize("m, n", sorted(ALLOWED_ORDERS))
+    def test_discrete_delta(self, preset, m, n):
+        # the kernel derivative is the symbol ratio, pole zeroed, applied to
+        # the grid delta at the x = y = 0 node: here by full-grid numpy FFTs
+        p = getattr(KernelSymbolParams, preset)(0.2)
         g = make_grid(64, 64, 10, 10)
-        fld = kernel_fft(p, g, 0, 0)
-        kx = g.kx
+        fld = kernel_fft(p, g, m, n)
+        kx = 2 * np.pi * np.fft.fftfreq(g.nx, d=g.dx)
         ky = 2 * np.pi * np.fft.fftfreq(g.ny, d=g.dy)
         KX, KY = np.meshgrid(kx, ky, indexing="ij")
+        numer = (1j * KX) ** m * (1j * KY) ** n
+        # odd orders drop the Nyquist row (column) so that real data stay real
+        numer[g.nx // 2] *= m % 2 == 0
+        numer[:, g.ny // 2] *= n % 2 == 0
         denom = symbol_eval(p, KX, KY)
-        applied = np.real(np.fft.ifft2(np.fft.fft2(fld.values) * denom))
-        i0 = g.nx // 2  # the x = y = 0 node
-        j0 = g.ny // 2
-        expect_peak = g.nx * g.ny / (4 * g.Lx * g.Ly) - 1 / (4 * g.Lx * g.Ly)
-        assert applied[i0, j0] == pytest.approx(expect_peak, rel=1e-10)
-        off = applied.copy()
-        off[i0, j0] = -1 / (4 * g.Lx * g.Ly)
-        assert np.max(np.abs(off + 1 / (4 * g.Lx * g.Ly))) <= 1e-10 * expect_peak
+        denom[0, 0] = np.inf
+        delta = np.zeros((g.nx, g.ny))
+        delta[g.nx // 2, g.ny // 2] = 1 / (g.dx * g.dy)
+        expect = np.fft.ifft2(np.fft.fft2(delta) * numer / denom)
+        scale = np.max(np.abs(expect.real))
+        assert np.max(np.abs(expect.imag)) <= 1e-10 * scale
+        assert np.max(np.abs(fld.values - expect.real)) <= 1e-10 * scale
+        assert fld.symmetry is Symmetry.from_parities((-1) ** m, (-1) ** n)
 
     def test_parity_tags(self):
         p = KernelSymbolParams.normalized(0.2)
