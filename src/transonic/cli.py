@@ -41,7 +41,7 @@ from .kernel import (
 )
 from .linearized import make_linearized_operator, eigen_extremes, norm_suite
 from .lump import LumpParams, check_eps, kpi_residual, linearized_kernel_residuals, sample_lump
-from .reduction import build_state, outer_fixed_point, transport_residual
+from .reduction import ReductionState, outer_fixed_point, transport_residual
 from .gp import gp_system_residual
 
 COMMANDS = ("lump-check", "kernel", "kernel-scan", "eigen", "norms", "construct", "residual")
@@ -195,11 +195,11 @@ def cmd_lump_check(cfg: RunConfig, args) -> int:
 def cmd_kernel(cfg: RunConfig, args) -> int:
     p = cfg.symbol_params()
     grid = cfg.grid()
-    v_res = kernel_residue_eval(p, args.m, args.n, args.x, args.y)
-    fld = kernel_fft(p, grid, args.m, args.n)
+    # both routes at the grid node nearest (x, y)
     i = int(round((args.x + grid.Lx) / grid.dx)) % grid.nx
     j = int(round((args.y + grid.Ly) / grid.dy)) % grid.ny
-    v_fft = float(fld.values[i, j])
+    v_res = kernel_residue_eval(p, args.m, args.n, grid.x[i], grid.y[j])
+    v_fft = float(kernel_fft(p, grid, args.m, args.n).values[i, j])
     rec = {
         "m": args.m,
         "n": args.n,
@@ -297,14 +297,14 @@ def cmd_norms(cfg: RunConfig, args) -> int:
 
 def cmd_construct(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
-    state, report = outer_fixed_point(
+    state, f2, report = outer_fixed_point(
         cfg.epsilon, grid, tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta
     )
     out = Path(cfg.out_dir)
     fio.write_field(out, "phi", state.phi)
     fio.write_field(out, "g1", state.g1)
     fio.write_field(out, "f1", state.f1)
-    fio.write_field(out, "f2", state.f2)
+    fio.write_field(out, "f2", f2)
     suite = norm_suite(state.phi, cfg.epsilon, cfg.delta)
     rec = {
         "config": asdict(cfg),
@@ -315,7 +315,7 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         "converged": report.converged,
         "picard_passes": list(report.picard_passes),
         "minres_iterations": list(report.minres_iterations),
-        "transport_residual_sup": transport_residual(state, state.f2),
+        "transport_residual_sup": transport_residual(state, f2),
     }
     _write_json(out / "report.json", rec)
     with (out / "norms.csv").open("w", newline="") as fh:
@@ -355,8 +355,7 @@ def cmd_residual(cfg: RunConfig, args) -> int:
             f"{indir / 'f2.json'} grid {f2.grid} differs from "
             f"{indir / 'phi.json'} grid {phi.grid}"
         )
-    state = build_state(eps, phi.grid, phi=phi, f2=f2)
-    rpt = gp_system_residual(state, f2)
+    rpt = gp_system_residual(ReductionState(eps, phi.grid, phi=phi), f2)
     rec = asdict(rpt)
     out = Path(cfg.out_dir) if "out_dir" in cfg.given else indir
     _write_json(out / "gp_residual.json", rec)

@@ -13,7 +13,6 @@ against the equation the construction set out to solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +65,8 @@ def _interior(g: Grid2D) -> tuple[slice, slice]:
 
 
 def _fd_derivative(vals: np.ndarray, h: float, axis: int, order: int = 1) -> np.ndarray:
-    """Non-wrapping centered finite difference (6th order interior, shifted
-    one-sided stencils at the edges).
+    """Non-wrapping centered finite difference of 6th order; the three rows
+    at each edge, outside every ``_interior`` window, are nan.
 
     Sampled slowly-decaying fields are not periodic; spectral differentiation
     would ring at the box seam, so pointwise verification uses plain stencils.
@@ -75,7 +74,7 @@ def _fd_derivative(vals: np.ndarray, h: float, axis: int, order: int = 1) -> np.
     if axis == 1:
         return _fd_derivative(vals.T, h, 0, order).T
     n = vals.shape[0]
-    out = np.empty_like(vals)
+    out = np.full_like(vals, np.nan)
     if order == 1:
         c = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * h)
     elif order == 2:
@@ -85,21 +84,7 @@ def _fd_derivative(vals: np.ndarray, h: float, axis: int, order: int = 1) -> np.
     w = 3
     core = sum(ck * vals[k : n - 2 * w + k, :] for k, ck in enumerate(c))
     out[w : n - w, :] = core
-    # one-sided edges by polynomial fit through the nearest 7 samples
-    x = h * np.arange(7)
-    for i in range(w):
-        coeffs_lo = _fd_onesided(x, i * h, order)
-        coeffs_hi = _fd_onesided(x, (6 - i) * h, order)
-        out[i, :] = coeffs_lo @ vals[:7, :]
-        out[n - 1 - i, :] = coeffs_hi @ vals[-7:, :]
     return out
-
-
-def _fd_onesided(x: np.ndarray, at: float, order: int) -> np.ndarray:
-    V = np.vander(x - at, increasing=True)
-    inv = np.linalg.inv(V.T)
-    fact = math.factorial(order)
-    return inv[:, order] * fact
 
 
 def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualReport":
@@ -125,13 +110,12 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     c = state.c
     g = state.grid
     win = _interior(g)
-    d = state.derivs
 
     orders = ((0, 0), (1, 0), (2, 0), (0, 2))
     # the stored orders, all even in y, unfolded by their x-parity
     full = lambda vals, px, m: _unfold(vals, px * (-1) ** m, 1)
-    g1, g1_x, g1_xx, g1_yy = (full(d.g1_d(*mn), -1, mn[0]) for mn in orders)
-    f1, f1_x, f1_xx, f1_yy = (full(f1_derivative(d.g1_d, *mn), 1, mn[0]) for mn in orders)
+    g1, g1_x, g1_xx, g1_yy = (full(state.g1_d(*mn), -1, mn[0]) for mn in orders)
+    f1, f1_x, f1_xx, f1_yy = (full(f1_derivative(state.g1_d, *mn), 1, mn[0]) for mn in orders)
 
     fv = 1.0 + e2 * f1 + e4 * f2.values
     gv = eps * g1
@@ -148,7 +132,7 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
 
     wgt = (1.0 + g.r) ** 3
 
-    q = full(d.q_d(0, 0), -1, 0)
+    q = full(state.q_d(0, 0), -1, 0)
     gap_field = np.sqrt((fv - 1.0) ** 2 + (gv - eps * q) ** 2) / e2
 
     phi_c = assemble_phi(state, f2)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
-from .errors import MultipleNegative, NotConverged, SymmetryViolation
+from .errors import MultipleNegative, NonZeroMean, NotConverged, SymmetryViolation
 from .grid import (
     Grid2D,
     RealField2D,
@@ -39,8 +39,7 @@ from .grid import (
     _kept,
     _multiplied,
     _padded,
-    _project_parity,
-    _stored,
+    _quarter_axes,
     _tagged,
     antiderivative_x,
     dealias,
@@ -84,10 +83,8 @@ class LinearizedOperator:
         return 2.0 * SQRT2 - self.eps**2
 
 
-def make_linearized_operator(
-    eps: float, grid: Grid2D, params: LumpParams | None = None
-) -> LinearizedOperator:
-    params = params if params is not None else LumpParams.from_epsilon(eps)
+def make_linearized_operator(eps: float, grid: Grid2D) -> LinearizedOperator:
+    params = LumpParams.from_epsilon(eps)
     q = sample_lump(params, grid, 0, 0)
     dq = sample_lump(params, grid, 1, 0)
     coeff_nl = 6.0 * (SQRT2 - eps**2)
@@ -412,8 +409,7 @@ def eigen_extremes(
     grid or an eps out of regime.
     """
     grid = op.q.grid
-    nx, ny = grid.nx, grid.ny
-    mx, my = nx // 2, ny // 2
+    mx, my = grid.nx // 2, grid.ny // 2
     if not 2 <= k <= mx * (my + 1):
         raise ValueError(f"k must lie in [2, {mx * (my + 1)}], the coefficients on this grid")
     kx2 = grid.kx[1 : mx + 1, None, None] ** 2
@@ -440,15 +436,15 @@ def eigen_extremes(
     M = LinearOperator(shape, matvec=lambda v: prec_block(v.reshape(-1, 1)).ravel(),
                        matmat=prec_block, dtype=float)
 
-    rng = np.random.default_rng(seed)
+    # the start block: the lump potential well shape for the ground-state
+    # direction, then k columns of i.i.d. normal coefficients (the
+    # coefficients of an i.i.d. normal field of the class, by the isometry)
     block = k + 1
-    even = partial(_project_parity, symmetry=Symmetry.EVEN_X_EVEN_Y)
-    start = np.empty((nx, ny, block))
-    # seed the ground-state direction with the lump potential well shape
-    start[:, :, 0] = even(-op.dq.values * np.exp(-0.05 * grid.r**2))
-    for j in range(1, block):
-        start[:, :, j] = even(rng.standard_normal((nx, ny)))
-    X = _coefficients(_stored(start), 1)[:ax, :ay].reshape(unknowns, block)
+    x, y = _quarter_axes(grid)
+    well = -op.dq.data * np.exp(-0.05 * (x**2 + y**2))
+    well = _coefficients(well[..., None], 1)[:ax, :ay].reshape(unknowns, 1)
+    rng = np.random.default_rng(seed)
+    X = np.hstack([well, rng.standard_normal((unknowns, k))])
 
     with warnings.catch_warnings():
         # the residual check below gives the verdict; a small problem is
@@ -581,10 +577,17 @@ def _star_terms(f: RealField2D, df: _Table, eps: float, delta: float) -> dict[st
     terms["fxxy_32"] = e**0.5 * weighted_sup(df(2, 1), 1.5, 0.0)
     terms["fxyy_32"] = e**1.5 * weighted_sup(df(1, 2), 1.5, 0.0)
     terms["fxxyy_32"] = e**2.5 * weighted_sup(df(2, 2), 1.5, 0.0)
-    adx = antiderivative_x(df(0, 2))
-    terms["ix_fyy"] = e**1.5 * weighted_sup(adx, 1.5, d)
-    terms["ix_fy3"] = e**3.5 * weighted_sup(derivative(adx, 0, 1), 1.5, d)
-    terms["ix_fy4"] = e**5.5 * weighted_sup(derivative(adx, 0, 2), 1.5, d)
+    try:
+        adx = antiderivative_x(df(0, 2))
+    except NonZeroMean:
+        # no dx^-1 of data without zero x-mean (even in x: f1, f2)
+        ix = [math.nan] * 3
+    else:
+        orders = (adx, derivative(adx, 0, 1), derivative(adx, 0, 2))
+        ix = [weighted_sup(g, 1.5, d) for g in orders]
+    terms["ix_fyy"] = e**1.5 * ix[0]
+    terms["ix_fy3"] = e**3.5 * ix[1]
+    terms["ix_fy4"] = e**5.5 * ix[2]
     return terms
 
 
@@ -616,8 +619,10 @@ def norm_suite(f: RealField2D, eps: float, delta: float = DELTA_DEFAULT) -> Norm
     """Evaluate every norm of the suite on one field, from one derivative table.
 
     Terms that are trivial for the field's symmetry class are still computed
-    and reported; nothing is skipped silently.  Raises NonZeroMean if an
-    antiderivative term is requested for data without zero x-mean.
+    and reported; nothing is skipped silently.  The three dx^-1 summands of
+    ``star`` need zero x-mean on every y-line: for data without it (the
+    even-in-x f1 and f2) they are nan, and so is ``star``; every other norm
+    is reported.
     """
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 0.5]")

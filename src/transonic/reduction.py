@@ -25,30 +25,31 @@ Derivatives of lump-dependent quantities are evaluated in closed form and
 only the phi/f2 parts spectrally, which keeps the periodic seam out of the
 assembled fields.  Every field here is parity-tagged, so all of this runs on
 the stored quarter boxes (``grid`` module docstring), and the transport
-lines are those quarters, transposed.  Each state holds one lazily filled
-derivative table (``ReductionState.derivs``) that the transport solve, its
-residual check, the right-hand side and the GP back-substitution all read,
-so every phi derivative of a step is taken once and the transport Picard
-runs once per phi; the lump samples, Gamma_q and its dx^-1, and the lump
-data of the transport lines depend only on (eps, grid) and are memoized,
-so a construction computes them once.
+lines are those quarters, transposed.  One ``ReductionState`` holds each
+outer step: its phi and, filled lazily, the derivative table that the
+transport solve, its residual check, the right-hand side and the GP
+back-substitution all read, so every phi derivative of a step is taken once
+and the transport Picard runs once per phi; the lump samples, Gamma_q and
+its dx^-1, and the lump data of the transport lines depend only on
+(eps, grid) and are memoized, so a construction computes them once.
 
-The stored ``state.f1`` alone takes a spectral dx of the sampled g1
-(``f1_from_g1``): the closed form would move it and the GP energy by about
-1e-5 relative, beyond the 1e-6 tolerance of the benchmark's energy reference.
+The state's ``f1`` alone takes a spectral dx of the sampled g1
+(``f1_from_g1``), and only when read: the closed form would move it and the
+GP energy by about 1e-5 relative, beyond the 1e-6 tolerance of the
+benchmark's energy reference.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import GuardViolated, NotConverged, SymmetryViolation
+from .errors import GridMismatch, GuardViolated, NotConverged, SymmetryViolation
 from .grid import (
     Grid2D,
     RealField2D,
@@ -119,27 +120,57 @@ def _g1_order(params: LumpParams, phi_table: Callable, m: int, n: int) -> np.nda
     return vals
 
 
-class _StateDerivs:
-    """Hybrid derivative table for g1 = q + phi on the grid, filled lazily.
+class ReductionState:
+    """One step of the construction at fixed eps: eps, c = sqrt2 - eps^2, the
+    lump parameters, the grid, phi and ``f2_start``, the fine transport
+    solution of the previous outer step, where this state's Picard run
+    starts; everything else is derived from them lazily, once.
 
-    Lump parts come from exact rational differentiation (the memoized
-    ``sample_lump``), phi parts from the spectral transform of the (periodic,
-    band-limited) correction; the combination keeps the periodic seam of the
-    sampled lump out of every assembled product.  The table also keeps the
-    x-refined transport terms and the fine transport solution of its phi, so
-    the Picard solve runs once per phi and its check rebuilds nothing;
-    ``f2_start``, the fine f2 of the previous outer step, is where that
-    Picard run starts.  It holds params, phi and that start only, never its
-    state, so a dropped state is freed without the cycle collector.
+    The derivative table of g1 = q + phi combines lump parts from exact
+    rational differentiation (the memoized ``sample_lump``) with phi parts
+    from the spectral transform of the (periodic, band-limited) correction,
+    which keeps the periodic seam of the sampled lump out of every assembled
+    product.  The state also keeps the x-refined transport terms and the
+    fine transport solution of its phi, so the Picard solve runs once per
+    phi and its check rebuilds nothing.  Its memoized tables hold params and
+    phi, never the state, so a dropped state is freed without the cycle
+    collector.
 
-    Every f1 order read from it goes through ``f1_derivative``;
-    ``build_state``'s f1 stays spectral (``f1_from_g1``, module docstring).
+    Every f1 order read from it goes through ``f1_derivative``; its ``f1``
+    alone stays spectral (``f1_from_g1``, module docstring).
     """
 
-    def __init__(self, params: LumpParams, phi: RealField2D, f2_start: np.ndarray | None = None):
-        self.params = params
+    def __init__(
+        self,
+        eps: float,
+        grid: Grid2D,
+        phi: RealField2D | None = None,
+        f2_start: np.ndarray | None = None,
+    ):
+        self.params = LumpParams.from_epsilon(eps)
+        if phi is None:
+            phi = zeros(grid, Symmetry.ODD_X_EVEN_Y)
+        elif phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
+            raise SymmetryViolation("phi must be tagged odd_x_even_y")
+        elif phi.grid != grid:
+            raise GridMismatch("phi is on another grid than the state")
+        self.eps = eps
+        self.c = SQRT2 - eps**2
+        self.grid = grid
         self.phi = phi
         self.f2_start = f2_start
+
+    @cached_property
+    def q(self) -> RealField2D:
+        return sample_lump(self.params, self.grid, 0, 0)
+
+    @cached_property
+    def g1(self) -> RealField2D:
+        return self.q + self.phi
+
+    @cached_property
+    def f1(self) -> RealField2D:
+        return f1_from_g1(self.g1)
 
     # the memoized tables hold phi and params, not the instance
     @cached_property
@@ -152,7 +183,7 @@ class _StateDerivs:
         return cache(partial(_g1_order, self.params, self._phi_table))
 
     def q_d(self, m: int, n: int) -> np.ndarray:
-        return sample_lump(self.params, self.phi.grid, m, n).data
+        return sample_lump(self.params, self.grid, m, n).data
 
     def phi_d(self, m: int, n: int) -> np.ndarray:
         return self._phi_table(m, n).data
@@ -163,7 +194,7 @@ class _StateDerivs:
         lines, phi, g1, f1, dx f1 and dyy g1: the memoized lump orders plus
         the phi derivatives interpolated onto the refined half lines, and
         f1, dx f1 from them by ``f1_derivative``."""
-        lump = _transport_lump(self.params, self.phi.grid, F2_REFINE)
+        lump = _transport_lump(self.params, self.grid, F2_REFINE)
         phi_d = {
             mn: _refined_lines(_quarter_lines(self.phi_d(*mn)), _x_parity(mn), F2_REFINE)
             for mn in _TRANSPORT_ORDERS
@@ -178,58 +209,6 @@ class _StateDerivs:
         """f2 on the quarter lines, from ``_line_transport_solve``, and the
         number of Picard passes it took."""
         return _line_transport_solve(self)
-
-
-@dataclass(frozen=True)
-class ReductionState:
-    """One snapshot of the construction at fixed eps.
-
-    ``derivs`` is the derivative table of this state's phi;
-    ``dataclasses.replace`` with a new f2 keeps it.
-    """
-
-    eps: float
-    c: float
-    params: LumpParams
-    q: RealField2D
-    phi: RealField2D
-    g1: RealField2D
-    f1: RealField2D
-    f2: RealField2D | None
-    derivs: _StateDerivs = field(repr=False, compare=False)
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.q.grid
-
-
-def build_state(
-    eps: float,
-    grid: Grid2D,
-    phi: RealField2D | None = None,
-    f2: RealField2D | None = None,
-    f2_start: np.ndarray | None = None,
-) -> ReductionState:
-    """State at (eps, phi); ``f2_start`` is the fine transport solution of a
-    previous state on the same grid, where this state's Picard run starts."""
-    params = LumpParams.from_epsilon(eps)
-    q = sample_lump(params, grid, 0, 0)
-    if phi is None:
-        phi = zeros(grid, Symmetry.ODD_X_EVEN_Y)
-    elif phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
-        raise SymmetryViolation("phi must be tagged odd_x_even_y")
-    g1 = q + phi
-    return ReductionState(
-        eps=eps,
-        c=SQRT2 - eps**2,
-        params=params,
-        q=q,
-        phi=phi,
-        g1=g1,
-        f1=f1_from_g1(g1),
-        f2=f2,
-        derivs=_StateDerivs(params, phi, f2_start),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +337,10 @@ def _transport_lump(p: LumpParams, g: Grid2D, refine: int) -> _TransportLump:
     )
 
 
-def _line_transport_solve(d: _StateDerivs) -> tuple[np.ndarray, int]:
+def _line_transport_solve(state: ReductionState) -> tuple[np.ndarray, int]:
     """Picard iteration of the variation-of-parameters map on the quarter
-    lines of ``d.transport_terms``, from ``d.f2_start`` (zero if none);
-    returns f2 there and the number of passes.
+    lines of ``state.transport_terms``, from ``state.f2_start`` (zero if
+    none); returns f2 there and the number of passes.
 
     One stop rule: the first pass whose sup change is at most
     tau * max(1, sup |f2|) (``_transport_lump``).  The change floors near
@@ -369,9 +348,9 @@ def _line_transport_solve(d: _StateDerivs) -> tuple[np.ndarray, int]:
     made by the contraction, and the pass count does not move with roundoff
     changes of phi.  A change that is not finite means the map diverged.
     """
-    e2 = d.params.eps**2
-    lump, phi, g1, f1, dxf1, dyyg1 = d.transport_terms
-    f2 = np.zeros_like(g1) if d.f2_start is None else d.f2_start
+    e2 = state.eps**2
+    lump, phi, g1, f1, dxf1, dyyg1 = state.transport_terms
+    f2 = np.zeros_like(g1) if state.f2_start is None else state.f2_start
     # a diverging map overflows on the way to the finiteness test below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, F2_MAX_PASSES + 1):
@@ -389,9 +368,10 @@ def _line_transport_solve(d: _StateDerivs) -> tuple[np.ndarray, int]:
     )
 
 
-def _coarse_f2(d: _StateDerivs) -> np.ndarray:
-    """The fine transport solution of ``d`` downsampled to the stored quarter."""
-    return _quarter_lines(d.transport_solve[0][:, ::F2_REFINE])
+def _coarse_f2(state: ReductionState) -> RealField2D:
+    """The fine transport solution of ``state`` downsampled to the stored quarter."""
+    fine = state.transport_solve[0]
+    return _tagged(state.grid, _quarter_lines(fine[:, ::F2_REFINE]), Symmetry.EVEN_X_EVEN_Y)
 
 
 def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D:
@@ -411,8 +391,7 @@ def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D
     Since E is odd in x and every quantity is even in y, only the half lines
     x = 0..Lx of the lines y = 0..Ly are solved, with real sine and cosine
     transforms; f2, even in both, is unfolded from them.  The fine solution
-    stays in the state's derivative table, where ``transport_residual`` reads
-    it.
+    stays in the state, where ``transport_residual`` reads it.
     """
     eps = state.eps
     if eps > 0:
@@ -425,7 +404,7 @@ def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D
                 f"phi too large for the transport contraction: weighted amplitude "
                 f"{proxy:.3e} > {F2_GUARD} * eps^2 = {F2_GUARD * eps**2:.3e}"
             )
-    return _tagged(state.grid, _coarse_f2(state.derivs), Symmetry.EVEN_X_EVEN_Y)
+    return _coarse_f2(state)
 
 
 def transport_residual(state: ReductionState, f2: RealField2D) -> float:
@@ -441,9 +420,8 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
     """
     grid = state.grid
     eps = state.eps
-    d = state.derivs
-    f2r = d.transport_solve[0]
-    lump, _, g1, f1, dxf1, dyyg1 = d.transport_terms
+    f2r = state.transport_solve[0]
+    lump, _, g1, f1, dxf1, dyyg1 = state.transport_terms
     x = lump.x
 
     # 8th-order centered first derivative on the nodes x < Lx - 4h
@@ -456,12 +434,12 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
     # (the -2 phi f2 piece of the rewritten map belongs to the left side here)
     f2n, g1n = f2r[:, :n], g1[:, :n]
     rhs_full = dyyg1[:, :n] + dxf1[:, :n] - (f1[:, :n] + eps**2 * f2n) ** 2 * g1n
-    resid = (SQRT2 - eps**2) * dxf2 + 2.0 * g1n * f2n - rhs_full
+    resid = state.c * dxf2 + 2.0 * g1n * f2n - rhs_full
     inner = x[:n] <= F2_CHECK_WINDOW * grid.Lx - 8 * h
     sup = float(np.max(np.abs(resid[:, inner])))
 
     coarse_window = np.abs(grid.x) <= F2_CHECK_WINDOW * grid.Lx - 8 * h
-    diff = (f2 - _tagged(grid, _coarse_f2(d), Symmetry.EVEN_X_EVEN_Y)).values
+    diff = (f2 - _coarse_f2(state)).values
     mismatch = float(np.max(np.abs(diff[coarse_window])))
     return max(sup, mismatch)
 
@@ -513,15 +491,15 @@ def _rhs_integrands(
     """
     e2 = state.eps**2
     e4 = e2 * e2
-    sc = SQRT2 - e2
-    d = state.derivs
+    sc = state.c
+    g1_d = state.g1_d
 
-    g1 = d.g1_d(0, 0)
-    g1x = d.g1_d(1, 0)
-    g1xx = d.g1_d(2, 0)
-    g1y = d.g1_d(0, 1)
-    g1yy = d.g1_d(0, 2)
-    f1, f1x, f1y = (f1_derivative(d.g1_d, *mn) for mn in ((0, 0), (1, 0), (0, 1)))
+    g1 = g1_d(0, 0)
+    g1x = g1_d(1, 0)
+    g1xx = g1_d(2, 0)
+    g1y = g1_d(0, 1)
+    g1yy = g1_d(0, 2)
+    f1, f1x, f1y = (f1_derivative(g1_d, *mn) for mn in ((0, 0), (1, 0), (0, 1)))
     f2v = f2.data
     f2x = derivative(f2, 1, 0).data
     f2y = derivative(f2, 0, 1).data
@@ -600,7 +578,7 @@ def assemble_rhs(state: ReductionState, f2: RealField2D) -> tuple[RealField2D, R
     h1_p1 = _tagged(grid, h1_vals, Symmetry.EVEN_X_EVEN_Y)
     h2 = _tagged(grid, h2_vals, Symmetry.ODD_X_ODD_Y)
     p3 = _tagged(grid, p3_vals, Symmetry.ODD_X_EVEN_Y)
-    phi_sq_vals = 3.0 * (SQRT2 - state.eps**2) * state.derivs.phi_d(1, 0) ** 2
+    phi_sq_vals = 3.0 * state.c * state.phi_d(1, 0) ** 2
     phi_sq = _tagged(grid, phi_sq_vals, Symmetry.EVEN_X_EVEN_Y)
     gamma = _gamma_q_antiderivative(state.params, grid)
     h1 = h1_p1 + gamma + phi_sq + antiderivative_x(p3)
@@ -635,8 +613,9 @@ def outer_fixed_point(
     tol: float = 1e-8,
     max_iter: int = 200,
     delta: float = DELTA_DEFAULT,
-) -> tuple[ReductionState, FixedPointReport]:
-    """Construct the corrected state by iterating transport + linearized solve.
+) -> tuple[ReductionState, RealField2D, FixedPointReport]:
+    """Construct the corrected state by iterating transport + linearized
+    solve; returns the state at the final phi, its f2 and the report.
 
     Plain Picard: every right-hand-side term carries a positive power of eps,
     so the update map contracts at rate ~ eps^(1/2).  Stops when the weighted
@@ -644,64 +623,52 @@ def outer_fixed_point(
     ``NotConverged`` once two consecutive update ratios are at least 1 (the
     map does not contract) or after ``max_iter`` steps.  Each step's
     transport Picard starts from the previous step's fine f2, and its MINRES
-    from the previous phi.
+    from the previous phi.  At eps = 0 the state is the bare lump.  The
+    returned f2 is solved at the final phi, so the pair is self-consistent,
+    and the state keeps that solve for the transport check.
     """
     check_eps(eps, "construct")
-    state = build_state(eps, grid)
-    if eps == 0.0:
-        state = replace(state, f2=solve_f2(state))
-        report = FixedPointReport(
-            iterations=1,
-            update_star_norms=(0.0,),
-            contraction_ratios=(),
-            converged=True,
-            picard_passes=(state.derivs.transport_solve[1],),
-            minres_iterations=(),
-        )
-        return state, report
-
-    op = make_linearized_operator(eps, grid, state.params)
+    state = ReductionState(eps, grid)
     updates: list[float] = []
     ratios: list[float] = []
     passes: list[int] = []
     minres_iters: list[int] = []
-    converged = False
-    for it in range(1, max_iter + 1):
-        f2 = solve_f2(state, delta=delta)
-        f2_fine, n_passes = state.derivs.transport_solve
-        passes.append(n_passes)
-        h1, h2 = assemble_rhs(state, f2)
-        phi_new, n_minres = solve_linearized(op, h1, h2, x0=state.phi if it > 1 else None)
-        minres_iters.append(n_minres)
-        unorm = star_norm_proxy(phi_new - state.phi, eps, delta)
-        updates.append(unorm)
-        if len(updates) >= 2 and updates[-2] > 0:
-            ratios.append(updates[-1] / updates[-2])
-            if len(ratios) >= 2 and min(ratios[-2:]) >= 1.0:
-                raise NotConverged(
-                    f"outer fixed point does not contract: update ratios "
-                    f"{ratios[-2]:.3f}, {ratios[-1]:.3f} at iteration {it}"
-                )
-        state = build_state(eps, grid, phi=phi_new, f2=f2, f2_start=f2_fine)
-        if unorm <= tol:
-            converged = True
-            break
-    if not converged:
-        raise NotConverged(
-            f"outer fixed point: update norm {updates[-1]:.3e} > {tol:.1e} "
-            f"after {len(updates)} iterations"
-        )
-    # refresh the transport solution at the final phi so the stored pair is
-    # self-consistent rather than lagging one iteration; the state keeps its
-    # table, so the transport check reads this solve
-    state = replace(state, f2=solve_f2(state, delta=delta))
-    passes.append(state.derivs.transport_solve[1])
+    if eps == 0.0:
+        updates.append(0.0)
+    else:
+        op = make_linearized_operator(eps, grid)
+        for it in range(1, max_iter + 1):
+            f2 = solve_f2(state, delta=delta)
+            f2_fine, n_passes = state.transport_solve
+            passes.append(n_passes)
+            h1, h2 = assemble_rhs(state, f2)
+            phi_new, n_minres = solve_linearized(op, h1, h2, x0=state.phi if it > 1 else None)
+            minres_iters.append(n_minres)
+            unorm = star_norm_proxy(phi_new - state.phi, eps, delta)
+            updates.append(unorm)
+            if len(updates) >= 2 and updates[-2] > 0:
+                ratios.append(updates[-1] / updates[-2])
+                if len(ratios) >= 2 and min(ratios[-2:]) >= 1.0:
+                    raise NotConverged(
+                        f"outer fixed point does not contract: update ratios "
+                        f"{ratios[-2]:.3f}, {ratios[-1]:.3f} at iteration {it}"
+                    )
+            state = ReductionState(eps, grid, phi=phi_new, f2_start=f2_fine)
+            if unorm <= tol:
+                break
+        else:
+            raise NotConverged(
+                f"outer fixed point: update norm {updates[-1]:.3e} > {tol:.1e} "
+                f"after {len(updates)} iterations"
+            )
+    f2 = solve_f2(state, delta=delta)
+    passes.append(state.transport_solve[1])
     report = FixedPointReport(
         iterations=len(updates),
         update_star_norms=tuple(updates),
         contraction_ratios=tuple(ratios),
-        converged=converged,
+        converged=True,
         picard_passes=tuple(passes),
         minres_iterations=tuple(minres_iters),
     )
-    return state, report
+    return state, f2, report

@@ -28,7 +28,7 @@ from transonic.linearized import (
     star_norm_proxy,
 )
 from transonic.lump import LumpParams, kpi_residual, linearized_kernel_residuals
-from transonic.reduction import build_state, outer_fixed_point, solve_f2, transport_residual
+from transonic.reduction import ReductionState, outer_fixed_point, solve_f2, transport_residual
 
 pytestmark = pytest.mark.acceptance
 
@@ -47,16 +47,16 @@ def sweep512():
     out = {}
     g = _grid()
     for eps in EPS_SWEEP:
-        state, report = outer_fixed_point(eps, g, tol=1e-8)
-        gp = gp_system_residual(state, state.f2)
-        out[eps] = (state, report, gp)
+        state, f2, report = outer_fixed_point(eps, g, tol=1e-8)
+        gp = gp_system_residual(state, f2)
+        out[eps] = (state, f2, report, gp)
     return out
 
 
 @pytest.fixture(scope="session")
 def state256():
-    state, _ = outer_fixed_point(0.1, _grid(n=256), tol=1e-8)
-    return state
+    state, f2, _ = outer_fixed_point(0.1, _grid(n=256), tol=1e-8)
+    return state, f2
 
 
 def test_01_lump_exactness():
@@ -207,20 +207,20 @@ def test_07_translational_nondegeneracy():
 
 
 def test_08_transport_solver(sweep512, rand_field):
-    state, _, _ = sweep512[0.1]
-    resid = transport_residual(state, state.f2)
+    state, f2, _, _ = sweep512[0.1]
+    resid = transport_residual(state, f2)
     assert resid <= 1e-7
 
     # empirical Lipschitz constant in phi scales no worse than eps^(-3/2)
     lips = {}
     for eps in (0.1, 0.2):
         g = state.grid
-        base = build_state(eps, g)
+        base = ReductionState(eps, g)
         out = []
         for s in (1, 2):
             phi = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=s, kmax=6)
             phi = phi.scaled(2.0 * eps**2 / weighted_sup(phi, 1.0, 0.1))
-            st = build_state(eps, g, phi=phi)
+            st = ReductionState(eps, g, phi=phi)
             out.append((phi, solve_f2(st)))
         (phi_a, f2a), (phi_b, f2b) = out
         # qstar alone: f2 has no zero x-mean, which the suite's phi terms need
@@ -241,7 +241,7 @@ def test_09_outer_contraction(sweep512):
     rates = {}
     gaps = {}
     for eps in EPS_SWEEP:
-        state, report, gp = sweep512[eps]
+        state, _, report, gp = sweep512[eps]
         assert report.converged
         proxies[eps] = star_norm_proxy(state.phi, eps, 0.1) / eps**2
         rates[eps] = max(report.contraction_ratios) if report.contraction_ratios else 0.0
@@ -264,14 +264,14 @@ def test_09_outer_contraction(sweep512):
 
 
 def test_10_gp_oracle(sweep512, state256):
-    _, _, fine = sweep512[0.1]
-    coarse = gp_system_residual(state256, state256.f2)
+    _, _, _, fine = sweep512[0.1]
+    coarse = gp_system_residual(*state256)
     f1 = coarse.res1_sup / fine.res1_sup
     f2 = coarse.res2_sup / fine.res2_sup
     assert f1 >= 4.0 and f2 >= 4.0
 
-    state02, _, conv = sweep512[0.2]
-    bare = build_state(0.2, state02.grid)
+    state02, _, _, conv = sweep512[0.2]
+    bare = ReductionState(0.2, state02.grid)
     ab = gp_system_residual(bare, zeros(state02.grid, Symmetry.EVEN_X_EVEN_Y))
     i1 = ab.res1_sup / conv.res1_sup
     i2 = ab.res2_sup / conv.res2_sup

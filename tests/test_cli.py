@@ -1,8 +1,11 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,11 @@ import pytest
 
 import transonic
 import transonic.io as fio
+import transonic.reduction as red_mod
 from transonic.cli import build_parser, load_config, main
-from transonic.grid import Symmetry, make_grid, zeros
+from transonic.grid import Symmetry, derivative, make_grid, zeros
+from transonic.kernel import KernelSymbolParams, kernel_residue_eval
+from transonic.linearized import _transport_norms
 from transonic.lump import EPS_RANGES
 
 SMALL = ["--nx", "64", "--ny", "64", "--Lx", "20", "--Ly", "20"]
@@ -56,6 +62,29 @@ def test_kernel_command(capsys):
     assert code == 0
     rec = json.loads(capsys.readouterr().out)
     assert {"residue_value", "fft_value", "discrepancy"} <= set(rec)
+
+
+def test_kernel_compares_one_node(capsys):
+    # both routes at the grid node nearest (3, 2): (2.5, 2.5) at dx = 1.25
+    code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "1",
+                 "--x", "3", "--y", "2", "--nx", "64", "--ny", "64"])
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["x"] == rec["y"] == 2.5
+    p = KernelSymbolParams.normalized(0.2)
+    assert rec["residue_value"] == kernel_residue_eval(p, 1, 1, 2.5, 2.5)
+    assert rec["residue_value"] == pytest.approx(0.0111427, rel=1e-5)
+    assert rec["discrepancy"] == pytest.approx(1.32e-4, rel=1e-2)
+
+
+def test_kernel_node_at_origin(capsys):
+    # (0.3, -0.2) rounds to the node at the origin, where the residue route
+    # is singular: a validation error
+    code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "1",
+                 "--x", "0.3", "--y", "-0.2", "--nx", "64", "--ny", "64"])
+    assert code == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "origin" in rec["message"]
 
 
 def test_kernel_scan_far(tmp_path, capsys):
@@ -306,6 +335,32 @@ def test_construct_residual_roundtrip(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["res1_sup"] > 0
     assert (out / "gp_residual.json").exists()
+
+
+def test_norms_of_construct_transport_fields(tmp_path, capsys):
+    # f1 and f2 are even in x with no zero x-mean: the three dx^-1 summands,
+    # and so star, are nan, and every other norm is reported
+    assert main(["construct", "--epsilon", "0.1", "--out", str(tmp_path)] + SMALL) == 0
+    for name in ("f1", "f2"):
+        capsys.readouterr()
+        path = tmp_path / f"{name}.bin"
+        assert main(["norms", "--in", str(path), "--epsilon", "0.1"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        f = fio.read_field(path)
+        qstar, pstar = _transport_norms(f, partial(derivative, f), 0.1, 0.1)
+        assert float(row["qstar"]) == qstar and float(row["pstar"]) == pstar
+        assert math.isnan(float(row["star"]))
+        assert all(math.isfinite(float(v)) for k, v in row.items() if k != "star")
+
+
+def test_construct_takes_spectral_f1_once(tmp_path, monkeypatch):
+    # the spectral f1 of the state is taken when read, for f1.bin: once per
+    # construct, not once per outer step
+    calls = []
+    f1_from_g1 = red_mod.f1_from_g1
+    monkeypatch.setattr(red_mod, "f1_from_g1", lambda g1: calls.append(1) or f1_from_g1(g1))
+    assert main(["construct", "--epsilon", "0.1", "--out", str(tmp_path)] + SMALL) == 0
+    assert len(calls) == 1
 
 
 def test_construct_threads_same_bytes(tmp_path):

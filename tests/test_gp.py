@@ -13,20 +13,20 @@ from transonic.gp import (
     farfield_fit,
     gp_system_residual,
 )
-from transonic.reduction import build_state, outer_fixed_point, solve_f2
+from transonic.reduction import ReductionState, outer_fixed_point, solve_f2
 
 GRID = make_grid(256, 256, 40, 40)
 
 
 @pytest.fixture(scope="module")
 def converged():
-    state, _ = outer_fixed_point(0.1, GRID, tol=1e-8)
-    return state
+    state, f2, _ = outer_fixed_point(0.1, GRID, tol=1e-8)
+    return state, f2
 
 
 class TestAssemblePhi:
     def test_eps_zero_identity(self):
-        st = build_state(0.0, GRID)
+        st = ReductionState(0.0, GRID)
         f2 = solve_f2(st)
         phi = assemble_phi(st, f2)
         assert np.max(np.abs(phi.re.values - 1.0)) == 0.0
@@ -34,17 +34,19 @@ class TestAssemblePhi:
 
     def test_symmetry_guard(self):
         # the even/even tag of Re(Phi) is trusted, so f2 must carry it
-        st = build_state(0.0, GRID)
+        st = ReductionState(0.0, GRID)
         with pytest.raises(SymmetryViolation):
             assemble_phi(st, zeros(GRID, Symmetry.ODD_X_EVEN_Y))
 
     def test_imaginary_part_odd(self, converged):
-        phi = assemble_phi(converged, converged.f2)
+        state, f2 = converged
+        phi = assemble_phi(state, f2)
         i, j = GRID.nx // 2, GRID.ny // 2
         assert phi.im.values[i, j] == 0.0
 
     def test_modulus_tends_to_one(self, converged):
-        phi = assemble_phi(converged, converged.f2)
+        state, f2 = converged
+        phi = assemble_phi(state, f2)
         mod = np.hypot(phi.re.values, phi.im.values)
         ring = GRID.r >= 0.9 * GRID.Lx
         assert np.max(np.abs(mod[ring] - 1.0)) <= 5.0 / (0.9 * GRID.Lx)
@@ -52,7 +54,8 @@ class TestAssemblePhi:
 
 class TestResidualReport:
     def test_report_fields(self, converged):
-        rpt = gp_system_residual(converged, converged.f2)
+        state, f2 = converged
+        rpt = gp_system_residual(state, f2)
         assert rpt.c == pytest.approx(math.sqrt(2) - 0.01)
         assert rpt.res1_sup > 0 and rpt.res2_sup > 0
         assert rpt.res1_weighted >= rpt.res1_sup
@@ -65,13 +68,12 @@ class TestResidualReport:
         from transonic.gp import _fd_derivative
         from transonic.lump import SQRT2
 
-        st = converged
-        f2 = st.f2
+        st, f2 = converged
 
         def g1_d(m, n):
             # the table holds the stored quarter box of each order
             sym = Symmetry.ODD_X_EVEN_Y.differentiated(m, n)
-            return _unfold(st.derivs.g1_d(m, n), sym.x_parity, sym.y_parity)
+            return _unfold(st.g1_d(m, n), sym.x_parity, sym.y_parity)
 
         d = SimpleNamespace(g1_d=g1_d)
         f2_x = _fd_derivative(f2.values, GRID.dx, 0, 1)
@@ -107,8 +109,9 @@ class TestResidualReport:
         assert np.max(np.abs(r2)[win]) == pytest.approx(rpt.res2_sup, rel=1e-12)
 
     def test_ablation_inflates(self, converged):
-        rpt = gp_system_residual(converged, converged.f2)
-        bare = build_state(converged.eps, GRID)
+        state, f2 = converged
+        rpt = gp_system_residual(state, f2)
+        bare = ReductionState(state.eps, GRID)
         rpt0 = gp_system_residual(bare, zeros(GRID, Symmetry.EVEN_X_EVEN_Y))
         assert rpt0.res1_sup >= 10 * rpt.res1_sup
         assert rpt0.res2_sup >= 10 * rpt.res2_sup
@@ -118,7 +121,8 @@ class TestEnergy:
     def test_constant_zero(self):
         one = RealField2D(GRID, np.ones((GRID.nx, GRID.ny)), Symmetry.EVEN_X_EVEN_Y)
         z = zeros(GRID, Symmetry.EVEN_X_EVEN_Y)
-        # edge stencil rounding leaves ~1e-22; the bulk is exactly zero
+        # the centered stencil's rounding leaves ~1e-28 of gradient energy;
+        # the potential term is exactly zero
         assert abs(energy(ComplexField2D(re=one, im=z), 0.1)) <= 1e-18
 
     def test_grid_inside_edge_margin_rejected(self):
@@ -130,8 +134,9 @@ class TestEnergy:
             energy(phi, 0.1)
 
     def test_phase_invariance(self, converged):
-        phi = assemble_phi(converged, converged.f2)
-        e0 = energy(phi, converged.eps)
+        state, f2 = converged
+        phi = assemble_phi(state, f2)
+        e0 = energy(phi, state.eps)
         th = 0.7324
         # the rotated parts mix two parity classes, so no RealField2D holds
         # them; energy reads only the grid and the full-grid values
@@ -141,12 +146,13 @@ class TestEnergy:
         im = SimpleNamespace(
             values=math.sin(th) * phi.re.values + math.cos(th) * phi.im.values
         )
-        e1 = energy(SimpleNamespace(grid=GRID, re=re, im=im), converged.eps)
+        e1 = energy(SimpleNamespace(grid=GRID, re=re, im=im), state.eps)
         assert e1 == pytest.approx(e0, rel=1e-12)
 
     def test_positive_for_constructed(self, converged):
-        phi = assemble_phi(converged, converged.f2)
-        assert energy(phi, converged.eps) > 0
+        state, f2 = converged
+        phi = assemble_phi(state, f2)
+        assert energy(phi, state.eps) > 0
 
     @pytest.mark.slow
     def test_energy_stable_under_domain_doubling(self):
@@ -155,15 +161,15 @@ class TestEnergy:
         vals = {}
         for n, L in ((256, 40.0), (512, 80.0)):
             g = make_grid(n, n, L, L)
-            state, _ = outer_fixed_point(0.1, g, tol=1e-8)
-            vals[L] = energy(assemble_phi(state, state.f2), 0.1)
+            state, f2, _ = outer_fixed_point(0.1, g, tol=1e-8)
+            vals[L] = energy(assemble_phi(state, f2), 0.1)
         assert abs(vals[80.0] - vals[40.0]) / vals[40.0] <= 0.05
 
     def test_theorem_gap_first_order_dominates(self):
         # sup|Phi - 1 - i eps q| = eps^2 * gap shrinks as eps -> 0
         sups = {}
         for eps in (0.2, 0.05):
-            st = build_state(eps, GRID)
+            st = ReductionState(eps, GRID)
             f2 = solve_f2(st)
             rpt = gp_system_residual(st, f2)
             sups[eps] = rpt.theorem_gap * eps**2
@@ -172,35 +178,39 @@ class TestEnergy:
 
 class TestFarField:
     def test_beta_vanishes_by_symmetry(self, converged):
-        phi = assemble_phi(converged, converged.f2)
-        alpha, beta, _ = farfield_fit(phi, converged.eps)
+        state, f2 = converged
+        phi = assemble_phi(state, f2)
+        alpha, beta, _ = farfield_fit(phi, state.eps)
         assert alpha != 0.0
         assert abs(beta) <= 1e-3 * abs(alpha)
 
     def test_alpha_matches_lump_dipole(self, converged):
         # the imaginary tail is the lump's dipole: alpha ~ -A/B
-        phi = assemble_phi(converged, converged.f2)
-        alpha, _, resid = farfield_fit(phi, converged.eps)
-        p = converged.params
+        state, f2 = converged
+        phi = assemble_phi(state, f2)
+        alpha, _, resid = farfield_fit(phi, state.eps)
+        p = state.params
         assert alpha == pytest.approx(-p.A / p.B, rel=0.1)
         assert resid <= 0.05
 
     def test_real_part_subdominant_on_ring(self, converged):
-        phi = assemble_phi(converged, converged.f2)
+        state, f2 = converged
+        phi = assemble_phi(state, f2)
         ring = (GRID.r >= 0.6 * GRID.Lx) & (GRID.r <= 0.9 * GRID.Lx)
         re_tail = np.max(GRID.r[ring] * np.abs(phi.re.values[ring] - 1.0))
         im_tail = np.max(GRID.r[ring] * np.abs(phi.im.values[ring]))
         assert re_tail <= 0.2 * im_tail
 
     def test_empty_ring_rejected(self, converged):
+        state, _ = converged
         g = make_grid(16, 16, 40, 40)
-        sub = build_state(converged.eps, g)
+        sub = ReductionState(state.eps, g)
         f2 = solve_f2(sub)
         phi = assemble_phi(sub, f2)
         # the 16-point grid still has ring nodes; shrink the box instead
         small = make_grid(16, 16, 0.5, 0.5)
-        tiny = build_state(converged.eps, small)
+        tiny = ReductionState(state.eps, small)
         f2t = solve_f2(tiny)
         phit = assemble_phi(tiny, f2t)
-        alpha, beta, resid = farfield_fit(phit, converged.eps)
+        alpha, beta, resid = farfield_fit(phit, state.eps)
         assert np.isfinite(alpha)

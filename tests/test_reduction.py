@@ -8,7 +8,7 @@ import pytest
 import transonic.grid as grid_mod
 import transonic.lump as lump_mod
 import transonic.reduction as red_mod
-from transonic.errors import GuardViolated, NotConverged, SymmetryViolation
+from transonic.errors import GridMismatch, GuardViolated, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
@@ -24,9 +24,9 @@ from transonic.linearized import norm_suite
 from transonic.lump import SQRT2, LumpParams, lump_eval, sample_lump
 from transonic.reduction import (
     F0_eval,
+    ReductionState,
     _rhs_integrands,
     assemble_rhs,
-    build_state,
     f0_exponent,
     f1_derivative,
     f1_from_g1,
@@ -61,7 +61,7 @@ class TestF1:
 
     def test_origin_value_for_lump(self):
         g = make_grid(512, 512, 40, 40)
-        st = build_state(0.0, g)
+        st = ReductionState(0.0, g)
         i, j = g.nx // 2, g.ny // 2
         # (sqrt2/2) dq/dx(0,0) with dq/dx(0,0) = -8/3, up to spectral truncation
         assert st.f1.values[i, j] == pytest.approx(0.5 * SQRT2 * (-8 / 3), abs=1e-4)
@@ -69,7 +69,7 @@ class TestF1:
 
     def test_consistency_identity(self):
         # c0 dx g1 = 2 f1 + g1^2 holds exactly for the assembled pair
-        st = build_state(0.1, GRID)
+        st = ReductionState(0.1, GRID)
         dxg1 = derivative(st.g1, 1, 0)
         resid = SQRT2 * dxg1.values - 2.0 * st.f1.values - st.g1.values**2
         assert np.max(np.abs(resid)) <= 1e-10
@@ -114,25 +114,25 @@ class TestF0:
 
 class TestSolveF2:
     def test_tag_and_symmetry(self):
-        st = build_state(0.1, GRID)
+        st = ReductionState(0.1, GRID)
         f2 = solve_f2(st)
         assert f2.symmetry is Symmetry.EVEN_X_EVEN_Y
 
     def test_guard_violated(self, rand_field):
         big_phi = rand_field(GRID, Symmetry.ODD_X_EVEN_Y, seed=3, amplitude=1.0)
-        st = build_state(0.1, GRID, phi=big_phi)
+        st = ReductionState(0.1, GRID, phi=big_phi)
         with pytest.raises(GuardViolated):
             solve_f2(st)
 
     def test_residual_coarse(self):
-        st = build_state(0.1, GRID)
+        st = ReductionState(0.1, GRID)
         f2 = solve_f2(st)
         assert transport_residual(st, f2) <= 1e-5
 
     @pytest.mark.slow
     def test_residual_default_grid(self):
         g = make_grid(512, 512, 40, 40)
-        st = build_state(0.1, g)
+        st = ReductionState(0.1, g)
         f2 = solve_f2(st)
         assert transport_residual(st, f2) <= 1e-7
 
@@ -146,7 +146,7 @@ class TestSolveF2:
         runs = []
         for p in (phi, phi + kick):
             picard_passes.clear()
-            runs.append((solve_f2(build_state(0.1, g, phi=p)), len(picard_passes)))
+            runs.append((solve_f2(ReductionState(0.1, g, phi=p)), len(picard_passes)))
         (f2a, na), (f2b, nb) = runs
         assert na == nb
         assert np.max(np.abs(f2a.values - f2b.values)) < 1e-9 * np.max(np.abs(f2a.values))
@@ -228,11 +228,11 @@ class TestHalfLineTransforms:
         # f2 of a 128^2 construction at F2_REFINE = 4 against 8, over the
         # transport check's window: 3.2e-4 of the sup measured, 0.37 at 2
         g = make_grid(128, 128, 40, 40)
-        state, _ = outer_fixed_point(0.1, g)
+        state, _, _ = outer_fixed_point(0.1, g)
         f2 = {}
         for refine in (2, 4, 8):
             monkeypatch.setattr(red_mod, "F2_REFINE", refine)
-            f2[refine] = solve_f2(build_state(0.1, g, phi=state.phi)).values
+            f2[refine] = solve_f2(ReductionState(0.1, g, phi=state.phi)).values
         window = np.abs(g.x) <= red_mod.F2_CHECK_WINDOW * g.Lx - 2.0 * g.dx
         scale = np.max(np.abs(f2[8]))
         gap = {r: np.max(np.abs(f2[r] - f2[8])[window, :]) / scale for r in (2, 4)}
@@ -243,7 +243,7 @@ class TestHalfLineTransforms:
 class TestTransportResidual:
     def test_reads_the_solve_of_solve_f2(self, rand_field, picard_passes):
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
-        st = build_state(0.1, SMALL, phi=phi)
+        st = ReductionState(0.1, SMALL, phi=phi)
         f2 = solve_f2(st)
         picard_passes.clear()
         assert transport_residual(st, f2) <= 1e-3
@@ -252,7 +252,7 @@ class TestTransportResidual:
     def test_reads_the_terms_of_solve_f2(self, rand_field, monkeypatch):
         # the refined transport terms are built once per phi, by the solve
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
-        st = build_state(0.1, SMALL, phi=phi)
+        st = ReductionState(0.1, SMALL, phi=phi)
         f2 = solve_f2(st)
         rebuilt = []
         interp, sample = red_mod._refined_lines, lump_mod.lump_derivative
@@ -265,15 +265,15 @@ class TestTransportResidual:
         assert rebuilt == []
 
     def test_reads_the_solve_of_outer_fixed_point(self, picard_passes):
-        state, _ = outer_fixed_point(0.1, SMALL, tol=1e-6)
+        state, f2, _ = outer_fixed_point(0.1, SMALL, tol=1e-6)
         picard_passes.clear()
-        assert transport_residual(state, state.f2) <= 1e-3
+        assert transport_residual(state, f2) <= 1e-3
         assert picard_passes == []
 
     def test_reports_f2_of_another_phi(self, rand_field):
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
-        st = build_state(0.1, SMALL, phi=phi)
-        other = solve_f2(build_state(0.1, SMALL, phi=phi.scaled(4.0)))
+        st = ReductionState(0.1, SMALL, phi=phi)
+        other = solve_f2(ReductionState(0.1, SMALL, phi=phi.scaled(4.0)))
         resid = transport_residual(st, other)
         own = solve_f2(st)
         # the check's coarse window: 8 refined steps are 2 grid steps
@@ -289,7 +289,7 @@ class TestAssembleRhs:
         # the loop only needs (h1, h2); the pieces P1, P2, P3, Gamma_q and
         # P1_hat = P1 + Gamma_q + dx(phi_sq) are rebuilt here from the same
         # integrands and the state's derivative table
-        st = build_state(0.15, GRID)
+        st = ReductionState(0.15, GRID)
         f2 = solve_f2(st)
         h1, h2 = assemble_rhs(st, f2)
         # the integrands are quarter boxes: unfolded, the public constructor
@@ -302,7 +302,7 @@ class TestAssembleRhs:
         P2 = derivative(field(h2_vals, Symmetry.ODD_X_ODD_Y), 0, 1)
         P3 = field(p3_vals, Symmetry.ODD_X_EVEN_Y)
         gamma = gamma_q_field(st.params, GRID)
-        phi_sq = field(3.0 * (SQRT2 - st.eps**2) * st.derivs.phi_d(1, 0) ** 2,
+        phi_sq = field(3.0 * (SQRT2 - st.eps**2) * st.phi_d(1, 0) ** 2,
                        Symmetry.EVEN_X_EVEN_Y)
         P1 = derivative(h1_p1, 1, 0)
         b = SimpleNamespace(
@@ -410,7 +410,7 @@ class TestBuildState:
         monkeypatch.setattr(
             grid_mod, "_symmetry_defect", lambda *a: calls.append(a) or check(*a)
         )
-        st = build_state(0.1, SMALL, phi=phi)
+        st = ReductionState(0.1, SMALL, phi=phi)
         assert calls == []
         assert st.g1.symmetry is Symmetry.ODD_X_EVEN_Y
 
@@ -418,13 +418,18 @@ class TestBuildState:
         for sym in (s for s in Symmetry if s is not Symmetry.ODD_X_EVEN_Y):
             bad = rand_field(SMALL, sym, seed=5, amplitude=1e-3)
             with pytest.raises(SymmetryViolation, match="phi"):
-                build_state(0.1, SMALL, phi=bad)
+                ReductionState(0.1, SMALL, phi=bad)
+
+    def test_phi_on_other_grid_rejected(self, rand_field):
+        phi = rand_field(GRID, Symmetry.ODD_X_EVEN_Y, seed=5, amplitude=1e-3)
+        with pytest.raises(GridMismatch):
+            ReductionState(0.1, SMALL, phi=phi)
 
 
 class TestDerivativeTable:
     def test_g1_orders_memoized_and_read_only(self, rand_field):
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=4, amplitude=1e-3)
-        d = build_state(0.1, SMALL, phi=phi).derivs
+        d = ReductionState(0.1, SMALL, phi=phi)
         g1_x = d.g1_d(1, 0)
         assert d.g1_d(1, 0) is g1_x
         assert not g1_x.flags.writeable
@@ -454,14 +459,14 @@ class TestDerivativeTable:
             red_mod._gamma_q_antiderivative.cache_clear()
             red_mod._transport_lump.cache_clear()
             calls.clear()
-            _, rep = outer_fixed_point(0.1, SMALL, tol=tol)
+            _, _, rep = outer_fixed_point(0.1, SMALL, tol=tol)
             per_run[rep.iterations] = len(calls)
         assert len(per_run) == 2
         assert len(set(per_run.values())) == 1
 
     def test_phi_derivatives_taken_once(self, rand_field, monkeypatch):
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
-        st = build_state(0.1, SMALL, phi=phi)
+        st = ReductionState(0.1, SMALL, phi=phi)
         taken = []
         spectral = red_mod.derivative
 
@@ -486,7 +491,7 @@ class TestDerivativeTable:
         red_mod._gamma_q_antiderivative.cache_clear()
         for seed in (2, 3):
             phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=seed, amplitude=1e-3)
-            st = build_state(0.1, SMALL, phi=phi)
+            st = ReductionState(0.1, SMALL, phi=phi)
             taken.clear()
             assemble_rhs(st, solve_f2(st))
         assert len(taken) == 1
@@ -495,7 +500,7 @@ class TestDerivativeTable:
         # the table must not refer back to its state: a cycle would keep
         # every outer step's state alive until the cycle collector runs
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
-        st = build_state(0.1, SMALL, phi=phi)
+        st = ReductionState(0.1, SMALL, phi=phi)
         assemble_rhs(st, solve_f2(st))
         ref = weakref.ref(st)
         gc.disable()
@@ -511,15 +516,15 @@ class TestOuterFixedPoint:
         # the transport Picard starts from the previous fine f2 and MINRES
         # from the previous phi; starting both from zero takes more of each
         # and the same outer iterations
-        _, warm = outer_fixed_point(0.1, SMALL)
-        build, solve = red_mod.build_state, red_mod.solve_linearized
+        _, _, warm = outer_fixed_point(0.1, SMALL)
+        build, solve = red_mod.ReductionState, red_mod.solve_linearized
         monkeypatch.setattr(
-            red_mod, "build_state", lambda *a, f2_start=None, **k: build(*a, **k)
+            red_mod, "ReductionState", lambda *a, f2_start=None, **k: build(*a, **k)
         )
         monkeypatch.setattr(
             red_mod, "solve_linearized", lambda *a, x0=None, **k: solve(*a, **k)
         )
-        _, cold = outer_fixed_point(0.1, SMALL)
+        _, _, cold = outer_fixed_point(0.1, SMALL)
         assert warm.iterations == cold.iterations
         assert len(warm.picard_passes) == warm.iterations + 1
         assert len(warm.minres_iterations) == warm.iterations
@@ -543,11 +548,11 @@ class TestOuterFixedPoint:
 
     def test_eps_zero_trivial(self):
         g = make_grid(64, 64, 20, 20)
-        state, rep = outer_fixed_point(0.0, g)
+        state, f2, rep = outer_fixed_point(0.0, g)
         assert rep.iterations == 1
         assert norm_suite(state.phi, 0.0).star == 0.0
         assert np.max(np.abs(state.phi.values)) == 0.0
-        assert state.f2 is not None
+        assert f2 is not None
 
     def test_eps_guard(self):
         g = make_grid(64, 64, 20, 20)
@@ -556,7 +561,7 @@ class TestOuterFixedPoint:
 
     def test_converges_and_contracts(self):
         g = make_grid(128, 128, 30, 30)
-        state, rep = outer_fixed_point(0.2, g, tol=1e-8)
+        state, _, rep = outer_fixed_point(0.2, g, tol=1e-8)
         assert rep.converged
         assert all(r < 1.0 for r in rep.contraction_ratios)
         assert norm_suite(state.phi, 0.2).star > 0
