@@ -218,25 +218,21 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
 def cmd_kernel_scan(cfg: RunConfig, args) -> int:
     p = cfg.symbol_params()
     out = Path(cfg.out_dir)
-    if out.suffix == ".csv":
-        path = out
-        out.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "report.csv"
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "report.csv"
     if args.mode in ("far", "near"):
         if args.mode == "far":
             radii = np.geomspace(max(2.0, cfg.Lx / 8.0), cfg.Lx / 2.0, 10)
         else:
             radii = np.geomspace(1e-3, 0.5, 10)
         angles = (0.35, 0.8, 1.2)
-        rep = decay_scan(p, args.m, args.n, radii, angles, preset_name=cfg.preset)
+        rep = decay_scan(p, args.m, args.n, radii, angles)
         with path.open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["m", "n", "preset", "epsilon", "ray_angle", "fitted_slope",
                         "bound_slope", "max_prefactor"])
-            for th, sl in zip(rep.rays, rep.fitted_slope_per_ray):
-                w.writerow([rep.m, rep.n, rep.preset, rep.eps, th, sl,
+            for th, sl in zip(angles, rep.fitted_slope_per_ray):
+                w.writerow([args.m, args.n, cfg.preset, cfg.epsilon, th, sl,
                             rep.bound_slope, rep.max_prefactor])
         print(f"slopes: {rep.fitted_slope_per_ray} (bound {rep.bound_slope})")
     else:
@@ -268,7 +264,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         "lambda1": res.lambda1,
         "lambda2": res.lambda2,
         "negative_count": res.negative_count,
-        "eigenvalues": [p.eigenvalue for p in res.pairs],
+        "eigenvalues": list(res.eigenvalues),
         "epsilon": cfg.epsilon,
         "iterations": res.iterations,
         "block": res.block,
@@ -312,7 +308,8 @@ def cmd_construct(cfg: RunConfig, args) -> int:
         "update_star_norms": list(report.update_star_norms),
         "contraction_ratios": list(report.contraction_ratios),
         "final_phi_star": suite.star,
-        "converged": report.converged,
+        # outer_fixed_point raises on every exit but convergence
+        "converged": True,
         "picard_passes": list(report.picard_passes),
         "minres_iterations": list(report.minres_iterations),
         "transport_residual_sup": transport_residual(state, f2),

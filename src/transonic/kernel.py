@@ -491,12 +491,6 @@ def kernel_fourier_eval(
 class DecayScanReport:
     """Log-log decay fit of |d^m d^n K| along rays, with the bound exponent."""
 
-    m: int
-    n: int
-    preset: str
-    eps: float
-    rays: tuple[float, ...]
-    radii: tuple[float, ...]
     fitted_slope_per_ray: tuple[float, ...]
     bound_slope: float
     max_prefactor: float
@@ -520,7 +514,6 @@ def decay_scan(
     n: int,
     radii,
     angles,
-    preset_name: str = "normalized",
 ) -> DecayScanReport:
     """Least-squares slope of log |K_mn| vs log r along each ray.
 
@@ -552,12 +545,6 @@ def decay_scan(
         slopes.append(float(sol[0]))
         prefactors.append(float(math.exp(sol[1])))
     return DecayScanReport(
-        m=m,
-        n=n,
-        preset=preset_name,
-        eps=p.eps,
-        rays=angles,
-        radii=radii,
         fitted_slope_per_ray=tuple(slopes),
         bound_slope=FAR_FIELD_SLOPE[(m, n)],
         max_prefactor=float(np.nanmax(prefactors)),

@@ -71,11 +71,9 @@ class LinearizedOperator:
     """Frozen data of the linearization about the lump at a given eps."""
 
     eps: float
-    q: RealField2D
     dq: RealField2D
     coeff_nl: float
     coeff_lump_nl: float
-    lambda_coupling: float
 
     @property
     def c2(self) -> float:
@@ -85,17 +83,11 @@ class LinearizedOperator:
 
 def make_linearized_operator(eps: float, grid: Grid2D) -> LinearizedOperator:
     params = LumpParams.from_epsilon(eps)
-    q = sample_lump(params, grid, 0, 0)
-    dq = sample_lump(params, grid, 1, 0)
-    coeff_nl = 6.0 * (SQRT2 - eps**2)
-    coeff_lump_nl = 6.0 * SQRT2 * params.B ** 2.5
     return LinearizedOperator(
         eps=eps,
-        q=q,
-        dq=dq,
-        coeff_nl=coeff_nl,
-        coeff_lump_nl=coeff_lump_nl,
-        lambda_coupling=coeff_lump_nl - coeff_nl,
+        dq=sample_lump(params, grid, 1, 0),
+        coeff_nl=6.0 * (SQRT2 - eps**2),
+        coeff_lump_nl=6.0 * SQRT2 * params.B ** 2.5,
     )
 
 
@@ -251,28 +243,21 @@ def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalue and L2-normalized eigenfunction of the reduced operator."""
-
-    eigenvalue: float
-    psi: RealField2D
-
-
-@dataclass(frozen=True)
 class EigenResult:
     """Extremal spectral data of the reduced operator.
 
-    ``pairs`` holds the lowest eigenpairs in ascending order; ``phi0`` is the
-    ground state (the single negative direction), ``phi1`` its x-antiderivative
-    (odd in x, even in y), ``lambda2`` the smallest positive eigenvalue.
+    ``eigenvalues`` holds the lowest k eigenvalues in ascending order;
+    ``phi0`` is the L2-normalized eigenfunction of the first, the single
+    negative direction, ``phi1`` its x-antiderivative (odd in x, even in y),
+    ``lambda2`` the smallest positive eigenvalue.
     ``iterations`` counts the LOBPCG iterations up to the returned block and
     ``block`` is the LOBPCG block width (both 0 when ``solver`` is
     ``"dense"``), ``unknowns`` is the size of the problem LOBPCG was given,
-    and ``max_residual`` is the largest ||L v - lambda v||_2
-    over the returned pairs (unit vectors in the grid's Euclidean norm).
+    and ``max_residual`` is the largest ||L v - lambda v||_2 over the
+    returned LOBPCG eigenvectors (unit vectors in the grid's Euclidean norm).
     """
 
-    pairs: tuple[EigenPair, ...]
+    eigenvalues: tuple[float, ...]
     phi0: RealField2D
     phi1: RealField2D
     lambda1: float
@@ -384,7 +369,7 @@ def eigen_extremes(
     the diagonal symbol outside it, where every unit coefficient vector is an
     exact eigenvector.  LOBPCG runs on the inside coefficients only; the
     lowest k of its eigenvalues and the outside diagonal values together are
-    returned.
+    returned, with the eigenfunction of the lowest, which is always inside.
 
     The preconditioner is 1 / (S - c2 + ``_PRECONDITIONER_GAP``): the wanted
     eigenvalues above the negative one sit just below the continuum edge c2,
@@ -396,7 +381,7 @@ def eigen_extremes(
     1024^2 faster than k + 3, since wider blocks save fewer iterations than
     they cost per iteration.  LOBPCG is asked for
     ``tol * _LOBPCG_TOL_FACTOR``, since it returns its iterate of least mean
-    residual; every returned pair is then checked against ``tol`` itself.
+    residual; every returned LOBPCG pair is then checked against ``tol`` itself.
     When the inside block is too small for LOBPCG (fewer than five times the
     block width), scipy's ``lobpcg`` solves it densely instead;
     ``iterations`` and ``block`` are then 0 and ``solver`` is ``"dense"``.
@@ -408,7 +393,7 @@ def eigen_extremes(
     whole construction, so a second negative direction signals an inadequate
     grid or an eps out of regime.
     """
-    grid = op.q.grid
+    grid = op.dq.grid
     mx, my = grid.nx // 2, grid.ny // 2
     if not 2 <= k <= mx * (my + 1):
         raise ValueError(f"k must lie in [2, {mx * (my + 1)}], the coefficients on this grid")
@@ -460,8 +445,8 @@ def eigen_extremes(
     inside = grid.dealias_mask[1 : mx + 1]
     candidates = np.concatenate([vals, np.where(inside, np.inf, symbol[..., 0]).ravel()])
     order = np.argsort(candidates, kind="stable")[:k]
-    won = order < vals.size
-    vals_in, vecs_in = vals[order[won]], vecs[:, order[won]]
+    won = order[order < vals.size]
+    vals_in, vecs_in = vals[won], vecs[:, won]
     residuals = np.linalg.norm(A.matmat(vecs_in) - vecs_in * vals_in, axis=0)
     max_residual = float(np.max(residuals, initial=0.0))
     if not max_residual <= tol:
@@ -470,33 +455,26 @@ def eigen_extremes(
             f"after {iterations} iterations"
         )
 
-    coeffs = np.zeros((mx, my + 1, k))
-    coeffs[:ax, :ay, won] = vecs_in.reshape(ax, ay, -1)
-    coeffs.reshape(-1, k)[order[~won] - vals.size, np.flatnonzero(~won)] = 1.0
-    quarters = _values(coeffs, 1)
-    pairs = []
-    for j in range(k):
-        f = _tagged(grid, np.ascontiguousarray(quarters[:, :, j]), Symmetry.EVEN_X_EVEN_Y)
-        f = f.scaled(1.0 / l2_norm(f))
-        pairs.append(EigenPair(eigenvalue=float(candidates[order[j]]), psi=f))
-
-    neg = [p for p in pairs if p.eigenvalue < 0.0]
+    eigenvalues = tuple(candidates[order].tolist())
+    neg = [v for v in eigenvalues if v < 0.0]
     if len(neg) == 0:
         raise NotConverged("no negative eigenvalue found")
     if len(neg) > 1:
         raise MultipleNegative(
-            f"found {len(neg)} negative eigenvalues: "
-            + ", ".join(f"{p.eigenvalue:.4e}" for p in neg)
+            f"found {len(neg)} negative eigenvalues: " + ", ".join(f"{v:.4e}" for v in neg)
         )
-    pos = [p.eigenvalue for p in pairs if p.eigenvalue > 0.0]
-    phi0 = pairs[0].psi
-    phi1 = antiderivative_x(phi0)
+    pos = [v for v in eigenvalues if v > 0.0]
+    # phi0 is a LOBPCG column: every outside value S exceeds c2 > 0
+    coeffs = np.zeros((mx, my + 1, 1))
+    coeffs[:ax, :ay, 0] = vecs[:, order[0]].reshape(ax, ay)
+    phi0 = _tagged(grid, _values(coeffs, 1)[..., 0], Symmetry.EVEN_X_EVEN_Y)
+    phi0 = phi0.scaled(1.0 / l2_norm(phi0))
     return EigenResult(
-        pairs=tuple(pairs),
+        eigenvalues=eigenvalues,
         phi0=phi0,
-        phi1=phi1,
-        lambda1=pairs[0].eigenvalue,
-        lambda2=float(pos[0]) if pos else math.nan,
+        phi1=antiderivative_x(phi0),
+        lambda1=eigenvalues[0],
+        lambda2=pos[0] if pos else math.nan,
         negative_count=len(neg),
         iterations=iterations,
         block=block if history else 0,

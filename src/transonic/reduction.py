@@ -68,7 +68,7 @@ from .linearized import (
     solve_linearized,
     star_norm_proxy,
 )
-from .lump import SQRT2, LumpParams, check_eps, lump_derivative, sample_lump
+from .lump import SQRT2, LumpParams, check_eps, kpi_residual, lump_derivative, sample_lump
 
 
 def f1_derivative(g1_d: Callable[[int, int], np.ndarray], m: int, n: int) -> np.ndarray:
@@ -451,7 +451,10 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
 
 @lru_cache(maxsize=4)
 def gamma_q_field(p: LumpParams, g: Grid2D) -> RealField2D:
-    """Defect of the lump in the eps-perturbed equation, closed form.
+    """Defect of the lump in the eps-perturbed equation, closed form: minus
+    the lump's own residual (``kpi_residual``) at the perturbed nonlinear
+    coefficient 3 (sqrt2 - eps^2), less the eps-weighted y-terms
+    2 eps^2 q_xxyy + eps^4 q_yyyy.
 
     Combines to O(eps^2) with (1+r)^-5 decay: the lump solves its own
     rescaled equation exactly, so only the coefficient difference and the
@@ -460,14 +463,10 @@ def gamma_q_field(p: LumpParams, g: Grid2D) -> RealField2D:
     """
     e2 = p.eps**2
     x, y = _quarter_axes(g)
-    d = lambda m, n: lump_derivative(p, m, n, x, y)
     vals = (
-        -d(4, 0)
-        + (2.0 * SQRT2 - e2) * d(2, 0)
-        + 3.0 * (SQRT2 - e2) * 2.0 * d(1, 0) * d(2, 0)
-        + 2.0 * d(0, 2)
-        - 2.0 * e2 * d(2, 2)
-        - e2**2 * d(0, 4)
+        -kpi_residual(p, g, 3.0 * (SQRT2 - e2)).data
+        - 2.0 * e2 * lump_derivative(p, 2, 2, x, y)
+        - e2**2 * lump_derivative(p, 0, 4, x, y)
     )
     return _sampled(g, vals, Symmetry.ODD_X_EVEN_Y)
 
@@ -602,7 +601,6 @@ class FixedPointReport:
     iterations: int
     update_star_norms: tuple[float, ...]
     contraction_ratios: tuple[float, ...]
-    converged: bool
     picard_passes: tuple[int, ...]
     minres_iterations: tuple[int, ...]
 
@@ -667,7 +665,6 @@ def outer_fixed_point(
         iterations=len(updates),
         update_star_norms=tuple(updates),
         contraction_ratios=tuple(ratios),
-        converged=True,
         picard_passes=tuple(passes),
         minres_iterations=tuple(minres_iters),
     )

@@ -96,6 +96,17 @@ def test_kernel_scan_far(tmp_path, capsys):
     assert len(rows) == 4  # header + three rays
 
 
+def test_kernel_scan_rows_echo_arguments(tmp_path):
+    code = main(["kernel-scan", "--mode", "far", "--preset", "gp", "--m", "2", "--n", "0",
+                 "--epsilon", "0.2", "--Lx", "120", "--out", str(tmp_path)])
+    assert code == 0
+    with (tmp_path / "report.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        assert (row["m"], row["n"], row["preset"], row["epsilon"]) == ("2", "0", "gp", "0.2")
+
+
 def test_eigen_and_norms(tmp_path, capsys):
     code = main(["eigen", "--epsilon", "0.1", "--k", "3"] + SMALL + ["--out", str(tmp_path)])
     assert code == 0

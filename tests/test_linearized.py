@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+import transonic.linearized as lin_mod
 from transonic.errors import NonZeroMean, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
@@ -48,8 +49,7 @@ def l2_pair(f, g):
 def zero_coupling_operator(eps, grid):
     z = zeros(grid, Symmetry.EVEN_X_EVEN_Y)
     return LinearizedOperator(
-        eps=eps, q=z, dq=z, coeff_nl=6 * (SQRT2 - eps**2), coeff_lump_nl=0.0,
-        lambda_coupling=0.0,
+        eps=eps, dq=z, coeff_nl=6 * (SQRT2 - eps**2), coeff_lump_nl=0.0,
     )
 
 
@@ -58,8 +58,9 @@ class TestOperatorData:
     def test_lambda_coupling_negative_and_quadratic(self, eps):
         g = make_grid(16, 16, 5, 5)
         op = make_linearized_operator(eps, g)
-        assert op.lambda_coupling < 0
-        assert -2.0 <= op.lambda_coupling / eps**2 <= -1.0
+        lambda_coupling = op.coeff_lump_nl - op.coeff_nl
+        assert lambda_coupling < 0
+        assert -2.0 <= lambda_coupling / eps**2 <= -1.0
 
     def test_coefficients(self):
         g = make_grid(16, 16, 5, 5)
@@ -322,7 +323,7 @@ class TestEigen:
             eigen_extremes(op, k=1)
         # no more pairs than cosine coefficients: 8 x 9 at 16^2
         small = make_linearized_operator(0.1, make_grid(16, 16, 10, 10))
-        assert eigen_extremes(small, k=72).pairs[-1].eigenvalue < math.inf
+        assert eigen_extremes(small, k=72).eigenvalues[-1] < math.inf
         with pytest.raises(ValueError):
             eigen_extremes(small, k=73)
 
@@ -356,7 +357,7 @@ def dense_reduced_operator(op):
     """apply_L assembled on an orthonormal basis of the even/even, zero-x-mean
     subspace of the operator's n^2 grid, independent of the cosine basis
     LOBPCG uses: the basis and the eigenpairs of the symmetrized matrix."""
-    g = op.q.grid
+    g = op.dq.grid
     n = g.nx
     orbit = np.zeros((n, n, n // 2 + 1, n // 2 + 1))
     for p in range(n // 2 + 1):
@@ -383,7 +384,7 @@ def test_eigen_matches_dense_reference(n, L, k, merged):
     basis, evals, evecs = dense_reduced_operator(op)
 
     res = eigen_extremes(op, k=k, tol=1e-9)
-    got = np.array([p.eigenvalue for p in res.pairs])
+    got = np.array(res.eigenvalues)
     assert np.max(np.abs(got - evals[:k]) / np.abs(evals[:k])) <= 1e-8
     # the out-of-mask coefficients are exact eigenvectors with the diagonal
     # symbol; at 16^2, L = 80 one of them is among the lowest k
@@ -413,8 +414,23 @@ def test_eigen_verdict_has_margin(dense_reference, seed):
     res = eigen_extremes(op, seed=seed)
     assert res.solver == "lobpcg"
     assert res.max_residual <= tol
-    got = np.array([p.eigenvalue for p in res.pairs])
+    got = np.array(res.eigenvalues)
     assert np.max(np.abs(got - evals[: got.size])) <= 1e-8
+
+
+def test_eigen_maps_back_one_column(monkeypatch):
+    # only phi0's coefficients go back to the grid; the other k - 1
+    # eigenvalues come without eigenfunctions
+    columns = []
+    values = lin_mod._values
+    monkeypatch.setattr(lin_mod, "_values",
+                        lambda coeffs, px: columns.append(coeffs.shape[2]) or values(coeffs, px))
+    op = make_linearized_operator(0.1, make_grid(64, 64, 20, 20))
+    res = eigen_extremes(op, k=4)
+    assert columns == [1]
+    assert len(res.eigenvalues) == 4
+    assert list(res.eigenvalues) == sorted(res.eigenvalues)
+    assert sum(v < 0.0 for v in res.eigenvalues) == 1
 
 
 @pytest.mark.parametrize("nx, ny", [(64, 64), (64, 32)])
