@@ -32,13 +32,6 @@ from .errors import (
     SymmetryViolation,
 )
 from .grid import make_grid
-from .kernel import (
-    KernelSymbolParams,
-    decay_scan,
-    integral_scan,
-    kernel_fft,
-    kernel_residue_eval,
-)
 from .linearized import make_linearized_operator, eigen_extremes, norm_suite
 from .lump import LumpParams, check_eps, kpi_residual, linearized_kernel_residuals, sample_lump
 from .reduction import ReductionState, outer_fixed_point, transport_residual
@@ -82,7 +75,10 @@ class RunConfig:
     def grid(self):
         return make_grid(self.nx, self.ny, self.Lx, self.Ly)
 
-    def symbol_params(self) -> KernelSymbolParams:
+    def symbol_params(self):
+        # only kernel and kernel-scan import the kernel layer (and with it
+        # scipy.integrate): here and in their handlers, not at start-up
+        from .kernel import KernelSymbolParams
         if self.preset == "gp":
             return KernelSymbolParams.gp(self.epsilon)
         return KernelSymbolParams.normalized(self.epsilon)
@@ -193,6 +189,7 @@ def cmd_lump_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_kernel(cfg: RunConfig, args) -> int:
+    from .kernel import kernel_fft, kernel_residue_eval
     p = cfg.symbol_params()
     grid = cfg.grid()
     # both routes at the grid node nearest (x, y)
@@ -216,6 +213,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
 
 
 def cmd_kernel_scan(cfg: RunConfig, args) -> int:
+    from .kernel import decay_scan, integral_scan
     p = cfg.symbol_params()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

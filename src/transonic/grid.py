@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import fft as sfft
@@ -321,30 +322,42 @@ def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
 
 def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> RealField2D:
     """The Fourier multiplier ``factors`` (in the (nx, ny/2+1) layout of a
-    real 2-D DFT, their product) acting on ``f``, tagged ``symmetry``: every
-    spectral operation of the package on fields.  It runs on the stored
-    quarters only, where the DFT of even (odd) data on k = 0..n/2
-    (1..n/2-1) is the DCT-I (-i times the DST-I) of its samples (Martucci
-    1994): each complex factor (one per axis at most, varying along it) is
-    made real by the classes' phases, and the output is in its class by
-    construction.
-    """
-    grid = f.grid
-    pin, pout = (f.symmetry.x_parity, f.symmetry.y_parity), (symmetry.x_parity, symmetry.y_parity)
+    real 2-D DFT, their product; one at least) acting on ``f``, tagged
+    ``symmetry``: every spectral operation of the package on fields, as its
+    halves ``_spectrum`` and ``_inverse``.  It runs on the stored quarters,
+    where the DFT of even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I
+    (-i times the DST-I) of its samples (Martucci 1994): each complex factor
+    (one per axis at most, varying along it) is made real by the classes'
+    phases, and the output is in its class by construction."""
+    return _inverse(_spectrum(f), f, symmetry, factors)
+
+
+def _spectrum(f: RealField2D) -> np.ndarray:
+    """The forward half of ``_multiplied``: the DCT-I/DST-I of ``f``'s stored
+    quarter, zero at the ends of an odd axis, fresh and read-only."""
+    pin = (f.symmetry.x_parity, f.symmetry.y_parity)
     q = _quarter(f.data, *pin)
     for axis, p in enumerate(pin):
         q = (sfft.dct if p > 0 else sfft.dst)(q, type=1, axis=axis, overwrite_x=axis > 0)
     hat = _padded(q, *pin)
+    hat.flags.writeable = False
+    return hat
+
+
+def _inverse(hat: np.ndarray, f: RealField2D, symmetry: Symmetry, factors) -> RealField2D:
+    """The other half: ``factors`` times ``hat``, the spectrum of ``f``, back
+    on the quarter box, tagged ``symmetry``; ``hat`` is shared, never written."""
+    pin, pout = (f.symmetry.x_parity, f.symmetry.y_parity), (symmetry.x_parity, symmetry.y_parity)
     for factor in factors:
         if np.iscomplexobj(factor):
             axis = int(factor.shape[0] == 1)
             # phase(in) / phase(out), with phase(even) = 1 and phase(odd) = -i
             factor = ((-1j) ** ((pin[axis] - pout[axis]) // -2) * factor).real
-        hat *= factor[: grid.nx // 2 + 1]
+        hat = hat * factor[: f.grid.nx // 2 + 1]
     q = _quarter(hat, *pout)
     for axis, p in enumerate(pout):
         q = (sfft.idct if p > 0 else sfft.idst)(q, type=1, axis=axis, overwrite_x=True)
-    return _tagged(grid, _padded(q, *pout), symmetry)
+    return _tagged(f.grid, _padded(q, *pout), symmetry)
 
 
 def _ik_power(k: np.ndarray, order: int) -> np.ndarray:
@@ -375,6 +388,11 @@ def derivative(f: RealField2D, m: int, n: int) -> RealField2D:
     are zeroed for odd orders so the result stays real-valued.  The symmetry
     tag is ``f.symmetry.differentiated(m, n)``.
     """
+    return _derivative(f, partial(_spectrum, f), m, n)
+
+
+def _derivative(f: RealField2D, spectrum: Callable[[], np.ndarray], m: int, n: int) -> RealField2D:
+    """``derivative(f, m, n)`` from ``spectrum()``, the spectrum of ``f``."""
     if not (0 <= m <= 4 and 0 <= n <= 4):
         raise ValueError("derivative orders must satisfy 0 <= m, n <= 4")
     if m == 0 and n == 0:
@@ -384,7 +402,14 @@ def derivative(f: RealField2D, m: int, n: int) -> RealField2D:
         factors.append(_ik_power(f.grid.kx, m)[:, None])
     if n:
         factors.append(_ik_power(f.grid.ky_r, n)[None, :])
-    return _multiplied(f, f.symmetry.differentiated(m, n), *factors)
+    return _inverse(spectrum(), f, f.symmetry.differentiated(m, n), factors)
+
+
+def spectral_table(f: RealField2D) -> Callable[[int, int], RealField2D]:
+    """(m, n) -> ``derivative(f, m, n)``, memoized, from one forward transform
+    of ``f``: its spectrum is kept from the first order other than (0, 0),
+    and each order costs one product and one inverse transform."""
+    return cache(partial(_derivative, f, cache(partial(_spectrum, f))))
 
 
 def antiderivative_x(f: RealField2D) -> RealField2D:

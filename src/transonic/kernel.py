@@ -305,7 +305,10 @@ def kernel_residue_eval(
         return wfun(x * xi)
 
     def panel(h, lo, hi, **weighted):
-        v, e = integrate.quad(h, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11, **weighted)
+        try:
+            v, e = integrate.quad(h, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11, **weighted)
+        except ZeroDivisionError as exc:  # sqrt(D) or a root vanished
+            raise QuadratureNotConverged(f"integrand singular on [{lo:g}, {hi:g}]: {exc}") from exc
         add(v, e)
 
     # slowly-decaying tails on the axis: subtract the sgn-type constant

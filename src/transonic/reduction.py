@@ -59,6 +59,7 @@ from .grid import (
     _tagged,
     antiderivative_x,
     derivative,
+    spectral_table,
     weighted_sup,
     zeros,
 )
@@ -128,9 +129,9 @@ class ReductionState:
 
     The derivative table of g1 = q + phi combines lump parts from exact
     rational differentiation (the memoized ``sample_lump``) with phi parts
-    from the spectral transform of the (periodic, band-limited) correction,
-    which keeps the periodic seam of the sampled lump out of every assembled
-    product.  The state also keeps the x-refined transport terms and the
+    from ``spectral_table(phi)``, one forward transform of the (periodic,
+    band-limited) correction, which keeps the periodic seam of the sampled
+    lump out of every assembled product.  The state also keeps the x-refined transport terms and the
     fine transport solution of its phi, so the Picard solve runs once per
     phi and its check rebuilds nothing.  Its memoized tables hold params and
     phi, never the state, so a dropped state is freed without the cycle
@@ -175,7 +176,7 @@ class ReductionState:
     # the memoized tables hold phi and params, not the instance
     @cached_property
     def _phi_table(self) -> Callable[[int, int], RealField2D]:
-        return cache(partial(derivative, self.phi))
+        return spectral_table(self.phi)
 
     @cached_property
     def g1_d(self) -> Callable[[int, int], np.ndarray]:

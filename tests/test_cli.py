@@ -87,6 +87,41 @@ def test_kernel_node_at_origin(capsys):
     assert rec["error"] == "ValueError" and "origin" in rec["message"]
 
 
+def test_singular_integrand_is_a_solver_verdict(monkeypatch, capsys):
+    # the scalar residue integrand divides by sqrt(D) and by powers of the
+    # roots; a division by zero inside QUADPACK leaves main() as exit 2 with
+    # one JSON line, not as a traceback
+    import transonic.kernel as ker
+
+    with pytest.raises(ZeroDivisionError):
+        ker._integrand(KernelSymbolParams.normalized(0.2), 0, 0, 1.0)(0.0)
+    roots = ker._scalar_roots
+    monkeypatch.setattr(ker, "_scalar_roots", lambda p: lambda xi: (*roots(p)(xi)[:2], 0j))
+    code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "0",
+                 "--x", "3", "--y", "2", "--nx", "64", "--ny", "64"])
+    assert code == 2
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "QuadratureNotConverged" and "singular" in rec["message"]
+
+
+def test_cli_import_leaves_kernel_layer_out(tmp_path):
+    # only kernel and kernel-scan import the kernel layer and scipy.integrate
+    # (a subprocess, since the test session has imported both)
+    env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
+    script = (
+        "import sys\n"
+        "from transonic.cli import main\n"
+        "assert not {'transonic.kernel', 'scipy.integrate'} & set(sys.modules)\n"
+        "assert main(['kernel', '--epsilon', '0.2', '--m', '1', '--n', '0', '--x', '3',"
+        " '--y', '2', '--nx', '64', '--ny', '64']) == 0\n"
+        "assert {'transonic.kernel', 'scipy.integrate'} <= set(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["m"] == 1
+
+
 def test_kernel_scan_far(tmp_path, capsys):
     code = main(["kernel-scan", "--epsilon", "0.2", "--m", "1", "--n", "0",
                  "--mode", "far", "--Lx", "120", "--out", str(tmp_path)])

@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,11 +25,20 @@ from transonic.grid import (
     l2_norm,
     make_grid,
     product_dealiased,
+    spectral_table,
     weighted_sup,
     zeros,
 )
 from transonic.io import read_field, write_field
-from transonic.linearized import _constant_symbol, apply_L, make_linearized_operator
+from transonic.linearized import (
+    DELTA_DEFAULT,
+    STAR_PROXY_EXCLUDED,
+    _constant_symbol,
+    _star_terms,
+    apply_L,
+    make_linearized_operator,
+    star_norm_proxy,
+)
 from transonic.lump import LumpParams, lump_derivative, lump_eval, sample_lump
 
 
@@ -392,6 +402,52 @@ class TestQuarterBoxMultiplier:
         symbol = _constant_symbol(make_linearized_operator(0.1, self.GRID), self.GRID)
         got = grid_module._multiplied(f, sym, symbol)
         self._assert_close(got, _rfft_route(f, symbol), sym.value)
+
+
+class TestSpectralTable:
+    """``spectral_table(f)`` keeps f's spectrum: every order costs one product
+    and one inverse transform, and gives ``derivative``'s bytes."""
+
+    GRID = make_grid(64, 32, 9, 5)
+    ORDERS = [(m, n) for m in range(5) for n in range(5)]
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_orders_match_derivative(self, rand_field, sym):
+        f = rand_field(self.GRID, sym, seed=35)
+        df = spectral_table(f)
+        for m, n in self.ORDERS:
+            got = df(m, n)
+            assert got is df(m, n)
+            assert got.symmetry is sym.differentiated(m, n)
+            assert np.array_equal(got.data, derivative(f, m, n).data), (m, n)
+        assert df(0, 0) is f
+
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_one_forward_transform(self, rand_field, sym, monkeypatch):
+        f = rand_field(self.GRID, sym, seed=36)
+        calls = []
+
+        def counted(name):
+            real = getattr(sfft, name)
+            return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+        names = ("dct", "dst", "idct", "idst")
+        monkeypatch.setattr(grid_module, "sfft", SimpleNamespace(**{k: counted(k) for k in names}))
+        df = spectral_table(f)
+        for m, n in self.ORDERS + self.ORDERS:
+            df(m, n)
+        forward = [c for c in calls if c in ("dct", "dst")]
+        # one DCT-I or DST-I per axis, once; one inverse per order but (0, 0)
+        assert len(forward) == 2
+        assert len(calls) - len(forward) == 2 * (len(self.ORDERS) - 1)
+
+    def test_star_proxy_sums_the_kept_terms(self, rand_field):
+        phi = rand_field(make_grid(64, 64, 20, 20), Symmetry.ODD_X_EVEN_Y, seed=37, amplitude=1e-2)
+        terms = _star_terms(phi, spectral_table(phi), 0.1, DELTA_DEFAULT)
+        kept = [v for k, v in terms.items() if k not in STAR_PROXY_EXCLUDED]
+        assert len(kept) == len(terms) - len(STAR_PROXY_EXCLUDED)
+        assert all(math.isfinite(v) for v in kept)
+        assert star_norm_proxy(phi, 0.1) == sum(kept)
 
 
 def test_construct_takes_no_full_grid_transform(tmp_path, monkeypatch):

@@ -465,20 +465,29 @@ class TestDerivativeTable:
         assert len(set(per_run.values())) == 1
 
     def test_phi_derivatives_taken_once(self, rand_field, monkeypatch):
+        # phi's orders come from one table: phi is transformed forward once
+        # and each order it is asked for is built once
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
         st = ReductionState(0.1, SMALL, phi=phi)
-        taken = []
-        spectral = red_mod.derivative
+        taken, forward = [], []
+        order, spectrum = grid_mod._derivative, grid_mod._spectrum
 
-        def counted(f, m, n):
+        def counted(f, spec, m, n):
             if f is st.phi:
                 taken.append((m, n))
-            return spectral(f, m, n)
+            return order(f, spec, m, n)
 
-        monkeypatch.setattr(red_mod, "derivative", counted)
+        def transformed(f):
+            if f is st.phi:
+                forward.append(1)
+            return spectrum(f)
+
+        monkeypatch.setattr(grid_mod, "_derivative", counted)
+        monkeypatch.setattr(grid_mod, "_spectrum", transformed)
         assemble_rhs(st, solve_f2(st))
         assert taken
         assert len(taken) == len(set(taken))
+        assert len(forward) == 1
 
     def test_gamma_q_antiderivative_once(self, rand_field, monkeypatch):
         # dx^-1 Gamma_q depends on (eps, grid) only: after the first step
