@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -188,7 +189,28 @@ def _scale_xi(p: KernelSymbolParams) -> float:
     return c if c is not None else 1.0 / p.eps
 
 
-def _integrand(p: KernelSymbolParams, m: int, n: int, y: float):
+class _NodeTable(dict):
+    """xi -> (a, b, sqrt(a), sqrt(b), sqrt(D)) for one symbol, filled from
+    ``_scalar_roots`` on a miss.
+
+    The roots depend on xi and the symbol only, not on the point (x, y), and
+    QUADPACK's nodes sit at fixed places inside panels whose edges are the
+    same for every point, so one scan meets the same few thousand xi again
+    and again.  A table lives as long as the scan that builds it: it is never
+    shared across calls of the public API.
+    """
+
+    def __init__(self, p: KernelSymbolParams):
+        super().__init__()
+        self.roots = _scalar_roots(p)
+
+    def __missing__(self, xi: float):
+        a, b, droot = self.roots(xi)
+        row = self[xi] = (a, b, cmath.sqrt(a), cmath.sqrt(b), droot)
+        return row
+
+
+def _integrand(p: KernelSymbolParams, m: int, n: int, y: float, nodes: _NodeTable | None = None):
     """xi -> Re xi^m S_n(xi, y) for one real xi, with S_n the xi2-contour
     integral divided by pi i^n:
 
@@ -196,16 +218,17 @@ def _integrand(p: KernelSymbolParams, m: int, n: int, y: float):
 
     real-valued for real xi (pairwise conjugate roots past the branch point).
     a^{(n-1)/2} is taken as sqrt(a)^(n-1) on the principal branch, and as a
-    itself for n = 3.
+    itself for n = 3.  The roots and their square roots are read from
+    ``nodes`` (a fresh table when none is given), so a scan that shares one
+    table computes them once per distinct xi; the values are those of the
+    roots computed afresh, bit for bit.
     """
-    roots = _scalar_roots(p)
+    table = _NodeTable(p) if nodes is None else nodes
     k = n - 1
-    exp, sqrt = cmath.exp, cmath.sqrt
+    exp = cmath.exp
 
     def f(xi: float) -> float:
-        a, b, droot = roots(xi)
-        ra = sqrt(a)
-        rb = sqrt(b)
+        a, b, ra, rb, droot = table[xi]
         if k == 2:
             num = a * exp(-ra * y) - b * exp(-rb * y)
         else:
@@ -236,17 +259,16 @@ def _axis_tail_coeffs(p: KernelSymbolParams, m: int, n: int) -> tuple[float, flo
     return l_inf, l_1
 
 
-def _decay_cutoff(p: KernelSymbolParams, y: float, c: float) -> float:
+def _decay_cutoff(nodes: _NodeTable, y: float, c: float) -> float:
     """xi beyond which exp(-Re sqrt(a) y) < 1e-20."""
     if y <= 0.0:
         return math.inf
     target = 46.0 / y
-    roots = _scalar_roots(p)
     # past the branch point Re sqrt(a) grows ~ sqrt(g/2)/eps * |xi| * cos(pi/6)-ish;
     # bracket by doubling instead of trusting an asymptotic constant
     xi = 2.0 * c
     for _ in range(200):
-        if cmath.sqrt(roots(xi)[0]).real >= target:
+        if nodes[xi][2].real >= target:
             return xi
         xi *= 1.5
     return xi
@@ -259,13 +281,15 @@ def kernel_residue_eval(
     x: float,
     y: float,
     quad_tol: float = QUAD_TOL,
+    nodes: _NodeTable | None = None,
 ) -> float:
     """Free-space kernel derivative value d^m/dx^m d^n/dy^n K(x, y).
 
     Normalization matches ``kernel_fft``: K = (2 pi)^-2 times the inverse
     transform of the symbol reciprocal, so the value returned here is the
     real number (2 pi)^-2 i^(m+n) K_{m,n} in terms of the raw moment
-    integral K_{m,n}.
+    integral K_{m,n}.  ``nodes`` is the root table of a scan, built for the
+    same ``p``; a call without one builds its own.
     """
     if (m, n) not in ALLOWED_ORDERS or m + n < 1:
         raise ValueError(f"unsupported derivative order ({m}, {n})")
@@ -285,7 +309,9 @@ def kernel_residue_eval(
 
     c_branch = branch_point(p)
     c = _scale_xi(p)
-    f = _integrand(p, m, n, y)
+    if nodes is None:
+        nodes = _NodeTable(p)
+    f = _integrand(p, m, n, y, nodes)
     weight = "cos" if m % 2 == 0 else "sin"
     wfun = math.cos if m % 2 == 0 else math.sin
     phase_sign = (-1.0) ** (m // 2) if m % 2 == 0 else (-1.0) ** ((m + 1) // 2)
@@ -344,7 +370,7 @@ def kernel_residue_eval(
     # tail panel [2c, infinity): exponentially damped for y > 0 (truncate),
     # oscillatory-weight quadrature for y = 0
     if y > 0.0:
-        tail(f, min(_decay_cutoff(p, y, c), 2.0 * c + 2e5))
+        tail(f, min(_decay_cutoff(nodes, y, c), 2.0 * c + 2e5))
     else:
         from scipy.special import sici
 
@@ -526,12 +552,13 @@ def decay_scan(
     """
     radii = tuple(float(r) for r in radii)
     angles = tuple(float(t) for t in angles)
+    nodes = _NodeTable(p)
     slopes = []
     prefactors = []
     for theta in angles:
         vals = np.array(
             [
-                kernel_residue_eval(p, m, n, r * math.cos(theta), r * math.sin(theta))
+                kernel_residue_eval(p, m, n, r * math.cos(theta), r * math.sin(theta), nodes=nodes)
                 for r in radii
             ]
         )
@@ -558,24 +585,50 @@ def decay_scan(
 # in radius on each dyadic shell
 SCAN_THETA_NODES = 16
 SCAN_SHELL_NODES = 8
+# the ball scan stops once its extrapolated total moves by at most this
+# fraction between two shells, and gives up after SCAN_MAX_SHELLS shells
+SCAN_REL_TOL = 1e-7
+SCAN_MAX_SHELLS = 20
 
 
-def integral_scan(
-    p: KernelSymbolParams,
-    m: int,
-    n: int,
-    r: float,
-    shells: int = 12,
-) -> float:
-    """Quadrature of |d^m d^n K| over the disc B_r(0).
+def _extrapolated_sum(shells: Iterable[float], cap: int) -> float:
+    """Sum of a series of positive shell contributions whose ratios tend to
+    a limit rho < 1, with the tail extrapolated geometrically.
+
+    After each term the estimate is the sum so far plus last * rho/(1 - rho),
+    rho = last/previous (Aitken's delta-squared process on the partial sums);
+    it is returned once it moves by at most ``SCAN_REL_TOL`` of itself from
+    the previous term's estimate.  A ratio at or above 1 (a diverging series)
+    gives no estimate.  Raises ``QuadratureNotConverged`` when ``cap`` terms
+    pass without the estimate settling.
+    """
+    total, prev, estimate, rho = 0.0, 0.0, None, math.inf
+    for count, last in enumerate(shells, 1):
+        total += last
+        rho = last / prev if prev > 0.0 else math.inf
+        before = estimate
+        estimate = total + last * rho / (1.0 - rho) if rho < 1.0 else None
+        if estimate is not None and before is not None:
+            if abs(estimate - before) <= SCAN_REL_TOL * abs(estimate):
+                return estimate
+        if count >= cap:
+            break
+        prev = last
+    raise QuadratureNotConverged(
+        f"ball scan: the extrapolated origin tail did not settle to {SCAN_REL_TOL:.0e} "
+        f"within {cap} shells (last shell ratio {rho:.4g})"
+    )
+
+
+def _ball_shells(p: KernelSymbolParams, m: int, n: int, r: float) -> Iterator[float]:
+    """Contributions of the dyadic shells r/2^(k+1) < |z| < r/2^k, k = 0, 1, ...,
+    to the integral of |d^m d^n K| over B_r(0).
 
     Polar rule: Gauss-Legendre in the first-quadrant angle (parity gives the
-    other quadrants), dyadic radial shells toward the integrable origin
-    singularity.  Points near the y = 0 axis use the residue route; the rest
-    interpolate a periodic-grid kernel field.
+    other quadrants) and in radius on each shell.  Points near the y = 0 axis
+    use the residue route, all through one root table; the rest interpolate a
+    periodic-grid kernel field.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
     from scipy.interpolate import RectBivariateSpline
 
     L = max(4.0 * r, 8.0)
@@ -584,26 +637,48 @@ def integral_scan(
     fld = kernel_fft(p, grid, m, n)
     spline = RectBivariateSpline(grid.x, grid.y, fld.values, kx=3, ky=3)
     y_switch = 3.0 * grid.dy
+    nodes = _NodeTable(p)
 
     tn, tw = np.polynomial.legendre.leggauss(SCAN_THETA_NODES)
     thetas = 0.25 * math.pi * (tn + 1.0)
     twgt = 0.25 * math.pi * tw
     rn, rw = np.polynomial.legendre.leggauss(SCAN_SHELL_NODES)
 
-    total = 0.0
     hi = r
-    for _ in range(shells):
+    while True:
         lo = hi / 2.0
         rr = 0.5 * (hi - lo) * rn + 0.5 * (hi + lo)
         ww = 0.5 * (hi - lo) * rw
+        shell = 0.0
         for radius, wr in zip(rr, ww):
             for theta, wt in zip(thetas, twgt):
                 xx = radius * math.cos(theta)
                 yy = radius * math.sin(theta)
                 if yy < y_switch:
-                    val = abs(kernel_residue_eval(p, m, n, xx, yy))
+                    val = abs(kernel_residue_eval(p, m, n, xx, yy, nodes=nodes))
                 else:
                     val = abs(float(spline(xx, yy)[0, 0]))
-                total += 4.0 * val * radius * wr * wt
+                shell += 4.0 * val * radius * wr * wt
+        yield shell
         hi = lo
-    return total
+
+
+def integral_scan(
+    p: KernelSymbolParams,
+    m: int,
+    n: int,
+    r: float,
+    shells: int = SCAN_MAX_SHELLS,
+) -> float:
+    """Quadrature of |d^m d^n K| over the disc B_r(0).
+
+    Sums the dyadic shells of ``_ball_shells`` from the rim toward the
+    integrable origin singularity and adds the origin tail extrapolated from
+    the shell ratio (``_extrapolated_sum``): the scan stops once that
+    estimate settles to ``SCAN_REL_TOL``.  ``shells`` caps the number of
+    shells; a tail that has not settled by then, or a ratio at or above 1
+    (a diverging integral), raises ``QuadratureNotConverged``.
+    """
+    if r <= 0:
+        raise ValueError("r must be positive")
+    return _extrapolated_sum(_ball_shells(p, m, n, r), shells)

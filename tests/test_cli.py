@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -102,6 +103,20 @@ def test_singular_integrand_is_a_solver_verdict(monkeypatch, capsys):
     assert code == 2
     rec = _one_error_line(capsys)
     assert rec["error"] == "QuadratureNotConverged" and "singular" in rec["message"]
+
+
+def test_unsettled_ball_tail_is_a_solver_verdict(monkeypatch, tmp_path, capsys):
+    # shells that do not shrink (ratio 1: a diverging ball integral) give
+    # no origin-tail estimate, so the scan gives up at its shell cap
+    import transonic.kernel as ker
+
+    monkeypatch.setattr(ker, "_ball_shells", lambda p, m, n, r: itertools.repeat(1.0))
+    code = main(["kernel-scan", "--epsilon", "0.2", "--m", "1", "--n", "1", "--mode", "integral",
+                 "--Lx", "2", "--out", str(tmp_path)])
+    assert code == 2
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "QuadratureNotConverged" and "did not settle" in rec["message"]
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_cli_import_leaves_kernel_layer_out(tmp_path):

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -276,6 +278,7 @@ class TestScans:
         # value/r bounded: growth per doubling stays modest and shrinking
         assert ratios[3] / ratios[2] <= 1.5
         assert ratios[3] / ratios[2] <= ratios[2] / ratios[1] + 0.05
+        # shells=10 caps the scan: these radii settle within 9 shells
         small = [integral_scan(p, 1, 0, r, shells=10) for r in (0.25, 0.5, 1.0)]
         assert small[0] <= small[1] <= small[2]
 
@@ -286,3 +289,73 @@ class TestScans:
         ratios = [vals[r] / math.sqrt(r) for r in (1.0, 2.0, 4.0, 8.0)]
         assert max(ratios) <= 2.0 * ratios[0]
         assert ratios[3] <= 1.1 * ratios[2]
+
+
+class TestNodeTable:
+    """One scan computes the roots of each quadrature node once and shares
+    them across points; the values are those of a fresh evaluation."""
+
+    # QUADPACK warns of roundoff on the gp axis at (1, 2), where the two
+    # terms of S_n cancel; the values still pass the residue verdict
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("preset", ["normalized", "gp"])
+    def test_shared_table_matches_fresh(self, preset):
+        p = getattr(KernelSymbolParams, preset)(0.2)
+        for m, n in FAR_FIELD_SLOPE:
+            nodes = K._NodeTable(p)
+            for x, y in ((0.4, 0.05), (2.0, 1e-3), (5.0, 0.0)):
+                kernel_residue_eval(p, m, n, x, y, nodes=nodes)
+            assert nodes
+            for x, y in ((3.0, 0.0), (1.5, 0.7), (0.3, 2.0)):
+                shared = kernel_residue_eval(p, m, n, x, y, nodes=nodes)
+                assert shared == kernel_residue_eval(p, m, n, x, y), (preset, m, n, x, y)
+
+    def test_integral_scan_computes_roots_once_per_node(self, monkeypatch):
+        calls = collections.Counter()
+        roots = K._scalar_roots
+
+        def counting(p):
+            inner = roots(p)
+
+            def f(xi):
+                calls[xi] += 1
+                return inner(xi)
+
+            return f
+
+        monkeypatch.setattr(K, "_scalar_roots", counting)
+        monkeypatch.setattr(K, "SCAN_THETA_NODES", 4)
+        monkeypatch.setattr(K, "SCAN_SHELL_NODES", 2)
+        # r = 0.05 is below the spline switch, so every point is a residue
+        # evaluation, all of one scan
+        integral_scan(KernelSymbolParams.normalized(0.2), 1, 1, 0.05)
+        assert len(calls) > 1000
+        assert max(calls.values()) == 1
+
+
+class TestShellRule:
+    """The ball scan extrapolates its origin tail geometrically and stops
+    once the estimate settles."""
+
+    def test_geometric_series_summed_exactly(self):
+        c, q = 2.0, 0.3
+        terms = (c * q**k for k in itertools.count())
+        assert K._extrapolated_sum(terms, 20) == pytest.approx(c / (1.0 - q), rel=4e-16)
+        # three terms: two ratios give two equal estimates
+        assert next(terms) == pytest.approx(c * q**3, rel=1e-15)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5])
+    def test_ratio_at_or_above_one_raises(self, q):
+        with pytest.raises(QuadratureNotConverged, match="did not settle"):
+            K._extrapolated_sum((q**k for k in itertools.count()), 20)
+
+    def test_cap_reached_raises(self):
+        with pytest.raises(QuadratureNotConverged, match="within 5 shells"):
+            K._extrapolated_sum((1.0 / (k + 1) ** 2 for k in itertools.count()), 5)
+
+    @pytest.mark.slow
+    def test_large_ball_accounts_for_its_tail(self):
+        # sixteen shells leave out about 1e-8 of the value
+        p = KernelSymbolParams.normalized(0.2)
+        full = math.fsum(itertools.islice(K._ball_shells(p, 1, 1, 8.0), 16))
+        assert integral_scan(p, 1, 1, 8.0) == pytest.approx(full, rel=1e-7)
