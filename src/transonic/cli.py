@@ -4,9 +4,9 @@ Unified command-line entry point.
 Every subcommand reads the shared numeric flags (optionally seeded from a
 JSON config file; explicit flags win), runs one pipeline, writes fields as
 .bin/.json pairs plus JSON/CSV reports into the output directory, and exits
-0 on success, 1 on validation errors, 2 on solver non-convergence.  Reruns
-with identical configuration are bit-identical: no timestamps, sorted keys,
-fixed iteration orders, and any sampling uses the recorded seed.
+0 on success, 1 on usage and validation errors, 2 on solver non-convergence.
+Reruns with identical configuration are bit-identical: no timestamps, sorted
+keys, fixed iteration orders, and any sampling uses the recorded seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import io as fio
 from .errors import (
@@ -36,8 +35,6 @@ from .linearized import make_linearized_operator, eigen_extremes, norm_suite
 from .lump import LumpParams, check_eps, kpi_residual, linearized_kernel_residuals, sample_lump
 from .reduction import ReductionState, outer_fixed_point, transport_residual
 from .gp import gp_system_residual
-
-COMMANDS = ("lump-check", "kernel", "kernel-scan", "eigen", "norms", "construct", "residual")
 
 VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, GridMismatch, FileNotFoundError)
 # eps is range-checked before any work, so a GuardViolated (the transport
@@ -57,7 +54,6 @@ class RunConfig:
     max_iter: int = 200
     preset: str = "normalized"
     out_dir: str = "runs"
-    threads: int = 1
     seed: int = 0
     # names set by --config or by a flag (``load_config``); not a field, so
     # ``asdict`` and the reports leave it out
@@ -69,8 +65,8 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
         if not (0.0 < self.delta <= 0.5):
             raise ValueError("delta must lie in (0, 0.5]")
-        if self.tol <= 0 or self.max_iter < 1 or self.threads < 1:
-            raise ValueError("tol, max-iter and threads must be positive")
+        if self.tol <= 0 or self.max_iter < 1:
+            raise ValueError("tol and max-iter must be positive")
 
     def grid(self):
         return make_grid(self.nx, self.ny, self.Lx, self.Ly)
@@ -96,12 +92,19 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=("normalized", "gp"))
     p.add_argument("--out", dest="out_dir")
     p.add_argument("--config", help="JSON file with RunConfig defaults")
-    p.add_argument("--threads", type=int)
     p.add_argument("--seed", type=int)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so it leaves ``main`` as one
+    JSON line with exit 1; the subparsers are made of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="transonic")
+    ap = _Parser(prog="transonic")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lump-check", help="lump equation and kernel-mode residuals")
@@ -259,9 +262,10 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     fio.write_field(out, "phi0", res.phi0)
     fio.write_field(out, "phi1", res.phi1)
     rec = {
-        "lambda1": res.lambda1,
+        "lambda1": res.eigenvalues[0],
         "lambda2": res.lambda2,
-        "negative_count": res.negative_count,
+        # eigen_extremes raises unless exactly one eigenvalue is negative
+        "negative_count": 1,
         "eigenvalues": list(res.eigenvalues),
         "epsilon": cfg.epsilon,
         "iterations": res.iterations,
@@ -272,9 +276,9 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         "seed": seed,
     }
     _write_json(out / "eigen.json", rec)
-    print(f"lambda1 = {res.lambda1:.8f}")
+    print(f"lambda1 = {res.eigenvalues[0]:.8f}")
     print(f"lambda2 = {res.lambda2:.8f}")
-    print(f"negative_count = {res.negative_count}")
+    print("negative_count = 1")
     return 0
 
 
@@ -374,17 +378,11 @@ HANDLERS = {
 }
 
 
-def run(command: str, cfg: RunConfig, args: argparse.Namespace) -> int:
-    """Dispatch a validated configuration to one command pipeline."""
-    with sfft.set_workers(cfg.threads):
-        return HANDLERS[command](cfg, args)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
-        code = run(args.command, cfg, args)
+        code = HANDLERS[args.command](cfg, args)
     except VALIDATION_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

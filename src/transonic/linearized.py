@@ -87,7 +87,7 @@ def make_linearized_operator(eps: float, grid: Grid2D) -> LinearizedOperator:
         eps=eps,
         dq=sample_lump(params, grid, 1, 0),
         coeff_nl=6.0 * (SQRT2 - eps**2),
-        coeff_lump_nl=6.0 * SQRT2 * params.B ** 2.5,
+        coeff_lump_nl=2.0 * params.nonlinear_coeff,
     )
 
 
@@ -193,15 +193,15 @@ def solve_linearized(
 
     A = LinearOperator((ntot, ntot), matvec=matvec, dtype=float)
     M = LinearOperator((ntot, ntot), matvec=lambda v: v / sym.ravel(), dtype=float)
-    b = _coefficients(rhs.data[..., None], -1).ravel()
-    sol = None if x0 is None else _coefficients(x0.data[..., None], -1).ravel()
+    b = _coefficients(rhs.data, -1).ravel()
+    sol = None if x0 is None else _coefficients(x0.data, -1).ravel()
     # MINRES applies A once per iteration, and once more for the residual of
     # a given start
     starts = 0
     for _ in range(_MINRES_PASSES):
         starts += sol is not None
         sol, info = minres(A, b, x0=sol, M=M, rtol=tol * 1e-2, maxiter=40 * max_iter)
-        vals = _values(sol.reshape(sym.shape), -1)[..., 0]
+        vals = _values(sol.reshape(sym.shape[:2]), -1)
         phi = _tagged(grid, vals, Symmetry.ODD_X_EVEN_Y)
         res = l2_norm(apply_linearized(op, phi) - rhs) / rhs_norm
         if res <= tol:
@@ -246,10 +246,11 @@ def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
 class EigenResult:
     """Extremal spectral data of the reduced operator.
 
-    ``eigenvalues`` holds the lowest k eigenvalues in ascending order;
-    ``phi0`` is the L2-normalized eigenfunction of the first, the single
-    negative direction, ``phi1`` its x-antiderivative (odd in x, even in y),
-    ``lambda2`` the smallest positive eigenvalue.
+    ``eigenvalues`` holds the lowest k eigenvalues in ascending order, of
+    which only the first is negative; ``phi0`` is the L2-normalized
+    eigenfunction of the first, the single negative direction, ``phi1`` its
+    x-antiderivative (odd in x, even in y), ``lambda2`` the smallest positive
+    eigenvalue.
     ``iterations`` counts the LOBPCG iterations up to the returned block and
     ``block`` is the LOBPCG block width (both 0 when ``solver`` is
     ``"dense"``), ``unknowns`` is the size of the problem LOBPCG was given,
@@ -260,9 +261,7 @@ class EigenResult:
     eigenvalues: tuple[float, ...]
     phi0: RealField2D
     phi1: RealField2D
-    lambda1: float
     lambda2: float
-    negative_count: int
     iterations: int
     block: int
     max_residual: float
@@ -283,9 +282,9 @@ class EigenResult:
 
 
 def _quarter_weights(nx: int, ny: int, px: int) -> np.ndarray:
-    """sqrt(w_p w_q) on the quarter box of parity px in x, even in y, shaped (.., .., 1)."""
+    """sqrt(w_p w_q) on the quarter box of parity px in x, even in y."""
     sx, sy = (np.sqrt(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]) for n in (nx, ny))
-    return (sx[:, None] * sy[None, :])[_kept(px), :, None]
+    return (sx[:, None] * sy[None, :])[_kept(px)]
 
 
 def _ortho(q: np.ndarray, px: int) -> np.ndarray:
@@ -296,16 +295,16 @@ def _ortho(q: np.ndarray, px: int) -> np.ndarray:
 
 
 def _coefficients(q: np.ndarray, px: int) -> np.ndarray:
-    """Stored quarter columns (nx/2+1, ny/2+1, b) of parity px in x, even in
-    y, to their orthonormal coefficients: the cosine rows m = 1..nx/2
-    (dropping the x-means) or the sine rows m = 1..nx/2-1."""
+    """Stored quarter (nx/2+1, ny/2+1) of parity px in x, even in y, to its
+    orthonormal coefficients: the cosine rows m = 1..nx/2 (dropping the
+    x-means) or the sine rows m = 1..nx/2-1."""
     nx, ny = 2 * (q.shape[0] - 1), 2 * (q.shape[1] - 1)
     coeffs = _ortho(q[_kept(px)] * _quarter_weights(nx, ny, px), px)
     return coeffs[1:] if px > 0 else coeffs
 
 
 def _values(coeffs: np.ndarray, px: int) -> np.ndarray:
-    """Inverse of ``_coefficients``: stored quarter columns, exactly in their class."""
+    """Inverse of ``_coefficients``: the stored quarter, exactly in its class."""
     if px > 0:
         coeffs = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
     quarter = _ortho(coeffs, px)
@@ -427,7 +426,7 @@ def eigen_extremes(
     block = k + 1
     x, y = _quarter_axes(grid)
     well = -op.dq.data * np.exp(-0.05 * (x**2 + y**2))
-    well = _coefficients(well[..., None], 1)[:ax, :ay].reshape(unknowns, 1)
+    well = _coefficients(well, 1)[:ax, :ay].reshape(unknowns, 1)
     rng = np.random.default_rng(seed)
     X = np.hstack([well, rng.standard_normal((unknowns, k))])
 
@@ -465,17 +464,15 @@ def eigen_extremes(
         )
     pos = [v for v in eigenvalues if v > 0.0]
     # phi0 is a LOBPCG column: every outside value S exceeds c2 > 0
-    coeffs = np.zeros((mx, my + 1, 1))
-    coeffs[:ax, :ay, 0] = vecs[:, order[0]].reshape(ax, ay)
-    phi0 = _tagged(grid, _values(coeffs, 1)[..., 0], Symmetry.EVEN_X_EVEN_Y)
+    coeffs = np.zeros((mx, my + 1))
+    coeffs[:ax, :ay] = vecs[:, order[0]].reshape(ax, ay)
+    phi0 = _tagged(grid, _values(coeffs, 1), Symmetry.EVEN_X_EVEN_Y)
     phi0 = phi0.scaled(1.0 / l2_norm(phi0))
     return EigenResult(
         eigenvalues=eigenvalues,
         phi0=phi0,
         phi1=antiderivative_x(phi0),
-        lambda1=eigenvalues[0],
         lambda2=pos[0] if pos else math.nan,
-        negative_count=len(neg),
         iterations=iterations,
         block=block if history else 0,
         max_residual=max_residual,

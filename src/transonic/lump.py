@@ -184,7 +184,7 @@ def linearized_kernel_residuals(p: LumpParams, g: Grid2D) -> tuple[RealField2D, 
     mode's odd/odd.
     """
     c2 = 2.0 * SQRT2 - p.eps**2
-    cl = 6.0 * SQRT2 * p.B ** 2.5
+    cl = 2.0 * p.nonlinear_coeff
     X, Y = _quarter_axes(g)
     d = lambda m, n: lump_derivative(p, m, n, X, Y)
     # v = dq/dx: fifth-order identity from differentiating the lump equation in x
