@@ -24,7 +24,6 @@ ball-integral bounds of the kernel analysis into measurable reports.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -101,6 +100,15 @@ def _roots_ab(p: KernelSymbolParams, xi):
     return a, b, droot
 
 
+def _discriminant_coeffs(p: KernelSymbolParams) -> tuple[float, float, float]:
+    """(A2, A1, A0) of the discriminant A2 s^2 + A1 s + A0 in s = xi^2; A2 is
+    exactly 0 when g^2 = 4 d4 a4 (the gp preset)."""
+    e2 = p.eps**2
+    A2 = e2**2 * (p.g**2 - 4.0 * p.d4 * p.a4)
+    A1 = 2.0 * p.b2 * p.g * e2 - 4.0 * p.d4 * e2**2 * p.a2
+    return A2, A1, p.b2**2
+
+
 @lru_cache(maxsize=None)
 def branch_point(p: KernelSymbolParams) -> float | None:
     """Positive xi where the discriminant vanishes (c_eps of the factorization).
@@ -110,10 +118,7 @@ def branch_point(p: KernelSymbolParams) -> float | None:
     (g^2 = 4 d4 a4, e.g. the gp preset): the reduced integrand is then smooth
     everywhere and no substitution is needed.
     """
-    e2 = p.eps**2
-    A2 = e2**2 * (p.g**2 - 4.0 * p.d4 * p.a4)
-    A1 = 2.0 * p.b2 * p.g * e2 - 4.0 * p.d4 * e2**2 * p.a2
-    A0 = p.b2**2
+    A2, A1, A0 = _discriminant_coeffs(p)
     if abs(A2) < 1e-300:
         if A1 >= 0:
             return None
@@ -158,30 +163,6 @@ def dispersion_roots(eps: float) -> DispersionRoots:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_roots(p: KernelSymbolParams):
-    """``_roots_ab`` for one real xi at a time, in ``cmath`` arithmetic.
-
-    QUADPACK hands its integrand one float per call, so every callback of the
-    residue route uses this form; ``_roots_ab`` stays the array API.  The
-    formulas (rationalized ``a``, principal square root of the discriminant)
-    and their operation order are those of ``_roots_ab``; the coefficient
-    products are formed once per symbol.
-    """
-    e2 = p.eps**2
-    b2, ge2, a4, a2 = p.b2, p.g * e2, p.a4, p.a2
-    disc4 = 4.0 * p.d4 * e2**2
-    bden = 2.0 * p.d4 * p.eps**4
-
-    def roots(xi: float):
-        s = xi * xi
-        lin = b2 + ge2 * s
-        quart = a4 * s * s + a2 * s
-        droot = cmath.sqrt(lin * lin - disc4 * quart)
-        return 2.0 * quart / (lin + droot), (lin + droot) / bden, droot
-
-    return roots
-
-
 def _scale_xi(p: KernelSymbolParams) -> float:
     """Frequency scale of the reduced integrand: the branch point when one
     exists, the natural 1/eps scale otherwise."""
@@ -189,51 +170,78 @@ def _scale_xi(p: KernelSymbolParams) -> float:
     return c if c is not None else 1.0 / p.eps
 
 
-class _NodeTable(dict):
-    """xi -> (a, b, sqrt(a), sqrt(b), sqrt(D)) for one symbol, filled from
-    ``_scalar_roots`` on a miss.
+def _row_builder(p: KernelSymbolParams, m: int, n: int):
+    """xi -> the y-free row of xi^m S_n(xi, y) (``_integrand``) in real
+    arithmetic, with no difference of nearly equal terms.
 
-    The roots depend on xi and the symbol only, not on the point (x, y), and
-    QUADPACK's nodes sit at fixed places inside panels whose edges are the
-    same for every point, so one scan meets the same few thousand xi again
-    and again.  A table lives as long as the scan that builds it: it is never
-    shared across calls of the public API.
+    E = d4 e^4, k = n - 1, g0 = sqrt(ab), h = (sqrt(a) + sqrt(b))/2 and
+    d = |sqrt(b) - sqrt(a)|/2 = sqrt|D|/(4 h E), D from ``_discriminant_coeffs``.
+    Below the branch point (D >= 0), sqrt(b) = h + d, sqrt(a) = g0/(h + d) and
+        2 h E S_n = -e^{-sqrt(a) y} [P_k + sqrt(b)^k expm1(-2 d y)/(2d)],
+    P = (-1/g0, 0, 1, 2h) for k = -1, 0, 1, 2; past it, sqrt(a) = h - i d and
+        2 h E S_n = -e^{-h y} [alpha_k cos(d y) + beta_k sin(d y)/d],
+    (alpha, beta) = (-1/q, -h/q), (0, -1), (1, -h), (2h, d^2 - h^2), q = h^2 + d^2.
+    The row is (below, r, t, A, B): r = Re sqrt(a), t = 2d below and d past,
+    and the bracket's coefficients times -xi^m/(2 h E).
     """
+    e2 = p.eps**2
+    big_e = p.d4 * e2 * e2
+    b2, ge2, a4, a2 = p.b2, p.g * e2, p.a4, p.a2
+    A2, A1, A0 = _discriminant_coeffs(p)
+    k = n - 1
 
-    def __init__(self, p: KernelSymbolParams):
-        super().__init__()
-        self.roots = _scalar_roots(p)
+    def row(xi: float):
+        s = xi * xi
+        disc = (A2 * s + A1) * s + A0
+        g0 = math.sqrt((a4 * s + a2) * s / big_e)
+        h = 0.5 * math.sqrt((b2 + ge2 * s) / big_e + 2.0 * g0)
+        d = math.sqrt(abs(disc)) / (4.0 * h * big_e)
+        w = -(xi**m) / (2.0 * h * big_e)
+        if disc >= 0.0:
+            rb = h + d
+            lead = -1.0 / g0 if k < 0 else (0.0, 1.0, 2.0 * h)[k]
+            return True, g0 / rb, 2.0 * d, lead * w, rb**k * w
+        q = h * h + d * d
+        alpha, beta = ((-1.0 / q, -h / q), (0.0, -1.0), (1.0, -h), (2.0 * h, d * d - h * h))[k + 1]
+        return False, h, d, alpha * w, beta * w
+
+    return row
+
+
+class _NodeTable(dict):
+    """xi -> ``_row_builder`` row of one symbol and order (m, n), filled on a
+    miss.  Rows do not depend on the point (x, y), and QUADPACK's nodes sit
+    at fixed places in panels whose edges are the same for every point, so
+    one scan meets the same few thousand xi again and again.  A table lives
+    as long as the scan that builds it, never across public calls."""
+
+    def __init__(self, p: KernelSymbolParams, m: int, n: int):
+        self.row = _row_builder(p, m, n)
 
     def __missing__(self, xi: float):
-        a, b, droot = self.roots(xi)
-        row = self[xi] = (a, b, cmath.sqrt(a), cmath.sqrt(b), droot)
+        row = self[xi] = self.row(xi)
         return row
 
 
 def _integrand(p: KernelSymbolParams, m: int, n: int, y: float, nodes: _NodeTable | None = None):
-    """xi -> Re xi^m S_n(xi, y) for one real xi, with S_n the xi2-contour
+    """xi -> xi^m S_n(xi, y) for one real xi, with S_n the xi2-contour
     integral divided by pi i^n:
 
         S_n = [a^{(n-1)/2} e^{-sqrt(a) y} - b^{(n-1)/2} e^{-sqrt(b) y}] / (d4 e^4 (b-a)),
 
-    real-valued for real xi (pairwise conjugate roots past the branch point).
-    a^{(n-1)/2} is taken as sqrt(a)^(n-1) on the principal branch, and as a
-    itself for n = 3.  The roots and their square roots are read from
-    ``nodes`` (a fresh table when none is given), so a scan that shares one
-    table computes them once per distinct xi; the values are those of the
-    roots computed afresh, bit for bit.
+    real for real xi, a^{(n-1)/2} = sqrt(a)^(n-1) on the principal branch.
+    Rows come from ``nodes``, a scan's table (a fresh one when none is
+    given); shared and fresh tables agree bit for bit.  At the branch point
+    t = 0 divides by zero; no quadrature node lands there.
     """
-    table = _NodeTable(p) if nodes is None else nodes
-    k = n - 1
-    exp = cmath.exp
+    table = _NodeTable(p, m, n) if nodes is None else nodes
+    exp, expm1, cos, sin = math.exp, math.expm1, math.cos, math.sin
 
     def f(xi: float) -> float:
-        a, b, ra, rb, droot = table[xi]
-        if k == 2:
-            num = a * exp(-ra * y) - b * exp(-rb * y)
-        else:
-            num = ra**k * exp(-ra * y) - rb**k * exp(-rb * y)
-        return xi**m * (num / droot).real
+        below, r, t, A, B = table[xi]
+        if below:
+            return exp(-r * y) * (A + B * expm1(-t * y) / t)
+        return exp(-r * y) * (A * cos(t * y) + B * sin(t * y) / t)
 
     return f
 
@@ -244,8 +252,7 @@ def _axis_tail_coeffs(p: KernelSymbolParams, m: int, n: int) -> tuple[float, flo
 
     Only m+n = 3 has l_inf != 0 and only m+n = 2 has l_1 != 0 among the
     supported orders; the expansion proceeds in even powers past these.
-    Both are Richardson extrapolations in 1/xi^2 from moderate xi, where the
-    root difference is still well conditioned.
+    Both are Richardson extrapolations in 1/xi^2 from moderate xi.
     """
     f = _integrand(p, m, n, 0.0)
     big = 400.0 * max(_scale_xi(p), 1.0)
@@ -260,15 +267,14 @@ def _axis_tail_coeffs(p: KernelSymbolParams, m: int, n: int) -> tuple[float, flo
 
 
 def _decay_cutoff(nodes: _NodeTable, y: float, c: float) -> float:
-    """xi beyond which exp(-Re sqrt(a) y) < 1e-20."""
+    """xi beyond which exp(-r y) < 1e-20, r = Re sqrt(a) of the row."""
     if y <= 0.0:
         return math.inf
     target = 46.0 / y
-    # past the branch point Re sqrt(a) grows ~ sqrt(g/2)/eps * |xi| * cos(pi/6)-ish;
-    # bracket by doubling instead of trusting an asymptotic constant
+    # r grows about linearly in xi: bracket geometrically, not by an asymptote
     xi = 2.0 * c
     for _ in range(200):
-        if nodes[xi][2].real >= target:
+        if nodes[xi][1] >= target:
             return xi
         xi *= 1.5
     return xi
@@ -288,8 +294,8 @@ def kernel_residue_eval(
     Normalization matches ``kernel_fft``: K = (2 pi)^-2 times the inverse
     transform of the symbol reciprocal, so the value returned here is the
     real number (2 pi)^-2 i^(m+n) K_{m,n} in terms of the raw moment
-    integral K_{m,n}.  ``nodes`` is the root table of a scan, built for the
-    same ``p``; a call without one builds its own.
+    integral K_{m,n}.  ``nodes`` is the node table of a scan, built for the
+    same ``p``, ``m`` and ``n``; a call without one builds its own.
     """
     if (m, n) not in ALLOWED_ORDERS or m + n < 1:
         raise ValueError(f"unsupported derivative order ({m}, {n})")
@@ -297,20 +303,16 @@ def kernel_residue_eval(
         raise ValueError("the kernel derivative is singular at the origin")
     sgn = 1.0
     if x < 0.0:
-        x = -x
-        sgn *= (-1.0) ** m
+        x, sgn = -x, sgn * (-1.0) ** m
     if y < 0.0:
-        y = -y
-        sgn *= (-1.0) ** n
-    if y == 0.0 and n % 2 == 1:
-        return 0.0
-    if x == 0.0 and m % 2 == 1:
+        y, sgn = -y, sgn * (-1.0) ** n
+    if (x == 0.0 and m % 2 == 1) or (y == 0.0 and n % 2 == 1):
         return 0.0
 
     c_branch = branch_point(p)
     c = _scale_xi(p)
     if nodes is None:
-        nodes = _NodeTable(p)
+        nodes = _NodeTable(p, m, n)
     f = _integrand(p, m, n, y, nodes)
     weight = "cos" if m % 2 == 0 else "sin"
     wfun = math.cos if m % 2 == 0 else math.sin
@@ -333,7 +335,7 @@ def kernel_residue_eval(
     def panel(h, lo, hi, **weighted):
         try:
             v, e = integrate.quad(h, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11, **weighted)
-        except ZeroDivisionError as exc:  # sqrt(D) or a root vanished
+        except ZeroDivisionError as exc:  # sqrt(ab) or the root gap t vanished
             raise QuadratureNotConverged(f"integrand singular on [{lo:g}, {hi:g}]: {exc}") from exc
         add(v, e)
 
@@ -374,13 +376,8 @@ def kernel_residue_eval(
     else:
         from scipy.special import sici
 
-        def fr(xi):
-            out = f(xi)
-            if ell != 0.0:
-                out = out - ell
-            if ell1 != 0.0:
-                out = out - ell1 / xi
-            return out
+        def fr(xi):  # zero coefficients subtract exactly nothing
+            return f(xi) - ell - ell1 / xi
 
         # subtracted integrand decays at least like xi^-2: geometric
         # oscillatory panels to a finite cutoff, remainder below 1e-12
@@ -552,7 +549,7 @@ def decay_scan(
     """
     radii = tuple(float(r) for r in radii)
     angles = tuple(float(t) for t in angles)
-    nodes = _NodeTable(p)
+    nodes = _NodeTable(p, m, n)
     slopes = []
     prefactors = []
     for theta in angles:
@@ -626,7 +623,7 @@ def _ball_shells(p: KernelSymbolParams, m: int, n: int, r: float) -> Iterator[fl
 
     Polar rule: Gauss-Legendre in the first-quadrant angle (parity gives the
     other quadrants) and in radius on each shell.  Points near the y = 0 axis
-    use the residue route, all through one root table; the rest interpolate a
+    use the residue route, all through one node table; the rest interpolate a
     periodic-grid kernel field.
     """
     from scipy.interpolate import RectBivariateSpline
@@ -637,7 +634,7 @@ def _ball_shells(p: KernelSymbolParams, m: int, n: int, r: float) -> Iterator[fl
     fld = kernel_fft(p, grid, m, n)
     spline = RectBivariateSpline(grid.x, grid.y, fld.values, kx=3, ky=3)
     y_switch = 3.0 * grid.dy
-    nodes = _NodeTable(p)
+    nodes = _NodeTable(p, m, n)
 
     tn, tw = np.polynomial.legendre.leggauss(SCAN_THETA_NODES)
     thetas = 0.25 * math.pi * (tn + 1.0)

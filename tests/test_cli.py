@@ -89,15 +89,16 @@ def test_kernel_node_at_origin(capsys):
 
 
 def test_singular_integrand_is_a_solver_verdict(monkeypatch, capsys):
-    # the scalar residue integrand divides by sqrt(D) and by powers of the
-    # roots; a division by zero inside QUADPACK leaves main() as exit 2 with
-    # one JSON line, not as a traceback
+    # the scalar residue integrand divides by sqrt(ab) and by the root gap
+    # t of each node's row; a division by zero inside QUADPACK leaves main()
+    # as exit 2 with one JSON line, not as a traceback
     import transonic.kernel as ker
 
     with pytest.raises(ZeroDivisionError):
         ker._integrand(KernelSymbolParams.normalized(0.2), 0, 0, 1.0)(0.0)
-    roots = ker._scalar_roots
-    monkeypatch.setattr(ker, "_scalar_roots", lambda p: lambda xi: (*roots(p)(xi)[:2], 0j))
+    rows = ker._row_builder
+    monkeypatch.setattr(ker, "_row_builder",
+                        lambda p, m, n: lambda xi: (*rows(p, m, n)(xi)[:2], 0.0, 1.0, 1.0))
     code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "0",
                  "--x", "3", "--y", "2", "--nx", "64", "--ny", "64"])
     assert code == 2

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ class TestResidueRoute:
 
 class TestScalarRoute:
     """The QUADPACK callbacks evaluate the reduced profile one float at a
-    time in ``cmath`` arithmetic; ``_roots_ab`` is the array form."""
+    time in real arithmetic; ``_roots_ab`` is the array form."""
 
     @pytest.mark.parametrize("preset", ["normalized", "gp"])
     def test_profile_matches_array_form(self, preset):
@@ -236,6 +237,43 @@ class TestScalarRoute:
                 got = np.array([f(float(t)) for t in xis])
                 ref, scale = _array_profile(p, m, n, xis, y)
                 assert np.all(np.abs(got - ref) <= 1e-13 * scale + 1e-300), (m, n, y)
+
+    @pytest.mark.parametrize("preset", ["normalized", "gp"])
+    def test_profile_matches_50_digit_reference(self, preset):
+        # S_n from the complex roots in 50-digit arithmetic, where the
+        # difference of the two root terms costs nothing
+        mp = pytest.importorskip("mpmath")
+        p = getattr(KernelSymbolParams, preset)(0.2)
+        c = K._scale_xi(p)
+        xis = np.concatenate([
+            np.linspace(0.1 * c, 0.5 * c, 9),
+            [c * (1.0 - 1e-8), c * (1.0 + 1e-8)],
+            np.geomspace(2.0 * c, 2e5, 12),
+        ])
+        with mp.workdps(50):
+            big_e = mp.mpf(p.d4) * mp.mpf(p.eps) ** 4
+            for m, n in FAR_FIELD_SLOPE:
+                for y in (0.0, 1e-3, 0.05, 2.0):
+                    f = K._integrand(p, m, n, y)
+                    for xi in map(float, xis):
+                        s = mp.mpf(xi) ** 2
+                        lin = p.b2 + p.g * mp.mpf(p.eps) ** 2 * s
+                        droot = mp.sqrt(mp.mpc(lin**2 - 4 * big_e * (p.a4 * s**2 + p.a2 * s)))
+                        ra = mp.sqrt((lin - droot) / (2 * big_e))
+                        rb = mp.sqrt((lin + droot) / (2 * big_e))
+                        num = ra ** (n - 1) * mp.exp(-ra * y) - rb ** (n - 1) * mp.exp(-rb * y)
+                        ref = float(mp.re(mp.mpf(xi) ** m * num / droot))
+                        assert abs(f(xi) - ref) <= 1e-12 * abs(ref) + 1e-300, (m, n, y, xi)
+
+    @pytest.mark.parametrize("mn", [(3, 0), (1, 2)])
+    def test_gp_axis_quadrature_quiet(self, mn):
+        # on the gp axis the m + n = 3 integrands tend to a constant, so
+        # rounding noise in S_n trips QUADPACK's roundoff detection
+        p = KernelSymbolParams.gp(0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1.0, 2.0, 5.0):
+                kernel_residue_eval(p, *mn, x, 0.0)
 
     def test_tight_tolerance_still_raises(self):
         p = KernelSymbolParams.normalized(0.2)
@@ -292,17 +330,14 @@ class TestScans:
 
 
 class TestNodeTable:
-    """One scan computes the roots of each quadrature node once and shares
-    them across points; the values are those of a fresh evaluation."""
+    """One scan computes the row of each quadrature node once and shares it
+    across points; the values are those of a fresh evaluation."""
 
-    # QUADPACK warns of roundoff on the gp axis at (1, 2), where the two
-    # terms of S_n cancel; the values still pass the residue verdict
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("preset", ["normalized", "gp"])
     def test_shared_table_matches_fresh(self, preset):
         p = getattr(KernelSymbolParams, preset)(0.2)
         for m, n in FAR_FIELD_SLOPE:
-            nodes = K._NodeTable(p)
+            nodes = K._NodeTable(p, m, n)
             for x, y in ((0.4, 0.05), (2.0, 1e-3), (5.0, 0.0)):
                 kernel_residue_eval(p, m, n, x, y, nodes=nodes)
             assert nodes
@@ -312,10 +347,10 @@ class TestNodeTable:
 
     def test_integral_scan_computes_roots_once_per_node(self, monkeypatch):
         calls = collections.Counter()
-        roots = K._scalar_roots
+        rows = K._row_builder
 
-        def counting(p):
-            inner = roots(p)
+        def counting(p, m, n):
+            inner = rows(p, m, n)
 
             def f(xi):
                 calls[xi] += 1
@@ -323,7 +358,7 @@ class TestNodeTable:
 
             return f
 
-        monkeypatch.setattr(K, "_scalar_roots", counting)
+        monkeypatch.setattr(K, "_row_builder", counting)
         monkeypatch.setattr(K, "SCAN_THETA_NODES", 4)
         monkeypatch.setattr(K, "SCAN_SHELL_NODES", 2)
         # r = 0.05 is below the spline switch, so every point is a residue
