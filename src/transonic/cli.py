@@ -36,7 +36,8 @@ from .lump import LumpParams, check_eps, kpi_residual, linearized_kernel_residua
 from .reduction import ReductionState, outer_fixed_point, transport_residual
 from .gp import gp_system_residual
 
-VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, GridMismatch, FileNotFoundError)
+# OSError: an input that cannot be read or an output directory that cannot be made
+VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, GridMismatch, OSError)
 # eps is range-checked before any work, so a GuardViolated (the transport
 # amplitude guard of ``solve_f2``) says the grid is too coarse: a solver verdict
 SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, GuardViolated)
@@ -167,23 +168,30 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _output_dir(path) -> Path:
+    """The output directory, made before any work, so that a path which
+    cannot be one fails at once (an OSError) rather than after the run."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def cmd_lump_check(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
+    out = _output_dir(cfg.out_dir)
     params = LumpParams.from_epsilon(cfg.epsilon)
     resid = kpi_residual(params, grid)
     kx, ky = linearized_kernel_residuals(params, grid)
     sups = {
-        "lump_equation_residual_sup": float(np.max(np.abs(resid.values))),
-        "kernel_mode_x_residual_sup": float(np.max(np.abs(kx.values))),
-        "kernel_mode_y_residual_sup": float(np.max(np.abs(ky.values))),
+        "lump_equation_residual_sup": float(np.max(np.abs(resid.data))),
+        "kernel_mode_x_residual_sup": float(np.max(np.abs(kx.data))),
+        "kernel_mode_y_residual_sup": float(np.max(np.abs(ky.data))),
         "epsilon": cfg.epsilon,
     }
-    out = Path(cfg.out_dir)
     fio.write_field(out, "lump", sample_lump(params, grid))
     _write_json(out / "lump_check.json", sups)
     for k in sorted(sups):
@@ -218,9 +226,7 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
 def cmd_kernel_scan(cfg: RunConfig, args) -> int:
     from .kernel import decay_scan, integral_scan
     p = cfg.symbol_params()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "report.csv"
+    path = _output_dir(cfg.out_dir) / "report.csv"
     if args.mode in ("far", "near"):
         if args.mode == "far":
             radii = np.geomspace(max(2.0, cfg.Lx / 8.0), cfg.Lx / 2.0, 10)
@@ -253,12 +259,12 @@ def cmd_kernel_scan(cfg: RunConfig, args) -> int:
 
 def cmd_eigen(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
+    out = _output_dir(cfg.out_dir)
     op = make_linearized_operator(cfg.epsilon, grid)
     seed = cfg.seed if "seed" in cfg.given else 7
     # the eigen solver keeps its own tol/max-iter defaults unless they are given
     budget = {key: getattr(cfg, key) for key in ("tol", "max_iter") if key in cfg.given}
     res = eigen_extremes(op, k=args.k, seed=seed, **budget)
-    out = Path(cfg.out_dir)
     fio.write_field(out, "phi0", res.phi0)
     fio.write_field(out, "phi1", res.phi1)
     rec = {
@@ -295,10 +301,10 @@ def cmd_norms(cfg: RunConfig, args) -> int:
 
 def cmd_construct(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
+    out = _output_dir(cfg.out_dir)
     state, f2, report = outer_fixed_point(
         cfg.epsilon, grid, tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta
     )
-    out = Path(cfg.out_dir)
     fio.write_field(out, "phi", state.phi)
     fio.write_field(out, "g1", state.g1)
     fio.write_field(out, "f1", state.f1)
@@ -354,9 +360,10 @@ def cmd_residual(cfg: RunConfig, args) -> int:
             f"{indir / 'f2.json'} grid {f2.grid} differs from "
             f"{indir / 'phi.json'} grid {phi.grid}"
         )
+    # after the reads, which check the input directory, before the work
+    out = _output_dir(cfg.out_dir if "out_dir" in cfg.given else indir)
     rpt = gp_system_residual(ReductionState(eps, phi.grid, phi=phi), f2)
     rec = asdict(rpt)
-    out = Path(cfg.out_dir) if "out_dir" in cfg.given else indir
     _write_json(out / "gp_residual.json", rec)
     with (out / "gp_residual.csv").open("w", newline="") as fh:
         w = csv.writer(fh)

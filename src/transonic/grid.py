@@ -86,8 +86,8 @@ class Grid2D:
     """Uniform periodic grid on [-Lx, Lx) x [-Ly, Ly).
 
     Points are x_j = (j - nx/2) dx, y_k = (k - ny/2) dy, dx = 2Lx/nx and
-    dy = 2Ly/ny, exactly symmetric about 0; the matching wavenumbers are
-    xi1 = pi*m/Lx and xi2 = pi*n/Ly in standard FFT ordering.
+    dy = 2Ly/ny, exactly symmetric about 0; the wavenumbers kx = pi*k/Lx and
+    ky = pi*k/Ly, k = 0..n/2, and the dealias mask index the quarter box's spectrum.
     """
 
     nx: int
@@ -134,19 +134,18 @@ class Grid2D:
 
     @cached_property
     def kx(self) -> np.ndarray:
-        """Wavenumbers pi*m/Lx along axis 0, full FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
+        """Wavenumbers pi*k/Lx along axis 0, k = 0..nx/2."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx)
 
     @cached_property
-    def ky_r(self) -> np.ndarray:
-        """Wavenumbers pi*n/Ly along axis 1, rfft ordering."""
+    def ky(self) -> np.ndarray:
+        """Wavenumbers pi*k/Ly along axis 1, k = 0..ny/2."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.ny, d=self.dy)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask in rfft layout (nx, ny//2+1)."""
-        mx = np.abs(np.fft.fftfreq(self.nx) * self.nx) <= self.nx // 3
-        my = np.arange(self.ny // 2 + 1) <= self.ny // 3
+        """2/3-rule mask (nx/2+1, ny/2+1): k <= n/3 on both axes."""
+        mx, my = (np.arange(n // 2 + 1) <= n // 3 for n in (self.nx, self.ny))
         return mx[:, None] & my[None, :]
 
 
@@ -321,8 +320,8 @@ def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
 
 
 def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> RealField2D:
-    """The Fourier multiplier ``factors`` (in the (nx, ny/2+1) layout of a
-    real 2-D DFT, their product; one at least) acting on ``f``, tagged
+    """The Fourier multiplier ``factors`` (on the wavenumbers k = 0..n/2 of
+    ``Grid2D``, (nx/2+1, ny/2+1); their product, one at least) acting on ``f``, tagged
     ``symmetry``: every spectral operation of the package on fields, as its
     halves ``_spectrum`` and ``_inverse``.  It runs on the stored quarters,
     where the DFT of even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I
@@ -353,7 +352,7 @@ def _inverse(hat: np.ndarray, f: RealField2D, symmetry: Symmetry, factors) -> Re
             axis = int(factor.shape[0] == 1)
             # phase(in) / phase(out), with phase(even) = 1 and phase(odd) = -i
             factor = ((-1j) ** ((pin[axis] - pout[axis]) // -2) * factor).real
-        hat = hat * factor[: f.grid.nx // 2 + 1]
+        hat = hat * factor
     q = _quarter(hat, *pout)
     for axis, p in enumerate(pout):
         q = (sfft.idct if p > 0 else sfft.idst)(q, type=1, axis=axis, overwrite_x=True)
@@ -361,22 +360,22 @@ def _inverse(hat: np.ndarray, f: RealField2D, symmetry: Symmetry, factors) -> Re
 
 
 def _ik_power(k: np.ndarray, order: int) -> np.ndarray:
-    """(i k)^order on one wavenumber axis; for odd orders the Nyquist entry
-    (the largest |k|) is zeroed so that real data stay real."""
+    """(i k)^order on one wavenumber axis k = 0..n/2; for odd orders the
+    Nyquist entry, the last, is zeroed so that real data stay real."""
     factor = (1j * k) ** order
     if order % 2 == 1:
-        factor[np.argmax(np.abs(k))] = 0.0
+        factor[-1] = 0.0
     return factor
 
 
 def _check_zero_x_mean(f: RealField2D, what: str) -> None:
-    """Raise NonZeroMean unless every y-line of ``f`` has zero x-mean to
-    ``ZERO_MEAN_TOL`` of its sup, as the zero-mode-free dx^-1 requires
-    (odd-in-x data have it exactly)."""
+    """Raise NonZeroMean unless every y-line of ``f`` has zero x-mean (over
+    the full grid, read off the quarter by ``_trapezoid``) to ``ZERO_MEAN_TOL``
+    of its sup, as the zero-mode-free dx^-1 requires (odd-in-x data have it exactly)."""
     if f.symmetry.x_parity < 0:
         return
     scale = float(np.max(np.abs(f.data)))
-    worst = float(np.max(np.abs(f.values.mean(axis=0))))
+    worst = float(np.max(np.abs(_trapezoid(f.grid.nx) @ f.data / f.grid.nx)))
     if worst > ZERO_MEAN_TOL * scale:
         raise NonZeroMean(f"{what}: x-line mean {worst:.3e} exceeds {ZERO_MEAN_TOL:.1e} * sup")
 
@@ -401,7 +400,7 @@ def _derivative(f: RealField2D, spectrum: Callable[[], np.ndarray], m: int, n: i
     if m:
         factors.append(_ik_power(f.grid.kx, m)[:, None])
     if n:
-        factors.append(_ik_power(f.grid.ky_r, n)[None, :])
+        factors.append(_ik_power(f.grid.ky, n)[None, :])
     return _inverse(spectrum(), f, f.symmetry.differentiated(m, n), factors)
 
 
@@ -424,7 +423,7 @@ def antiderivative_x(f: RealField2D) -> RealField2D:
     inv = np.zeros_like(grid.kx, dtype=np.complex128)
     nz = grid.kx != 0.0
     inv[nz] = 1.0 / (1j * grid.kx[nz])
-    inv[grid.nx // 2] = 0.0
+    inv[-1] = 0.0
     return _multiplied(f, f.symmetry.differentiated(1, 0), inv[:, None])
 
 
@@ -462,12 +461,16 @@ def _radial_weight(grid: Grid2D, power: float) -> np.ndarray:
     return w
 
 
+def _trapezoid(n: int) -> np.ndarray:
+    """(1, 2, ..., 2, 1): the grid points each sample of a quarter axis stands for."""
+    return np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]
+
+
 @lru_cache(maxsize=8)
 def _multiplicity(grid: Grid2D) -> np.ndarray:
     """The grid points each quarter-box sample of an even/even field stands
-    for: 1 at the indices 0 and n/2, 2 inside, per axis."""
-    mx, my = (np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] for n in (grid.nx, grid.ny))
-    w = mx[:, None] * my[None, :]
+    for: ``_trapezoid`` per axis."""
+    w = np.outer(_trapezoid(grid.nx), _trapezoid(grid.ny))
     w.flags.writeable = False
     return w
 
@@ -497,10 +500,9 @@ def _sampled(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
 
 
 def zeros(grid: Grid2D, symmetry: Symmetry) -> RealField2D:
-    return RealField2D(grid, np.zeros((grid.nx, grid.ny)), symmetry)
+    return _tagged(grid, np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1)), symmetry)
 
 
 def constant(grid: Grid2D, c: float) -> RealField2D:
-    return RealField2D(
-        grid, np.full((grid.nx, grid.ny), float(c)), Symmetry.EVEN_X_EVEN_Y
-    )
+    vals = np.full((grid.nx // 2 + 1, grid.ny // 2 + 1), float(c))
+    return _tagged(grid, vals, Symmetry.EVEN_X_EVEN_Y)

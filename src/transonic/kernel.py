@@ -423,13 +423,13 @@ def kernel_fft(p: KernelSymbolParams, g: Grid2D, m: int, n: int) -> RealField2D:
         raise ValueError(f"unsupported derivative order ({m}, {n})")
     delta = np.zeros((g.nx // 2 + 1, g.ny // 2 + 1))
     delta[0, 0] = 1.0 / (g.dx * g.dy)
-    denom = symbol_eval(p, g.kx[:, None], g.ky_r[None, :])
+    denom = symbol_eval(p, g.kx[:, None], g.ky[None, :])
     denom[0, 0] = np.inf  # 1/inf = 0: the zero mode, the delta's mean, is dropped
     return _multiplied(
         _tagged(g, delta, Symmetry.EVEN_X_EVEN_Y),
         Symmetry.from_parities((-1) ** m, (-1) ** n),
         _ik_power(g.kx, m)[:, None],
-        _ik_power(g.ky_r, n)[None, :],
+        _ik_power(g.ky, n)[None, :],
         1.0 / denom,
     )
 

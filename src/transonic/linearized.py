@@ -40,6 +40,7 @@ from .grid import (
     _padded,
     _quarter_axes,
     _tagged,
+    _trapezoid,
     antiderivative_x,
     dealias,
     derivative,
@@ -94,7 +95,7 @@ def make_linearized_operator(eps: float, grid: Grid2D) -> LinearizedOperator:
 def _constant_symbol(op: LinearizedOperator, grid: Grid2D) -> np.ndarray:
     """xi1^4 + (2 sqrt2 - e^2) xi1^2 + 2 xi2^2 + 2 e^2 xi1^2 xi2^2 + e^4 xi2^4."""
     kx = grid.kx[:, None]
-    ky = grid.ky_r[None, :]
+    ky = grid.ky[None, :]
     e2 = op.eps**2
     return kx**4 + op.c2 * kx**2 + 2.0 * ky**2 + 2.0 * e2 * kx**2 * ky**2 + e2**2 * ky**4
 
@@ -132,7 +133,7 @@ def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealFi
     translation modes dq/dx and dq/dy.
     """
     kx = phi.grid.kx[:, None]
-    ky = phi.grid.ky_r[None, :]
+    ky = phi.grid.ky[None, :]
     const = _multiplied(phi, phi.symmetry, kx**4 + op.c2 * kx**2 + 2.0 * ky**2)
     return const - _coupling(op, phi, op.coeff_lump_nl)
 
@@ -227,16 +228,16 @@ def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
     constants per y-line, so the operator is only defined modulo x-constants).
 
     The full-grid reference for ``eigen_extremes``, independent of its
-    cosine coefficients: the symbol takes its own rfft2/irfft2 round trip on
-    all nx x ny samples, and the result enters through the public
-    constructor, in the class of ``psi``.
+    cosine coefficients: the symbol, on its own FFT-ordered x wavenumbers,
+    takes its own rfft2/irfft2 round trip on all nx x ny samples, and the
+    result enters through the public constructor, in the class of ``psi``.
     """
     _check_zero_x_mean(psi, "apply_L")
     grid = psi.grid
-    ratio = np.zeros((grid.nx, grid.ky_r.size))
-    nzx = grid.kx != 0.0
-    ratio[nzx, :] = 2.0 * grid.ky_r[None, :] ** 2 / (grid.kx[nzx, None] ** 2)
-    symbol = grid.kx[:, None] ** 2 + op.c2 + ratio
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:, None]
+    ratio = np.zeros((grid.nx, grid.ky.size))
+    ratio[1:] = 2.0 * grid.ky**2 / kx[1:] ** 2  # kx = 0 only at index 0
+    symbol = kx**2 + op.c2 + ratio
     out = sfft.irfft2(sfft.rfft2(psi.values) * symbol, s=(grid.nx, grid.ny))
     out = out + op.coeff_lump_nl * _potential_product(op, psi).values
     return RealField2D(grid, out - out.mean(axis=0, keepdims=True), psi.symmetry)
@@ -283,7 +284,7 @@ class EigenResult:
 
 def _quarter_weights(nx: int, ny: int, px: int) -> np.ndarray:
     """sqrt(w_p w_q) on the quarter box of parity px in x, even in y."""
-    sx, sy = (np.sqrt(np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0]) for n in (nx, ny))
+    sx, sy = (np.sqrt(_trapezoid(n)) for n in (nx, ny))
     return (sx[:, None] * sy[None, :])[_kept(px)]
 
 
@@ -315,8 +316,7 @@ def _values(coeffs: np.ndarray, px: int) -> np.ndarray:
 def _dealias_rectangle(grid: Grid2D) -> tuple[int, int]:
     """(ax, ay): the 2/3 dealias mask, a product of x and y masks, keeps the
     cosine rows 0..ax and the columns 0..ay-1 of the quarter box."""
-    inside = grid.dealias_mask[: grid.nx // 2 + 1]
-    return int(inside[:, 0].sum()) - 1, int(inside[0].sum())
+    return int(grid.dealias_mask[:, 0].sum()) - 1, int(grid.dealias_mask[0].sum())
 
 
 def _quarter_potential(op: LinearizedOperator, coeff: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -397,7 +397,7 @@ def eigen_extremes(
     if not 2 <= k <= mx * (my + 1):
         raise ValueError(f"k must lie in [2, {mx * (my + 1)}], the coefficients on this grid")
     kx2 = grid.kx[1 : mx + 1, None, None] ** 2
-    ky2 = grid.ky_r[None, :, None] ** 2
+    ky2 = grid.ky[None, :, None] ** 2
     symbol = kx2 + op.c2 + 2.0 * ky2 / kx2
     ax, ay = _dealias_rectangle(grid)
     unknowns = ax * ay

@@ -127,13 +127,14 @@ class ReductionState:
     solution of the previous outer step, where this state's Picard run
     starts; everything else is derived from them lazily, once.
 
-    The derivative table of g1 = q + phi combines lump parts from exact
-    rational differentiation (the memoized ``sample_lump``) with phi parts
-    from ``spectral_table(phi)``, one forward transform of the (periodic,
-    band-limited) correction, which keeps the periodic seam of the sampled
-    lump out of every assembled product.  The state also keeps the x-refined transport terms and the
-    fine transport solution of its phi, so the Picard solve runs once per
-    phi and its check rebuilds nothing.  Its memoized tables hold params and
+    The derivative table of g1 = q + phi, whose (0, 0) order is ``g1``,
+    combines lump parts from exact rational differentiation (the memoized
+    ``sample_lump``) with phi parts from ``spectral_table(phi)``, one forward
+    transform of the (periodic, band-limited) correction, which keeps the
+    periodic seam of the sampled lump out of every assembled product.  The
+    state also keeps the x-refined transport terms and the fine transport
+    solution of its phi, so the Picard solve runs once per phi and its check
+    rebuilds nothing.  Its memoized tables hold params and
     phi, never the state, so a dropped state is freed without the cycle
     collector.
 
@@ -162,12 +163,8 @@ class ReductionState:
         self.f2_start = f2_start
 
     @cached_property
-    def q(self) -> RealField2D:
-        return sample_lump(self.params, self.grid, 0, 0)
-
-    @cached_property
     def g1(self) -> RealField2D:
-        return self.q + self.phi
+        return _tagged(self.grid, self.g1_d(0, 0), Symmetry.ODD_X_EVEN_Y)
 
     @cached_property
     def f1(self) -> RealField2D:
@@ -439,8 +436,8 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
     inner = x[:n] <= F2_CHECK_WINDOW * grid.Lx - 8 * h
     sup = float(np.max(np.abs(resid[:, inner])))
 
-    coarse_window = np.abs(grid.x) <= F2_CHECK_WINDOW * grid.Lx - 8 * h
-    diff = (f2 - _coarse_f2(state)).values
+    coarse_window = _quarter_axes(grid)[0][:, 0] <= F2_CHECK_WINDOW * grid.Lx - 8 * h
+    diff = (f2 - _coarse_f2(state)).data
     mismatch = float(np.max(np.abs(diff[coarse_window])))
     return max(sup, mismatch)
 

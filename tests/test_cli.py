@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 import transonic
+import transonic.cli as cli_mod
+import transonic.grid as grid_module
 import transonic.io as fio
+import transonic.kernel as ker_mod
 import transonic.reduction as red_mod
 from transonic.cli import build_parser, load_config, main
 from transonic.grid import Symmetry, derivative, make_grid, zeros
@@ -400,6 +403,42 @@ def test_untagged_sidecar_rejected(tmp_path, capsys):
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError" and str(tmp_path / "phi.json") in rec["message"]
     assert all(s.value in rec["message"] for s in Symmetry)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work ran before the output directory was made")
+
+
+@pytest.mark.parametrize("command", ["lump-check", "construct", "eigen", "kernel-scan", "residual"])
+def test_output_path_that_is_a_file(tmp_path, capsys, monkeypatch, command):
+    # an --out naming an existing file fails before any work, as one JSON line
+    for mod, name in ((cli_mod, "kpi_residual"), (cli_mod, "outer_fixed_point"),
+                      (cli_mod, "eigen_extremes"), (ker_mod, "decay_scan"),
+                      (cli_mod, "gp_system_residual")):
+        monkeypatch.setattr(mod, name, _refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--epsilon", "0.1", "--out", str(blocker)] + SMALL
+    if command == "kernel-scan":
+        argv += ["--m", "1", "--n", "0"]
+    if command == "residual":
+        grid = make_grid(64, 64, 20, 20)
+        fio.write_field(tmp_path / "c", "phi", zeros(grid, Symmetry.ODD_X_EVEN_Y))
+        fio.write_field(tmp_path / "c", "f2", zeros(grid, Symmetry.EVEN_X_EVEN_Y))
+        argv += ["--in", str(tmp_path / "c")]
+    assert main(argv) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "FileExistsError" and str(blocker) in rec["message"]
+
+
+def test_construct_checks_no_field_it_builds(tmp_path, monkeypatch):
+    # every field of a construction is built in its class (``grid._tagged``),
+    # so the public constructor's parity check never runs
+    calls = []
+    real = grid_module._symmetry_defect
+    monkeypatch.setattr(grid_module, "_symmetry_defect", lambda *a: calls.append(a) or real(*a))
+    assert main(["construct", "--epsilon", "0.1", "--out", str(tmp_path)] + SMALL) == 0
+    assert not calls
 
 
 @pytest.mark.slow

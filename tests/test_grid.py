@@ -13,6 +13,7 @@ import transonic.grid as grid_module
 from transonic.cli import main
 from transonic.errors import GridMismatch, NonZeroMean, SymmetryViolation
 from transonic.grid import (
+    ZERO_MEAN_TOL,
     RealField2D,
     Symmetry,
     _ik_power,
@@ -64,6 +65,18 @@ class TestMakeGrid:
         assert g.x[0] == -5.0
         assert g.x[1] - g.x[0] == pytest.approx(2 * 5 / 32)
         assert g.kx[1] == pytest.approx(math.pi / 5)
+
+    def test_quarter_box_layout(self):
+        # the wavenumbers k = 0..n/2 and the mask index the stored quarter's
+        # spectrum; the Nyquist entry is the last and positive
+        g = make_grid(64, 32, 9, 5)
+        assert g.kx.shape == (g.nx // 2 + 1,) and g.ky.shape == (g.ny // 2 + 1,)
+        assert g.kx[-1] == pytest.approx(math.pi * g.nx / (2 * g.Lx), rel=1e-15)
+        assert g.kx[-1] > 0
+        assert g.dealias_mask.shape == (g.nx // 2 + 1, g.ny // 2 + 1)
+        for order in (1, 3):
+            assert _ik_power(g.kx, order)[-1] == 0.0
+            assert _ik_power(g.ky, order)[-1] == 0.0
 
 
 class TestDerivative:
@@ -346,9 +359,21 @@ def _rfft_route(f, *factors):
 class TestQuarterBoxMultiplier:
     """Tagged multipliers run on the quarter box (one DCT-I or DST-I per axis
     and its inverse); against the rfft2 route they cost only roundoff, on a
-    non-square grid with content up to both Nyquist wavenumbers."""
+    non-square grid with content up to both Nyquist wavenumbers.  The rfft2
+    reference builds its own factors in the (nx, ny/2+1) layout, x
+    wavenumbers in FFT order, independent of ``Grid2D`` and ``_ik_power``."""
 
     GRID = make_grid(64, 32, 9, 5)
+    KX = 2.0 * np.pi * np.fft.fftfreq(GRID.nx, d=GRID.dx)
+    KY = 2.0 * np.pi * np.fft.rfftfreq(GRID.ny, d=GRID.dy)
+
+    @staticmethod
+    def _ik(k, m):
+        """(i k)^m with the Nyquist entry (the largest |k|) zeroed for odd m."""
+        factor = (1j * k) ** m
+        if m % 2 == 1:
+            factor[np.argmax(np.abs(k))] = 0.0
+        return factor
 
     def _field(self, sym, seed, zero_mean=False):
         raw = np.random.default_rng(seed).standard_normal((self.GRID.nx, self.GRID.ny))
@@ -376,8 +401,7 @@ class TestQuarterBoxMultiplier:
             for n in range(5):
                 if m == n == 0:
                     continue
-                factors = [_ik_power(self.GRID.kx, m)[:, None],
-                           _ik_power(self.GRID.ky_r, n)[None, :]]
+                factors = [self._ik(self.KX, m)[:, None], self._ik(self.KY, n)[None, :]]
                 got = derivative(f, m, n)
                 assert got.symmetry is sym.differentiated(m, n)
                 self._assert_close(got, _rfft_route(f, *factors), f"{sym.value} ({m}, {n})")
@@ -385,7 +409,7 @@ class TestQuarterBoxMultiplier:
     @pytest.mark.parametrize("sym", TAGS)
     def test_antiderivative_x(self, sym):
         f = self._field(sym, seed=32, zero_mean=True)
-        kx = self.GRID.kx
+        kx = self.KX
         inv = np.zeros(kx.shape, dtype=complex)
         inv[kx != 0] = 1.0 / (1j * kx[kx != 0])
         inv[self.GRID.nx // 2] = 0.0
@@ -394,14 +418,55 @@ class TestQuarterBoxMultiplier:
     @pytest.mark.parametrize("sym", TAGS)
     def test_dealias(self, sym):
         f = self._field(sym, seed=33)
-        self._assert_close(dealias(f), _rfft_route(f, self.GRID.dealias_mask), sym.value)
+        g = self.GRID
+        mask = ((np.abs(np.fft.fftfreq(g.nx) * g.nx) <= g.nx // 3)[:, None]
+                & (np.arange(g.ny // 2 + 1) <= g.ny // 3)[None, :])
+        self._assert_close(dealias(f), _rfft_route(f, mask), sym.value)
 
     @pytest.mark.parametrize("sym", TAGS)
     def test_constant_symbol(self, sym):
         f = self._field(sym, seed=34)
-        symbol = _constant_symbol(make_linearized_operator(0.1, self.GRID), self.GRID)
-        got = grid_module._multiplied(f, sym, symbol)
+        op = make_linearized_operator(0.1, self.GRID)
+        kx, ky, e2 = self.KX[:, None], self.KY[None, :], op.eps**2
+        symbol = kx**4 + op.c2 * kx**2 + 2.0 * ky**2 + 2.0 * e2 * kx**2 * ky**2 + e2**2 * ky**4
+        got = grid_module._multiplied(f, sym, _constant_symbol(op, self.GRID))
         self._assert_close(got, _rfft_route(f, symbol), sym.value)
+
+
+def _no_unfold(*args):
+    raise AssertionError("the full grid was unfolded")
+
+
+class TestZeroMeanCheck:
+    """``_check_zero_x_mean`` reads the stored quarter, never the unfolded
+    grid, and raises exactly when a full-grid x-line mean exceeds
+    ``ZERO_MEAN_TOL`` times the sup; an even-in-x field gets an x-constant
+    y-profile at 0.5 and 2 times that threshold, odd-in-x data have none."""
+
+    GRID = make_grid(64, 32, 9, 5)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("sym", TAGS)
+    def test_threshold(self, sym, factor, monkeypatch):
+        g = self.GRID
+        rng = np.random.default_rng(41)
+        vals = _project_parity(rng.standard_normal((g.nx, g.ny)), sym)
+        vals = vals - vals.mean(axis=0)
+        if sym.x_parity > 0:
+            row = _project_parity(rng.standard_normal((g.nx, g.ny)), sym).mean(axis=0)
+            shift = factor * ZERO_MEAN_TOL * np.max(np.abs(vals))
+            vals = vals + shift * row / np.max(np.abs(row))
+        f = RealField2D(g, vals, sym)
+        full = f.values
+        expected = np.max(np.abs(full.mean(axis=0))) > ZERO_MEAN_TOL * np.max(np.abs(full))
+        assert expected == (sym.x_parity > 0 and factor > 1)
+        fresh = grid_module._tagged(g, f.data.copy(), sym)
+        monkeypatch.setattr(grid_module, "_unfold", _no_unfold)
+        if expected:
+            with pytest.raises(NonZeroMean):
+                grid_module._check_zero_x_mean(fresh, "test")
+        else:
+            grid_module._check_zero_x_mean(fresh, "test")
 
 
 class TestSpectralTable:

@@ -388,7 +388,7 @@ def test_eigen_matches_dense_reference(n, L, k, merged):
     # the out-of-mask coefficients are exact eigenvectors with the diagonal
     # symbol; at 16^2, L = 80 one of them is among the lowest k
     kx = g.kx[1 : n // 2 + 1, None]
-    ky = g.ky_r[None, :]
+    ky = g.ky[None, :]
     diagonal = (kx**2 + op.c2 + 2.0 * ky**2 / kx**2)[~g.dealias_mask[1 : n // 2 + 1]]
     hits = np.min(np.abs(got[:, None] - diagonal[None, :]), axis=1) <= 1e-12 * np.abs(got)
     assert hits.any() == merged

@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# Console-script smoke checks of an installed `transonic`, run in the current
+# directory (outputs land there):
+#
+#   python -m pip install . && cd "$(mktemp -d)" && bash /path/to/tools/ci_smoke.sh
+#
+# The quarter-box multiplier needs scipy.fft dst/idst/idct of type 1;
+# lump-check, eigen, norms and the kernel field (kernel, and the ball scan of
+# kernel-scan) each build fields on the quarter box.  Reruns must give the
+# same bytes; the norms' star, read from one spectral table per field, must
+# equal the construction's report; a usage error and an output path that is
+# a file must each leave as exit 1 with one stderr line; the on-axis gp
+# kernel must pass with every warning an error; the ball integral must stay
+# within 1e-6 of the benchmark's reference.
+set -euo pipefail
+
+python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate'} & set(sys.modules); assert not late, late"
+transonic lump-check --nx 32 --ny 32 --Lx 10 --Ly 10 --out lump-check
+transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c
+transonic norms --in c/phi.bin --epsilon 0.1 > c-norms.csv
+python -c "import csv, json; (row,) = csv.DictReader(open('c-norms.csv')); star = json.load(open('c/report.json'))['final_phi_star']; assert float(row['star']) == star, (row['star'], star)"
+transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c2
+for f in phi f1 f2 g1; do cmp "c/$f.bin" "c2/$f.bin"; done
+if transonic construct --threads 2 --out t; then exit 1; else test $? -eq 1; fi
+touch not-a-dir
+if transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --out not-a-dir 2> not-a-dir.err; then exit 1; else test $? -eq 1; fi
+test "$(wc -l < not-a-dir.err)" -eq 1
+transonic residual --in c
+transonic eigen --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out e
+transonic eigen --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out e2
+for f in phi0 phi1; do cmp "e/$f.bin" "e2/$f.bin"; done
+python -c "import json; rec = json.load(open('e/eigen.json')); assert rec['solver'] == 'lobpcg' and rec['max_residual'] <= 1e-7, rec"
+transonic eigen --nx 16 --ny 16 --Lx 80 --Ly 80 --epsilon 0.1 --k 6 --out e16
+transonic norms --in e/phi1.bin --epsilon 0.1
+transonic norms --in c/f2.bin --epsilon 0.1
+transonic kernel --m 1 --n 0 --x 3 --y 2 --epsilon 0.2 --nx 64 --ny 64
+transonic kernel --m 1 --n 1 --x 3 --y 2 --epsilon 0.2 --nx 64 --ny 64
+python -c "import sys, warnings; warnings.simplefilter('error'); from transonic.cli import main; sys.exit(main(['kernel','--preset','gp','--m','1','--n','2','--x','5','--y','0','--epsilon','0.2','--nx','64','--ny','64']))"
+transonic kernel-scan --mode far --preset gp --m 2 --n 0 --epsilon 0.2 --Lx 120 --out ks
+python -c "import csv; rows = list(csv.DictReader(open('ks/report.csv'))); assert len(rows) == 3 and all((r['m'], r['n'], r['preset'], r['epsilon']) == ('2', '0', 'gp', '0.2') for r in rows), rows"
+transonic kernel-scan --mode integral --Lx 2 --m 1 --n 1 --epsilon 0.2 --out ball
+python -c "import csv; (row,) = csv.DictReader(open('ball/report.csv')); v = float(row['integral']); assert abs(v - 0.41542914237237066) <= 1e-6 * 0.41542914237237066, v"
