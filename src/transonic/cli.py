@@ -226,12 +226,16 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
 def cmd_kernel_scan(cfg: RunConfig, args) -> int:
     from .kernel import decay_scan, integral_scan
     p = cfg.symbol_params()
+    if args.mode == "far":
+        radii = np.geomspace(max(2.0, cfg.Lx / 8.0), cfg.Lx / 2.0, 10)
+    elif args.mode == "near":
+        radii = np.geomspace(1e-3, 0.5, 10)
+    else:
+        radii = [r for r in (1.0, 2.0, 4.0, 8.0) if r <= cfg.Lx / 2.0]
+        if not radii:
+            raise ValueError("Lx too small for the integral scan radii")
     path = _output_dir(cfg.out_dir) / "report.csv"
     if args.mode in ("far", "near"):
-        if args.mode == "far":
-            radii = np.geomspace(max(2.0, cfg.Lx / 8.0), cfg.Lx / 2.0, 10)
-        else:
-            radii = np.geomspace(1e-3, 0.5, 10)
         angles = (0.35, 0.8, 1.2)
         rep = decay_scan(p, args.m, args.n, radii, angles)
         with path.open("w", newline="") as fh:
@@ -243,9 +247,6 @@ def cmd_kernel_scan(cfg: RunConfig, args) -> int:
                             rep.bound_slope, rep.max_prefactor])
         print(f"slopes: {rep.fitted_slope_per_ray} (bound {rep.bound_slope})")
     else:
-        radii = [r for r in (1.0, 2.0, 4.0, 8.0) if r <= cfg.Lx / 2.0]
-        if not radii:
-            raise ValueError("Lx too small for the integral scan radii")
         rows = [(r, integral_scan(p, args.m, args.n, r)) for r in radii]
         with path.open("w", newline="") as fh:
             w = csv.writer(fh)

@@ -46,9 +46,12 @@ def test_coarse_grid_guard_is_a_solver_verdict(tmp_path, capsys):
     assert json.loads(err[0])["error"] == "GuardViolated"
 
 
-def test_integral_radii_guard():
+def test_integral_radii_guard(tmp_path, monkeypatch):
+    # rejected before the default output directory "runs" is made
+    monkeypatch.chdir(tmp_path)
     assert main(["kernel-scan", "--epsilon", "0.2", "--m", "1", "--n", "0",
                  "--mode", "integral", "--Lx", "1.5"]) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_lump_check(tmp_path, capsys):

@@ -12,7 +12,8 @@ holding this script) ``ROUNDS`` times with ``--trace 0`` and then once with
   the harness;
 * ``versions``: Python, numpy and scipy as the run processes saw them;
 * ``revision``: the git revision of the checkout and whether its tree had
-  uncommitted changes;
+  uncommitted changes when the recording started (the records it writes
+  into ``bench/`` do not count);
 * ``end_to_end``: per metric the median, the quartiles and the samples of
   the untraced runs (``setup_s`` also over the import-only probes);
 * ``correct``, ``attempted``, ``failed``: the harness's checks of all runs;
@@ -117,8 +118,8 @@ def untraced_samples(work: Path) -> tuple[dict, dict]:
 class Recording:
     """The runs of one workload on one checkout, gathered round by round."""
 
-    def __init__(self, repo: Path, workload: str):
-        self.repo, self.workload = repo, workload
+    def __init__(self, repo: Path, workload: str, rev: dict):
+        self.repo, self.workload, self.rev = repo, workload, rev
         self.plain: list[dict] = []
         self.samples: dict[str, list] = {}
         self.versions: dict = {}
@@ -145,7 +146,7 @@ class Recording:
                 "threads": env["threads"],
             },
             "versions": self.versions,
-            "revision": revision(self.repo),
+            "revision": self.rev,
             "end_to_end": {m: {"unit": spec["unit"], **summary(self.samples[m])}
                            for m, spec in self.plain[0]["metrics"].items()},
             "correct": all(r["correct"] for r in runs),
@@ -180,9 +181,9 @@ def tier1(repo: Path) -> dict:
     return {"exit": proc.returncode, "wall_s": wall, "summary": lines[-1] if lines else ""}
 
 
-def record_steps(outs: dict) -> None:
+def record_steps(outs: dict, revs: dict) -> None:
     """Time the two fixed steps once per checkout and write ``BENCH_steps.json``."""
-    results = {repo: {"revision": revision(repo), "threads": ONE_THREAD} for repo in outs}
+    results = {repo: {"revision": revs[repo], "threads": ONE_THREAD} for repo in outs}
     for i, (name, fn) in enumerate((("construct_512", construct_512), ("tier1", tier1))):
         for repo in list(outs)[:: -1 if i % 2 else 1]:
             results[repo][name] = fn(repo)
@@ -203,10 +204,11 @@ def main(argv=None) -> int:
     outs = {args.repo.resolve(): args.out}
     if args.parent:
         outs[args.parent.resolve()] = args.out / "parent"
+    revs = {repo: revision(repo) for repo in outs}
     for out in outs.values():
         out.mkdir(parents=True, exist_ok=True)
     for workload in WORKLOADS:
-        recs = [Recording(repo, workload) for repo in outs]
+        recs = [Recording(repo, workload, revs[repo]) for repo in outs]
         for r in range(ROUNDS):
             for rec in recs[:: 1 if r % 2 else -1]:
                 rec.run_plain()
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
             print(f"{path}: wall_s median {wall['median']:.4g} s "
                   f"[{wall['q1']:.4g}, {wall['q3']:.4g}] over {wall['n']} runs, "
                   f"correct {result['correct']}")
-    record_steps(outs)
+    record_steps(outs, revs)
     return 0
 
 
