@@ -346,6 +346,11 @@ def cmd_residual(cfg: RunConfig, args) -> int:
             raise ValueError(f"{report_path}: report lacks 'config.epsilon'")
         eps = float(config["epsilon"])
         check_eps(eps, "residual")
+        if "epsilon" in cfg.given and cfg.epsilon != eps:
+            raise ValueError(
+                f"--epsilon {cfg.epsilon} differs from the stored epsilon "
+                f"({eps} in {report_path})"
+            )
     else:
         eps = cfg.epsilon
     phi = fio.read_field(indir / "phi.bin")

@@ -432,17 +432,6 @@ def dealias(f: RealField2D) -> RealField2D:
     return _multiplied(f, f.symmetry, f.grid.dealias_mask)
 
 
-def product_dealiased(f: RealField2D, g: RealField2D) -> RealField2D:
-    """Pointwise product with 2/3-rule truncation of each factor first.
-
-    Nonlinearities in this package are at most cubic, so truncating the
-    factors is enough to keep quadratic products alias-free on the grid.
-    The symmetry tag is the parity product.
-    """
-    _check_same_grid(f, g)
-    return _combined(np.multiply, dealias(f), dealias(g), f.symmetry.product(g.symmetry))
-
-
 def weighted_sup(f: RealField2D, p: float, delta: float) -> float:
     """sup over the grid of (1 + r)^(p - delta) |f|."""
     if p < 0:
@@ -501,8 +490,3 @@ def _sampled(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
 
 def zeros(grid: Grid2D, symmetry: Symmetry) -> RealField2D:
     return _tagged(grid, np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1)), symmetry)
-
-
-def constant(grid: Grid2D, c: float) -> RealField2D:
-    vals = np.full((grid.nx // 2 + 1, grid.ny // 2 + 1), float(c))
-    return _tagged(grid, vals, Symmetry.EVEN_X_EVEN_Y)

@@ -76,30 +76,6 @@ def symbol_eval(p: KernelSymbolParams, xi1, xi2):
     return p.a4 * x2**2 + p.a2 * x2 + p.b2 * y2 + p.g * e2 * x2 * y2 + p.d4 * e2**2 * y2**2
 
 
-def _discriminant(p: KernelSymbolParams, xi):
-    """(b2 + g e^2 xi^2)^2 - 4 d4 e^4 (a4 xi^4 + a2 xi^2), as a complex array."""
-    e2 = p.eps**2
-    s = np.asarray(xi, dtype=float) ** 2
-    lin = p.b2 + p.g * e2 * s
-    return (lin * lin - 4.0 * p.d4 * e2**2 * (p.a4 * s * s + p.a2 * s)).astype(np.complex128)
-
-
-def _roots_ab(p: KernelSymbolParams, xi):
-    """Factorization d = d4 e^4 (xi2^2 + a)(xi2^2 + b) at fixed xi1 = xi.
-
-    Returns (a, b, Droot) with Droot = sqrt(discriminant) (principal branch,
-    so Droot = i|D| past the branch point).  ``a`` uses the rationalized form
-    to avoid cancellation at small xi.
-    """
-    e4 = p.eps**4
-    s = np.asarray(xi, dtype=float) ** 2
-    lin = p.b2 + p.g * p.eps**2 * s
-    droot = np.sqrt(_discriminant(p, xi))
-    b = (lin + droot) / (2.0 * p.d4 * e4)
-    a = 2.0 * (p.a4 * s * s + p.a2 * s) / (lin + droot)
-    return a, b, droot
-
-
 def _discriminant_coeffs(p: KernelSymbolParams) -> tuple[float, float, float]:
     """(A2, A1, A0) of the discriminant A2 s^2 + A1 s + A0 in s = xi^2; A2 is
     exactly 0 when g^2 = 4 d4 a4 (the gp preset)."""
@@ -128,34 +104,6 @@ def branch_point(p: KernelSymbolParams) -> float | None:
     if not pos:
         return None
     return math.sqrt(min(pos))
-
-
-@dataclass(frozen=True)
-class DispersionRoots:
-    """Factorization data of the normalized symbol at a given eps.
-
-    Provides the branch point c_eps and the discriminant root D(xi), the
-    closed-form references of ``branch_point`` and ``_roots_ab``.
-    """
-
-    eps: float
-    c_eps: float
-
-    @property
-    def params(self) -> KernelSymbolParams:
-        return KernelSymbolParams.normalized(self.eps)
-
-    def D(self, xi):
-        """sqrt of the discriminant; real positive on (-c_eps, c_eps)."""
-        return np.sqrt(_discriminant(self.params, xi))
-
-
-def dispersion_roots(eps: float) -> DispersionRoots:
-    """Branch point c_eps of the normalized discriminant, by the closed form."""
-    check_eps(eps, "kernel")
-    e2 = eps**2
-    c2 = (1.0 - 2.0 * e2 + 2.0 * math.sqrt(1.0 - e2 + e2 * e2)) / (3.0 * e2)
-    return DispersionRoots(eps=eps, c_eps=math.sqrt(c2))
 
 
 # ---------------------------------------------------------------------------
@@ -432,80 +380,6 @@ def kernel_fft(p: KernelSymbolParams, g: Grid2D, m: int, n: int) -> RealField2D:
         _ik_power(g.ky, n)[None, :],
         1.0 / denom,
     )
-
-
-def _panel_nodes(xi_max: float, osc_phase: float, origin_scale: float, growth: float, order: int):
-    """Panelized Gauss-Legendre nodes/weights on (0, xi_max].
-
-    Panels grow geometrically from ``origin_scale`` (resolving the integrable
-    origin singularity of the symbol ratio) until the oscillation cap
-    ``osc_phase`` limits their width.
-    """
-    edges = [0.0, origin_scale]
-    while edges[-1] < xi_max:
-        width = min((growth - 1.0) * edges[-1], osc_phase)
-        edges.append(min(edges[-1] + max(width, origin_scale), xi_max))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    e = np.asarray(edges)
-    mid = 0.5 * (e[1:] + e[:-1])
-    half = 0.5 * (e[1:] - e[:-1])
-    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    weights = (half[:, None] * gl_w[None, :]).ravel()
-    return nodes, weights
-
-
-def kernel_fourier_eval(
-    p: KernelSymbolParams,
-    m: int,
-    n: int,
-    x: float,
-    y: float,
-    refine: int = 1,
-    xi1_max: float = 120.0,
-    xi2_max: float = 120.0,
-) -> float:
-    """Free-space kernel derivative by direct 2D quadrature of the inversion
-    integral (2 pi)^-2 iint (i xi1)^m (i xi2)^n e^{i(x xi1 + y xi2)} / d  dxi.
-
-    This is the plane-integral counterpart of ``kernel_fft`` without the
-    periodization of a finite box: panelized Gauss-Legendre in both
-    frequencies, first quadrant only (parity supplies the rest).  ``refine``
-    doubles the quadrature resolution and extent for convergence studies.
-    Practical for soft-tail orders (n <= 1); higher y-derivatives need
-    prohibitive xi2 extents and are better served by the residue route.
-    """
-    if (m, n) not in ALLOWED_ORDERS or m + n < 1:
-        raise ValueError(f"unsupported derivative order ({m}, {n})")
-    sgn = 1.0
-    if x < 0.0:
-        x, sgn = -x, sgn * (-1.0) ** m
-    if y < 0.0:
-        y, sgn = -y, sgn * (-1.0) ** n
-    if (x == 0.0 and m % 2 == 1) or (y == 0.0 and n % 2 == 1):
-        return 0.0
-
-    osc1 = 4.0 / max(x, 0.4) / refine
-    osc2 = 4.0 / max(y, 0.4) / refine
-    xi1, w1 = _panel_nodes(xi1_max * refine, osc1, 1e-4 / refine, 1.6, 10)
-    xi2, w2 = _panel_nodes(xi2_max * refine, osc2, 1e-4 / refine, 1.6, 10)
-
-    osc_x = np.sin(x * xi1) if m % 2 else np.cos(x * xi1)
-    osc_y = np.sin(y * xi2) if n % 2 else np.cos(y * xi2)
-    ax1 = (xi1**m * w1 * osc_x)[:, None]
-    ax2 = (xi2**n * w2 * osc_y)[None, :]
-
-    e2 = p.eps**2
-    total = 0.0
-    chunk = max(1, int(4e6 // xi2.size))
-    X2 = xi2[None, :] ** 2
-    for lo in range(0, xi1.size, chunk):
-        hi = min(lo + chunk, xi1.size)
-        X1 = xi1[lo:hi, None] ** 2
-        denom = p.a4 * X1**2 + p.a2 * X1 + p.b2 * X2 + p.g * e2 * X1 * X2 + p.d4 * e2**2 * X2**2
-        total += float(np.sum(ax1[lo:hi] * ax2 / denom))
-
-    sign = (-1.0) ** ((m + n + m % 2 + n % 2) // 2)
-    return sgn * sign * total / math.pi**2
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,22 @@
 """
 The linearization of the perturbed fourth-order problem about the lump.
 
-Three operators live here:
+Two operators live here:
 
-* ``apply_linearized``       -- the full operator with the small fourth-order
-  y-terms, the verdict of the linear solver inside the outer fixed point;
-* ``apply_lump_linearization`` -- the exact linearization of the lump's own
-  equation (no epsilon y-terms), which annihilates the translation modes;
-* ``apply_L``                -- the reduced second-order nonlocal operator
-  whose spectrum carries the Morse-index structure: exactly one negative
-  eigenvalue with an even eigenfunction of zero x-mean.
+* the full operator with the small fourth-order y-terms, ``apply_linearized``,
+  the verdict of the linear solver inside the outer fixed point
+  (``solve_linearized``);
+* the reduced second-order nonlocal operator
+  -dxx psi + c2 psi + V psi + 2 dx^-2 dyy psi, applied by ``eigen_extremes``
+  on cosine coefficients, whose spectrum carries the Morse-index structure:
+  exactly one negative eigenvalue with an even eigenfunction of zero x-mean.
 
-Sign convention for ``apply_L``: the operator is written so that its unique
+Sign convention for the reduced operator: it is written so that its unique
 negative eigenvalue is the structural one (L psi = lambda psi with
 lambda_1 < 0 < lambda_2 <= ...).  Equivalently it is the negative of the
 second-order expression obtained by integrating the fourth-order operator
-twice in x.
+twice in x.  Its full-grid form, the tests' reference, is
+``tests/reference.py``'s ``apply_L``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -34,7 +36,7 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
-    _check_zero_x_mean,
+    _combined,
     _kept,
     _multiplied,
     _padded,
@@ -45,7 +47,6 @@ from .grid import (
     dealias,
     derivative,
     l2_norm,
-    product_dealiased,
     spectral_table,
     weighted_sup,
     zeros,
@@ -81,6 +82,11 @@ class LinearizedOperator:
         """Second-order x coefficient 2*sqrt(2) - eps^2."""
         return 2.0 * SQRT2 - self.eps**2
 
+    @cached_property
+    def dealiased_dq(self) -> RealField2D:
+        """T dq, the 2/3-rule truncation of dq: taken once per operator."""
+        return dealias(self.dq)
+
 
 def make_linearized_operator(eps: float, grid: Grid2D) -> LinearizedOperator:
     params = LumpParams.from_epsilon(eps)
@@ -100,42 +106,21 @@ def _constant_symbol(op: LinearizedOperator, grid: Grid2D) -> np.ndarray:
     return kx**4 + op.c2 * kx**2 + 2.0 * ky**2 + 2.0 * e2 * kx**2 * ky**2 + e2**2 * ky**4
 
 
-def _potential_product(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
-    """Fully dealiased potential product T[(T dq)(T psi)].
-
-    The outer truncation makes the product symmetric as a bilinear form,
-    which keeps MINRES and LOBPCG on exactly self-adjoint operators and makes
-    the second-order eigenpair identity transfer exactly to the fourth-order
-    operator through x-antidifferentiation.
-    """
-    return dealias(product_dealiased(op.dq, psi))
-
-
-def _coupling(op: LinearizedOperator, phi: RealField2D, coeff: float) -> RealField2D:
-    """coeff * d/dx ( dq/dx * dphi/dx ), dealiased."""
-    dphi = derivative(phi, 1, 0)
-    return derivative(_potential_product(op, dphi), 1, 0).scaled(coeff)
-
-
 def apply_linearized(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
-    """Full linearized operator applied to an odd-in-x, even-in-y field."""
+    """Full linearized operator applied to an odd-in-x, even-in-y field:
+    the constant symbol minus the coupling coeff_nl dx T[(T dq)(T dx phi)].
+
+    The outer truncation T makes the potential product symmetric as a
+    bilinear form, which keeps MINRES and LOBPCG on exactly self-adjoint
+    operators and makes the second-order eigenpair identity transfer exactly
+    to the fourth-order operator through x-antidifferentiation.
+    """
     if phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
         raise SymmetryViolation("apply_linearized expects an odd_x_even_y field")
     const = _multiplied(phi, phi.symmetry, _constant_symbol(op, phi.grid))
-    return const - _coupling(op, phi, op.coeff_nl)
-
-
-def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
-    """Linearization of the lump's own fourth-order equation about q.
-
-    Same x-structure as ``apply_linearized`` but with the lump's nonlinear
-    coefficient and without the epsilon-weighted y-terms; annihilates the
-    translation modes dq/dx and dq/dy.
-    """
-    kx = phi.grid.kx[:, None]
-    ky = phi.grid.ky[None, :]
-    const = _multiplied(phi, phi.symmetry, kx**4 + op.c2 * kx**2 + 2.0 * ky**2)
-    return const - _coupling(op, phi, op.coeff_lump_nl)
+    dphi = dealias(derivative(phi, 1, 0))
+    product = dealias(_combined(np.multiply, op.dealiased_dq, dphi, dphi.symmetry))
+    return const - derivative(product, 1, 0).scaled(op.coeff_nl)
 
 
 def solve_linearized(
@@ -216,31 +201,6 @@ def solve_linearized(
 # ---------------------------------------------------------------------------
 # the reduced operator and its eigenpairs
 # ---------------------------------------------------------------------------
-
-
-def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
-    """Reduced operator: -dxx psi + c2 psi + V psi + 2 dx^-2 dyy psi.
-
-    V is the lump potential (lump nonlinear coefficient times dq/dx).  The
-    nonlocal term is defined by double zero-mode-free Fourier division, which
-    requires zero x-mean on every y-line; the output is returned in the same
-    zero-x-mean convention (the discrete antiderivative fixes integration
-    constants per y-line, so the operator is only defined modulo x-constants).
-
-    The full-grid reference for ``eigen_extremes``, independent of its
-    cosine coefficients: the symbol, on its own FFT-ordered x wavenumbers,
-    takes its own rfft2/irfft2 round trip on all nx x ny samples, and the
-    result enters through the public constructor, in the class of ``psi``.
-    """
-    _check_zero_x_mean(psi, "apply_L")
-    grid = psi.grid
-    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:, None]
-    ratio = np.zeros((grid.nx, grid.ky.size))
-    ratio[1:] = 2.0 * grid.ky**2 / kx[1:] ** 2  # kx = 0 only at index 0
-    symbol = kx**2 + op.c2 + ratio
-    out = sfft.irfft2(sfft.rfft2(psi.values) * symbol, s=(grid.nx, grid.ny))
-    out = out + op.coeff_lump_nl * _potential_product(op, psi).values
-    return RealField2D(grid, out - out.mean(axis=0, keepdims=True), psi.symmetry)
 
 
 @dataclass(frozen=True)
@@ -335,7 +295,7 @@ def _quarter_potential(op: LinearizedOperator, coeff: float) -> Callable[[np.nda
     grid = op.dq.grid
     mx, my = grid.nx // 2, grid.ny // 2
     ax, ay = _dealias_rectangle(grid)
-    weight = coeff * dealias(op.dq).data[..., None]
+    weight = coeff * op.dealiased_dq.data[..., None]
 
     def product(f: np.ndarray) -> np.ndarray:
         t = np.zeros((mx + 1, my + 1, f.shape[2]))

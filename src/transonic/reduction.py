@@ -497,9 +497,10 @@ def _rhs_integrands(
     g1y = g1_d(0, 1)
     g1yy = g1_d(0, 2)
     f1, f1x, f1y = (f1_derivative(g1_d, *mn) for mn in ((0, 0), (1, 0), (0, 1)))
+    f2_d = spectral_table(f2)
     f2v = f2.data
-    f2x = derivative(f2, 1, 0).data
-    f2y = derivative(f2, 0, 1).data
+    f2x = f2_d(1, 0).data
+    f2y = f2_d(0, 1).data
 
     trio = f1 + e2 * f2v
     cubic = 6.0 * e2 * f1 * f2v + e2 * trio**3 + 3.0 * e4 * f2v**2 + e2 * f2v * g1**2

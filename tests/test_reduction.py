@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import transonic.grid as grid_mod
+import transonic.linearized as lin_mod
 import transonic.lump as lump_mod
 import transonic.reduction as red_mod
 from transonic.errors import GridMismatch, GuardViolated, NotConverged, SymmetryViolation
@@ -466,10 +467,11 @@ class TestDerivativeTable:
 
     def test_phi_derivatives_taken_once(self, rand_field, monkeypatch):
         # phi's orders come from one table: phi is transformed forward once
-        # and each order it is asked for is built once
+        # and each order it is asked for is built once; f2 is transformed
+        # forward once too
         phi = rand_field(SMALL, Symmetry.ODD_X_EVEN_Y, seed=2, amplitude=1e-3)
         st = ReductionState(0.1, SMALL, phi=phi)
-        taken, forward = [], []
+        taken, forward, transformed_fields = [], [], []
         order, spectrum = grid_mod._derivative, grid_mod._spectrum
 
         def counted(f, spec, m, n):
@@ -480,14 +482,17 @@ class TestDerivativeTable:
         def transformed(f):
             if f is st.phi:
                 forward.append(1)
+            transformed_fields.append(f)
             return spectrum(f)
 
         monkeypatch.setattr(grid_mod, "_derivative", counted)
         monkeypatch.setattr(grid_mod, "_spectrum", transformed)
-        assemble_rhs(st, solve_f2(st))
+        f2 = solve_f2(st)
+        assemble_rhs(st, f2)
         assert taken
         assert len(taken) == len(set(taken))
         assert len(forward) == 1
+        assert sum(f is f2 for f in transformed_fields) == 1
 
     def test_gamma_q_antiderivative_once(self, rand_field, monkeypatch):
         # dx^-1 Gamma_q depends on (eps, grid) only: after the first step
@@ -539,6 +544,27 @@ class TestOuterFixedPoint:
         assert len(warm.minres_iterations) == warm.iterations
         assert sum(warm.picard_passes) < sum(cold.picard_passes)
         assert sum(warm.minres_iterations) < sum(cold.minres_iterations)
+
+    def test_dq_dealiased_once_per_operator(self, monkeypatch):
+        # T dq is a property of the operator: every linear solve and every
+        # verdict of a construction reads the one truncation
+        make, dealias = red_mod.make_linearized_operator, lin_mod.dealias
+        ops, truncated = [], []
+
+        def made(*a, **k):
+            ops.append(make(*a, **k))
+            return ops[-1]
+
+        def counted(f):
+            truncated.extend(op for op in ops if f is op.dq)
+            return dealias(f)
+
+        monkeypatch.setattr(red_mod, "make_linearized_operator", made)
+        monkeypatch.setattr(lin_mod, "dealias", counted)
+        _, _, rep = outer_fixed_point(0.1, SMALL)
+        assert rep.iterations > 1
+        assert len(ops) == 1
+        assert len(truncated) == 1 and truncated[0] is ops[0]
 
     def test_non_contracting_map_stops_early(self, rand_field, monkeypatch):
         # a linear solve whose updates double each step: NotConverged once
