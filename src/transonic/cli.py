@@ -1,10 +1,13 @@
 """
 Unified command-line entry point.
 
-Every subcommand reads the shared numeric flags (optionally seeded from a
-JSON config file; explicit flags win), runs one pipeline, writes fields as
-.bin/.json pairs plus JSON/CSV reports into the output directory, and exits
-0 on success, 1 on usage and validation errors, 2 on solver non-convergence.
+Each subcommand takes only the value flags it reads (``COMMANDS``, drawn
+from the one table ``FLAGS``); any other flag is a usage error.  A flag not
+given takes its value from the JSON file of ``--config``, whose keys must be
+flags of the subcommand, else from the subcommand's own default, else from
+``FLAGS``.  Every subcommand runs one pipeline, writes fields as .bin/.json
+pairs plus JSON/CSV reports into the output directory, and exits 0 on
+success, 1 on usage and validation errors, 2 on solver non-convergence.
 Reruns with identical configuration are bit-identical: no timestamps, sorted
 keys, fixed iteration orders, and any sampling uses the recorded seed.
 """
@@ -15,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,58 +45,29 @@ VALIDATION_ERRORS = (ValueError, SymmetryViolation, NonZeroMean, GridMismatch, O
 # amplitude guard of ``solve_f2``) says the grid is too coarse: a solver verdict
 SOLVER_ERRORS = (NotConverged, QuadratureNotConverged, MultipleNegative, GuardViolated)
 
-
-@dataclass
-class RunConfig:
-    epsilon: float = 0.1
-    nx: int = 512
-    ny: int = 512
-    Lx: float = 40.0
-    Ly: float = 40.0
-    delta: float = 0.1
-    tol: float = 1e-8
-    max_iter: int = 200
-    preset: str = "normalized"
-    out_dir: str = "runs"
-    seed: int = 0
-    # names set by --config or by a flag (``load_config``); not a field, so
-    # ``asdict`` and the reports leave it out
-    given = frozenset()
-
-    def validate(self, command: str) -> None:
-        check_eps(self.epsilon, command)
-        if self.preset not in ("normalized", "gp"):
-            raise ValueError(f"unknown preset {self.preset!r}")
-        if not (0.0 < self.delta <= 0.5):
-            raise ValueError("delta must lie in (0, 0.5]")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol and max-iter must be positive")
-
-    def grid(self):
-        return make_grid(self.nx, self.ny, self.Lx, self.Ly)
-
-    def symbol_params(self):
-        # only kernel and kernel-scan import the kernel layer (and with it
-        # scipy.integrate): here and in their handlers, not at start-up
-        from .kernel import KernelSymbolParams
-        if self.preset == "gp":
-            return KernelSymbolParams.gp(self.epsilon)
-        return KernelSymbolParams.normalized(self.epsilon)
-
-
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--Lx", type=float)
-    p.add_argument("--Ly", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--preset", choices=("normalized", "gp"))
-    p.add_argument("--out", dest="out_dir")
-    p.add_argument("--config", help="JSON file with RunConfig defaults")
-    p.add_argument("--seed", type=int)
+# Every value flag, by the name it is read under (also its config key):
+# (option, type or tuple of choices, default, help); no default: required.
+FLAGS = {
+    "epsilon": ("--epsilon", float, 0.1, "small parameter; wave speed sqrt(2) - epsilon^2"),
+    "nx": ("--nx", int, 512, "grid points in x"),
+    "ny": ("--ny", int, 512, "grid points in y"),
+    "Lx": ("--Lx", float, 40.0, "box half-width in x"),
+    "Ly": ("--Ly", float, 40.0, "box half-width in y"),
+    "delta": ("--delta", float, 0.1, "weight exponent of the norms, in (0, 0.5]"),
+    "tol": ("--tol", float, 1e-8, "solver tolerance"),
+    "max_iter": ("--max-iter", int, 200, "solver iteration budget"),
+    "seed": ("--seed", int, 7, "seed of the random start block"),
+    "preset": ("--preset", ("normalized", "gp"), "normalized", "kernel symbol"),
+    "mode": ("--mode", ("far", "near", "integral"), "far", "scan"),
+    "k": ("--k", int, 4, "number of eigenpairs"),
+    "m": ("--m", int, None, "x-derivative order"),
+    "n": ("--n", int, None, "y-derivative order"),
+    "x": ("--x", float, None, "x of the evaluation point"),
+    "y": ("--y", float, None, "y of the evaluation point"),
+    "input": ("--in", str, None, "input field (.bin) or construct directory"),
+    "out_dir": ("--out", str, "runs", "output directory"),
+}
+GRID = ("nx", "ny", "Lx", "Ly")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,65 +81,61 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="transonic")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lump-check", help="lump equation and kernel-mode residuals")
-    _add_shared_flags(p)
-
-    p = sub.add_parser("kernel", help="evaluate one kernel derivative by both routes")
-    _add_shared_flags(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-
-    p = sub.add_parser("kernel-scan", help="decay/integral scans of the kernel")
-    _add_shared_flags(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("far", "near", "integral"), default="far")
-
-    p = sub.add_parser("eigen", help="extremal eigenpairs of the reduced operator")
-    _add_shared_flags(p)
-    p.add_argument("--k", type=int, default=4)
-
-    p = sub.add_parser("norms", help="weighted norm suite of a stored field")
-    _add_shared_flags(p)
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = sub.add_parser("construct", help="run the full fixed-point construction")
-    _add_shared_flags(p)
-
-    p = sub.add_parser("residual", help="back-substitution report for a construct directory")
-    _add_shared_flags(p)
-    p.add_argument("--in", dest="indir", required=True)
+    for command, (_, text, reads, own) in COMMANDS.items():
+        # no abbreviations: eigen would read --m as --max-iter
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for name in reads:
+            option, kind, default, info = FLAGS[name]
+            choices = kind if isinstance(kind, tuple) else None
+            shown = own.get(name, default)
+            p.add_argument(option, dest=name, type=str if choices else kind, choices=choices,
+                           required=default is None,
+                           help=info if shown is None else f"{info} (default {shown})")
+        p.add_argument("--config", help="JSON file of values for these flags, keyed by name "
+                                         "(max_iter, out_dir for --out, input for --in); "
+                                         "flags win")
     return ap
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    given = set()
-    if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text())
-        if not isinstance(data, dict):
-            raise ValueError(f"{args.config}: top level must be a JSON object")
-        for k, v in data.items():
-            key = k.replace("-", "_")
-            if key not in {f.name for f in fields(RunConfig)}:
-                raise ValueError(f"unknown config key {k!r}")
-            kind = type(getattr(cfg, key))
-            # JSON writes whole floats as integers; bool is an int subclass
-            if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
-                raise ValueError(f"config key {k!r} must be {kind.__name__}, got {v!r}")
-            setattr(cfg, key, v)
-            given.add(key)
-    for key in vars(cfg):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-            given.add(key)
-    cfg.given = frozenset(given)
-    cfg.validate(args.command)
-    return cfg
+def load_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fills each flag of the subcommand that was not given, from the config
+    file or the defaults, and checks the values before any work."""
+    _, _, reads, own = COMMANDS[args.command]
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.config}: top level must be a JSON object")
+    data = {k.replace("-", "_"): v for k, v in data.items()}
+    for key, v in data.items():
+        if key not in reads:
+            raise ValueError(f"config key {key!r} is not a flag of {args.command}")
+        kind = FLAGS[key][1]
+        # JSON writes whole floats as integers; bool is an int subclass
+        if isinstance(kind, tuple):
+            if v not in kind:
+                raise ValueError(f"config key {key!r} must be one of {kind}, got {v!r}")
+        elif isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, got {v!r}")
+    for name in reads:
+        if getattr(args, name) is None:
+            setattr(args, name, data.get(name, own.get(name, FLAGS[name][2])))
+    if "epsilon" in reads:
+        check_eps(args.epsilon, args.command)
+    if "delta" in reads and not (0.0 < args.delta <= 0.5):
+        raise ValueError("delta must lie in (0, 0.5]")
+    if "tol" in reads and (args.tol <= 0 or args.max_iter < 1):
+        raise ValueError("tol and max-iter must be positive")
+    return args
+
+
+def _grid(args):
+    return make_grid(args.nx, args.ny, args.Lx, args.Ly)
+
+
+def _symbol_params(args):
+    # only kernel and kernel-scan import the kernel layer (and with it
+    # scipy.integrate): here and in their handlers, not at start-up
+    from .kernel import KernelSymbolParams
+    return getattr(KernelSymbolParams, args.preset)(args.epsilon)
 
 
 def _output_dir(path) -> Path:
@@ -180,17 +150,17 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def cmd_lump_check(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
-    out = _output_dir(cfg.out_dir)
-    params = LumpParams.from_epsilon(cfg.epsilon)
+def cmd_lump_check(args) -> int:
+    grid = _grid(args)
+    out = _output_dir(args.out_dir)
+    params = LumpParams.from_epsilon(args.epsilon)
     resid = kpi_residual(params, grid)
     kx, ky = linearized_kernel_residuals(params, grid)
     sups = {
         "lump_equation_residual_sup": float(np.max(np.abs(resid.data))),
         "kernel_mode_x_residual_sup": float(np.max(np.abs(kx.data))),
         "kernel_mode_y_residual_sup": float(np.max(np.abs(ky.data))),
-        "epsilon": cfg.epsilon,
+        "epsilon": args.epsilon,
     }
     fio.write_field(out, "lump", sample_lump(params, grid))
     _write_json(out / "lump_check.json", sups)
@@ -199,10 +169,10 @@ def cmd_lump_check(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_kernel(cfg: RunConfig, args) -> int:
+def cmd_kernel(args) -> int:
     from .kernel import kernel_fft, kernel_residue_eval
-    p = cfg.symbol_params()
-    grid = cfg.grid()
+    p = _symbol_params(args)
+    grid = _grid(args)
     # both routes at the grid node nearest (x, y)
     i = int(round((args.x + grid.Lx) / grid.dx)) % grid.nx
     j = int(round((args.y + grid.Ly) / grid.dy)) % grid.ny
@@ -213,8 +183,8 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
         "n": args.n,
         "x": grid.x[i],
         "y": grid.y[j],
-        "preset": cfg.preset,
-        "epsilon": cfg.epsilon,
+        "preset": args.preset,
+        "epsilon": args.epsilon,
         "residue_value": v_res,
         "fft_value": v_fft,
         "discrepancy": abs(v_res - v_fft),
@@ -223,18 +193,18 @@ def cmd_kernel(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_kernel_scan(cfg: RunConfig, args) -> int:
+def cmd_kernel_scan(args) -> int:
     from .kernel import decay_scan, integral_scan
-    p = cfg.symbol_params()
+    p = _symbol_params(args)
     if args.mode == "far":
-        radii = np.geomspace(max(2.0, cfg.Lx / 8.0), cfg.Lx / 2.0, 10)
+        radii = np.geomspace(max(2.0, args.Lx / 8.0), args.Lx / 2.0, 10)
     elif args.mode == "near":
         radii = np.geomspace(1e-3, 0.5, 10)
     else:
-        radii = [r for r in (1.0, 2.0, 4.0, 8.0) if r <= cfg.Lx / 2.0]
+        radii = [r for r in (1.0, 2.0, 4.0, 8.0) if r <= args.Lx / 2.0]
         if not radii:
             raise ValueError("Lx too small for the integral scan radii")
-    path = _output_dir(cfg.out_dir) / "report.csv"
+    path = _output_dir(args.out_dir) / "report.csv"
     if args.mode in ("far", "near"):
         angles = (0.35, 0.8, 1.2)
         rep = decay_scan(p, args.m, args.n, radii, angles)
@@ -243,7 +213,7 @@ def cmd_kernel_scan(cfg: RunConfig, args) -> int:
             w.writerow(["m", "n", "preset", "epsilon", "ray_angle", "fitted_slope",
                         "bound_slope", "max_prefactor"])
             for th, sl in zip(angles, rep.fitted_slope_per_ray):
-                w.writerow([args.m, args.n, cfg.preset, cfg.epsilon, th, sl,
+                w.writerow([args.m, args.n, args.preset, args.epsilon, th, sl,
                             rep.bound_slope, rep.max_prefactor])
         print(f"slopes: {rep.fitted_slope_per_ray} (bound {rep.bound_slope})")
     else:
@@ -252,20 +222,17 @@ def cmd_kernel_scan(cfg: RunConfig, args) -> int:
             w = csv.writer(fh)
             w.writerow(["m", "n", "preset", "epsilon", "radius", "integral"])
             for r, v in rows:
-                w.writerow([args.m, args.n, cfg.preset, cfg.epsilon, r, v])
+                w.writerow([args.m, args.n, args.preset, args.epsilon, r, v])
         print("integrals:", rows)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_eigen(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
-    out = _output_dir(cfg.out_dir)
-    op = make_linearized_operator(cfg.epsilon, grid)
-    seed = cfg.seed if "seed" in cfg.given else 7
-    # the eigen solver keeps its own tol/max-iter defaults unless they are given
-    budget = {key: getattr(cfg, key) for key in ("tol", "max_iter") if key in cfg.given}
-    res = eigen_extremes(op, k=args.k, seed=seed, **budget)
+def cmd_eigen(args) -> int:
+    grid = _grid(args)
+    out = _output_dir(args.out_dir)
+    op = make_linearized_operator(args.epsilon, grid)
+    res = eigen_extremes(op, k=args.k, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
     fio.write_field(out, "phi0", res.phi0)
     fio.write_field(out, "phi1", res.phi1)
     rec = {
@@ -274,13 +241,13 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         # eigen_extremes raises unless exactly one eigenvalue is negative
         "negative_count": 1,
         "eigenvalues": list(res.eigenvalues),
-        "epsilon": cfg.epsilon,
+        "epsilon": args.epsilon,
         "iterations": res.iterations,
         "block": res.block,
         "max_residual": res.max_residual,
         "unknowns": res.unknowns,
         "solver": res.solver,
-        "seed": seed,
+        "seed": args.seed,
     }
     _write_json(out / "eigen.json", rec)
     print(f"lambda1 = {res.eigenvalues[0]:.8f}")
@@ -289,9 +256,9 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_norms(cfg: RunConfig, args) -> int:
-    field = fio.read_field(Path(args.infile))
-    suite = norm_suite(field, cfg.epsilon, cfg.delta)
+def cmd_norms(args) -> int:
+    field = fio.read_field(Path(args.input))
+    suite = norm_suite(field, args.epsilon, args.delta)
     row = asdict(suite)
     keys = sorted(row)
     w = csv.writer(sys.stdout)
@@ -300,19 +267,19 @@ def cmd_norms(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_construct(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
-    out = _output_dir(cfg.out_dir)
+def cmd_construct(args) -> int:
+    grid = _grid(args)
+    out = _output_dir(args.out_dir)
     state, f2, report = outer_fixed_point(
-        cfg.epsilon, grid, tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta
+        args.epsilon, grid, tol=args.tol, max_iter=args.max_iter, delta=args.delta
     )
     fio.write_field(out, "phi", state.phi)
     fio.write_field(out, "g1", state.g1)
     fio.write_field(out, "f1", state.f1)
     fio.write_field(out, "f2", f2)
-    suite = norm_suite(state.phi, cfg.epsilon, cfg.delta)
+    suite = norm_suite(state.phi, args.epsilon, args.delta)
     rec = {
-        "config": asdict(cfg),
+        "config": {name: getattr(args, name) for name in COMMANDS["construct"][2]},
         "iterations": report.iterations,
         "update_star_norms": list(report.update_star_norms),
         "contraction_ratios": list(report.contraction_ratios),
@@ -336,38 +303,26 @@ def cmd_construct(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_residual(cfg: RunConfig, args) -> int:
-    indir = Path(args.indir)
-    report_path = indir / "report.json"
-    if report_path.exists():
-        stored = json.loads(report_path.read_text())
-        config = stored.get("config") if isinstance(stored, dict) else None
-        if not isinstance(config, dict) or "epsilon" not in config:
-            raise ValueError(f"{report_path}: report lacks 'config.epsilon'")
-        eps = float(config["epsilon"])
-        check_eps(eps, "residual")
-        if "epsilon" in cfg.given and cfg.epsilon != eps:
-            raise ValueError(
-                f"--epsilon {cfg.epsilon} differs from the stored epsilon "
-                f"({eps} in {report_path})"
-            )
-    else:
-        eps = cfg.epsilon
+def cmd_residual(args) -> int:
+    # epsilon and the grid are the construction's: report.json and the sidecars
+    indir = Path(args.input)
     phi = fio.read_field(indir / "phi.bin")
-    for key in ("nx", "ny", "Lx", "Ly"):
-        if key in cfg.given and getattr(cfg, key) != getattr(phi.grid, key):
-            raise ValueError(
-                f"--{key} {getattr(cfg, key)} differs from the stored grid "
-                f"({key} = {getattr(phi.grid, key)} in {indir / 'phi.json'})"
-            )
     f2 = fio.read_field(indir / "f2.bin")
     if f2.grid != phi.grid:
         raise ValueError(
             f"{indir / 'f2.json'} grid {f2.grid} differs from "
             f"{indir / 'phi.json'} grid {phi.grid}"
         )
+    report_path = indir / "report.json"  # a missing one is an OSError naming it
+    stored = json.loads(report_path.read_text())
+    config = stored.get("config") if isinstance(stored, dict) else None
+    eps = config.get("epsilon") if isinstance(config, dict) else None
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+        raise ValueError(f"{report_path}: report lacks a numeric 'config.epsilon'")
+    eps = float(eps)
+    check_eps(eps, "residual")
     # after the reads, which check the input directory, before the work
-    out = _output_dir(cfg.out_dir if "out_dir" in cfg.given else indir)
+    out = _output_dir(args.out_dir or indir)
     rpt = gp_system_residual(ReductionState(eps, phi.grid, phi=phi), f2)
     rec = asdict(rpt)
     _write_json(out / "gp_residual.json", rec)
@@ -380,22 +335,33 @@ def cmd_residual(cfg: RunConfig, args) -> int:
     return 0
 
 
-HANDLERS = {
-    "lump-check": cmd_lump_check,
-    "kernel": cmd_kernel,
-    "kernel-scan": cmd_kernel_scan,
-    "eigen": cmd_eigen,
-    "norms": cmd_norms,
-    "construct": cmd_construct,
-    "residual": cmd_residual,
+# subcommand: (handler, help, the flags it reads, its own defaults)
+COMMANDS = {
+    "lump-check": (cmd_lump_check, "lump equation and kernel-mode residuals",
+                   ("epsilon", *GRID, "out_dir"), {}),
+    "kernel": (cmd_kernel, "evaluate one kernel derivative by both routes",
+               ("epsilon", *GRID, "preset", "m", "n", "x", "y"), {}),
+    "kernel-scan": (cmd_kernel_scan, "decay/integral scans of the kernel",
+                    ("epsilon", "Lx", "preset", "out_dir", "m", "n", "mode"), {}),
+    "eigen": (cmd_eigen, "extremal eigenpairs of the reduced operator",
+              ("epsilon", *GRID, "tol", "max_iter", "seed", "out_dir", "k"),
+              {"tol": 1e-7, "max_iter": 600}),
+    "norms": (cmd_norms, "weighted norm suite of a stored field",
+              ("epsilon", "delta", "input"), {}),
+    "construct": (cmd_construct, "run the full fixed-point construction",
+                  ("epsilon", *GRID, "delta", "tol", "max_iter", "out_dir"), {}),
+    # no default --out: the report goes into the input directory
+    "residual": (cmd_residual, "back-substitution report for a construct directory",
+                 ("input", "out_dir"), {"out_dir": None}),
 }
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = load_config(args)
-        code = HANDLERS[args.command](cfg, args)
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            raise ValueError(f"transonic {args.command} does not read {' '.join(unread)}")
+        code = COMMANDS[args.command][0](load_config(args))
     except VALIDATION_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

@@ -280,9 +280,9 @@ def kernel_residue_eval(
     def osc(xi):
         return wfun(x * xi)
 
-    def panel(h, lo, hi, **weighted):
+    def panel(h, lo, hi, epsabs=1e-13, **weighted):
         try:
-            v, e = integrate.quad(h, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-11, **weighted)
+            v, e = integrate.quad(h, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-11, **weighted)
         except ZeroDivisionError as exc:  # sqrt(ab) or the root gap t vanished
             raise QuadratureNotConverged(f"integrand singular on [{lo:g}, {hi:g}]: {exc}") from exc
         add(v, e)
@@ -306,8 +306,16 @@ def kernel_residue_eval(
 
             panel(g, 0.0, math.sqrt(0.5 * c if orient < 0 else c))
     else:
-        # smooth everywhere: plain panel up to the tail start
-        panel(lambda xi: osc(xi) * f(xi), 0.5 * c, 2.0 * c)
+        # smooth everywhere: plain panel up to the tail start.  Its integral
+        # can be far below that of |integrand| (-0.067 against 250 at gp
+        # (1, 2), x = 3), and QUADPACK's error estimate stays above 50 eps
+        # times the latter: ask for 10 % above that floor (twice it fails
+        # quad_tol at gp eps 0.1, (0, 3), (x, y) = (5, 0.05))
+        def h(xi):
+            return osc(xi) * f(xi)
+
+        size, _ = integrate.quad(lambda xi: abs(h(xi)), 0.5 * c, 2.0 * c, limit=400, epsrel=1e-3)
+        panel(h, 0.5 * c, 2.0 * c, epsabs=max(1e-13, 55.0 * np.finfo(float).eps * size))
 
     def tail(h, cut):
         """Geometric panels on [2c, cut): oscillatory weight when x > 0."""

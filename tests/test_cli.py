@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from functools import partial
@@ -293,6 +294,14 @@ def test_help_exits_zero(capsys):
     assert "--epsilon" in capsys.readouterr().out
 
 
+def _in_flags(path, command):
+    """norms reads phi.bin from ``path``; residual reads the directory and
+    writes into ``path``/o."""
+    if command == "norms":
+        return ["--in", str(path / "phi.bin")]
+    return ["--in", str(path), "--out", str(path / "o")]
+
+
 @pytest.mark.parametrize("command", ["norms", "residual"])
 def test_sidecar_missing_key(tmp_path, capsys, command):
     grid = make_grid(16, 16, 5, 5)
@@ -301,8 +310,7 @@ def test_sidecar_missing_key(tmp_path, capsys, command):
     meta = json.loads(sidecar.read_text())
     del meta["Lx"]
     sidecar.write_text(json.dumps(meta))
-    flag = str(tmp_path / "phi.bin") if command == "norms" else str(tmp_path)
-    assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
+    assert main([command] + _in_flags(tmp_path, command)) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError" and "'Lx'" in rec["message"]
 
@@ -321,8 +329,7 @@ def test_sidecar_value_wrong_type(tmp_path, capsys, command, key, value):
     meta = json.loads(sidecar.read_text())
     meta[key] = value
     sidecar.write_text(json.dumps(meta))
-    flag = str(tmp_path / "phi.bin") if command == "norms" else str(tmp_path)
-    assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
+    assert main([command] + _in_flags(tmp_path, command)) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError" and repr(key) in rec["message"]
 
@@ -338,39 +345,75 @@ EPS_EDGES = {
     "construct": (-1e-3, 0.0, 0.3, 0.301),
     "residual": (-1e-3, 0.0, 0.3, 0.301),
 }
+# the flags each subcommand needs besides epsilon, all of them flags it reads
 EPS_FLAGS = {
-    "kernel": ["--m", "1", "--n", "0", "--x", "1", "--y", "1"],
-    "kernel-scan": ["--m", "1", "--n", "0"],
+    "lump-check": SMALL,
+    "eigen": SMALL,
     "norms": ["--in", "missing.bin"],
-    "residual": ["--in", "missing"],
+    "kernel": SMALL + ["--m", "1", "--n", "0", "--x", "1", "--y", "1"],
+    "kernel-scan": ["--Lx", "20", "--m", "1", "--n", "0"],
+    "construct": SMALL,
 }
 
 
+def _construction(path, epsilon=None, n=64, L=20):
+    """A construct directory of zero fields; report.json stores ``epsilon``."""
+    grid = make_grid(n, n, L, L)
+    fio.write_field(path, "phi", zeros(grid, Symmetry.ODD_X_EVEN_Y))
+    fio.write_field(path, "f2", zeros(grid, Symmetry.EVEN_X_EVEN_Y))
+    if epsilon is not None:
+        (path / "report.json").write_text(json.dumps({"config": {"epsilon": epsilon}}))
+    return path
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(state, f2):
+    raise _Reached(state.eps)
+
+
 @pytest.mark.parametrize("command, side", [(c, s) for c in EPS_EDGES for s in ("low", "high")])
-def test_epsilon_range_checked_before_work(tmp_path, capsys, command, side):
+def test_epsilon_range_checked_before_work(tmp_path, capsys, monkeypatch, command, side):
     # out of range: exit 1 with one JSON line naming the subcommand's range,
-    # before any input is read or output written; the edge itself is accepted
+    # before any output is written; the edge itself is accepted.  residual
+    # reads epsilon from report.json, every other subcommand from --epsilon
     low_out, low_in, high_in, high_out = EPS_EDGES[command]
     outside, inside = (low_out, low_in) if side == "low" else (high_out, high_in)
     out = tmp_path / "out"
-    argv = [command, "--out", str(out)] + SMALL + EPS_FLAGS.get(command, [])
-    assert main(argv + ["--epsilon", str(outside)]) == 1
+    reads_out = command not in ("kernel", "norms")
+    if command == "residual":
+        run = tmp_path / "c"
+        _construction(run, outside)
+        assert main(["residual", "--in", str(run), "--out", str(out)]) == 1
+    else:
+        argv = [command] + EPS_FLAGS[command] + (["--out", str(out)] if reads_out else [])
+        assert main(argv + ["--epsilon", str(outside)]) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError"
     assert EPS_RANGES[command] in rec["message"] and command in rec["message"]
     assert not out.exists()
-    args = build_parser().parse_args(argv + ["--epsilon", str(inside)])
-    assert load_config(args).epsilon == inside
+    if command == "residual":
+        _construction(run, inside)
+        monkeypatch.setattr(cli_mod, "gp_system_residual", _reached)
+        with pytest.raises(_Reached) as hit:
+            main(["residual", "--in", str(run), "--out", str(out)])
+        assert hit.value.args == (inside,)
+    else:
+        args = build_parser().parse_args(argv + ["--epsilon", str(inside)])
+        assert load_config(args).epsilon == inside
 
 
 def test_residual_checks_the_stored_epsilon(tmp_path, capsys):
-    (tmp_path / "report.json").write_text('{"config": {"epsilon": 0.4}}')
+    _construction(tmp_path, 0.4, n=16, L=5)
     assert main(["residual", "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError" and "[0, 0.3]" in rec["message"]
 
 
-@pytest.mark.parametrize("report", ["{}", '{"config": {}}', "[]"])
+@pytest.mark.parametrize("report", ["{}", '{"config": {}}', "[]", '{"config": {"epsilon": [0.1]}}',
+                                    '{"config": {"epsilon": true}}'])
 def test_residual_report_lacks_epsilon(tmp_path, capsys, report):
     # a report.json without config.epsilon is a validation error, not a traceback
     grid = make_grid(16, 16, 5, 5)
@@ -391,8 +434,7 @@ def test_input_parity_checked(tmp_path, capsys, command):
     values = np.zeros((16, 16))
     values[3, 4] = 1.0  # no partner at the mirrored x index
     values.T.astype("<f8").tofile(tmp_path / "phi.bin")
-    flag = str(tmp_path / "phi.bin") if command == "norms" else str(tmp_path)
-    assert main([command, "--in", flag, "--out", str(tmp_path / "o")]) == 1
+    assert main([command] + _in_flags(tmp_path, command)) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "SymmetryViolation" and "odd_x_even_y" in rec["message"]
 
@@ -421,15 +463,11 @@ def test_output_path_that_is_a_file(tmp_path, capsys, monkeypatch, command):
         monkeypatch.setattr(mod, name, _refuse)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    argv = [command, "--epsilon", "0.1", "--out", str(blocker)] + SMALL
-    if command == "kernel-scan":
-        argv += ["--m", "1", "--n", "0"]
     if command == "residual":
-        grid = make_grid(64, 64, 20, 20)
-        fio.write_field(tmp_path / "c", "phi", zeros(grid, Symmetry.ODD_X_EVEN_Y))
-        fio.write_field(tmp_path / "c", "f2", zeros(grid, Symmetry.EVEN_X_EVEN_Y))
-        argv += ["--in", str(tmp_path / "c")]
-    assert main(argv) == 1
+        argv = ["--in", str(_construction(tmp_path / "c", 0.1))]
+    else:
+        argv = ["--epsilon", "0.1"] + EPS_FLAGS[command]
+    assert main([command, "--out", str(blocker)] + argv) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "FileExistsError" and str(blocker) in rec["message"]
 
@@ -505,36 +543,113 @@ def test_construct_deterministic(tmp_path):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
 
-def test_residual_grid_flags_checked(tmp_path, capsys):
-    # grid flags that differ from the stored grid are a validation error;
-    # matching ones are accepted
-    run = tmp_path / "c"
+@pytest.fixture(scope="module")
+def construction(tmp_path_factory):
+    """A 64^2, Lx = Ly = 20 construction at epsilon 0.2: neither the default
+    grid nor the default epsilon."""
+    run = tmp_path_factory.mktemp("construct") / "c"
     assert main(["construct", "--epsilon", "0.2", "--tol", "1e-6", "--out", str(run)] + SMALL) == 0
-    assert main(["residual", "--in", str(run), "--out", str(tmp_path / "r")] + SMALL) == 0
-    capsys.readouterr()
-    for flag, value in (("--nx", "128"), ("--Ly", "25")):
-        assert main(["residual", "--in", str(run), flag, value]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        rec = json.loads(err[0])
-        assert rec["error"] == "ValueError" and flag in rec["message"]
-    assert not (run / "gp_residual.json").exists()
+    return run
 
 
-def test_residual_epsilon_flag_checked(tmp_path, capsys):
-    # an --epsilon that differs from the construction's is a validation
-    # error naming both values, not a residual at the stored one; a
-    # matching one is accepted
+def test_residual_grid_flags_checked(construction, tmp_path, capsys, monkeypatch):
+    # residual takes no grid flag, not even a matching one: it runs on the
+    # grid of the stored fields
+    for flags in (SMALL, ["--nx", "128"], ["--Ly", "25"]):
+        assert main(["residual", "--in", str(construction), "--out", str(tmp_path / "r")]
+                    + flags) == 1
+        rec = _one_error_line(capsys)
+        assert rec["error"] == "ValueError"
+        assert rec["message"] == f"transonic residual does not read {' '.join(flags)}"
+    assert not (tmp_path / "r").exists()
+    grids = []
+    real = cli_mod.gp_system_residual
+    monkeypatch.setattr(cli_mod, "gp_system_residual",
+                        lambda state, f2: grids.append(state.grid) or real(state, f2))
+    assert main(["residual", "--in", str(construction), "--out", str(tmp_path / "r")]) == 0
+    assert grids == [make_grid(64, 64, 20, 20)]
+
+
+def test_residual_epsilon_flag_checked(construction, tmp_path, capsys):
+    # residual takes no --epsilon: it runs at the construction's, 0.2, not
+    # at the default 0.1
+    assert main(["residual", "--in", str(construction), "--epsilon", "0.2"]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "--epsilon 0.2" in rec["message"]
+    assert not (construction / "gp_residual.json").exists()
+    assert main(["residual", "--in", str(construction), "--out", str(tmp_path / "r")]) == 0
+    assert json.loads(capsys.readouterr().out)["eps"] == 0.2
+
+
+def test_residual_needs_report(construction, tmp_path, capsys):
+    # without report.json there is no epsilon to run at: exit 1 naming the
+    # file, and nothing written
     run = tmp_path / "c"
-    assert main(["construct", "--epsilon", "0.1", "--tol", "1e-6", "--out", str(run)] + SMALL) == 0
-    capsys.readouterr()
-    assert main(["residual", "--in", str(run), "--epsilon", "0.2"]) == 1
+    shutil.copytree(construction, run)
+    (run / "report.json").unlink()
+    before = sorted(run.iterdir())
+    assert main(["residual", "--in", str(run)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "FileNotFoundError" and str(run / "report.json") in rec["message"]
+    assert sorted(run.iterdir()) == before
+
+
+# the value flags each subcommand reads, as README's flag table lists them
+READS = {
+    "lump-check": {"--epsilon", "--nx", "--ny", "--Lx", "--Ly", "--out"},
+    "kernel": {"--epsilon", "--nx", "--ny", "--Lx", "--Ly", "--preset", "--m", "--n", "--x",
+               "--y"},
+    "kernel-scan": {"--epsilon", "--Lx", "--preset", "--out", "--m", "--n", "--mode"},
+    "eigen": {"--epsilon", "--nx", "--ny", "--Lx", "--Ly", "--tol", "--max-iter", "--seed",
+              "--out", "--k"},
+    "norms": {"--epsilon", "--delta", "--in"},
+    "construct": {"--epsilon", "--nx", "--ny", "--Lx", "--Ly", "--delta", "--tol", "--max-iter",
+                  "--out"},
+    "residual": {"--in", "--out"},
+}
+# a valid value of every value flag
+VALUES = {"--epsilon": "0.2", "--nx": "64", "--ny": "64", "--Lx": "20", "--Ly": "20",
+          "--delta": "0.2", "--tol": "1e-6", "--max-iter": "50", "--seed": "3", "--preset": "gp",
+          "--mode": "near", "--k": "3", "--m": "1", "--n": "0", "--x": "3", "--y": "2",
+          "--in": "c", "--out": "o"}
+REQUIRED = {"kernel": ["--m", "--n", "--x", "--y"], "kernel-scan": ["--m", "--n"],
+            "norms": ["--in"], "residual": ["--in"]}
+
+
+def _argv(command, flags):
+    return [command] + [a for f in flags for a in (f, VALUES[f])]
+
+
+@pytest.mark.parametrize("command, flag",
+                         [(c, f) for c in READS for f in sorted(set(VALUES) - READS[c])])
+def test_unread_flag_rejected(tmp_path, monkeypatch, capsys, command, flag):
+    # a value flag the subcommand does not read is a usage error, before any
+    # output directory is made
+    monkeypatch.chdir(tmp_path)
+    flags = REQUIRED.get(command, []) + (["--out"] if "--out" in READS[command] else [])
+    assert main(_argv(command, flags + [flag])) == 1
+    rec = _one_error_line(capsys)
+    assert rec == {"error": "ValueError",
+                   "message": f"transonic {command} does not read {flag} {VALUES[flag]}"}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_flag_read_is_taken(command):
+    args = load_config(build_parser().parse_args(_argv(command, sorted(READS[command]))))
+    assert args.command == command
+
+
+@pytest.mark.parametrize("command, key", [("eigen", "delta"), ("residual", "epsilon")])
+def test_unread_config_key_rejected(tmp_path, monkeypatch, capsys, command, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: 0.2}))
+    flags = REQUIRED.get(command, []) + ["--out"]
+    assert main(_argv(command, flags) + ["--config", "cfg.json"]) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "ValueError"
-    assert "--epsilon 0.2" in rec["message"] and "0.1" in rec["message"]
-    assert not (run / "gp_residual.json").exists()
-    assert main(["residual", "--in", str(run), "--epsilon", "0.1"]) == 0
-    assert json.loads(capsys.readouterr().out)["res1_sup"] > 0
+    assert repr(key) in rec["message"] and command in rec["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("f2_grid", [(16, 16, 6.0, 5.0), (32, 16, 5.0, 5.0)], ids=["Lx", "nx"])
