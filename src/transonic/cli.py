@@ -34,7 +34,7 @@ from .errors import (
     SymmetryViolation,
 )
 from .grid import make_grid
-from .linearized import make_linearized_operator, eigen_extremes, norm_suite
+from .linearized import _check_eigen_count, eigen_extremes, make_linearized_operator, norm_suite
 from .lump import LumpParams, check_eps, kpi_residual, linearized_kernel_residuals, sample_lump
 from .reduction import ReductionState, outer_fixed_point, transport_residual
 from .gp import gp_system_residual
@@ -194,7 +194,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_kernel_scan(args) -> int:
-    from .kernel import decay_scan, integral_scan
+    from .kernel import _check_order, decay_scan, integral_scan
+    _check_order(args.m, args.n)
     p = _symbol_params(args)
     if args.mode == "far":
         radii = np.geomspace(max(2.0, args.Lx / 8.0), args.Lx / 2.0, 10)
@@ -230,6 +231,7 @@ def cmd_kernel_scan(args) -> int:
 
 def cmd_eigen(args) -> int:
     grid = _grid(args)
+    _check_eigen_count(args.k, grid)
     out = _output_dir(args.out_dir)
     op = make_linearized_operator(args.epsilon, grid)
     res = eigen_extremes(op, k=args.k, seed=args.seed, tol=args.tol, max_iter=args.max_iter)

@@ -228,6 +228,13 @@ def _decay_cutoff(nodes: _NodeTable, y: float, c: float) -> float:
     return xi
 
 
+def _check_order(m: int, n: int) -> None:
+    """Raise ValueError unless (m, n) is an order of the residue route: one
+    of ``ALLOWED_ORDERS`` other than the kernel itself."""
+    if (m, n) not in ALLOWED_ORDERS or m + n < 1:
+        raise ValueError(f"unsupported derivative order ({m}, {n})")
+
+
 def kernel_residue_eval(
     p: KernelSymbolParams,
     m: int,
@@ -245,8 +252,7 @@ def kernel_residue_eval(
     integral K_{m,n}.  ``nodes`` is the node table of a scan, built for the
     same ``p``, ``m`` and ``n``; a call without one builds its own.
     """
-    if (m, n) not in ALLOWED_ORDERS or m + n < 1:
-        raise ValueError(f"unsupported derivative order ({m}, {n})")
+    _check_order(m, n)
     if x == 0.0 and y == 0.0:
         raise ValueError("the kernel derivative is singular at the origin")
     sgn = 1.0

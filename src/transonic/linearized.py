@@ -1,11 +1,13 @@
 """
 The linearization of the perturbed fourth-order problem about the lump.
 
-Two operators live here:
+Two operators live here, both on the orthonormal sine-cosine coefficients of
+the quarter box (``_coefficients``):
 
-* the full operator with the small fourth-order y-terms, ``apply_linearized``,
-  the verdict of the linear solver inside the outer fixed point
-  (``solve_linearized``);
+* the full operator with the small fourth-order y-terms, which
+  ``solve_linearized``, the linear solve inside the outer fixed point,
+  inverts by MINRES and takes its verdict from; its field-space form, the
+  tests' reference, is ``tests/reference.py``'s ``apply_linearized``;
 * the reduced second-order nonlocal operator
   -dxx psi + c2 psi + V psi + 2 dx^-2 dyy psi, applied by ``eigen_extremes``
   on cosine coefficients, whose spectrum carries the Morse-index structure:
@@ -36,9 +38,7 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
-    _combined,
     _kept,
-    _multiplied,
     _padded,
     _quarter_axes,
     _tagged,
@@ -106,23 +106,6 @@ def _constant_symbol(op: LinearizedOperator, grid: Grid2D) -> np.ndarray:
     return kx**4 + op.c2 * kx**2 + 2.0 * ky**2 + 2.0 * e2 * kx**2 * ky**2 + e2**2 * ky**4
 
 
-def apply_linearized(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
-    """Full linearized operator applied to an odd-in-x, even-in-y field:
-    the constant symbol minus the coupling coeff_nl dx T[(T dq)(T dx phi)].
-
-    The outer truncation T makes the potential product symmetric as a
-    bilinear form, which keeps MINRES and LOBPCG on exactly self-adjoint
-    operators and makes the second-order eigenpair identity transfer exactly
-    to the fourth-order operator through x-antidifferentiation.
-    """
-    if phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
-        raise SymmetryViolation("apply_linearized expects an odd_x_even_y field")
-    const = _multiplied(phi, phi.symmetry, _constant_symbol(op, phi.grid))
-    dphi = dealias(derivative(phi, 1, 0))
-    product = dealias(_combined(np.multiply, op.dealiased_dq, dphi, dphi.symmetry))
-    return const - derivative(product, 1, 0).scaled(op.coeff_nl)
-
-
 def solve_linearized(
     op: LinearizedOperator,
     h1: RealField2D,
@@ -140,11 +123,13 @@ def solve_linearized(
     where the constant symbol and the preconditioner, its inverse, are diagonal.
     MINRES stops on the preconditioned residual, in which the inverse
     fourth-order symbol damps the high frequencies, while the verdict is the
-    plain relative L2 residual of ``apply_linearized`` on the full grid; so
-    MINRES restarts from its own iterate until the plain residual meets
-    ``tol``, for at most ``_MINRES_PASSES`` passes of ``40 * max_iter``
-    iterations each.  The first pass starts from ``x0`` (a field tagged
-    odd_x_even_y, such as the previous solution of a fixed-point iteration) if given.
+    plain relative residual ||A c - b||_2 / ||b||_2 of the operator MINRES
+    ran, which the isometry of the coefficient map makes the relative L2
+    residual on the full grid; so MINRES restarts from its own iterate until
+    the plain residual meets ``tol``, for at most ``_MINRES_PASSES`` passes
+    of ``40 * max_iter`` iterations each.  The first pass starts from ``x0``
+    (a field tagged odd_x_even_y, such as the previous solution of a
+    fixed-point iteration) if given.
     """
     if h1.symmetry is not Symmetry.EVEN_X_EVEN_Y:
         raise SymmetryViolation("h1 must be tagged even_x_even_y")
@@ -153,9 +138,9 @@ def solve_linearized(
     if x0 is not None and x0.symmetry is not Symmetry.ODD_X_EVEN_Y:
         raise SymmetryViolation("x0 must be tagged odd_x_even_y")
     grid = h1.grid
-    rhs = derivative(h1, 1, 0) + derivative(h2, 0, 1)
-    rhs_norm = l2_norm(rhs)
-    if rhs_norm == 0.0:
+    b = _coefficients((derivative(h1, 1, 0) + derivative(h2, 0, 1)).data, -1).ravel()
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
         return zeros(grid, Symmetry.ODD_X_EVEN_Y), 0
 
     mx, my = grid.nx // 2, grid.ny // 2
@@ -179,19 +164,17 @@ def solve_linearized(
 
     A = LinearOperator((ntot, ntot), matvec=matvec, dtype=float)
     M = LinearOperator((ntot, ntot), matvec=lambda v: v / sym.ravel(), dtype=float)
-    b = _coefficients(rhs.data, -1).ravel()
     sol = None if x0 is None else _coefficients(x0.data, -1).ravel()
-    # MINRES applies A once per iteration, and once more for the residual of
-    # a given start
-    starts = 0
+    # besides its iterations, MINRES applies A once for the residual of a
+    # given start, and the verdict applies it once per pass
+    uncounted = 0
     for _ in range(_MINRES_PASSES):
-        starts += sol is not None
+        uncounted += 1 + (sol is not None)
         sol, info = minres(A, b, x0=sol, M=M, rtol=tol * 1e-2, maxiter=40 * max_iter)
-        vals = _values(sol.reshape(sym.shape[:2]), -1)
-        phi = _tagged(grid, vals, Symmetry.ODD_X_EVEN_Y)
-        res = l2_norm(apply_linearized(op, phi) - rhs) / rhs_norm
+        res = np.linalg.norm(matvec(sol) - b) / b_norm
         if res <= tol:
-            return phi, applies - starts
+            vals = _values(sol.reshape(sym.shape[:2]), -1)
+            return _tagged(grid, vals, Symmetry.ODD_X_EVEN_Y), applies - uncounted
     raise NotConverged(
         f"linearized solve: relative residual {res:.3e} > {tol:.1e} "
         f"after {_MINRES_PASSES} MINRES passes (minres info={info})"
@@ -308,6 +291,14 @@ def _quarter_potential(op: LinearizedOperator, coeff: float) -> Callable[[np.nda
     return product
 
 
+def _check_eigen_count(k: int, grid: Grid2D) -> None:
+    """Raise ValueError unless 2 <= k <= (nx/2)(ny/2 + 1), the dimension of
+    the even/even, zero-x-mean subspace ``eigen_extremes`` works in."""
+    top = (grid.nx // 2) * (grid.ny // 2 + 1)
+    if not 2 <= k <= top:
+        raise ValueError(f"k must lie in [2, {top}], the coefficients on this grid")
+
+
 def eigen_extremes(
     op: LinearizedOperator,
     k: int = 4,
@@ -345,17 +336,16 @@ def eigen_extremes(
     block width), scipy's ``lobpcg`` solves it densely instead;
     ``iterations`` and ``block`` are then 0 and ``solver`` is ``"dense"``.
 
-    Raises ValueError unless 2 <= k <= (nx/2)(ny/2 + 1), the dimension of
-    the subspace; NotConverged when a returned pair misses ``tol`` in
+    Raises ValueError for a k outside [2, (nx/2)(ny/2 + 1)]
+    (``_check_eigen_count``); NotConverged when a returned pair misses ``tol`` in
     ||L v - lambda v||_2; and MultipleNegative when more than one negative
     eigenvalue shows up: Morse index one is the structural hypothesis of the
     whole construction, so a second negative direction signals an inadequate
     grid or an eps out of regime.
     """
     grid = op.dq.grid
+    _check_eigen_count(k, grid)
     mx, my = grid.nx // 2, grid.ny // 2
-    if not 2 <= k <= mx * (my + 1):
-        raise ValueError(f"k must lie in [2, {mx * (my + 1)}], the coefficients on this grid")
     kx2 = grid.kx[1 : mx + 1, None, None] ** 2
     ky2 = grid.ky[None, :, None] ** 2
     symbol = kx2 + op.c2 + 2.0 * ky2 / kx2

@@ -23,7 +23,7 @@ SQRT2 = math.sqrt(2.0)
 # Valid eps per subcommand; LumpParams reads lump-check's, the kernel symbol kernel's.
 EPS_RANGES = {"lump-check": "[0, 0.5)", "eigen": "[0, 0.5)", "norms": "[0, 0.5)",
               "kernel": "(0, 0.5]", "kernel-scan": "(0, 0.5]",
-              "construct": "[0, 0.3]", "residual": "[0, 0.3]"}
+              "construct": "[0, 0.3]", "residual": "(0, 0.3]"}
 
 
 def check_eps(eps: float, command: str) -> None:

@@ -10,6 +10,9 @@ deliberately different route to a quantity the package computes:
 * ``kernel_fourier_eval`` -- the kernel by direct 2D quadrature of the plane
   inversion integral, the third route beside ``kernel_residue_eval`` and
   ``kernel_fft``;
+* ``apply_linearized`` -- the full linearized operator on the full grid,
+  the reference of the coefficient operator ``linearized.solve_linearized``
+  inverts and takes its verdict from;
 * ``apply_L`` -- the reduced operator on the full grid, by its own
   rfft2/irfft2, the reference of ``linearized.eigen_extremes``;
 * ``apply_lump_linearization`` -- the linearization of the lump's own
@@ -20,7 +23,7 @@ deliberately different route to a quantity the package computes:
 
 The potential product T[(T dq)(T psi)] is built here from the package's
 ``derivative`` and ``dealias``, through ``product_dealiased``, in the order
-``linearized.apply_linearized`` takes them.
+``apply_linearized`` takes them.
 
 Sign convention for ``apply_L``: the operator is written so that its unique
 negative eigenvalue is the structural one (L psi = lambda psi with
@@ -49,8 +52,9 @@ from transonic.grid import (
     dealias,
     derivative,
 )
-from transonic.kernel import ALLOWED_ORDERS, KernelSymbolParams
-from transonic.linearized import LinearizedOperator
+from transonic.errors import SymmetryViolation
+from transonic.kernel import KernelSymbolParams, _check_order
+from transonic.linearized import LinearizedOperator, _constant_symbol
 from transonic.lump import check_eps
 
 # ---------------------------------------------------------------------------
@@ -150,8 +154,7 @@ def kernel_fourier_eval(
     Practical for soft-tail orders (n <= 1); higher y-derivatives need
     prohibitive xi2 extents and are better served by the residue route.
     """
-    if (m, n) not in ALLOWED_ORDERS or m + n < 1:
-        raise ValueError(f"unsupported derivative order ({m}, {n})")
+    _check_order(m, n)
     sgn = 1.0
     if x < 0.0:
         x, sgn = -x, sgn * (-1.0) ** m
@@ -215,6 +218,23 @@ def _coupling(op: LinearizedOperator, phi: RealField2D, coeff: float) -> RealFie
     """coeff * d/dx ( dq/dx * dphi/dx ), dealiased."""
     dphi = derivative(phi, 1, 0)
     return derivative(_potential_product(op, dphi), 1, 0).scaled(coeff)
+
+
+def apply_linearized(op: LinearizedOperator, phi: RealField2D) -> RealField2D:
+    """Full linearized operator applied to an odd-in-x, even-in-y field:
+    the constant symbol minus the coupling coeff_nl dx T[(T dq)(T dx phi)].
+
+    The outer truncation T makes the potential product symmetric as a
+    bilinear form, which keeps MINRES and LOBPCG on exactly self-adjoint
+    operators and makes the second-order eigenpair identity transfer exactly
+    to the fourth-order operator through x-antidifferentiation.
+    """
+    if phi.symmetry is not Symmetry.ODD_X_EVEN_Y:
+        raise SymmetryViolation("apply_linearized expects an odd_x_even_y field")
+    const = _multiplied(phi, phi.symmetry, _constant_symbol(op, phi.grid))
+    dphi = dealias(derivative(phi, 1, 0))
+    product = dealias(_combined(np.multiply, op.dealiased_dq, dphi, dphi.symmetry))
+    return const - derivative(product, 1, 0).scaled(op.coeff_nl)
 
 
 def apply_lump_linearization(op: LinearizedOperator, phi: RealField2D) -> RealField2D:

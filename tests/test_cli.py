@@ -55,6 +55,28 @@ def test_integral_radii_guard(tmp_path, monkeypatch):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("m, n", [(0, 0), (4, 0)])
+def test_kernel_scan_order_checked_before_output(tmp_path, capsys, m, n):
+    # an order the residue route does not take leaves no output directory
+    out = tmp_path / "out"
+    assert main(["kernel-scan", "--epsilon", "0.2", "--m", str(m), "--n", str(n),
+                 "--out", str(out)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and f"({m}, {n})" in rec["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [1, 300])
+def test_eigen_count_checked_before_output(tmp_path, capsys, k):
+    # a 16^2 grid has (16/2)(16/2 + 1) = 72 coefficients in the subspace
+    out = tmp_path / "out"
+    assert main(["eigen", "--nx", "16", "--ny", "16", "--Lx", "10", "--Ly", "10",
+                 "--epsilon", "0.1", "--k", str(k), "--out", str(out)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "[2, 72]" in rec["message"]
+    assert not out.exists()
+
+
 def test_lump_check(tmp_path, capsys):
     code = main(["lump-check", "--epsilon", "0.1"] + SMALL + ["--out", str(tmp_path)])
     assert code == 0
@@ -343,7 +365,7 @@ EPS_EDGES = {
     "kernel": (0.0, 1e-3, 0.5, 0.501),
     "kernel-scan": (0.0, 1e-3, 0.5, 0.501),
     "construct": (-1e-3, 0.0, 0.3, 0.301),
-    "residual": (-1e-3, 0.0, 0.3, 0.301),
+    "residual": (0.0, 1e-3, 0.3, 0.301),
 }
 # the flags each subcommand needs besides epsilon, all of them flags it reads
 EPS_FLAGS = {
@@ -409,7 +431,7 @@ def test_residual_checks_the_stored_epsilon(tmp_path, capsys):
     _construction(tmp_path, 0.4, n=16, L=5)
     assert main(["residual", "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
     rec = _one_error_line(capsys)
-    assert rec["error"] == "ValueError" and "[0, 0.3]" in rec["message"]
+    assert rec["error"] == "ValueError" and "(0, 0.3]" in rec["message"]
 
 
 @pytest.mark.parametrize("report", ["{}", '{"config": {}}', "[]", '{"config": {"epsilon": [0.1]}}',

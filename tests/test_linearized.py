@@ -28,7 +28,6 @@ from transonic.linearized import (
     _dealias_rectangle,
     _quarter_potential,
     _values,
-    apply_linearized,
     eigen_extremes,
     make_linearized_operator,
     norm_suite,
@@ -37,7 +36,7 @@ from transonic.linearized import (
 )
 from transonic.lump import SQRT2, LumpParams, lump_derivative, sample_lump
 
-from reference import apply_L, apply_lump_linearization, constant
+from reference import apply_L, apply_linearized, apply_lump_linearization, constant
 
 
 def l2_pair(f, g):

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 from types import SimpleNamespace
 
@@ -36,6 +37,8 @@ from transonic.reduction import (
     solve_f2,
     transport_residual,
 )
+
+from reference import apply_linearized
 
 GRID = make_grid(256, 256, 40, 40)
 
@@ -546,8 +549,8 @@ class TestOuterFixedPoint:
         assert sum(warm.minres_iterations) < sum(cold.minres_iterations)
 
     def test_dq_dealiased_once_per_operator(self, monkeypatch):
-        # T dq is a property of the operator: every linear solve and every
-        # verdict of a construction reads the one truncation
+        # T dq is a property of the operator: every linear solve of a
+        # construction, and its verdict, reads the one truncation
         make, dealias = red_mod.make_linearized_operator, lin_mod.dealias
         ops, truncated = [], []
 
@@ -565,6 +568,28 @@ class TestOuterFixedPoint:
         assert rep.iterations > 1
         assert len(ops) == 1
         assert len(truncated) == 1 and truncated[0] is ops[0]
+
+    def test_verdict_holds_in_the_field_residual(self, monkeypatch):
+        # every linear solve of a construction meets its tol in the relative
+        # residual of the field-space operator, not only of the coefficient
+        # operator it takes its verdict from
+        solve = red_mod.solve_linearized
+        solves = []
+
+        def checked(*a, **k):
+            bound = inspect.signature(solve).bind(*a, **k)
+            bound.apply_defaults()
+            phi, n = solve(*a, **k)
+            solves.append((bound.arguments, phi))
+            return phi, n
+
+        monkeypatch.setattr(red_mod, "solve_linearized", checked)
+        _, _, rep = outer_fixed_point(0.1, SMALL)
+        assert len(solves) == rep.iterations > 1
+        for args, phi in solves:
+            rhs = derivative(args["h1"], 1, 0) + derivative(args["h2"], 0, 1)
+            res = l2_norm(apply_linearized(args["op"], phi) - rhs)
+            assert res <= args["tol"] * (1 + 1e-9) * l2_norm(rhs)
 
     def test_non_contracting_map_stops_early(self, rand_field, monkeypatch):
         # a linear solve whose updates double each step: NotConverged once

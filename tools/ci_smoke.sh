@@ -11,7 +11,9 @@
 # equal the construction's report; a usage error, a flag the subcommand does
 # not read and an output path that is a file must each leave as exit 1 with
 # one stderr line; residual must refuse a directory without report.json,
-# whose epsilon it runs at; the on-axis gp
+# whose epsilon it runs at, and an epsilon = 0 construction, with one stderr
+# line; kernel-scan must refuse an order the residue route does not take
+# before it makes its output directory; the on-axis gp
 # kernel must pass with every warning an error; the ball integral must stay
 # within 1e-6 of the benchmark's reference.
 set -euo pipefail
@@ -31,6 +33,9 @@ cp -r c c-no-report && rm c-no-report/report.json
 if transonic residual --in c-no-report; then exit 1; else test $? -eq 1; fi
 test ! -e c-no-report/gp_residual.json
 transonic residual --in c
+transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0 --out c0
+if transonic residual --in c0 2> c0.err; then exit 1; else test $? -eq 1; fi
+test "$(wc -l < c0.err)" -eq 1 && test ! -e c0/gp_residual.json
 transonic eigen --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out e
 transonic eigen --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out e2
 for f in phi0 phi1; do cmp "e/$f.bin" "e2/$f.bin"; done
@@ -43,6 +48,8 @@ transonic kernel --m 1 --n 1 --x 3 --y 2 --epsilon 0.2 --nx 64 --ny 64
 python -c "import sys, warnings; warnings.simplefilter('error'); from transonic.cli import main; sys.exit(main(['kernel','--preset','gp','--m','1','--n','2','--x','5','--y','0','--epsilon','0.2','--nx','64','--ny','64']))"
 if transonic kernel-scan --nx 64 --m 1 --n 0 --out ks64 2> ks64.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < ks64.err)" -eq 1 && test ! -e ks64
+if transonic kernel-scan --m 0 --n 0 --out ks00; then exit 1; else test $? -eq 1; fi
+test ! -e ks00
 transonic kernel-scan --mode far --preset gp --m 2 --n 0 --epsilon 0.2 --Lx 120 --out ks
 python -c "import csv; rows = list(csv.DictReader(open('ks/report.csv'))); assert len(rows) == 3 and all((r['m'], r['n'], r['preset'], r['epsilon']) == ('2', '0', 'gp', '0.2') for r in rows), rows"
 transonic kernel-scan --mode integral --Lx 2 --m 1 --n 1 --epsilon 0.2 --out ball
