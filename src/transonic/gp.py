@@ -9,6 +9,12 @@ sup norms, the energy, the far-field dipole fit and the distance of Phi from
 its first-order transonic approximation.  This is the module that closes the
 loop: every algebraic identity used inside the construction is verified here
 against the equation the construction set out to solve.
+
+Everything here runs on the stored quarter boxes of the parity-tagged
+inputs: the finite-difference stencils continue each field across x = 0 and
+y = 0 by its parity, sups read the quarter nodes whose images fill the
+interior window, and the energy and the far-field fit weight each node by
+the grid points it stands for.
 """
 
 from __future__ import annotations
@@ -18,7 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SymmetryViolation
-from .grid import ComplexField2D, Grid2D, RealField2D, Symmetry, _tagged, _unfold
+from .grid import (
+    ComplexField2D,
+    Grid2D,
+    RealField2D,
+    Symmetry,
+    _multiplicity,
+    _quarter_axes,
+    _radial_weight,
+    _tagged,
+    _trapezoid,
+)
 from .lump import SQRT2
 from .reduction import ReductionState, f1_derivative
 
@@ -53,28 +69,30 @@ def assemble_phi(state: ReductionState, f2: RealField2D) -> ComplexField2D:
 
 
 def _interior(g: Grid2D) -> tuple[slice, slice]:
-    """Index window EDGE_MARGIN nodes in from the box boundary, where sups and
-    the energy are taken; ValueError when the grid leaves it empty."""
+    """The quarter-box nodes 0..n/2 - EDGE_MARGIN of each axis, where sups and
+    the energy are taken: their images are the full-grid window
+    [EDGE_MARGIN, n - EDGE_MARGIN), EDGE_MARGIN nodes in from the box
+    boundary, whose far end holds the last node's -x image only.
+    ValueError when the grid leaves the window empty."""
     m = EDGE_MARGIN
     if min(g.nx, g.ny) <= 2 * m:
         raise ValueError(
             f"grid nx = {g.nx}, ny = {g.ny} leaves no interior inside the "
             f"EDGE_MARGIN = {m} edge nodes: nx and ny must exceed {2 * m}"
         )
-    return slice(m, g.nx - m), slice(m, g.ny - m)
+    return slice(0, g.nx // 2 - m + 1), slice(0, g.ny // 2 - m + 1)
 
 
-def _fd_derivative(vals: np.ndarray, h: float, axis: int, order: int = 1) -> np.ndarray:
-    """Non-wrapping centered finite difference of 6th order; the three rows
-    at each edge, outside every ``_interior`` window, are nan.
+def _fd_derivative(f: RealField2D, axis: int, order: int = 1) -> np.ndarray:
+    """Non-wrapping centered finite difference of 6th order of ``f`` along
+    ``axis``, on its stored quarter: a three-node halo below node 0 continues
+    the samples by their parity, and the last three nodes, outside every
+    ``_interior`` window, are nan.
 
     Sampled slowly-decaying fields are not periodic; spectral differentiation
     would ring at the box seam, so pointwise verification uses plain stencils.
     """
-    if axis == 1:
-        return _fd_derivative(vals.T, h, 0, order).T
-    n = vals.shape[0]
-    out = np.full_like(vals, np.nan)
+    h = (f.grid.dx, f.grid.dy)[axis]
     if order == 1:
         c = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * h)
     elif order == 2:
@@ -82,9 +100,13 @@ def _fd_derivative(vals: np.ndarray, h: float, axis: int, order: int = 1) -> np.
     else:
         raise ValueError("order must be 1 or 2")
     w = 3
-    core = sum(ck * vals[k : n - 2 * w + k, :] for k, ck in enumerate(c))
-    out[w : n - w, :] = core
-    return out
+    p = (f.symmetry.x_parity, f.symmetry.y_parity)[axis]
+    v = np.moveaxis(f.data, axis, 0)
+    vals = np.concatenate([p * v[w:0:-1], v])
+    n = vals.shape[0]
+    out = np.full_like(v, np.nan)
+    out[: n - 2 * w] = sum(ck * vals[k : n - 2 * w + k] for k, ck in enumerate(c))
+    return np.moveaxis(out, 0, axis)
 
 
 def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualReport":
@@ -97,12 +119,14 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     combination reduces to lump derivatives (exact) and phi derivatives
     (spectral, phi is grid-native), both from the state's derivative table,
     and f2 derivatives (finite differences: the transport solution is not
-    band-limited and must not wrap).  The table's quarter-box orders are
-    unfolded to the full grid, where the stencils run.
+    band-limited and must not wrap).  All of it runs on the stored quarter
+    box: the table's orders as they are stored, the f2 stencils across the
+    parity halo of ``_fd_derivative``.
 
-    Sups are taken over the interior window (EDGE_MARGIN nodes in from the
-    box boundary): the sampled profile is not periodic and the outermost ring
-    carries seam artifacts of the finite box rather than equation error.
+    Sups are taken over the interior window (``_interior``, EDGE_MARGIN
+    nodes in from the box boundary): the sampled profile is not periodic and
+    the outermost ring carries seam artifacts of the finite box rather than
+    equation error.  ``theorem_gap`` is the sup over the whole box.
     """
     eps = state.eps
     e2 = eps * eps
@@ -110,41 +134,38 @@ def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualRep
     c = state.c
     g = state.grid
     win = _interior(g)
+    phi_c = assemble_phi(state, f2)
 
     orders = ((0, 0), (1, 0), (2, 0), (0, 2))
-    # the stored orders, all even in y, unfolded by their x-parity
-    full = lambda vals, px, m: _unfold(vals, px * (-1) ** m, 1)
-    g1, g1_x, g1_xx, g1_yy = (full(state.g1_d(*mn), -1, mn[0]) for mn in orders)
-    f1, f1_x, f1_xx, f1_yy = (full(f1_derivative(state.g1_d, *mn), 1, mn[0]) for mn in orders)
+    g1, g1_x, g1_xx, g1_yy = (state.g1_d(*mn) for mn in orders)
+    f1, f1_x, f1_xx, f1_yy = (f1_derivative(state.g1_d, *mn) for mn in orders)
 
-    fv = 1.0 + e2 * f1 + e4 * f2.values
+    fv = 1.0 + e2 * f1 + e4 * f2.data
     gv = eps * g1
-    f_x = e2 * f1_x + e4 * _fd_derivative(f2.values, g.dx, 0, 1)
-    f_xx = e2 * f1_xx + e4 * _fd_derivative(f2.values, g.dx, 0, 2)
-    f_yy = e2 * f1_yy + e4 * _fd_derivative(f2.values, g.dy, 1, 2)
+    f_x = e2 * f1_x + e4 * _fd_derivative(f2, 0, 1)
+    f_xx = e2 * f1_xx + e4 * _fd_derivative(f2, 0, 2)
+    f_yy = e2 * f1_yy + e4 * _fd_derivative(f2, 1, 2)
     g_x = eps * g1_x
     g_xx = eps * g1_xx
     g_yy = eps * g1_yy
 
     bulk = fv**2 + gv**2 - 1.0
-    r1 = c * eps * g_x + e4 * f_yy + e2 * f_xx - bulk * fv
-    r2 = -c * eps * f_x + e4 * g_yy + e2 * g_xx - bulk * gv
+    r1 = np.abs(c * eps * g_x + e4 * f_yy + e2 * f_xx - bulk * fv)[win]
+    r2 = np.abs(-c * eps * f_x + e4 * g_yy + e2 * g_xx - bulk * gv)[win]
 
-    wgt = (1.0 + g.r) ** 3
+    wgt = _radial_weight(g, 3.0)[win]
 
-    q = full(state.q_d(0, 0), -1, 0)
-    gap_field = np.sqrt((fv - 1.0) ** 2 + (gv - eps * q) ** 2) / e2
+    gap_field = np.sqrt((fv - 1.0) ** 2 + (gv - eps * state.q_d(0, 0)) ** 2) / e2
 
-    phi_c = assemble_phi(state, f2)
     alpha, beta, fit_res = farfield_fit(phi_c, eps)
 
     return GpResidualReport(
         eps=eps,
         c=c,
-        res1_sup=float(np.max(np.abs(r1[win]))),
-        res2_sup=float(np.max(np.abs(r2[win]))),
-        res1_weighted=float(np.max((wgt * np.abs(r1))[win])),
-        res2_weighted=float(np.max((wgt * np.abs(r2))[win])),
+        res1_sup=float(np.max(r1)),
+        res2_sup=float(np.max(r2)),
+        res1_weighted=float(np.max(wgt * r1)),
+        res2_weighted=float(np.max(wgt * r2)),
         energy=energy(phi_c, eps),
         alpha=alpha,
         beta=beta,
@@ -165,16 +186,18 @@ def energy(phi: ComplexField2D, eps: float) -> float:
     g = phi.grid
     win = _interior(g)
     e2 = eps * eps
-    fx = _fd_derivative(phi.re.values, g.dx, 0, 1)
-    fy = _fd_derivative(phi.re.values, g.dy, 1, 1)
-    gx = _fd_derivative(phi.im.values, g.dx, 0, 1)
-    gy = _fd_derivative(phi.im.values, g.dy, 1, 1)
+    fx, fy = (_fd_derivative(phi.re, axis, 1)[win] for axis in (0, 1))
+    gx, gy = (_fd_derivative(phi.im, axis, 1)[win] for axis in (0, 1))
     grad_sq = e2 * (fx**2 + gx**2) + e2**2 * (fy**2 + gy**2)
-    quart = (phi.re.values**2 + phi.im.values**2 - 1.0) ** 2
+    quart = (phi.re.data[win] ** 2 + phi.im.data[win] ** 2 - 1.0) ** 2
     dens = 0.5 * grad_sq + 0.25 * quart
     # quadrature over the interior window: the outermost ring holds the
-    # box-edge seam of sampled slowly-decaying fields, not physical density
-    return float(np.sum(dens[win]) * g.dx * g.dy / eps**3)
+    # box-edge seam of sampled slowly-decaying fields, not physical density.
+    # The density is even in x and y; each window node stands for its images
+    # inside [EDGE_MARGIN, n - EDGE_MARGIN): (1, 2, ..., 2, 1) per axis
+    m2 = 2 * EDGE_MARGIN
+    wgt = np.outer(_trapezoid(g.nx - m2), _trapezoid(g.ny - m2))
+    return float(np.sum(wgt * dens) * g.dx * g.dy / eps**3)
 
 
 def farfield_fit(phi: ComplexField2D, eps: float) -> tuple[float, float, float]:
@@ -182,25 +205,30 @@ def farfield_fit(phi: ComplexField2D, eps: float) -> tuple[float, float, float]:
 
     The model is the subsonic far-field form in original variables,
     (alpha x + beta y) sqrt(x^2+y^2) / (x^2 + (1 - c^2/2) y^2), sampled on
-    the stretched grid ring r in [0.6, 0.9] min(Lx, Ly); beta vanishes for
-    the even-in-y family.  Returns (alpha, beta, relative fit residual).
+    the stretched grid ring r in [0.6, 0.9] min(Lx, Ly).  The fit runs on the
+    quarter box, each node weighted by the grid points it stands for
+    (``grid._multiplicity``).  Im Phi is odd in x and even in y, so the
+    beta column, odd in y, is orthogonal over the symmetric ring to both the
+    data and the alpha column: beta is exactly 0, and alpha is the one-column
+    fit.  Returns (alpha, beta, relative fit residual).
     """
+    if phi.im.symmetry is not Symmetry.ODD_X_EVEN_Y:
+        raise SymmetryViolation("farfield_fit expects an odd_x_even_y Im(Phi)")
     g = phi.grid
     c = SQRT2 - eps**2
     rmin = 0.6 * min(g.Lx, g.Ly)
     rmax = 0.9 * min(g.Lx, g.Ly)
-    ring = (g.r >= rmin) & (g.r <= rmax)
+    x, y = _quarter_axes(g)
+    r = np.hypot(x, y)
+    ring = (r >= rmin) & (r <= rmax)
     if not np.any(ring):
         raise ValueError("boundary ring is empty")
-    xt = g.X[ring] / eps
-    yt = g.Y[ring] / eps**2
+    xt = np.broadcast_to(x, r.shape)[ring] / eps
+    yt = np.broadcast_to(y, r.shape)[ring] / eps**2
     rt = np.hypot(xt, yt)
-    denom = xt**2 + (1.0 - c * c / 2.0) * yt**2
-    b1 = xt * rt / denom
-    b2 = yt * rt / denom
-    data = rt * phi.im.values[ring]
-    A = np.vstack([b1, b2]).T
-    sol, *_ = np.linalg.lstsq(A, data, rcond=None)
-    fit = A @ sol
-    resid = float(np.linalg.norm(data - fit) / (np.linalg.norm(data) + 1e-300))
-    return float(sol[0]), float(sol[1]), resid
+    b1 = xt * rt / (xt**2 + (1.0 - c * c / 2.0) * yt**2)
+    data = rt * phi.im.data[ring]
+    wgt = _multiplicity(g)[ring]
+    alpha = float(np.sum(wgt * b1 * data) / np.sum(wgt * b1 * b1))
+    resid = np.sqrt(np.sum(wgt * (data - alpha * b1) ** 2))
+    return alpha, 0.0, float(resid / (np.sqrt(np.sum(wgt * data**2)) + 1e-300))

@@ -120,19 +120,6 @@ class Grid2D:
         return self.dy * (np.arange(self.ny) - self.ny // 2)
 
     @cached_property
-    def X(self) -> np.ndarray:
-        """x coordinate broadcast to shape (nx, ny)."""
-        return np.broadcast_to(self.x[:, None], (self.nx, self.ny))
-
-    @cached_property
-    def Y(self) -> np.ndarray:
-        return np.broadcast_to(self.y[None, :], (self.nx, self.ny))
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return np.hypot(self.X, self.Y)
-
-    @cached_property
     def kx(self) -> np.ndarray:
         """Wavenumbers pi*k/Lx along axis 0, k = 0..nx/2."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx)

@@ -19,7 +19,14 @@ deliberately different route to a quantity the package computes:
   equation, which annihilates the translation modes;
 * ``product_dealiased`` -- the product of two fields, each truncated by the
   2/3 rule first;
-* ``constant`` -- a constant even/even field.
+* ``constant`` -- a constant even/even field;
+* ``coordinates`` -- x, y and r on all nx x ny nodes of the full grid;
+* ``gp_system_residual``, ``energy``, ``farfield_fit``, ``_fd_derivative``
+  -- the GP back-substitution on the full grid: every input unfolded to all
+  nx x ny nodes, the stencils run on the full grid (nan in their three edge
+  rows), the sups and the energy over the window [EDGE_MARGIN, n -
+  EDGE_MARGIN), the dipole fit by ``lstsq`` with both columns; the
+  references of ``transonic.gp``, which runs on the stored quarter box.
 
 The potential product T[(T dq)(T psi)] is built here from the package's
 ``derivative`` and ``dealias``, through ``product_dealiased``, in the order
@@ -40,7 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+from transonic.gp import EDGE_MARGIN, GpResidualReport, assemble_phi
 from transonic.grid import (
+    ComplexField2D,
     Grid2D,
     RealField2D,
     Symmetry,
@@ -49,13 +58,15 @@ from transonic.grid import (
     _combined,
     _multiplied,
     _tagged,
+    _unfold,
     dealias,
     derivative,
 )
 from transonic.errors import SymmetryViolation
 from transonic.kernel import KernelSymbolParams, _check_order
 from transonic.linearized import LinearizedOperator, _constant_symbol
-from transonic.lump import check_eps
+from transonic.lump import SQRT2, check_eps
+from transonic.reduction import ReductionState, f1_derivative
 
 # ---------------------------------------------------------------------------
 # the kernel symbol's factorization and the plane inversion integral
@@ -278,3 +289,142 @@ def apply_L(op: LinearizedOperator, psi: RealField2D) -> RealField2D:
 def constant(grid: Grid2D, c: float) -> RealField2D:
     vals = np.full((grid.nx // 2 + 1, grid.ny // 2 + 1), float(c))
     return _tagged(grid, vals, Symmetry.EVEN_X_EVEN_Y)
+
+
+def coordinates(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y and r = hypot(x, y) on all nx x ny nodes of the full grid; x and
+    y are read-only broadcast views of ``grid.x`` and ``grid.y``."""
+    X = np.broadcast_to(grid.x[:, None], (grid.nx, grid.ny))
+    Y = np.broadcast_to(grid.y[None, :], (grid.nx, grid.ny))
+    return X, Y, np.hypot(X, Y)
+
+
+# ---------------------------------------------------------------------------
+# the GP back-substitution on the full grid
+# ---------------------------------------------------------------------------
+
+
+def _interior(g: Grid2D) -> tuple[slice, slice]:
+    """Index window EDGE_MARGIN nodes in from the box boundary, where sups and
+    the energy are taken; ValueError when the grid leaves it empty."""
+    m = EDGE_MARGIN
+    if min(g.nx, g.ny) <= 2 * m:
+        raise ValueError(
+            f"grid nx = {g.nx}, ny = {g.ny} leaves no interior inside the "
+            f"EDGE_MARGIN = {m} edge nodes: nx and ny must exceed {2 * m}"
+        )
+    return slice(m, g.nx - m), slice(m, g.ny - m)
+
+
+def _fd_derivative(vals: np.ndarray, h: float, axis: int, order: int = 1) -> np.ndarray:
+    """Non-wrapping centered finite difference of 6th order on full-grid
+    ``vals``; the three rows at each edge, outside every ``_interior``
+    window, are nan."""
+    if axis == 1:
+        return _fd_derivative(vals.T, h, 0, order).T
+    n = vals.shape[0]
+    out = np.full_like(vals, np.nan)
+    if order == 1:
+        c = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * h)
+    elif order == 2:
+        c = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180.0 * h * h)
+    else:
+        raise ValueError("order must be 1 or 2")
+    w = 3
+    core = sum(ck * vals[k : n - 2 * w + k, :] for k, ck in enumerate(c))
+    out[w : n - w, :] = core
+    return out
+
+
+def gp_system_residual(state: ReductionState, f2: RealField2D) -> GpResidualReport:
+    """``transonic.gp.gp_system_residual`` on the full grid: the table's
+    quarter-box orders unfolded, the f2 stencils on ``f2.values``."""
+    eps = state.eps
+    e2 = eps * eps
+    e4 = e2 * e2
+    c = state.c
+    g = state.grid
+    win = _interior(g)
+
+    orders = ((0, 0), (1, 0), (2, 0), (0, 2))
+    # the stored orders, all even in y, unfolded by their x-parity
+    full = lambda vals, px, m: _unfold(vals, px * (-1) ** m, 1)
+    g1, g1_x, g1_xx, g1_yy = (full(state.g1_d(*mn), -1, mn[0]) for mn in orders)
+    f1, f1_x, f1_xx, f1_yy = (full(f1_derivative(state.g1_d, *mn), 1, mn[0]) for mn in orders)
+
+    fv = 1.0 + e2 * f1 + e4 * f2.values
+    gv = eps * g1
+    f_x = e2 * f1_x + e4 * _fd_derivative(f2.values, g.dx, 0, 1)
+    f_xx = e2 * f1_xx + e4 * _fd_derivative(f2.values, g.dx, 0, 2)
+    f_yy = e2 * f1_yy + e4 * _fd_derivative(f2.values, g.dy, 1, 2)
+    g_x = eps * g1_x
+    g_xx = eps * g1_xx
+    g_yy = eps * g1_yy
+
+    bulk = fv**2 + gv**2 - 1.0
+    r1 = c * eps * g_x + e4 * f_yy + e2 * f_xx - bulk * fv
+    r2 = -c * eps * f_x + e4 * g_yy + e2 * g_xx - bulk * gv
+
+    wgt = (1.0 + coordinates(g)[2]) ** 3
+
+    q = full(state.q_d(0, 0), -1, 0)
+    gap_field = np.sqrt((fv - 1.0) ** 2 + (gv - eps * q) ** 2) / e2
+
+    phi_c = assemble_phi(state, f2)
+    alpha, beta, fit_res = farfield_fit(phi_c, eps)
+
+    return GpResidualReport(
+        eps=eps,
+        c=c,
+        res1_sup=float(np.max(np.abs(r1[win]))),
+        res2_sup=float(np.max(np.abs(r2[win]))),
+        res1_weighted=float(np.max((wgt * np.abs(r1))[win])),
+        res2_weighted=float(np.max((wgt * np.abs(r2))[win])),
+        energy=energy(phi_c, eps),
+        alpha=alpha,
+        beta=beta,
+        farfield_fit_residual=fit_res,
+        theorem_gap=float(np.max(gap_field)),
+    )
+
+
+def energy(phi: ComplexField2D, eps: float) -> float:
+    """``transonic.gp.energy`` on the full grid; reads only ``phi.grid`` and
+    the ``values`` of ``phi.re`` and ``phi.im``, so it also takes parts that
+    mix two parity classes."""
+    g = phi.grid
+    win = _interior(g)
+    e2 = eps * eps
+    fx = _fd_derivative(phi.re.values, g.dx, 0, 1)
+    fy = _fd_derivative(phi.re.values, g.dy, 1, 1)
+    gx = _fd_derivative(phi.im.values, g.dx, 0, 1)
+    gy = _fd_derivative(phi.im.values, g.dy, 1, 1)
+    grad_sq = e2 * (fx**2 + gx**2) + e2**2 * (fy**2 + gy**2)
+    quart = (phi.re.values**2 + phi.im.values**2 - 1.0) ** 2
+    dens = 0.5 * grad_sq + 0.25 * quart
+    return float(np.sum(dens[win]) * g.dx * g.dy / eps**3)
+
+
+def farfield_fit(phi: ComplexField2D, eps: float) -> tuple[float, float, float]:
+    """``transonic.gp.farfield_fit`` on the full grid, both columns fitted by
+    ``lstsq``: (alpha, beta, relative fit residual)."""
+    g = phi.grid
+    X, Y, r = coordinates(g)
+    c = SQRT2 - eps**2
+    rmin = 0.6 * min(g.Lx, g.Ly)
+    rmax = 0.9 * min(g.Lx, g.Ly)
+    ring = (r >= rmin) & (r <= rmax)
+    if not np.any(ring):
+        raise ValueError("boundary ring is empty")
+    xt = X[ring] / eps
+    yt = Y[ring] / eps**2
+    rt = np.hypot(xt, yt)
+    denom = xt**2 + (1.0 - c * c / 2.0) * yt**2
+    b1 = xt * rt / denom
+    b2 = yt * rt / denom
+    data = rt * phi.im.values[ring]
+    A = np.vstack([b1, b2]).T
+    sol, *_ = np.linalg.lstsq(A, data, rcond=None)
+    fit = A @ sol
+    resid = float(np.linalg.norm(data - fit) / (np.linalg.norm(data) + 1e-300))
+    return float(sol[0]), float(sol[1]), resid

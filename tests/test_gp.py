@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from transonic.errors import SymmetryViolation
-from transonic.grid import RealField2D, Symmetry, _unfold, make_grid, zeros
+from transonic.grid import RealField2D, Symmetry, _project_parity, _unfold, make_grid, zeros
 from transonic.gp import (
     ComplexField2D,
     assemble_phi,
@@ -14,6 +14,9 @@ from transonic.gp import (
     gp_system_residual,
 )
 from transonic.reduction import ReductionState, outer_fixed_point, solve_f2
+
+import reference
+from reference import coordinates
 
 GRID = make_grid(256, 256, 40, 40)
 
@@ -48,7 +51,7 @@ class TestAssemblePhi:
         state, f2 = converged
         phi = assemble_phi(state, f2)
         mod = np.hypot(phi.re.values, phi.im.values)
-        ring = GRID.r >= 0.9 * GRID.Lx
+        ring = coordinates(GRID)[2] >= 0.9 * GRID.Lx
         assert np.max(np.abs(mod[ring] - 1.0)) <= 5.0 / (0.9 * GRID.Lx)
 
 
@@ -65,7 +68,7 @@ class TestResidualReport:
     def test_evaluator_transcription(self, converged):
         # independent inline transcription of the two residual expressions on
         # the same derivative data the evaluator uses
-        from transonic.gp import _fd_derivative
+        from reference import _fd_derivative
         from transonic.lump import SQRT2
 
         st, f2 = converged
@@ -132,6 +135,8 @@ class TestEnergy:
         phi = ComplexField2D(re=re, im=zeros(g, Symmetry.ODD_X_EVEN_Y))
         with pytest.raises(ValueError, match="EDGE_MARGIN"):
             energy(phi, 0.1)
+        with pytest.raises(ValueError, match="EDGE_MARGIN"):
+            gp_system_residual(ReductionState(0.1, g), zeros(g, Symmetry.EVEN_X_EVEN_Y))
 
     def test_phase_invariance(self, converged):
         state, f2 = converged
@@ -139,14 +144,15 @@ class TestEnergy:
         e0 = energy(phi, state.eps)
         th = 0.7324
         # the rotated parts mix two parity classes, so no RealField2D holds
-        # them; energy reads only the grid and the full-grid values
+        # them; the reference energy reads only the grid and the full-grid
+        # values, and agrees with the package's to rounding
         re = SimpleNamespace(
             values=math.cos(th) * phi.re.values - math.sin(th) * phi.im.values
         )
         im = SimpleNamespace(
             values=math.sin(th) * phi.re.values + math.cos(th) * phi.im.values
         )
-        e1 = energy(SimpleNamespace(grid=GRID, re=re, im=im), state.eps)
+        e1 = reference.energy(SimpleNamespace(grid=GRID, re=re, im=im), state.eps)
         assert e1 == pytest.approx(e0, rel=1e-12)
 
     def test_positive_for_constructed(self, converged):
@@ -193,12 +199,19 @@ class TestFarField:
         assert alpha == pytest.approx(-p.A / p.B, rel=0.1)
         assert resid <= 0.05
 
+    def test_parity_guard(self):
+        # beta = 0 and the quarter-box multiplicities hold for an odd/even Im
+        z = zeros(GRID, Symmetry.EVEN_X_EVEN_Y)
+        with pytest.raises(SymmetryViolation):
+            farfield_fit(ComplexField2D(re=z, im=z), 0.1)
+
     def test_real_part_subdominant_on_ring(self, converged):
         state, f2 = converged
         phi = assemble_phi(state, f2)
-        ring = (GRID.r >= 0.6 * GRID.Lx) & (GRID.r <= 0.9 * GRID.Lx)
-        re_tail = np.max(GRID.r[ring] * np.abs(phi.re.values[ring] - 1.0))
-        im_tail = np.max(GRID.r[ring] * np.abs(phi.im.values[ring]))
+        r = coordinates(GRID)[2]
+        ring = (r >= 0.6 * GRID.Lx) & (r <= 0.9 * GRID.Lx)
+        re_tail = np.max(r[ring] * np.abs(phi.re.values[ring] - 1.0))
+        im_tail = np.max(r[ring] * np.abs(phi.im.values[ring]))
         assert re_tail <= 0.2 * im_tail
 
     def test_empty_ring_rejected(self, converged):
@@ -214,3 +227,81 @@ class TestFarField:
         phit = assemble_phi(tiny, f2t)
         alpha, beta, resid = farfield_fit(phit, state.eps)
         assert np.isfinite(alpha)
+
+
+REPORT_KEYS = ("res1_sup", "res2_sup", "res1_weighted", "res2_weighted", "theorem_gap",
+               "energy", "alpha", "farfield_fit_residual")
+
+
+class TestQuarterBox:
+    """The quarter-box back-substitution against the full-grid reference."""
+
+    @pytest.mark.parametrize("case", ["converged", "bare"])
+    def test_report_matches_full_grid_reference(self, case, request):
+        if case == "converged":
+            state, f2 = request.getfixturevalue("converged")
+        else:
+            state = ReductionState(0.2, GRID)
+            f2 = solve_f2(state)
+        got = gp_system_residual(state, f2)
+        want = reference.gp_system_residual(state, f2)
+        assert (got.eps, got.c) == (want.eps, want.c)
+        for key in REPORT_KEYS:
+            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=0), key
+        # the odd-in-y column is orthogonal to the data over the symmetric
+        # ring: the full-grid lstsq leaves only rounding there
+        assert got.beta == 0.0
+        assert abs(want.beta) <= 1e-12 * abs(want.alpha)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("sym", list(Symmetry))
+    def test_parity_halo_stencil_matches_full_grid(self, sym, axis, order):
+        from transonic.gp import EDGE_MARGIN, _fd_derivative
+
+        g = make_grid(64, 64, 6.0, 9.0)
+        rng = np.random.default_rng(7 + 4 * order + 2 * axis)
+        f = RealField2D(g, _project_parity(rng.standard_normal((64, 64)), sym), sym)
+        quarter = _fd_derivative(f, axis, order)
+        full = reference._fd_derivative(f.values, (g.dx, g.dy)[axis], axis, order)
+
+        # nan exactly on the last three nodes along the axis, as the full
+        # grid's three edge rows on each side
+        tail = np.zeros(quarter.shape, dtype=bool)
+        np.moveaxis(tail, axis, 0)[-3:] = True
+        assert np.array_equal(np.isnan(quarter), tail)
+        edges = np.zeros(full.shape, dtype=bool)
+        np.moveaxis(edges, axis, 0)[[0, 1, 2, -3, -2, -1]] = True
+        assert np.array_equal(np.isnan(full), edges)
+
+        # every node of the full-grid window [EDGE_MARGIN, n - EDGE_MARGIN)
+        # is the image of a quarter window node, signed by the derivative's parity
+        out = sym.differentiated(order * (axis == 0), order * (axis == 1))
+        rows = [np.arange(EDGE_MARGIN, n - EDGE_MARGIN) for n in (g.nx, g.ny)]
+        half = (g.nx // 2, g.ny // 2)
+        sign = [np.where(k < h, p, 1) for k, h, p in zip(rows, half, (out.x_parity, out.y_parity))]
+        images = np.outer(*sign) * quarter[np.ix_(*(np.abs(k - h) for k, h in zip(rows, half)))]
+        want = full[np.ix_(*rows)]
+        assert np.all(np.isfinite(images))
+        assert np.max(np.abs(images - want)) <= 1e-12 * np.max(np.abs(want))
+        # on the nodes x, y >= 0 the same samples meet in the same order
+        m = [h - EDGE_MARGIN + 1 for h in half]
+        plus = full[half[0] : half[0] + m[0], half[1] : half[1] + m[1]]
+        assert np.array_equal(quarter[: m[0], : m[1]], plus)
+
+    def test_peak_memory_below_half_of_full_grid(self, converged):
+        # each call starts from a fresh state, as `residual` does, so both
+        # build the same derivative table
+        import tracemalloc
+
+        state, f2 = converged
+        peaks = []
+        for fn in (gp_system_residual, reference.gp_system_residual):
+            fresh = ReductionState(state.eps, GRID, phi=state.phi)
+            tracemalloc.start()
+            try:
+                fn(fresh, f2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.5 * peaks[1], peaks

@@ -36,7 +36,7 @@ from transonic.linearized import (
 )
 from transonic.lump import SQRT2, LumpParams, lump_derivative, sample_lump
 
-from reference import apply_L, apply_linearized, apply_lump_linearization, constant
+from reference import apply_L, apply_linearized, apply_lump_linearization, constant, coordinates
 
 
 def l2_pair(f, g):
@@ -87,7 +87,8 @@ class TestApply:
         op = zero_coupling_operator(eps, g)
         k1 = 3 * math.pi / g.Lx
         k2 = 2 * math.pi / g.Ly
-        mode = RealField2D(g, np.sin(k1 * g.X) * np.cos(k2 * g.Y), Symmetry.ODD_X_EVEN_Y)
+        X, Y, _ = coordinates(g)
+        mode = RealField2D(g, np.sin(k1 * X) * np.cos(k2 * Y), Symmetry.ODD_X_EVEN_Y)
         out = apply_linearized(op, mode)
         sym = k1**4 + (2 * SQRT2 - eps**2) * k1**2 + 2 * k2**2 \
             + 2 * eps**2 * k1**2 * k2**2 + eps**4 * k2**4
@@ -143,7 +144,7 @@ class TestSolve:
         if sym is Symmetry.EVEN_X_EVEN_Y:
             x0 = np.abs(x0)
         else:
-            x0 = x0 * np.sin(np.pi * g.Y / g.Ly)
+            x0 = x0 * np.sin(np.pi * coordinates(g)[1] / g.Ly)
         h1, h2 = zeros(g, Symmetry.EVEN_X_EVEN_Y), zeros(g, Symmetry.ODD_X_ODD_Y)
         with pytest.raises(SymmetryViolation, match="x0"):
             solve_linearized(op, h1, h2, x0=RealField2D(g, x0, sym))
@@ -541,7 +542,8 @@ class TestNormSuite:
 
     def test_antiderivative_term_requires_zero_mean(self):
         g = make_grid(64, 64, 10, 10)
-        vals = np.cos(np.pi * g.Y / g.Ly) * (2.0 + np.cos(np.pi * g.X / g.Lx))
+        X, Y, _ = coordinates(g)
+        vals = np.cos(np.pi * Y / g.Ly) * (2.0 + np.cos(np.pi * X / g.Lx))
         f = RealField2D(g, vals, Symmetry.EVEN_X_EVEN_Y)
         with pytest.raises(NonZeroMean):
             antiderivative_x(derivative(f, 0, 2))

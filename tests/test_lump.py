@@ -12,6 +12,8 @@ from transonic.lump import (
     sample_lump,
 )
 
+from reference import coordinates
+
 GRID = make_grid(256, 256, 40, 40)
 
 
@@ -134,7 +136,8 @@ def test_lump_check_sups_are_the_full_grid_sups(n, L, eps):
     p = LumpParams.from_epsilon(eps)
     c2 = 2.0 * SQRT2 - eps**2
     cl = 6.0 * SQRT2 * p.B**2.5
-    d = lambda m, k: lump_derivative(p, m, k, g.X, g.Y)
+    X, Y, _ = coordinates(g)
+    d = lambda m, k: lump_derivative(p, m, k, X, Y)
     full = (
         d(4, 0) - c2 * d(2, 0) - p.nonlinear_coeff * 2.0 * d(1, 0) * d(2, 0) - 2.0 * d(0, 2),
         d(5, 0) - c2 * d(3, 0) - cl * (d(2, 0) ** 2 + d(1, 0) * d(3, 0)) - 2.0 * d(1, 2),
@@ -161,7 +164,7 @@ def test_r_times_q_bounded_and_stable():
     sups = []
     for L, n in ((40, 256), (80, 512)):
         g = make_grid(n, n, L, L)
-        sups.append(float(np.max(g.r * np.abs(sample_lump(p, g).values))))
+        sups.append(float(np.max(coordinates(g)[2] * np.abs(sample_lump(p, g).values))))
     assert sups[0] > 0
     assert abs(sups[1] - sups[0]) / sups[0] < 0.05
 
@@ -173,16 +176,18 @@ def test_spectral_derivative_agrees_interior():
     g = make_grid(1024, 1024, 80, 80)
     q = sample_lump(p, g)
     spec = derivative(q, 1, 0)
-    exact = lump_derivative(p, 1, 0, g.X, g.Y)
-    interior = (np.abs(g.X) < 20) & (np.abs(g.Y) < 20)
+    X, Y, _ = coordinates(g)
+    exact = lump_derivative(p, 1, 0, X, Y)
+    interior = (np.abs(X) < 20) & (np.abs(Y) < 20)
     rel = np.max(np.abs(spec.values - exact)[interior]) / np.max(np.abs(exact))
     assert rel <= 1e-6
 
     g = make_grid(512, 512, 40, 40)
     q = sample_lump(p, g)
     spec = derivative(q, 1, 0)
-    exact = lump_derivative(p, 1, 0, g.X, g.Y)
-    interior = (np.abs(g.X) < 10) & (np.abs(g.Y) < 10)
+    X, Y, _ = coordinates(g)
+    exact = lump_derivative(p, 1, 0, X, Y)
+    interior = (np.abs(X) < 10) & (np.abs(Y) < 10)
     rel = np.max(np.abs(spec.values - exact)[interior]) / np.max(np.abs(exact))
     assert rel <= 1e-5
 
@@ -192,8 +197,9 @@ def test_quarter_samples_are_the_projected_full_grid_samples():
     # byte, the parity projection of its samples on the whole grid, for the
     # six Gamma_q orders and the lump itself
     p = LumpParams.from_epsilon(0.1)
+    X, Y, _ = coordinates(GRID)
     for m, n in ((0, 0), (4, 0), (2, 0), (1, 0), (0, 2), (2, 2), (0, 4)):
         sym = Symmetry.ODD_X_EVEN_Y.differentiated(m, n)
-        full = lump_derivative(p, m, n, GRID.X, GRID.Y)
+        full = lump_derivative(p, m, n, X, Y)
         full = RealField2D(GRID, _project_parity(full, sym), sym)
         assert sample_lump(p, GRID, m, n).data.tobytes() == full.data.tobytes()

@@ -7,8 +7,10 @@
 # The quarter-box multiplier needs scipy.fft dst/idst/idct of type 1;
 # lump-check, eigen, norms and the kernel field (kernel, and the ball scan of
 # kernel-scan) each build fields on the quarter box.  Reruns must give the
-# same bytes; the norms' star, read from one spectral table per field, must
-# equal the construction's report; a usage error, a flag the subcommand does
+# same bytes, and so must two residual runs on one construction, whose
+# far-field beta is exactly 0 and whose sups are finite; the norms' star,
+# read from one spectral table per field, must equal the construction's
+# report; a usage error, a flag the subcommand does
 # not read and an output path that is a file must each leave as exit 1 with
 # one stderr line; residual must refuse a directory without report.json,
 # whose epsilon it runs at, and an epsilon = 0 construction, with one stderr
@@ -33,6 +35,9 @@ cp -r c c-no-report && rm c-no-report/report.json
 if transonic residual --in c-no-report; then exit 1; else test $? -eq 1; fi
 test ! -e c-no-report/gp_residual.json
 transonic residual --in c
+transonic residual --in c --out c-res2
+cmp c/gp_residual.json c-res2/gp_residual.json
+python -c "import json, math; rec = json.load(open('c/gp_residual.json')); sups = [rec[k] for k in ('res1_sup', 'res2_sup', 'res1_weighted', 'res2_weighted', 'theorem_gap')]; assert rec['beta'] == 0.0 and all(map(math.isfinite, sups)), rec"
 transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0 --out c0
 if transonic residual --in c0 2> c0.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < c0.err)" -eq 1 && test ! -e c0/gp_residual.json
