@@ -7,7 +7,9 @@ import pytest
 from transonic.errors import SymmetryViolation
 from transonic.grid import RealField2D, Symmetry, _project_parity, _unfold, make_grid, zeros
 from transonic.gp import (
+    EDGE_MARGIN,
     ComplexField2D,
+    _fd_derivative,
     assemble_phi,
     energy,
     farfield_fit,
@@ -68,7 +70,6 @@ class TestResidualReport:
     def test_evaluator_transcription(self, converged):
         # independent inline transcription of the two residual expressions on
         # the same derivative data the evaluator uses
-        from reference import _fd_derivative
         from transonic.lump import SQRT2
 
         st, f2 = converged
@@ -79,9 +80,9 @@ class TestResidualReport:
             return _unfold(st.g1_d(m, n), sym.x_parity, sym.y_parity)
 
         d = SimpleNamespace(g1_d=g1_d)
-        f2_x = _fd_derivative(f2.values, GRID.dx, 0, 1)
-        f2_xx = _fd_derivative(f2.values, GRID.dx, 0, 2)
-        f2_yy = _fd_derivative(f2.values, GRID.dy, 1, 2)
+        f2_x = reference._fd_derivative(f2.values, GRID.dx, 0, 1)
+        f2_xx = reference._fd_derivative(f2.values, GRID.dx, 0, 2)
+        f2_yy = reference._fd_derivative(f2.values, GRID.dy, 1, 2)
         eps = st.eps
         e2, e4 = eps**2, eps**4
         g1 = d.g1_d(0, 0)
@@ -257,8 +258,6 @@ class TestQuarterBox:
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("sym", list(Symmetry))
     def test_parity_halo_stencil_matches_full_grid(self, sym, axis, order):
-        from transonic.gp import EDGE_MARGIN, _fd_derivative
-
         g = make_grid(64, 64, 6.0, 9.0)
         rng = np.random.default_rng(7 + 4 * order + 2 * axis)
         f = RealField2D(g, _project_parity(rng.standard_normal((64, 64)), sym), sym)
