@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -120,6 +121,9 @@ def load_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, name, data.get(name, own.get(name, FLAGS[name][2])))
     if "epsilon" in reads:
         check_eps(args.epsilon, args.command)
+    for name in ("Lx", "Ly"):
+        if name in reads and not 0.0 < getattr(args, name) < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {getattr(args, name)}")
     if "delta" in reads and not (0.0 < args.delta <= 0.5):
         raise ValueError("delta must lie in (0, 0.5]")
     if "tol" in reads and (args.tol <= 0 or args.max_iter < 1):
@@ -173,6 +177,8 @@ def cmd_kernel(args) -> int:
     from .kernel import kernel_fft, kernel_residue_eval
     p = _symbol_params(args)
     grid = _grid(args)
+    if not (abs(args.x) <= grid.Lx and abs(args.y) <= grid.Ly):
+        raise ValueError(f"point ({args.x}, {args.y}) is outside the box [-Lx, Lx] x [-Ly, Ly]")
     # both routes at the grid node nearest (x, y)
     i = int(round((args.x + grid.Lx) / grid.dx)) % grid.nx
     j = int(round((args.y + grid.Ly) / grid.dy)) % grid.ny

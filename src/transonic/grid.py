@@ -100,8 +100,8 @@ class Grid2D:
             raise ValueError(f"nx must be a power of two >= 16, got {self.nx}")
         if not (_is_power_of_two(self.ny) and self.ny >= 16):
             raise ValueError(f"ny must be a power of two >= 16, got {self.ny}")
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise ValueError("half-widths Lx, Ly must be positive")
+        if not (0 < self.Lx < math.inf and 0 < self.Ly < math.inf):
+            raise ValueError(f"half-widths must be finite and positive: Lx={self.Lx}, Ly={self.Ly}")
 
     @cached_property
     def dx(self) -> float:
@@ -137,7 +137,7 @@ class Grid2D:
 
 
 def make_grid(nx: int, ny: int, Lx: float, Ly: float) -> Grid2D:
-    """Build a periodic grid; rejects non-power-of-two sizes and Lx,Ly <= 0."""
+    """Build a periodic grid; rejects non-power-of-two sizes and Lx, Ly not in (0, inf)."""
     return Grid2D(nx=nx, ny=ny, Lx=float(Lx), Ly=float(Ly))
 
 

@@ -47,6 +47,7 @@ def read_field(bin_path: Path) -> RealField2D:
     """Read a field from its .bin path; the sidecar sits next to it."""
     bin_path = Path(bin_path)
     json_path = bin_path.with_suffix(".json")
+    raw = np.fromfile(bin_path, dtype="<f8")  # a missing .bin is an OSError naming it
     meta = json.loads(json_path.read_text())
     for key in ("nx", "ny", "Lx", "Ly", "symmetry"):
         if not isinstance(meta, dict) or key not in meta:
@@ -66,7 +67,6 @@ def read_field(bin_path: Path) -> RealField2D:
         raise ValueError(f"{json_path}: sidecar 'symmetry' is {meta['symmetry']!r}, "
                          f"not one of the parity classes {', '.join(classes)}")
     grid = make_grid(meta["nx"], meta["ny"], meta["Lx"], meta["Ly"])
-    raw = np.fromfile(bin_path, dtype="<f8")
     if raw.size != grid.nx * grid.ny:
         raise ValueError(
             f"{bin_path}: expected {grid.nx * grid.ny} samples, found {raw.size}"

@@ -1,11 +1,12 @@
 """
 Closed-form evaluation of the rational lump family and its derivatives.
 
-The profile is q(x, y) = -A x / (B x^2 + C y^2 + E) with coefficients tied to
-the transonic parameter eps.  All partial derivatives up to total order five
-are produced by exact rational differentiation (polynomial recurrences over
-the denominator), never by finite differences, so kernel and residual checks
-are free of grid truncation error.
+The profile is q(x, y) = -A x / Q, Q = B x^2 + C y^2 + E, with coefficients
+tied to the transonic parameter eps.  Every partial derivative up to total
+order five is N / Q^p, its numerator N stored as a 2-D array of the
+coefficients of x^i y^j and built from q's by the quotient rule, one order
+at a time; it is evaluated exactly, never by finite differences, so kernel
+and residual checks are free of grid truncation error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .grid import Grid2D, RealField2D, Symmetry, _quarter_axes, _sampled
 
@@ -61,87 +63,49 @@ class LumpParams:
         return 3.0 * SQRT2 * self.B ** 2.5
 
 
-# A bivariate polynomial is a dict {(i, j): coeff} for x^i y^j, frozen into a
-# tuple of items so derivative tables can be cached per (params, m, n).
-_Poly = dict
-
-
-def _poly_mul_monomial(p: _Poly, di: int, dj: int, c: float) -> _Poly:
-    return {(i + di, j + dj): v * c for (i, j), v in p.items()}
-
-
-def _poly_add(p: _Poly, q: _Poly) -> _Poly:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _poly_dx(p: _Poly) -> _Poly:
-    return {(i - 1, j): v * i for (i, j), v in p.items() if i > 0}
-
-
-def _poly_dy(p: _Poly) -> _Poly:
-    return {(i, j - 1): v * j for (i, j), v in p.items() if j > 0}
-
-
-def _poly_mul_Q(p: _Poly, B: float, C: float, E: float) -> _Poly:
-    out = _poly_mul_monomial(p, 2, 0, B)
-    out = _poly_add(out, _poly_mul_monomial(p, 0, 2, C))
-    return _poly_add(out, _poly_mul_monomial(p, 0, 0, E))
+def _denominator(p: LumpParams, x, y):
+    """Q = B x^2 + C y^2 + E, the lump's denominator."""
+    return p.B * x**2 + p.C * y**2 + p.E
 
 
 @lru_cache(maxsize=None)
-def _derivative_table(params: LumpParams, m: int, n: int):
-    """Numerator polynomial and denominator power of d^m/dx^m d^n/dy^n q."""
+def _derivative_table(params: LumpParams, m: int, n: int) -> tuple[np.ndarray, int]:
+    """Numerator N and denominator power p of d^m/dx^m d^n/dy^n q = N / Q^p.
+
+    N[i, j] is the coefficient of x^i y^j, read-only; order (0, 0) seeds the
+    recursion, each further order applies the quotient rule once.
+    """
     if m == 0 and n == 0:
-        return (((1, 0), -params.A),), 1
-    if n > 0:
-        items, p = _derivative_table(params, m, n - 1)
-        dQ = {(0, 1): 2.0 * params.C}
-    else:
-        items, p = _derivative_table(params, m - 1, n)
-        dQ = {(1, 0): 2.0 * params.B}
-    N = dict(items)
-    dN = _poly_dy(N) if n > 0 else _poly_dx(N)
-    # quotient rule: (N/Q^p)' = (N' Q - p N Q') / Q^(p+1)
-    term1 = _poly_mul_Q(dN, params.B, params.C, params.E)
-    term2: _Poly = {}
-    for (i, j), v in N.items():
-        for (di, dj), w in dQ.items():
-            key = (i + di, j + dj)
-            term2[key] = term2.get(key, 0.0) - p * v * w
-    out = _poly_add(term1, term2)
-    return tuple(sorted(out.items())), p + 1
-
-
-def _eval_table(items, p: int, params: LumpParams, x, y):
-    Q = params.B * x**2 + params.C * y**2 + params.E
-    num = 0.0
-    for (i, j), c in items:
-        term = c
-        if i:
-            term = term * x**i
-        if j:
-            term = term * y**j
-        num = num + term
-    return num / Q**p
-
-
-def lump_eval(p: LumpParams, x, y):
-    """q(x, y); accepts scalars or arrays."""
-    Q = p.B * np.asarray(x) ** 2 + p.C * np.asarray(y) ** 2 + p.E
-    return -p.A * np.asarray(x) / Q
+        N = np.array([[0.0], [-params.A]])
+        N.flags.writeable = False
+        return N, 1
+    axis = 1 if n > 0 else 0
+    N, p = _derivative_table(params, m, n - 1) if axis else _derivative_table(params, m - 1, n)
+    dN = P.polyder(N, axis=axis)
+    a, b = dN.shape
+    # (N/Q^p)' = (N' Q - p N Q') / Q^(p+1), with Q' = 2B x or 2C y
+    out = np.zeros((N.shape[0] + 2, N.shape[1] + 2))
+    out[2:a + 2, :b] += params.B * dN
+    out[:a, 2:b + 2] += params.C * dN
+    out[:a, :b] += params.E * dN
+    i, j = (0, 1) if axis else (1, 0)
+    dQ = 2.0 * (params.C if axis else params.B)
+    out[i:i + N.shape[0], j:j + N.shape[1]] -= p * N * dQ
+    out.flags.writeable = False
+    return out, p + 1
 
 
 def lump_derivative(p: LumpParams, m: int, n: int, x, y):
-    """Exact partial derivative d^m/dx^m d^n/dy^n q at (x, y)."""
+    """Exact partial derivative d^m/dx^m d^n/dy^n q at (x, y); (0, 0) is q
+    itself.  Accepts scalars or arrays."""
     if m < 0 or n < 0 or m + n > 5:
         raise ValueError("derivative order must satisfy 0 <= m + n <= 5")
-    if m == 0 and n == 0:
-        return lump_eval(p, x, y)
-    items, power = _derivative_table(p, m, n)
-    return _eval_table(items, power, p, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    N, power = _derivative_table(p, m, n)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    num = 0.0
+    for i, j in np.argwhere(N).tolist():
+        num = num + N[i, j] * x**i * y**j
+    return num / _denominator(p, x, y) ** power
 
 
 @lru_cache(maxsize=16)

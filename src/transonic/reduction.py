@@ -69,7 +69,8 @@ from .linearized import (
     solve_linearized,
     star_norm_proxy,
 )
-from .lump import SQRT2, LumpParams, check_eps, kpi_residual, lump_derivative, sample_lump
+from .lump import (SQRT2, LumpParams, _denominator, check_eps, kpi_residual, lump_derivative,
+                   sample_lump)
 
 
 def f1_derivative(g1_d: Callable[[int, int], np.ndarray], m: int, n: int) -> np.ndarray:
@@ -109,8 +110,7 @@ def F0_eval(eps: float, x, y):
     the exponential of the transport integral collapses to this power law.
     """
     p = LumpParams.from_epsilon(eps)
-    Q = p.B * np.asarray(x) ** 2 + p.C * np.asarray(y) ** 2 + p.E
-    return Q ** f0_exponent(p)
+    return _denominator(p, x, y) ** f0_exponent(p)
 
 
 def _g1_order(params: LumpParams, phi_table: Callable, m: int, n: int) -> np.ndarray:

@@ -86,6 +86,49 @@ def test_lump_check(tmp_path, capsys):
     assert (tmp_path / "lump.json").exists()
 
 
+# the flags besides --Lx each subcommand that reads --Lx needs
+LX_FLAGS = {
+    "lump-check": SMALL,
+    "kernel": SMALL + ["--m", "1", "--n", "0", "--x", "1", "--y", "1"],
+    "kernel-scan": ["--m", "1", "--n", "0"],
+    "eigen": SMALL,
+    "construct": SMALL,
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in sorted(LX_FLAGS) for f in ("--Lx", "--Ly")
+                                           if (c, f) != ("kernel-scan", "--Ly")])
+@pytest.mark.parametrize("value", ["inf", "nan", "-5", "0"])
+def test_halfwidth_must_be_finite_and_positive(tmp_path, capsys, command, flag, value):
+    # refused before any work and before the output directory is made,
+    # including by kernel-scan, which builds no grid from --Lx
+    out = tmp_path / "out"
+    argv = [command] + LX_FLAGS[command] + [flag, value]
+    assert main(argv + (["--out", str(out)] if command != "kernel" else [])) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and flag[2:] in rec["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x, y", [(1e9, 2.0), (-10.5, 2.0), (3.0, 10.01), (math.inf, 0.0),
+                                  (math.nan, 1.0)])
+def test_kernel_point_outside_the_box(capsys, x, y):
+    # |x| > Lx or |y| > Ly is refused, not wrapped onto a node inside the box
+    code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "0", "--x", str(x),
+                 "--y", str(y), "--nx", "16", "--ny", "16", "--Lx", "10", "--Ly", "10"])
+    assert code == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and "outside" in rec["message"]
+
+
+def test_kernel_point_on_the_box_edge(capsys):
+    # |x| = Lx is inside: x = Lx is the node -Lx, its periodic copy
+    assert main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "0", "--x", "10",
+                 "--y", "-10", "--nx", "16", "--ny", "16", "--Lx", "10", "--Ly", "10"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["x"] == rec["y"] == -10.0
+
+
 def test_kernel_command(capsys):
     code = main(["kernel", "--epsilon", "0.2", "--m", "1", "--n", "0",
                  "--x", "3", "--y", "2", "--nx", "128", "--ny", "128"])
@@ -459,6 +502,14 @@ def test_input_parity_checked(tmp_path, capsys, command):
     assert main([command] + _in_flags(tmp_path, command)) == 1
     rec = _one_error_line(capsys)
     assert rec["error"] == "SymmetryViolation" and "odd_x_even_y" in rec["message"]
+
+
+def test_missing_field_names_the_bin(tmp_path, capsys):
+    # neither file exists: the error names the .bin that was asked for
+    missing = tmp_path / "nothere.bin"
+    assert main(["norms", "--in", str(missing)]) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "FileNotFoundError" and str(missing) in rec["message"]
 
 
 def test_untagged_sidecar_rejected(tmp_path, capsys):

@@ -37,7 +37,7 @@ from transonic.linearized import (
     make_linearized_operator,
     star_norm_proxy,
 )
-from transonic.lump import LumpParams, lump_derivative, lump_eval, sample_lump
+from transonic.lump import LumpParams, lump_derivative, sample_lump
 
 from reference import apply_L, constant, coordinates, product_dealiased
 
@@ -58,6 +58,13 @@ class TestMakeGrid:
     def test_rejects_nonpositive_halfwidth(self):
         with pytest.raises(ValueError):
             make_grid(64, 64, 0.0, 40)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_rejects_nonfinite_halfwidth(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(64, 64, L, 40)
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(64, 64, 40, L)
 
     def test_points_and_wavenumbers(self):
         g = make_grid(32, 32, 5, 5)
@@ -189,7 +196,7 @@ class TestProduct:
         # so the tolerance is the measured level of this configuration and a
         # refinement halves the defect.
         p = LumpParams.from_epsilon(0.0)
-        expected = float(lump_eval(p, 1.0, 0.0)) ** 2  # 1.8839840974...
+        expected = float(lump_derivative(p, 0, 0, 1.0, 0.0)) ** 2  # 1.8839840974...
         errs = []
         for n, L in ((512, 32), (1024, 32)):
             g = make_grid(n, n, L, L)

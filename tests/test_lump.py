@@ -8,7 +8,6 @@ from transonic.lump import (
     kpi_residual,
     linearized_kernel_residuals,
     lump_derivative,
-    lump_eval,
     sample_lump,
 )
 
@@ -34,20 +33,20 @@ def test_epsilon_guard():
 
 def test_eval_odd_in_x():
     p = LumpParams.from_epsilon(0.0)
-    assert lump_eval(p, 0.0, 3.7) == 0.0
+    assert lump_derivative(p, 0, 0, 0.0, 3.7) == 0.0
 
 
 def test_eval_reference_point():
     p = LumpParams.from_epsilon(0.0)
     expected = -2 * SQRT2 / (1 + 3 / (2 * SQRT2))  # -1.3725830020...
-    assert lump_eval(p, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
+    assert lump_derivative(p, 0, 0, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(-1.37258, abs=5e-6)
 
 
 def test_small_eps_perturbation_quadratic():
     p0 = LumpParams.from_epsilon(0.0)
     p1 = LumpParams.from_epsilon(0.01)
-    delta = abs(lump_eval(p1, 1.0, 0.0) - lump_eval(p0, 1.0, 0.0))
+    delta = abs(lump_derivative(p1, 0, 0, 1.0, 0.0) - lump_derivative(p0, 0, 0, 1.0, 0.0))
     assert delta <= 5e-4
 
 
@@ -84,6 +83,31 @@ def test_derivative_chain_against_finite_difference(mn):
         ) / (2 * h)
     exact = lump_derivative(p, m, n, pts[:, 0], pts[:, 1])
     assert np.max(np.abs(fd - exact) / (np.abs(exact) + 1e-9)) <= 1e-6
+
+
+# on both axes, off them, and near r = 30
+MP_POINTS = [(0.0, 0.0), (1.3, 0.0), (0.0, -2.1), (0.7, 1.9), (-2.4, 0.5), (21.0, -21.5),
+             (0.0, 30.0), (-29.5, 4.0)]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
+def test_every_order_against_mpmath(eps):
+    # an independent check of the recursion: mpmath differentiates the closed
+    # form -A x / (B x^2 + C y^2 + E) itself at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    p = LumpParams.from_epsilon(eps)
+    with mpmath.workdps(40):
+        A, B, C, E = (mpmath.mpf(v) for v in (p.A, p.B, p.C, p.E))
+        q = lambda x, y: -A * x / (B * x**2 + C * y**2 + E)
+        for m, n in ((m, n) for m in range(6) for n in range(6 - m)):
+            for x, y in MP_POINTS:
+                got = lump_derivative(p, m, n, x, y)
+                ref = mpmath.diff(q, (x, y), (m, n))
+                if (m % 2 == 0 and x == 0.0) or (n % 2 == 1 and y == 0.0):
+                    # odd in x (y) there: exactly zero on that axis
+                    assert got == 0.0 and abs(ref) < 1e-30, (m, n, x, y)
+                else:
+                    assert abs(got - ref) <= 1e-12 * abs(ref), (m, n, x, y, got, ref)
 
 
 def test_derivative_order_guard():
@@ -154,7 +178,7 @@ def test_parity_exact():
     x = (np.arange(31) - 15) * 0.6
     y = (np.arange(29) - 14) * 0.5
     X, Y = np.meshgrid(x, y, indexing="ij")
-    q = lump_eval(p, X, Y)
+    q = lump_derivative(p, 0, 0, X, Y)
     assert np.array_equal(q[::-1, :], -q)
     assert np.array_equal(q[:, ::-1], q)
 

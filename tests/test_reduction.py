@@ -23,7 +23,7 @@ from transonic.grid import (
     zeros,
 )
 from transonic.linearized import norm_suite
-from transonic.lump import SQRT2, LumpParams, lump_eval, sample_lump
+from transonic.lump import SQRT2, LumpParams, lump_derivative, sample_lump
 from transonic.reduction import (
     F0_eval,
     ReductionState,
@@ -109,7 +109,7 @@ class TestF0:
         X, Y = np.meshgrid(x, y, indexing="ij")
         h = 1e-6
         dlog = (F0_eval(eps, X + h, Y) - F0_eval(eps, X - h, Y)) / (2 * h) / F0_eval(eps, X, Y)
-        target = -2.0 * lump_eval(p, X, Y) / (SQRT2 - eps**2)
+        target = -2.0 * lump_derivative(p, 0, 0, X, Y) / (SQRT2 - eps**2)
         assert np.max(np.abs(dlog - target)) <= 1e-8 * np.max(np.abs(target))
 
     def test_even(self):

@@ -15,7 +15,9 @@
 # one stderr line; residual must refuse a directory without report.json,
 # whose epsilon it runs at, and an epsilon = 0 construction, with one stderr
 # line; kernel-scan must refuse an order the residue route does not take
-# before it makes its output directory; the on-axis gp
+# before it makes its output directory, and so must construct and
+# kernel-scan a half-width that is not finite, and kernel a point outside
+# the box, with one stderr line; the on-axis gp
 # kernel must pass with every warning an error; the ball integral must stay
 # within 1e-6 of the benchmark's reference.
 set -euo pipefail
@@ -55,6 +57,12 @@ if transonic kernel-scan --nx 64 --m 1 --n 0 --out ks64 2> ks64.err; then exit 1
 test "$(wc -l < ks64.err)" -eq 1 && test ! -e ks64
 if transonic kernel-scan --m 0 --n 0 --out ks00; then exit 1; else test $? -eq 1; fi
 test ! -e ks00
+if transonic construct --nx 64 --ny 64 --Lx inf --out c-inf 2> c-inf.err; then exit 1; else test $? -eq 1; fi
+test "$(wc -l < c-inf.err)" -eq 1 && test ! -e c-inf
+if transonic kernel-scan --Lx nan --m 1 --n 0 --out ks-nan 2> ks-nan.err; then exit 1; else test $? -eq 1; fi
+test "$(wc -l < ks-nan.err)" -eq 1 && test ! -e ks-nan
+if transonic kernel --m 1 --n 0 --x 1e9 --y 2 --Lx 10 --nx 64 --ny 64 2> k-far.err; then exit 1; else test $? -eq 1; fi
+test "$(wc -l < k-far.err)" -eq 1
 transonic kernel-scan --mode far --preset gp --m 2 --n 0 --epsilon 0.2 --Lx 120 --out ks
 python -c "import csv; rows = list(csv.DictReader(open('ks/report.csv'))); assert len(rows) == 3 and all((r['m'], r['n'], r['preset'], r['epsilon']) == ('2', '0', 'gp', '0.2') for r in rows), rows"
 transonic kernel-scan --mode integral --Lx 2 --m 1 --n 1 --epsilon 0.2 --out ball
