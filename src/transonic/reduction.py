@@ -276,6 +276,10 @@ def _decaying_antiderivative(x: np.ndarray, I_vals: np.ndarray, decay_power: flo
 
 
 F2_GUARD = 10.0
+# the amplitude guard's roundoff floor: below eps ~ 1e-8 phi is rounding
+# error, a weighted amplitude of 6e-16 to 1.1e-15 on 64^2 to 512^2 grids
+# (10 eps^2 is 1e-23 at eps = 1e-12), and 1000 ulp sits 200 times above it
+F2_GUARD_FLOOR = 1e3 * np.finfo(float).eps
 F2_REFINE = 4
 # pass budget of the transport Picard, and the |x| window (a fraction of Lx)
 # over which its check takes the sup
@@ -395,12 +399,14 @@ def solve_f2(state: ReductionState, delta: float = DELTA_DEFAULT) -> RealField2D
     if eps > 0:
         # amplitude guard: the full weighted norm carries an O(100) constant
         # from the fourth-derivative sup terms even for the true solution, so
-        # the contraction-regime check binds the weighted amplitude instead
+        # the contraction-regime check binds the weighted amplitude instead,
+        # never below its roundoff floor
         proxy = weighted_sup(state.phi, 1.0, delta)
-        if proxy > F2_GUARD * eps**2:
+        bound = max(F2_GUARD * eps**2, F2_GUARD_FLOOR)
+        if proxy > bound:
             raise GuardViolated(
                 f"phi too large for the transport contraction: weighted amplitude "
-                f"{proxy:.3e} > {F2_GUARD} * eps^2 = {F2_GUARD * eps**2:.3e}"
+                f"{proxy:.3e} > max({F2_GUARD} * eps^2, {F2_GUARD_FLOOR:.1e}) = {bound:.3e}"
             )
     return _coarse_f2(state)
 

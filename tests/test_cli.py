@@ -210,6 +210,52 @@ def test_cli_import_leaves_kernel_layer_out(tmp_path):
     assert json.loads(proc.stdout)["m"] == 1
 
 
+def test_only_eigen_loads_sparse_linalg(tmp_path):
+    # construct and residual load none of scipy.sparse.linalg (LOBPCG's
+    # home), scipy.integrate and the kernel layer; eigen loads the first
+    env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
+    script = (
+        "import sys\n"
+        "from transonic.cli import main\n"
+        "late = {'scipy.sparse.linalg', 'scipy.integrate', 'transonic.kernel'}\n"
+        "assert not late & set(sys.modules), late & set(sys.modules)\n"
+        "grid = ['--nx', '64', '--ny', '64', '--Lx', '20', '--Ly', '20']\n"
+        "assert main(['construct', '--out', 'c'] + grid) == 0\n"
+        "assert main(['residual', '--in', 'c']) == 0\n"
+        "assert not late & set(sys.modules), late & set(sys.modules)\n"
+        "assert main(['eigen', '--out', 'e'] + grid) == 0\n"
+        "assert 'scipy.sparse.linalg' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.slow
+def test_construct_bytes_independent_of_blas_threads(tmp_path):
+    # MINRES sums its inner products pairwise, not by BLAS dot; at 256^2 the
+    # BLAS dot's thread count changed every field, at 64^2 none
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "transonic.cli", "construct",
+                               "--epsilon", "0.1", "--nx", "256", "--ny", "256",
+                               "--out", f"t{threads}"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    for f in ("phi.bin", "f1.bin", "f2.bin", "g1.bin"):
+        assert (tmp_path / "t1" / f).read_bytes() == (tmp_path / "t2" / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("eps", ["1e-12", "1e-10"])
+def test_construct_at_tiny_epsilon(tmp_path, eps):
+    # inside construct's [0, 0.3]: phi is rounding error there, which the
+    # transport guard's floor lets through
+    assert main(["construct", "--epsilon", eps, "--out", str(tmp_path)] + SMALL) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] and report["final_phi_star"] < 1e-12
+
+
 def test_kernel_scan_far(tmp_path, capsys):
     code = main(["kernel-scan", "--epsilon", "0.2", "--m", "1", "--n", "0",
                  "--mode", "far", "--Lx", "120", "--out", str(tmp_path)])

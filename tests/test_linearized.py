@@ -238,6 +238,43 @@ class TestSolve:
         assert ratios[128] <= 2.0 * ratios[256]
 
 
+def _indefinite_system(n=80, seed=4):
+    """A symmetric indefinite matrix (four negative diagonal entries among
+    positive ones up to 100, plus a symmetric coupling), a right-hand side
+    and the positive diagonal preconditioner 1 / |diag|."""
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(1.0, 100.0, n)
+    diag[:4] *= -0.05
+    S = rng.standard_normal((n, n))
+    A = np.diag(diag) + 0.2 * (S + S.T)
+    return A, rng.standard_normal(n), 1.0 / np.abs(np.diag(A))
+
+
+@pytest.mark.parametrize("start, rtol, maxiter", [
+    ("cold", 1e-12, None), ("warm", 1e-12, None), ("cold", 1e-12, 5),
+])
+def test_minres_matches_scipy(capsys, start, rtol, maxiter):
+    # the package port against scipy's minres on the same system: scipy
+    # prints its istop and iteration count with show=True
+    import re
+
+    from scipy.sparse.linalg import minres as scipy_minres
+
+    A, b, m = _indefinite_system()
+    x0 = None if start == "cold" else np.linalg.solve(A, b) + 1e-3 * np.sin(np.arange(b.size))
+    calls = []
+    x, istop, itn = lin_mod.minres(lambda v: A @ v, b, x0=x0, M=lambda v: m * v, rtol=rtol,
+                                   maxiter=maxiter, callback=lambda xk: calls.append(1))
+    capsys.readouterr()
+    x_sp, _ = scipy_minres(A, b, x0=x0, M=np.diag(m), rtol=rtol, maxiter=maxiter, show=True)
+    istop_sp, itn_sp = map(int, re.search(r"istop\s*=\s*(-?\d+)\s+itn\s*=\s*(\d+)",
+                                           capsys.readouterr().out).groups())
+    assert istop == istop_sp == (6 if maxiter else 1)
+    assert abs(itn - itn_sp) <= 1
+    assert len(calls) == itn
+    assert np.max(np.abs(x - x_sp)) <= 1e-10 * np.max(np.abs(x_sp))
+
+
 class TestReducedOperator:
     def test_nonzero_mean_rejected(self):
         g = make_grid(32, 32, 5, 5)
@@ -506,13 +543,13 @@ def test_linear_solve_matches_dense_reference(rand_field, monkeypatch):
     assert np.max(np.abs(R.T @ R - np.eye(R.shape[1]))) <= 1e-12
 
     operators = []
-    make = lin.LinearOperator
-    monkeypatch.setattr(lin, "LinearOperator",
-                        lambda *a, **k: operators.append(k["matvec"]) or make(*a, **k))
+    solve = lin.minres
+    monkeypatch.setattr(lin, "minres",
+                        lambda *a, **k: operators.append(a[0]) or solve(*a, **k))
     h1 = rand_field(g, Symmetry.EVEN_X_EVEN_Y, seed=2, kmax=6)
     h2 = rand_field(g, Symmetry.ODD_X_ODD_Y, seed=3, kmax=6)
     phi, _ = solve_linearized(op, h1, h2, tol=1e-12)
-    matvec = operators[0]  # the operator; the preconditioner comes second
+    matvec = operators[0]  # the operator MINRES was given, its first argument
     Hc = np.column_stack([matvec(e) for e in np.eye(R.shape[1])])
     ref = R.T @ H @ R
     assert np.max(np.abs(Hc - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -128,6 +128,17 @@ class TestSolveF2:
         with pytest.raises(GuardViolated):
             solve_f2(st)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10])
+    def test_guard_floor_at_tiny_eps(self, rand_field, eps):
+        # 10 eps^2 lies below phi's rounding error here; the floor lets a
+        # rounding-level phi through and still stops a large one
+        g = make_grid(64, 64, 20, 20)
+        phi = rand_field(g, Symmetry.ODD_X_EVEN_Y, seed=3, amplitude=1e-15)
+        assert weighted_sup(phi, 1.0, 0.1) > 10.0 * eps**2
+        solve_f2(ReductionState(eps, g, phi=phi))
+        with pytest.raises(GuardViolated, match="weighted amplitude"):
+            solve_f2(ReductionState(eps, g, phi=phi.scaled(1e6)))
+
     def test_residual_coarse(self):
         st = ReductionState(0.1, GRID)
         f2 = solve_f2(st)

@@ -19,16 +19,22 @@
 # kernel-scan a half-width that is not finite, and kernel a point outside
 # the box, with one stderr line; the on-axis gp
 # kernel must pass with every warning an error; the ball integral must stay
-# within 1e-6 of the benchmark's reference.
+# within 1e-6 of the benchmark's reference.  Importing the CLI loads neither
+# the kernel layer, scipy.integrate nor scipy.sparse.linalg, and a 256^2
+# construct writes the same bytes under one and two BLAS threads (at 64^2 a
+# BLAS dot in MINRES would not show).
 set -euo pipefail
 
-python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate'} & set(sys.modules); assert not late, late"
+python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate', 'scipy.sparse.linalg'} & set(sys.modules); assert not late, late"
 transonic lump-check --nx 32 --ny 32 --Lx 10 --Ly 10 --out lump-check
 transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c
 transonic norms --in c/phi.bin --epsilon 0.1 > c-norms.csv
 python -c "import csv, json; (row,) = csv.DictReader(open('c-norms.csv')); star = json.load(open('c/report.json'))['final_phi_star']; assert float(row['star']) == star, (row['star'], star)"
 transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c2
 for f in phi f1 f2 g1; do cmp "c/$f.bin" "c2/$f.bin"; done
+OPENBLAS_NUM_THREADS=1 transonic construct --nx 256 --ny 256 --epsilon 0.1 --out t1
+OPENBLAS_NUM_THREADS=2 transonic construct --nx 256 --ny 256 --epsilon 0.1 --out t2
+for f in phi f1 f2 g1; do cmp "t1/$f.bin" "t2/$f.bin"; done
 if transonic construct --threads 2 --out t; then exit 1; else test $? -eq 1; fi
 touch not-a-dir
 if transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --out not-a-dir 2> not-a-dir.err; then exit 1; else test $? -eq 1; fi
