@@ -121,13 +121,13 @@ def load_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, name, data.get(name, own.get(name, FLAGS[name][2])))
     if "epsilon" in reads:
         check_eps(args.epsilon, args.command)
-    for name in ("Lx", "Ly"):
+    for name in ("Lx", "Ly", "tol"):
         if name in reads and not 0.0 < getattr(args, name) < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {getattr(args, name)}")
     if "delta" in reads and not (0.0 < args.delta <= 0.5):
         raise ValueError("delta must lie in (0, 0.5]")
-    if "tol" in reads and (args.tol <= 0 or args.max_iter < 1):
-        raise ValueError("tol and max-iter must be positive")
+    if "max_iter" in reads and args.max_iter < 1:
+        raise ValueError(f"max-iter must be positive, got {args.max_iter}")
     return args
 
 

@@ -25,9 +25,9 @@ ball-integral bounds of the kernel analysis into measurable reports.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -38,7 +38,19 @@ from .lump import SQRT2, check_eps
 
 QUAD_TOL = 1e-8
 
-ALLOWED_ORDERS = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)}
+# the orders of the residue route, with the decay exponent of the far-field
+# bound; ``kernel_fft`` takes the kernel itself as well
+FAR_FIELD_SLOPE = {
+    (1, 0): -1.0,
+    (2, 0): -1.5,
+    (3, 0): -1.5,
+    (0, 1): -1.0,
+    (0, 2): -1.5,
+    (0, 3): -1.5,
+    (1, 1): -1.5,
+    (1, 2): -1.5,
+}
+ALLOWED_ORDERS = {(0, 0), *FAR_FIELD_SLOPE}
 
 
 @dataclass(frozen=True)
@@ -131,6 +143,12 @@ def _row_builder(p: KernelSymbolParams, m: int, n: int):
     (alpha, beta) = (-1/q, -h/q), (0, -1), (1, -h), (2h, d^2 - h^2), q = h^2 + d^2.
     The row is (below, r, t, A, B): r = Re sqrt(a), t = 2d below and d past,
     and the bracket's coefficients times -xi^m/(2 h E).
+
+    Rows do not depend on the point (x, y), and QUADPACK's nodes sit at
+    fixed places in panels whose edges are the same for every point, so one
+    scan meets the same few thousand xi again and again: a scan memoizes
+    its rows (``functools.cache``) for its own lifetime, never across
+    public calls.
     """
     e2 = p.eps**2
     big_e = p.d4 * e2 * e2
@@ -156,37 +174,27 @@ def _row_builder(p: KernelSymbolParams, m: int, n: int):
     return row
 
 
-class _NodeTable(dict):
-    """xi -> ``_row_builder`` row of one symbol and order (m, n), filled on a
-    miss.  Rows do not depend on the point (x, y), and QUADPACK's nodes sit
-    at fixed places in panels whose edges are the same for every point, so
-    one scan meets the same few thousand xi again and again.  A table lives
-    as long as the scan that builds it, never across public calls."""
-
-    def __init__(self, p: KernelSymbolParams, m: int, n: int):
-        self.row = _row_builder(p, m, n)
-
-    def __missing__(self, xi: float):
-        row = self[xi] = self.row(xi)
-        return row
+# a scan's row memo: xi -> the ``_row_builder`` row
+Rows = Callable[[float], tuple]
 
 
-def _integrand(p: KernelSymbolParams, m: int, n: int, y: float, nodes: _NodeTable | None = None):
+def _integrand(p: KernelSymbolParams, m: int, n: int, y: float, nodes: Rows | None = None):
     """xi -> xi^m S_n(xi, y) for one real xi, with S_n the xi2-contour
     integral divided by pi i^n:
 
         S_n = [a^{(n-1)/2} e^{-sqrt(a) y} - b^{(n-1)/2} e^{-sqrt(b) y}] / (d4 e^4 (b-a)),
 
     real for real xi, a^{(n-1)/2} = sqrt(a)^(n-1) on the principal branch.
-    Rows come from ``nodes``, a scan's table (a fresh one when none is
-    given); shared and fresh tables agree bit for bit.  At the branch point
-    t = 0 divides by zero; no quadrature node lands there.
+    Rows come from ``nodes``, a memoized ``_row_builder`` of the same p, m
+    and n (the row builder itself when none is given); both agree bit for
+    bit.  At the branch point t = 0 divides by zero; no quadrature node
+    lands there.
     """
-    table = _NodeTable(p, m, n) if nodes is None else nodes
+    rows = _row_builder(p, m, n) if nodes is None else nodes
     exp, expm1, cos, sin = math.exp, math.expm1, math.cos, math.sin
 
     def f(xi: float) -> float:
-        below, r, t, A, B = table[xi]
+        below, r, t, A, B = rows(xi)
         if below:
             return exp(-r * y) * (A + B * expm1(-t * y) / t)
         return exp(-r * y) * (A * cos(t * y) + B * sin(t * y) / t)
@@ -214,15 +222,13 @@ def _axis_tail_coeffs(p: KernelSymbolParams, m: int, n: int) -> tuple[float, flo
     return l_inf, l_1
 
 
-def _decay_cutoff(nodes: _NodeTable, y: float, c: float) -> float:
-    """xi beyond which exp(-r y) < 1e-20, r = Re sqrt(a) of the row."""
-    if y <= 0.0:
-        return math.inf
+def _decay_cutoff(nodes: Rows, y: float, c: float) -> float:
+    """xi beyond which exp(-r y) < 1e-20, r = Re sqrt(a) of the row; y > 0."""
     target = 46.0 / y
     # r grows about linearly in xi: bracket geometrically, not by an asymptote
     xi = 2.0 * c
     for _ in range(200):
-        if nodes[xi][1] >= target:
+        if nodes(xi)[1] >= target:
             return xi
         xi *= 1.5
     return xi
@@ -230,8 +236,8 @@ def _decay_cutoff(nodes: _NodeTable, y: float, c: float) -> float:
 
 def _check_order(m: int, n: int) -> None:
     """Raise ValueError unless (m, n) is an order of the residue route: one
-    of ``ALLOWED_ORDERS`` other than the kernel itself."""
-    if (m, n) not in ALLOWED_ORDERS or m + n < 1:
+    of ``FAR_FIELD_SLOPE``'s."""
+    if (m, n) not in FAR_FIELD_SLOPE:
         raise ValueError(f"unsupported derivative order ({m}, {n})")
 
 
@@ -241,16 +247,17 @@ def kernel_residue_eval(
     n: int,
     x: float,
     y: float,
-    quad_tol: float = QUAD_TOL,
-    nodes: _NodeTable | None = None,
+    nodes: Rows | None = None,
 ) -> float:
     """Free-space kernel derivative value d^m/dx^m d^n/dy^n K(x, y).
 
     Normalization matches ``kernel_fft``: K = (2 pi)^-2 times the inverse
     transform of the symbol reciprocal, so the value returned here is the
     real number (2 pi)^-2 i^(m+n) K_{m,n} in terms of the raw moment
-    integral K_{m,n}.  ``nodes`` is the node table of a scan, built for the
-    same ``p``, ``m`` and ``n``; a call without one builds its own.
+    integral K_{m,n}.  ``nodes`` is the row memo of a scan,
+    ``functools.cache(_row_builder(p, m, n))`` for the same ``p``, ``m`` and
+    ``n``; a call without one builds its own.  The quadrature is held to
+    relative error ``QUAD_TOL``.
     """
     _check_order(m, n)
     if x == 0.0 and y == 0.0:
@@ -266,7 +273,7 @@ def kernel_residue_eval(
     c_branch = branch_point(p)
     c = _scale_xi(p)
     if nodes is None:
-        nodes = _NodeTable(p, m, n)
+        nodes = cache(_row_builder(p, m, n))
     f = _integrand(p, m, n, y, nodes)
     weight = "cos" if m % 2 == 0 else "sin"
     wfun = math.cos if m % 2 == 0 else math.sin
@@ -316,7 +323,7 @@ def kernel_residue_eval(
         # can be far below that of |integrand| (-0.067 against 250 at gp
         # (1, 2), x = 3), and QUADPACK's error estimate stays above 50 eps
         # times the latter: ask for 10 % above that floor (twice it fails
-        # quad_tol at gp eps 0.1, (0, 3), (x, y) = (5, 0.05))
+        # QUAD_TOL at gp eps 0.1, (0, 3), (x, y) = (5, 0.05))
         def h(xi):
             return osc(xi) * f(xi)
 
@@ -359,9 +366,9 @@ def kernel_residue_eval(
     scale = max(abs(total), 1e-3 * abs_scale, 1e-300)
     # 1e-13 floor: QUADPACK error estimates bottom out near machine epsilon
     # even when the integral is exactly representable
-    if err > max(quad_tol * scale, 1e-13):
+    if err > max(QUAD_TOL * scale, 1e-13):
         raise QuadratureNotConverged(
-            f"estimated error {err:.2e} exceeds {quad_tol:.1e} * {scale:.2e}"
+            f"estimated error {err:.2e} exceeds {QUAD_TOL:.1e} * {scale:.2e}"
         )
     return sgn * value
 
@@ -410,18 +417,6 @@ class DecayScanReport:
     max_prefactor: float
 
 
-FAR_FIELD_SLOPE = {
-    (1, 0): -1.0,
-    (2, 0): -1.5,
-    (3, 0): -1.5,
-    (0, 1): -1.0,
-    (0, 2): -1.5,
-    (0, 3): -1.5,
-    (1, 1): -1.5,
-    (1, 2): -1.5,
-}
-
-
 def decay_scan(
     p: KernelSymbolParams,
     m: int,
@@ -437,7 +432,7 @@ def decay_scan(
     """
     radii = tuple(float(r) for r in radii)
     angles = tuple(float(t) for t in angles)
-    nodes = _NodeTable(p, m, n)
+    nodes = cache(_row_builder(p, m, n))
     slopes = []
     prefactors = []
     for theta in angles:
@@ -511,7 +506,7 @@ def _ball_shells(p: KernelSymbolParams, m: int, n: int, r: float) -> Iterator[fl
 
     Polar rule: Gauss-Legendre in the first-quadrant angle (parity gives the
     other quadrants) and in radius on each shell.  Points near the y = 0 axis
-    use the residue route, all through one node table; the rest interpolate a
+    use the residue route, all through one row memo; the rest interpolate a
     periodic-grid kernel field.
     """
     from scipy.interpolate import RectBivariateSpline
@@ -522,7 +517,7 @@ def _ball_shells(p: KernelSymbolParams, m: int, n: int, r: float) -> Iterator[fl
     fld = kernel_fft(p, grid, m, n)
     spline = RectBivariateSpline(grid.x, grid.y, fld.values, kx=3, ky=3)
     y_switch = 3.0 * grid.dy
-    nodes = _NodeTable(p, m, n)
+    nodes = cache(_row_builder(p, m, n))
 
     tn, tw = np.polynomial.legendre.leggauss(SCAN_THETA_NODES)
     thetas = 0.25 * math.pi * (tn + 1.0)
@@ -548,22 +543,16 @@ def _ball_shells(p: KernelSymbolParams, m: int, n: int, r: float) -> Iterator[fl
         hi = lo
 
 
-def integral_scan(
-    p: KernelSymbolParams,
-    m: int,
-    n: int,
-    r: float,
-    shells: int = SCAN_MAX_SHELLS,
-) -> float:
+def integral_scan(p: KernelSymbolParams, m: int, n: int, r: float) -> float:
     """Quadrature of |d^m d^n K| over the disc B_r(0).
 
     Sums the dyadic shells of ``_ball_shells`` from the rim toward the
     integrable origin singularity and adds the origin tail extrapolated from
     the shell ratio (``_extrapolated_sum``): the scan stops once that
-    estimate settles to ``SCAN_REL_TOL``.  ``shells`` caps the number of
-    shells; a tail that has not settled by then, or a ratio at or above 1
-    (a diverging integral), raises ``QuadratureNotConverged``.
+    estimate settles to ``SCAN_REL_TOL``.  A tail that has not settled after
+    ``SCAN_MAX_SHELLS`` shells, or a ratio at or above 1 (a diverging
+    integral), raises ``QuadratureNotConverged``.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    return _extrapolated_sum(_ball_shells(p, m, n, r), shells)
+    return _extrapolated_sum(_ball_shells(p, m, n, r), SCAN_MAX_SHELLS)

@@ -60,8 +60,10 @@ from .grid import (
 from .lump import SQRT2, LumpParams, sample_lump
 
 DELTA_DEFAULT = 0.1
-# restarts of MINRES from its own iterate in ``solve_linearized``
+# restarts of MINRES from its own iterate in ``solve_linearized``, and the
+# iteration budget of each
 _MINRES_PASSES = 3
+_MINRES_MAX_ITER = 8000
 # LOBPCG's preconditioner in ``eigen_extremes`` is 1 / (S - c2 + gap): the
 # wanted eigenvalues sit just below the continuum edge c2.  At 512^2,
 # eps = 0.1, k = 4, block k + 1, seeds 2-6, the gaps 1, 0.5, 0.25 and 0.1
@@ -138,8 +140,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def minres(
     A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
+    M: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray | None = None,
-    M: Callable[[np.ndarray], np.ndarray] | None = None,
     rtol: float = 1e-5,
     maxiter: int | None = None,
     callback: Callable[[np.ndarray], object] | None = None,
@@ -159,8 +161,6 @@ def minres(
     ``callback(x)`` is called once per iteration.
     """
     eps = np.finfo(float).eps
-    if M is None:
-        M = lambda v: v
     if maxiter is None:
         maxiter = 5 * b.size
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
@@ -247,7 +247,6 @@ def solve_linearized(
     h1: RealField2D,
     h2: RealField2D,
     tol: float = 1e-9,
-    max_iter: int = 200,
     x0: RealField2D | None = None,
 ) -> tuple[RealField2D, int]:
     """Solve the linearized problem with right-hand side dx h1 + dy h2;
@@ -264,8 +263,8 @@ def solve_linearized(
     ran, which the isometry of the coefficient map makes the relative L2
     residual on the full grid; so MINRES restarts from its own iterate until
     the plain residual meets ``tol``, for at most ``_MINRES_PASSES`` passes
-    of ``40 * max_iter`` iterations each.  The first pass starts from ``x0``
-    (a field tagged odd_x_even_y, such as the previous solution of a
+    of ``_MINRES_MAX_ITER`` iterations each.  The first pass starts from
+    ``x0`` (a field tagged odd_x_even_y, such as the previous solution of a
     fixed-point iteration) if given.  Every norm, MINRES's included, is a
     pairwise sum, so the solution's bytes do not depend on the BLAS thread
     count.
@@ -301,7 +300,7 @@ def solve_linearized(
     iterations = 0
     for _ in range(_MINRES_PASSES):
         sol, istop, its = minres(matvec, b, x0=sol, M=lambda v: v / sym.ravel(),
-                                 rtol=tol * 1e-2, maxiter=40 * max_iter)
+                                 rtol=tol * 1e-2, maxiter=_MINRES_MAX_ITER)
         iterations += its
         r = matvec(sol) - b
         res = math.sqrt(_dot(r, r)) / b_norm

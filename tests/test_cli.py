@@ -352,6 +352,51 @@ def test_config_file_and_override(tmp_path, capsys):
     assert rec["epsilon"] == 0.1  # flag wins over config file
 
 
+# value checks made before any work: argv (with {out}, {in} and the config
+# files {mode} and {tol} filled in), and a fragment of the message
+REFUSALS = {
+    "construct-delta-0": (["construct", *SMALL, "--delta", "0", "--out", "{out}"], "delta"),
+    "norms-delta-high": (["norms", "--delta", "0.6", "--in", "{in}/phi.bin"], "delta"),
+    "construct-tol-0": (["construct", *SMALL, "--tol", "0", "--out", "{out}"], "tol"),
+    "eigen-tol-negative": (["eigen", *SMALL, "--tol", "-1e-7", "--out", "{out}"], "tol"),
+    "construct-tol-inf": (["construct", *SMALL, "--tol", "inf", "--out", "{out}"], "tol"),
+    "construct-tol-nan": (["construct", *SMALL, "--tol", "nan", "--out", "{out}"], "tol"),
+    "eigen-tol-inf": (["eigen", *SMALL, "--tol", "inf", "--out", "{out}"], "tol"),
+    "eigen-tol-nan": (["eigen", *SMALL, "--tol", "nan", "--out", "{out}"], "tol"),
+    "config-tol-nan": (["construct", *SMALL, "--config", "{tol}", "--out", "{out}"], "tol"),
+    "construct-max-iter-0": (["construct", *SMALL, "--max-iter", "0", "--out", "{out}"],
+                             "max-iter"),
+    "eigen-max-iter-0": (["eigen", *SMALL, "--max-iter", "0", "--out", "{out}"], "max-iter"),
+    "config-mode-choice": (["kernel-scan", "--m", "1", "--n", "0", "--config", "{mode}",
+                            "--out", "{out}"], "'mode'"),
+    "short-bin": (["residual", "--in", "{in}", "--out", "{out}"], "samples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refused_before_output(tmp_path, capsys, monkeypatch, case):
+    # exit 1 with one JSON line before any work and before the output
+    # directory is made; the input's phi.bin holds one sample fewer than its
+    # sidecar says
+    for mod, name in ((cli_mod, "outer_fixed_point"), (cli_mod, "eigen_extremes"),
+                      (cli_mod, "norm_suite"), (ker_mod, "decay_scan"),
+                      (cli_mod, "gp_system_residual")):
+        monkeypatch.setattr(mod, name, _refuse)
+    src = tmp_path / "in"
+    fio.write_field(src, "phi", zeros(make_grid(16, 16, 5, 5), Symmetry.ODD_X_EVEN_Y))
+    (src / "phi.bin").write_bytes((src / "phi.bin").read_bytes()[:-8])
+    (tmp_path / "mode.json").write_text('{"mode": "sideways"}')
+    (tmp_path / "tol.json").write_text('{"tol": NaN}')
+    out = tmp_path / "out"
+    argv, fragment = REFUSALS[case]
+    filled = [a.format(out=out, mode=tmp_path / "mode.json", tol=tmp_path / "tol.json",
+                       **{"in": src}) for a in argv]
+    assert main(filled) == 1
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "ValueError" and fragment in rec["message"], rec
+    assert not out.exists()
+
+
 def test_unknown_config_key(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"epsilonn": 0.1}')

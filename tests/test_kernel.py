@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import warnings
@@ -275,10 +276,11 @@ class TestScalarRoute:
             for x in (1.0, 2.0, 5.0):
                 kernel_residue_eval(p, *mn, x, 0.0)
 
-    def test_tight_tolerance_still_raises(self):
+    def test_tight_tolerance_still_raises(self, monkeypatch):
         p = KernelSymbolParams.normalized(0.2)
+        monkeypatch.setattr(K, "QUAD_TOL", 1e-16)
         with pytest.raises(QuadratureNotConverged):
-            kernel_residue_eval(p, 1, 0, 5.0, 0.0, quad_tol=1e-16)
+            kernel_residue_eval(p, 1, 0, 5.0, 0.0)
 
     def test_branch_point_cached(self):
         K.branch_point.cache_clear()
@@ -309,15 +311,16 @@ class TestScans:
         assert rep.fitted_slope_per_ray[0] >= -1.1
 
     @pytest.mark.slow
-    def test_integral_scan_bounded(self):
+    def test_integral_scan_bounded(self, monkeypatch):
         p = KernelSymbolParams.normalized(0.2)
         vals = {r: integral_scan(p, 1, 0, r) for r in (1.0, 2.0, 4.0, 8.0)}
         ratios = [vals[r] / r for r in (1.0, 2.0, 4.0, 8.0)]
         # value/r bounded: growth per doubling stays modest and shrinking
         assert ratios[3] / ratios[2] <= 1.5
         assert ratios[3] / ratios[2] <= ratios[2] / ratios[1] + 0.05
-        # shells=10 caps the scan: these radii settle within 9 shells
-        small = [integral_scan(p, 1, 0, r, shells=10) for r in (0.25, 0.5, 1.0)]
+        # a cap of 10 shells: these radii settle within 9 shells
+        monkeypatch.setattr(K, "SCAN_MAX_SHELLS", 10)
+        small = [integral_scan(p, 1, 0, r) for r in (0.25, 0.5, 1.0)]
         assert small[0] <= small[1] <= small[2]
 
     @pytest.mark.slow
@@ -337,10 +340,10 @@ class TestNodeTable:
     def test_shared_table_matches_fresh(self, preset):
         p = getattr(KernelSymbolParams, preset)(0.2)
         for m, n in FAR_FIELD_SLOPE:
-            nodes = K._NodeTable(p, m, n)
+            nodes = functools.cache(K._row_builder(p, m, n))
             for x, y in ((0.4, 0.05), (2.0, 1e-3), (5.0, 0.0)):
                 kernel_residue_eval(p, m, n, x, y, nodes=nodes)
-            assert nodes
+            assert nodes.cache_info().currsize
             for x, y in ((3.0, 0.0), (1.5, 0.7), (0.3, 2.0)):
                 shared = kernel_residue_eval(p, m, n, x, y, nodes=nodes)
                 assert shared == kernel_residue_eval(p, m, n, x, y), (preset, m, n, x, y)

@@ -98,3 +98,18 @@ class TestQuarterStorage:
         back = read_field(write_field(tmp_path_factory.mktemp("io"), "f", f))
         assert back.symmetry is sym
         assert back.data.tobytes() == f.data.tobytes()
+
+
+@pytest.mark.parametrize("shape, bad, match", [
+    ((16, 8), None, "shape"),
+    ((16, 16), np.nan, "finite"),
+], ids=["shape", "non-finite"])
+def test_constructor_refuses_bad_samples(shape, bad, match):
+    # the public constructor is where data enter: the wrong number of
+    # samples, or one that is not finite, is refused before the class check
+    grid = make_grid(16, 16, 5.0, 5.0)
+    vals = np.zeros(shape)
+    if bad is not None:
+        vals[8, 8] = bad
+    with pytest.raises(ValueError, match=match):
+        RealField2D(grid, vals, Symmetry.EVEN_X_EVEN_Y)

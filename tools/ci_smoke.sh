@@ -16,8 +16,9 @@
 # whose epsilon it runs at, and an epsilon = 0 construction, with one stderr
 # line; kernel-scan must refuse an order the residue route does not take
 # before it makes its output directory, and so must construct and
-# kernel-scan a half-width that is not finite, and kernel a point outside
-# the box, with one stderr line; the on-axis gp
+# kernel-scan a half-width that is not finite, construct a tolerance that is
+# not finite, and kernel a point outside the box, with one stderr line; far
+# and near kernel scans must rerun to the same bytes; the on-axis gp
 # kernel must pass with every warning an error; the ball integral must stay
 # within 1e-6 of the benchmark's reference.  Importing the CLI loads neither
 # the kernel layer, scipy.integrate nor scipy.sparse.linalg, and a 256^2
@@ -65,11 +66,17 @@ if transonic kernel-scan --m 0 --n 0 --out ks00; then exit 1; else test $? -eq 1
 test ! -e ks00
 if transonic construct --nx 64 --ny 64 --Lx inf --out c-inf 2> c-inf.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < c-inf.err)" -eq 1 && test ! -e c-inf
+if transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --tol inf --out c-tol 2> c-tol.err; then exit 1; else test $? -eq 1; fi
+test "$(wc -l < c-tol.err)" -eq 1 && test ! -e c-tol
 if transonic kernel-scan --Lx nan --m 1 --n 0 --out ks-nan 2> ks-nan.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < ks-nan.err)" -eq 1 && test ! -e ks-nan
 if transonic kernel --m 1 --n 0 --x 1e9 --y 2 --Lx 10 --nx 64 --ny 64 2> k-far.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < k-far.err)" -eq 1
 transonic kernel-scan --mode far --preset gp --m 2 --n 0 --epsilon 0.2 --Lx 120 --out ks
+for mode in far near; do
+  for run in 1 2; do transonic kernel-scan --mode "$mode" --m 1 --n 2 --epsilon 0.2 --out "ks-$mode$run"; done
+  cmp "ks-${mode}1/report.csv" "ks-${mode}2/report.csv"
+done
 python -c "import csv; rows = list(csv.DictReader(open('ks/report.csv'))); assert len(rows) == 3 and all((r['m'], r['n'], r['preset'], r['epsilon']) == ('2', '0', 'gp', '0.2') for r in rows), rows"
 transonic kernel-scan --mode integral --Lx 2 --m 1 --n 1 --epsilon 0.2 --out ball
 python -c "import csv; (row,) = csv.DictReader(open('ball/report.csv')); v = float(row['integral']); assert abs(v - 0.41542914237237066) <= 1e-6 * 0.41542914237237066, v"
