@@ -25,6 +25,7 @@ ball-integral bounds of the kernel analysis into measurable reports.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -257,8 +258,23 @@ def kernel_residue_eval(
     integral K_{m,n}.  ``nodes`` is the row memo of a scan,
     ``functools.cache(_row_builder(p, m, n))`` for the same ``p``, ``m`` and
     ``n``; a call without one builds its own.  The quadrature is held to
-    relative error ``QUAD_TOL``.
+    relative error ``QUAD_TOL``, and a QUADPACK ``IntegrationWarning`` on
+    any panel (roundoff, subdivision limit, ...) raises
+    ``QuadratureNotConverged`` with its message.
     """
+    with warnings.catch_warnings():
+        # one filter per evaluation, not per quad call
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            return _residue_value(p, m, n, x, y, nodes)
+        except integrate.IntegrationWarning as exc:
+            raise QuadratureNotConverged(f"QUADPACK: {' '.join(str(exc).split())}") from None
+
+
+def _residue_value(
+    p: KernelSymbolParams, m: int, n: int, x: float, y: float, nodes: Rows | None
+) -> float:
+    """``kernel_residue_eval`` without the warning filter."""
     _check_order(m, n)
     if x == 0.0 and y == 0.0:
         raise ValueError("the kernel derivative is singular at the origin")

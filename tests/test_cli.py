@@ -210,21 +210,22 @@ def test_cli_import_leaves_kernel_layer_out(tmp_path):
     assert json.loads(proc.stdout)["m"] == 1
 
 
-def test_only_eigen_loads_sparse_linalg(tmp_path):
-    # construct and residual load none of scipy.sparse.linalg (LOBPCG's
-    # home), scipy.integrate and the kernel layer; eigen loads the first
+def test_no_subcommand_loads_scipy_linalg(tmp_path):
+    # construct and residual load none of scipy.sparse.linalg, scipy.linalg,
+    # scipy.integrate and the kernel layer; eigen, whose LOBPCG is the
+    # package's own, loads neither linalg either
     env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
     script = (
         "import sys\n"
         "from transonic.cli import main\n"
-        "late = {'scipy.sparse.linalg', 'scipy.integrate', 'transonic.kernel'}\n"
+        "late = {'scipy.sparse.linalg', 'scipy.linalg', 'scipy.integrate', 'transonic.kernel'}\n"
         "assert not late & set(sys.modules), late & set(sys.modules)\n"
         "grid = ['--nx', '64', '--ny', '64', '--Lx', '20', '--Ly', '20']\n"
         "assert main(['construct', '--out', 'c'] + grid) == 0\n"
         "assert main(['residual', '--in', 'c']) == 0\n"
         "assert not late & set(sys.modules), late & set(sys.modules)\n"
         "assert main(['eigen', '--out', 'e'] + grid) == 0\n"
-        "assert 'scipy.sparse.linalg' in sys.modules\n"
+        "assert not late & set(sys.modules), late & set(sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, cwd=tmp_path)
@@ -244,6 +245,23 @@ def test_construct_bytes_independent_of_blas_threads(tmp_path):
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
     for f in ("phi.bin", "f1.bin", "f2.bin", "g1.bin"):
+        assert (tmp_path / "t1" / f).read_bytes() == (tmp_path / "t2" / f).read_bytes(), f
+
+
+@pytest.mark.slow
+def test_eigen_bytes_independent_of_blas_threads(tmp_path):
+    # LOBPCG's products are BLAS matrix-matrix ones, whose sums do not follow
+    # the thread count; scipy's lobpcg changed phi0 and phi1 at 512^2, at
+    # 64^2 (and 256^2) it did not
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "transonic.cli", "eigen",
+                               "--epsilon", "0.1", "--nx", "512", "--ny", "512", "--k", "4",
+                               "--seed", "2", "--out", f"t{threads}"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    for f in ("phi0.bin", "phi1.bin"):
         assert (tmp_path / "t1" / f).read_bytes() == (tmp_path / "t2" / f).read_bytes(), f
 
 
@@ -860,11 +878,28 @@ def test_diverging_transport_one_error_line(tmp_path):
     assert rec["error"] == "NotConverged" and "diverged" in rec["message"]
 
 
+def test_quadpack_warning_is_one_error_line(tmp_path):
+    # QUADPACK's roundoff warning on a ball-scan panel is the solver verdict
+    # QuadratureNotConverged, and none of its lines reach stderr (a
+    # subprocess, since pytest captures warnings before they are printed)
+    env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "transonic.cli", "kernel-scan", "--epsilon", "0.2",
+         "--mode", "integral", "--m", "3", "--n", "0", "--out", str(tmp_path / "ks")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    rec = json.loads(err[0])
+    assert rec["error"] == "QuadratureNotConverged" and "QUADPACK" in rec["message"]
+
+
 @pytest.mark.parametrize("k", [6, 12])
 def test_eigen_small_grid_dense_path(tmp_path, k):
     # at 16^2 the in-mask block (30 unknowns) is below five block widths
-    # (5 (k + 1) = 35 and 65), so scipy solves it densely; its warning must
-    # not reach stderr (a subprocess, since pytest captures warnings before
+    # (5 (k + 1) = 35 and 65), so it is solved densely; nothing may reach
+    # stderr (a subprocess, since pytest captures warnings before
     # they are printed)
     env = dict(os.environ, PYTHONPATH=str(Path(transonic.__file__).parents[1]))
     proc = subprocess.run(

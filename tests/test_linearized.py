@@ -24,11 +24,13 @@ from transonic.grid import (
 )
 from transonic.linearized import (
     LinearizedOperator,
+    LinearOperator,
     _coefficients,
     _dealias_rectangle,
     _quarter_potential,
     _values,
     eigen_extremes,
+    lobpcg,
     make_linearized_operator,
     norm_suite,
     solve_linearized,
@@ -452,6 +454,83 @@ def test_eigen_verdict_has_margin(dense_reference, seed):
     assert res.max_residual <= tol
     got = np.array(res.eigenvalues)
     assert np.max(np.abs(got - evals[: got.size])) <= 1e-8
+
+
+def known_spectrum(n=300, seed=0):
+    """Q diag(d) Q^T for d = (-3, 0.5, 0.6, 0.8, 1..100) and Q orthogonal near
+    the identity, as LinearOperators with the diagonal preconditioner
+    1 / (|H_ii| + 1); returns H, its lowest eigenvalues by eigh, A, M, rng."""
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([[-3.0, 0.5, 0.6, 0.8], np.linspace(1.0, 100.0, n - 4)])
+    Q = np.linalg.qr(np.eye(n) + 0.01 * rng.standard_normal((n, n)))[0]
+    H = (Q * d) @ Q.T
+    H = 0.5 * (H + H.T)
+    evals = np.linalg.eigvalsh(H)
+    assert np.max(np.abs(evals - np.sort(d))) <= 1e-12 * np.max(np.abs(d))
+    pre = 1.0 / (np.abs(np.diag(H)) + 1.0)
+    A = LinearOperator(H.shape, matmat=lambda X: H @ X)
+    M = LinearOperator(H.shape, matmat=lambda X: pre[:, None] * X)
+    return H, evals, A, M, rng
+
+
+def assert_lowest_pairs(H, evals, vals, vecs, k, tol):
+    assert np.max(np.abs(vals[:k] - evals[:k])) <= 1e-10
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(vecs.shape[1]))) <= 1e-12
+    residuals = np.linalg.norm(H @ vecs[:, :k] - vecs[:, :k] * vals[:k], axis=0)
+    assert np.max(residuals) <= 2 * tol
+
+
+def test_lobpcg_lowest_pairs_match_eigh():
+    H, evals, A, M, rng = known_spectrum()
+    vals, vecs, iterations = lobpcg(A, rng.standard_normal((300, 4)), M=M, tol=1e-9,
+                                    maxiter=300, k=3)
+    assert 0 < iterations < 300
+    assert_lowest_pairs(H, evals, vals, vecs, 3, 1e-9)
+
+
+def test_lobpcg_start_block_with_a_repeated_column():
+    # Householder QR completes the dependent start block to an orthonormal one
+    H, evals, A, M, rng = known_spectrum()
+    X = rng.standard_normal((300, 4))
+    X[:, 2] = X[:, 1]
+    vals, vecs, _ = lobpcg(A, X, M=M, tol=1e-9, maxiter=300, k=3)
+    assert_lowest_pairs(H, evals, vals, vecs, 3, 1e-9)
+
+
+def test_lobpcg_steps_without_p_when_the_gram_fails(monkeypatch):
+    # every Rayleigh-Ritz Gram (larger than the block) is refused at its
+    # first Cholesky, so each step is taken again without P
+    H, evals, A, M, rng = known_spectrum()
+    cholesky = np.linalg.cholesky
+    refused = []
+
+    def refusing(G):
+        if G.shape[0] > 4:
+            first = not refused or refused[-1] == "taken"
+            refused.append("refused" if first else "taken")
+            if first:
+                raise np.linalg.LinAlgError("refused")
+        return cholesky(G)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refusing)
+    vals, vecs, iterations = lobpcg(A, rng.standard_normal((300, 4)), M=M, tol=1e-9,
+                                    maxiter=500, k=3)
+    monkeypatch.undo()
+    assert refused.count("refused") == refused.count("taken") == iterations
+    assert_lowest_pairs(H, evals, vals, vecs, 3, 1e-9)
+
+
+def test_lobpcg_iteration_budget():
+    # two iterations return unconverged columns, which eigen_extremes' verdict
+    # refuses
+    H, _, A, M, rng = known_spectrum()
+    vals, vecs, iterations = lobpcg(A, rng.standard_normal((300, 4)), M=M, tol=1e-9,
+                                    maxiter=2, k=3)
+    assert iterations == 2
+    assert np.max(np.linalg.norm(H @ vecs[:, :3] - vecs[:, :3] * vals[:3], axis=0)) > 1e-9
+    op = make_linearized_operator(0.1, make_grid(64, 64, 20, 20))
+    with pytest.raises(NotConverged, match="after 2 iterations"):
+        eigen_extremes(op, k=3, max_iter=2)
 
 
 def test_eigen_maps_back_one_column(monkeypatch):

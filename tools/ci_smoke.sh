@@ -17,16 +17,18 @@
 # line; kernel-scan must refuse an order the residue route does not take
 # before it makes its output directory, and so must construct and
 # kernel-scan a half-width that is not finite, construct a tolerance that is
-# not finite, and kernel a point outside the box, with one stderr line; far
+# not finite, and kernel a point outside the box, with one stderr line; a
+# ball scan on which QUADPACK warns must exit 2 with one stderr line; far
 # and near kernel scans must rerun to the same bytes; the on-axis gp
 # kernel must pass with every warning an error; the ball integral must stay
 # within 1e-6 of the benchmark's reference.  Importing the CLI loads neither
-# the kernel layer, scipy.integrate nor scipy.sparse.linalg, and a 256^2
-# construct writes the same bytes under one and two BLAS threads (at 64^2 a
-# BLAS dot in MINRES would not show).
+# the kernel layer, scipy.integrate, scipy.sparse.linalg nor scipy.linalg; a
+# 256^2 construct and a 512^2 eigen write the same bytes under one and two
+# BLAS threads (at 64^2 a BLAS dot in MINRES, or the BLAS sums of scipy's
+# lobpcg, would not show).
 set -euo pipefail
 
-python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate', 'scipy.sparse.linalg'} & set(sys.modules); assert not late, late"
+python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules); assert not late, late"
 transonic lump-check --nx 32 --ny 32 --Lx 10 --Ly 10 --out lump-check
 transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c
 transonic norms --in c/phi.bin --epsilon 0.1 > c-norms.csv
@@ -36,6 +38,9 @@ for f in phi f1 f2 g1; do cmp "c/$f.bin" "c2/$f.bin"; done
 OPENBLAS_NUM_THREADS=1 transonic construct --nx 256 --ny 256 --epsilon 0.1 --out t1
 OPENBLAS_NUM_THREADS=2 transonic construct --nx 256 --ny 256 --epsilon 0.1 --out t2
 for f in phi f1 f2 g1; do cmp "t1/$f.bin" "t2/$f.bin"; done
+OPENBLAS_NUM_THREADS=1 transonic eigen --epsilon 0.1 --nx 512 --ny 512 --k 4 --seed 2 --out et1
+OPENBLAS_NUM_THREADS=2 transonic eigen --epsilon 0.1 --nx 512 --ny 512 --k 4 --seed 2 --out et2
+for f in phi0 phi1; do cmp "et1/$f.bin" "et2/$f.bin"; done
 if transonic construct --threads 2 --out t; then exit 1; else test $? -eq 1; fi
 touch not-a-dir
 if transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --out not-a-dir 2> not-a-dir.err; then exit 1; else test $? -eq 1; fi
@@ -63,6 +68,8 @@ python -c "import sys, warnings; warnings.simplefilter('error'); from transonic.
 if transonic kernel-scan --nx 64 --m 1 --n 0 --out ks64 2> ks64.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < ks64.err)" -eq 1 && test ! -e ks64
 if transonic kernel-scan --m 0 --n 0 --out ks00; then exit 1; else test $? -eq 1; fi
+if transonic kernel-scan --epsilon 0.2 --mode integral --m 3 --n 0 --out ks30 2> ks30.err; then exit 1; else test $? -eq 2; fi
+test "$(wc -l < ks30.err)" -eq 1
 test ! -e ks00
 if transonic construct --nx 64 --ny 64 --Lx inf --out c-inf 2> c-inf.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < c-inf.err)" -eq 1 && test ! -e c-inf
