@@ -36,7 +36,8 @@ from .errors import (
 )
 from .grid import make_grid
 from .linearized import _check_eigen_count, eigen_extremes, make_linearized_operator, norm_suite
-from .lump import LumpParams, check_eps, kpi_residual, linearized_kernel_residuals, sample_lump
+from .lump import (KernelSymbolParams, LumpParams, check_eps, kpi_residual,
+                   linearized_kernel_residuals, sample_lump)
 from .reduction import ReductionState, outer_fixed_point, transport_residual
 from .gp import gp_system_residual
 
@@ -135,13 +136,6 @@ def _grid(args):
     return make_grid(args.nx, args.ny, args.Lx, args.Ly)
 
 
-def _symbol_params(args):
-    # only kernel and kernel-scan import the kernel layer (and with it
-    # scipy.integrate): here and in their handlers, not at start-up
-    from .kernel import KernelSymbolParams
-    return getattr(KernelSymbolParams, args.preset)(args.epsilon)
-
-
 def _output_dir(path) -> Path:
     """The output directory, made before any work, so that a path which
     cannot be one fails at once (an OSError) rather than after the run."""
@@ -174,8 +168,9 @@ def cmd_lump_check(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    # the kernel layer, and with it scipy.integrate, loads here, not at start-up
     from .kernel import kernel_fft, kernel_residue_eval
-    p = _symbol_params(args)
+    p = getattr(KernelSymbolParams, args.preset)(args.epsilon)
     grid = _grid(args)
     if not (abs(args.x) <= grid.Lx and abs(args.y) <= grid.Ly):
         raise ValueError(f"point ({args.x}, {args.y}) is outside the box [-Lx, Lx] x [-Ly, Ly]")
@@ -202,7 +197,7 @@ def cmd_kernel(args) -> int:
 def cmd_kernel_scan(args) -> int:
     from .kernel import _check_order, decay_scan, integral_scan
     _check_order(args.m, args.n)
-    p = _symbol_params(args)
+    p = getattr(KernelSymbolParams, args.preset)(args.epsilon)
     if args.mode == "far":
         radii = np.geomspace(max(2.0, args.Lx / 8.0), args.Lx / 2.0, 10)
     elif args.mode == "near":
@@ -370,12 +365,9 @@ def main(argv=None) -> int:
         if unread:
             raise ValueError(f"transonic {args.command} does not read {' '.join(unread)}")
         code = COMMANDS[args.command][0](load_config(args))
-    except VALIDATION_ERRORS as exc:
+    except VALIDATION_ERRORS + SOLVER_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except SOLVER_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VALIDATION_ERRORS) else 2
     return code
 
 

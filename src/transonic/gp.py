@@ -29,6 +29,7 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
+    _halo_stencil,
     _multiplicity,
     _quarter_axes,
     _radial_weight,
@@ -85,9 +86,9 @@ def _interior(g: Grid2D) -> tuple[slice, slice]:
 
 def _fd_derivative(f: RealField2D, axis: int, order: int = 1) -> np.ndarray:
     """Non-wrapping centered finite difference of 6th order of ``f`` along
-    ``axis``, on its stored quarter: a three-node halo below node 0 continues
-    the samples by their parity, and the last three nodes, outside every
-    ``_interior`` window, are nan.
+    ``axis``, on its stored quarter (``grid._halo_stencil``): a three-node
+    halo below node 0 continues the samples by their parity, and the last
+    three nodes, outside every ``_interior`` window, are nan.
 
     Sampled slowly-decaying fields are not periodic; spectral differentiation
     would ring at the box seam, so pointwise verification uses plain stencils.
@@ -99,14 +100,7 @@ def _fd_derivative(f: RealField2D, axis: int, order: int = 1) -> np.ndarray:
         c = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180.0 * h * h)
     else:
         raise ValueError("order must be 1 or 2")
-    w = 3
-    p = (f.symmetry.x_parity, f.symmetry.y_parity)[axis]
-    v = np.moveaxis(f.data, axis, 0)
-    vals = np.concatenate([p * v[w:0:-1], v])
-    n = vals.shape[0]
-    out = np.full_like(v, np.nan)
-    out[: n - 2 * w] = sum(ck * vals[k : n - 2 * w + k] for k, ck in enumerate(c))
-    return np.moveaxis(out, 0, axis)
+    return _halo_stencil(f.data, c, axis, (f.symmetry.x_parity, f.symmetry.y_parity)[axis])
 
 
 def gp_system_residual(state: ReductionState, f2: RealField2D) -> "GpResidualReport":

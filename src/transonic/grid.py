@@ -187,6 +187,16 @@ def _unfold(q: np.ndarray, px: int, py: int) -> np.ndarray:
     return q
 
 
+def _halo_stencil(v: np.ndarray, c: np.ndarray, axis: int, parity: int) -> np.ndarray:
+    """sum_k c[k] v[i + k - w], w = len(c) // 2, along ``axis`` of samples
+    from node 0 on, continued below it by ``parity``; the last w are nan."""
+    w = len(c) // 2
+    v = np.moveaxis(v, axis, 0)
+    ext = np.concatenate([parity * v[w:0:-1], v, np.full_like(v[:w], np.nan)])
+    n = len(v)
+    return np.moveaxis(sum(ck * ext[k : k + n] for k, ck in enumerate(c) if ck != 0.0), 0, axis)
+
+
 def _symmetry_defect(values: np.ndarray, symmetry: Symmetry) -> float:
     """Max relative deviation of ``values`` from its declared parity."""
     scale = float(np.max(np.abs(values)))

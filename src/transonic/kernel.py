@@ -5,8 +5,9 @@ The symbol denominator is
 
     d(xi1, xi2) = a4 xi1^4 + a2 xi1^2 + b2 xi2^2 + g e^2 xi1^2 xi2^2 + d4 e^4 xi2^4
 
-and the kernel derivative d^m/dx^m d^n/dy^n K is computed by two independent
-routes:
+written once, with its presets, in ``lump``; its ``gp`` member is the
+constant symbol that ``linearized`` inverts.  The kernel derivative
+d^m/dx^m d^n/dy^n K is computed by two independent routes:
 
 * ``kernel_fft``      -- 2D Fourier inversion on a periodic grid (this is the
   periodized kernel, i.e. the free-space kernel plus its box images): the
@@ -35,7 +36,7 @@ from scipy import integrate
 
 from .errors import QuadratureNotConverged
 from .grid import Grid2D, RealField2D, Symmetry, _ik_power, _multiplied, _tagged
-from .lump import SQRT2, check_eps
+from .lump import KernelSymbolParams, symbol_eval
 
 QUAD_TOL = 1e-8
 
@@ -52,41 +53,6 @@ FAR_FIELD_SLOPE = {
     (1, 2): -1.5,
 }
 ALLOWED_ORDERS = {(0, 0), *FAR_FIELD_SLOPE}
-
-
-@dataclass(frozen=True)
-class KernelSymbolParams:
-    """Coefficients (a4, a2, b2, g, d4) of the symbol denominator."""
-
-    eps: float
-    a4: float
-    a2: float
-    b2: float
-    g: float
-    d4: float
-
-    @staticmethod
-    def normalized(eps: float) -> "KernelSymbolParams":
-        """All constant coefficients one: the model operator."""
-        return KernelSymbolParams(eps, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-    @staticmethod
-    def gp(eps: float) -> "KernelSymbolParams":
-        """Coefficients of the travelling-wave linearization."""
-        return KernelSymbolParams(eps, 1.0, 2.0 * SQRT2 - eps**2, 2.0, 2.0, 1.0)
-
-    def __post_init__(self):
-        if not (self.a4 > 0 and self.a2 > 0 and self.b2 > 0 and self.g > 0 and self.d4 > 0):
-            raise ValueError("all symbol coefficients must be positive")
-        check_eps(self.eps, "kernel")
-
-
-def symbol_eval(p: KernelSymbolParams, xi1, xi2):
-    """Denominator value; the transform of the kernel is its reciprocal."""
-    e2 = p.eps**2
-    x2 = np.asarray(xi1) ** 2
-    y2 = np.asarray(xi2) ** 2
-    return p.a4 * x2**2 + p.a2 * x2 + p.b2 * y2 + p.g * e2 * x2 * y2 + p.d4 * e2**2 * y2**2
 
 
 def _discriminant_coeffs(p: KernelSymbolParams) -> tuple[float, float, float]:

@@ -8,8 +8,10 @@ the quarter box (``_coefficients``):
   ``solve_linearized``, the linear solve inside the outer fixed point,
   inverts by the module's own preconditioned MINRES (``minres``, whose
   inner products are pairwise sums, so its bytes do not depend on the BLAS
-  thread count) and takes its verdict from; its field-space form, the
-  tests' reference, is ``tests/reference.py``'s ``apply_linearized``;
+  thread count) and takes its verdict from; its constant part, also the
+  preconditioner, is ``lump``'s ``gp`` symbol (``_constant_symbol``); its
+  field-space form, the tests' reference, is ``tests/reference.py``'s
+  ``apply_linearized``;
 * the reduced second-order nonlocal operator
   -dxx psi + c2 psi + V psi + 2 dx^-2 dyy psi, applied by ``eigen_extremes``
   on cosine coefficients, whose spectrum carries the Morse-index structure:
@@ -55,7 +57,7 @@ from .grid import (
     weighted_sup,
     zeros,
 )
-from .lump import SQRT2, LumpParams, sample_lump
+from .lump import SQRT2, KernelSymbolParams, LumpParams, sample_lump, symbol_eval
 
 DELTA_DEFAULT = 0.1
 # restarts of MINRES from its own iterate in ``solve_linearized``, and the
@@ -108,11 +110,9 @@ def make_linearized_operator(eps: float, grid: Grid2D) -> LinearizedOperator:
 
 
 def _constant_symbol(op: LinearizedOperator, grid: Grid2D) -> np.ndarray:
-    """xi1^4 + (2 sqrt2 - e^2) xi1^2 + 2 xi2^2 + 2 e^2 xi1^2 xi2^2 + e^4 xi2^4."""
-    kx = grid.kx[:, None]
-    ky = grid.ky[None, :]
-    e2 = op.eps**2
-    return kx**4 + op.c2 * kx**2 + 2.0 * ky**2 + 2.0 * e2 * kx**2 * ky**2 + e2**2 * ky**4
+    """The ``gp`` member of ``lump``'s symbol family on the quarter box:
+    xi1^4 + (2 sqrt2 - e^2) xi1^2 + 2 xi2^2 + 2 e^2 xi1^2 xi2^2 + e^4 xi2^4."""
+    return symbol_eval(KernelSymbolParams.gp(op.eps), grid.kx[:, None], grid.ky[None, :])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,6 +7,9 @@ order five is N / Q^p, its numerator N stored as a 2-D array of the
 coefficients of x^i y^j and built from q's by the quotient rule, one order
 at a time; it is evaluated exactly, never by finite differences, so kernel
 and residual checks are free of grid truncation error.
+
+The fourth-order symbol is written here once, free of scipy (``symbol_eval``,
+``KernelSymbolParams``): ``kernel`` inverts it, ``linearized`` its ``gp`` member.
 """
 
 from __future__ import annotations
@@ -35,6 +38,40 @@ def check_eps(eps: float, command: str) -> None:
     above = lo <= eps if span[0] == "[" else lo < eps
     if not (above and (eps <= hi if span[-1] == "]" else eps < hi)):
         raise ValueError(f"epsilon {eps} is outside {span}, the range of {command}")
+
+
+@dataclass(frozen=True)
+class KernelSymbolParams:
+    """Coefficients (a4, a2, b2, g, d4) of the symbol denominator."""
+
+    eps: float
+    a4: float
+    a2: float
+    b2: float
+    g: float
+    d4: float
+
+    @staticmethod
+    def normalized(eps: float) -> "KernelSymbolParams":
+        """All constant coefficients one: the model operator."""
+        return KernelSymbolParams(eps, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+    @staticmethod
+    def gp(eps: float) -> "KernelSymbolParams":
+        """Coefficients of the travelling-wave linearization."""
+        return KernelSymbolParams(eps, 1.0, 2.0 * SQRT2 - eps**2, 2.0, 2.0, 1.0)
+
+    def __post_init__(self):
+        if not (self.a4 > 0 and self.a2 > 0 and self.b2 > 0 and self.g > 0 and self.d4 > 0):
+            raise ValueError("all symbol coefficients must be positive")
+        check_eps(self.eps, "kernel")
+
+
+def symbol_eval(p: KernelSymbolParams, xi1, xi2):
+    """The symbol denominator; the transform of the kernel is its reciprocal."""
+    e2 = p.eps**2
+    return (p.a4 * xi1**4 + p.a2 * xi1**2 + p.b2 * xi2**2 + p.g * e2 * xi1**2 * xi2**2
+            + p.d4 * e2**2 * xi2**4)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
+    _halo_stencil,
     _quarter_axes,
     _sampled,
     _tagged,
@@ -432,8 +433,7 @@ def transport_residual(state: ReductionState, f2: RealField2D) -> float:
     h = x[1] - x[0]
     c = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / (840.0 * h)
     n = x.size - 4
-    ext = np.concatenate([f2r[:, 4:0:-1], f2r], axis=1)
-    dxf2 = sum(ck * ext[:, k : k + n] for k, ck in enumerate(c) if ck != 0.0)
+    dxf2 = _halo_stencil(f2r, c, 1, 1)[:, :n]
     # the original equation: c dx f2 + 2 g1 f2 = dyy g1 + dx f1 - (f1+e^2 f2)^2 g1
     # (the -2 phi f2 piece of the rewritten map belongs to the left side here)
     f2n, g1n = f2r[:, :n], g1[:, :n]

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from scipy import fft as sfft
 
 import transonic.linearized as lin_mod
-from transonic.errors import NonZeroMean, NotConverged, SymmetryViolation
+from transonic.errors import MultipleNegative, NonZeroMean, NotConverged, SymmetryViolation
 from transonic.grid import (
     RealField2D,
     Symmetry,
@@ -375,6 +376,19 @@ class TestEigen:
         op, _ = eigdata[0.1]
         with pytest.raises(NotConverged, match="residual"):
             eigen_extremes(op, k=3, tol=1e-8, max_iter=5)
+
+
+@pytest.mark.parametrize("factor, error, message", [
+    # twice the lump coupling deepens the well to a second bound state
+    # (about -16.7 and -1.34)
+    (2.0, MultipleNegative, r"^found 2 negative eigenvalues: -\d"),
+    # without it the operator is its positive symbol alone
+    (0.0, NotConverged, "^no negative eigenvalue found$"),
+])
+def test_morse_index_verdict_fires(factor, error, message):
+    op = make_linearized_operator(0.1, make_grid(64, 64, 20, 20))
+    with pytest.raises(error, match=message):
+        eigen_extremes(dataclasses.replace(op, coeff_lump_nl=factor * op.coeff_lump_nl))
 
 
 def test_cosine_basis_is_isometric_projection():

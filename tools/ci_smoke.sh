@@ -19,13 +19,13 @@
 # kernel-scan a half-width that is not finite, construct a tolerance that is
 # not finite, and kernel a point outside the box, with one stderr line; a
 # ball scan on which QUADPACK warns must exit 2 with one stderr line; far
-# and near kernel scans must rerun to the same bytes; the on-axis gp
-# kernel must pass with every warning an error; the ball integral must stay
-# within 1e-6 of the benchmark's reference.  Importing the CLI loads neither
-# the kernel layer, scipy.integrate, scipy.sparse.linalg nor scipy.linalg; a
-# 256^2 construct and a 512^2 eigen write the same bytes under one and two
-# BLAS threads (at 64^2 a BLAS dot in MINRES, or the BLAS sums of scipy's
-# lobpcg, would not show).
+# and near kernel scans and the ball scan must rerun to the same bytes; the
+# on-axis gp kernel must pass with every warning an error; the ball integral
+# must stay within 1e-6 of the benchmark's reference.  Importing the CLI
+# loads neither the kernel layer, scipy.integrate, scipy.sparse.linalg nor
+# scipy.linalg; a 256^2 construct and a 512^2 eigen write the same bytes
+# under one and two BLAS threads (at 64^2 a BLAS dot in MINRES, or the BLAS
+# sums of scipy's lobpcg, would not show).
 set -euo pipefail
 
 python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules); assert not late, late"
@@ -85,5 +85,6 @@ for mode in far near; do
   cmp "ks-${mode}1/report.csv" "ks-${mode}2/report.csv"
 done
 python -c "import csv; rows = list(csv.DictReader(open('ks/report.csv'))); assert len(rows) == 3 and all((r['m'], r['n'], r['preset'], r['epsilon']) == ('2', '0', 'gp', '0.2') for r in rows), rows"
-transonic kernel-scan --mode integral --Lx 2 --m 1 --n 1 --epsilon 0.2 --out ball
+for run in ball ball2; do transonic kernel-scan --mode integral --Lx 2 --m 1 --n 1 --epsilon 0.2 --out "$run"; done
+cmp ball/report.csv ball2/report.csv
 python -c "import csv; (row,) = csv.DictReader(open('ball/report.csv')); v = float(row['integral']); assert abs(v - 0.41542914237237066) <= 1e-6 * 0.41542914237237066, v"
