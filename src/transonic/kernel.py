@@ -17,10 +17,12 @@ d^m/dx^m d^n/dy^n K is computed by two independent routes:
 * ``kernel_residue_eval`` -- contour integration in xi2 reduces the double
   integral to a 1D oscillatory integral in xi1, evaluated by adaptive
   Gauss-Kronrod panels with a square-root substitution at the branch points
-  +-c_eps and oscillatory-weight quadrature for the tails.
+  +-c_eps (``branch_point``, a closed form) and oscillatory-weight
+  quadrature for the tails, which off the axis end at their decay cutoff.
 
 ``decay_scan`` and ``integral_scan`` turn the far-field decay table and the
-ball-integral bounds of the kernel analysis into measurable reports.
+ball-integral bounds of the kernel analysis into measurable reports.  No
+memo outlives a public call: a scan's row memo lives as long as the scan.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 from scipy import integrate
@@ -64,25 +66,19 @@ def _discriminant_coeffs(p: KernelSymbolParams) -> tuple[float, float, float]:
     return A2, A1, p.b2**2
 
 
-@lru_cache(maxsize=None)
 def branch_point(p: KernelSymbolParams) -> float | None:
     """Positive xi where the discriminant vanishes (c_eps of the factorization).
 
-    Returns None when the discriminant stays positive on the whole real line,
-    which happens when the fourth-order principal part is a perfect square
-    (g^2 = 4 d4 a4, e.g. the gp preset): the reduced integrand is then smooth
-    everywhere and no substitution is needed.
+    c_eps^2 is the smallest positive root of A2 s^2 + A1 s + A0 (A0 > 0) in
+    one cancellation-free form, 2 A0/(-A1 + sqrt(A1^2 - 4 A2 A0)), for every
+    sign of A2.  None when there is no positive root, e.g. for a perfect-square
+    principal part (g^2 = 4 d4 a4, the gp preset): the reduced integrand is
+    then smooth everywhere and no substitution is needed.
     """
     A2, A1, A0 = _discriminant_coeffs(p)
-    if abs(A2) < 1e-300:
-        if A1 >= 0:
-            return None
-        return math.sqrt(-A0 / A1)
-    roots = np.roots([A2, A1, A0])
-    pos = [float(r.real) for r in roots if abs(r.imag) < 1e-12 * abs(r) + 1e-300 and r.real > 0]
-    if not pos:
-        return None
-    return math.sqrt(min(pos))
+    disc = A1 * A1 - 4.0 * A2 * A0
+    den = -A1 + math.sqrt(disc) if disc >= 0.0 else 0.0
+    return math.sqrt(2.0 * A0 / den) if den > 0.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +165,6 @@ def _integrand(p: KernelSymbolParams, m: int, n: int, y: float, nodes: Rows | No
     return f
 
 
-@lru_cache(maxsize=None)
 def _axis_tail_coeffs(p: KernelSymbolParams, m: int, n: int) -> tuple[float, float]:
     """(l_inf, l_1) with xi^m S_n(xi, 0) = l_inf + l_1/xi + O(xi^-2).
 
@@ -190,7 +185,8 @@ def _axis_tail_coeffs(p: KernelSymbolParams, m: int, n: int) -> tuple[float, flo
 
 
 def _decay_cutoff(nodes: Rows, y: float, c: float) -> float:
-    """xi beyond which exp(-r y) < 1e-20, r = Re sqrt(a) of the row; y > 0."""
+    """xi beyond which exp(-r y) < 1e-20, r = Re sqrt(a) of the row; y > 0.
+    Every y > 0 tail ends here, uncapped: its geometric panels cost ~log(1/y)."""
     target = 46.0 / y
     # r grows about linearly in xi: bracket geometrically, not by an asymptote
     xi = 2.0 * c
@@ -320,10 +316,10 @@ def _residue_value(
             panel(h, lo, hi, **({"weight": weight, "wvar": x} if x > 0 else {}))
             lo = hi
 
-    # tail panel [2c, infinity): exponentially damped for y > 0 (truncate),
-    # oscillatory-weight quadrature for y = 0
+    # tail panel [2c, infinity): exponentially damped for y > 0 (ends at the
+    # decay cutoff), oscillatory-weight quadrature for y = 0
     if y > 0.0:
-        tail(f, min(_decay_cutoff(nodes, y, c), 2.0 * c + 2e5))
+        tail(f, _decay_cutoff(nodes, y, c))
     else:
         from scipy.special import sici
 

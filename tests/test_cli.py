@@ -47,6 +47,14 @@ def test_coarse_grid_guard_is_a_solver_verdict(tmp_path, capsys):
     assert json.loads(err[0])["error"] == "GuardViolated"
 
 
+def test_outer_iteration_budget_is_a_solver_verdict(tmp_path, capsys):
+    code = main(["construct", *SMALL, "--epsilon", "0.1", "--max-iter", "2",
+                 "--out", str(tmp_path / "c")])
+    assert code == 2
+    rec = _one_error_line(capsys)
+    assert rec["error"] == "NotConverged" and rec["message"].endswith("after 2 iterations")
+
+
 def test_integral_radii_guard(tmp_path, monkeypatch):
     # rejected before the default output directory "runs" is made
     monkeypatch.chdir(tmp_path)

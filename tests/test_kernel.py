@@ -282,15 +282,30 @@ class TestScalarRoute:
         with pytest.raises(QuadratureNotConverged):
             kernel_residue_eval(p, 1, 0, 5.0, 0.0)
 
-    def test_branch_point_cached(self):
-        K.branch_point.cache_clear()
+    def test_branch_point_matches_dispersion_roots(self):
         for eps in (0.1, 0.2, 0.5):
             p = KernelSymbolParams.normalized(eps)
-            first = K.branch_point(p)
-            assert K.branch_point(p) is first
-            assert first == pytest.approx(dispersion_roots(eps).c_eps, rel=1e-14)
-        assert K.branch_point.cache_info().hits == 3
+            assert K.branch_point(p) == pytest.approx(dispersion_roots(eps).c_eps, rel=1e-14)
         assert K.branch_point(KernelSymbolParams.gp(0.2)) is None
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            KernelSymbolParams.normalized(0.2),  # A2 < 0
+            KernelSymbolParams(0.2, 1, 1, 0.01, 2, 1),  # A2 = 0, A1 < 0
+            KernelSymbolParams.gp(0.2),  # A2 = 0, A1 >= 0
+            KernelSymbolParams(0.2, 1, 1, 0.01, 3, 1),  # A2 > 0, two positive roots
+            KernelSymbolParams(0.2, 1, 1, 0.02, 3, 1),  # A2 > 0, complex roots
+            KernelSymbolParams(0.2, 1, 1, 1, 3, 1),  # A2 > 0, two negative roots
+        ],
+    )
+    def test_branch_point_is_smallest_positive_root(self, p):
+        roots = np.roots(K._discriminant_coeffs(p))
+        pos = sorted(r.real for r in roots if r.imag == 0.0 and r.real > 0.0)
+        if pos:
+            assert K.branch_point(p) == pytest.approx(math.sqrt(pos[0]), rel=1e-14)
+        else:
+            assert K.branch_point(p) is None
 
 
 class TestScans:
@@ -330,6 +345,12 @@ class TestScans:
         ratios = [vals[r] / math.sqrt(r) for r in (1.0, 2.0, 4.0, 8.0)]
         assert max(ratios) <= 2.0 * ratios[0]
         assert ratios[3] <= 1.1 * ratios[2]
+
+    @pytest.mark.parametrize("m, n, expect", [(3, 0, 0.4382197515), (0, 3, 23.49686814)])
+    def test_integral_scan_gp_third_order(self, m, n, expect):
+        # the deep shells reach small y, whose tails must run to the decay
+        # cutoff: the values are those of a tail cap of 2e8
+        assert integral_scan(KernelSymbolParams.gp(0.2), m, n, 1.0) == pytest.approx(expect, rel=1e-8)
 
 
 class TestNodeTable:

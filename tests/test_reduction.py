@@ -139,6 +139,11 @@ class TestSolveF2:
         with pytest.raises(GuardViolated, match="weighted amplitude"):
             solve_f2(ReductionState(eps, g, phi=phi.scaled(1e6)))
 
+    def test_pass_budget_is_a_verdict(self, monkeypatch):
+        monkeypatch.setattr(red_mod, "F2_MAX_PASSES", 1)
+        with pytest.raises(NotConverged, match=r"transport Picard did not reach .* in 1 passes"):
+            ReductionState(0.1, make_grid(64, 64, 20, 20)).transport_solve
+
     def test_residual_coarse(self):
         st = ReductionState(0.1, GRID)
         f2 = solve_f2(st)

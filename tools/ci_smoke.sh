@@ -18,7 +18,9 @@
 # before it makes its output directory, and so must construct and
 # kernel-scan a half-width that is not finite, construct a tolerance that is
 # not finite, and kernel a point outside the box, with one stderr line; a
-# ball scan on which QUADPACK warns must exit 2 with one stderr line; far
+# ball scan on which QUADPACK warns must exit 2 with one stderr line, while
+# the gp (0, 3) ball scan, whose off-axis tails run to their decay cutoff,
+# must exit 0 within 1e-7 of its uncapped-tail value; far
 # and near kernel scans and the ball scan must rerun to the same bytes; the
 # on-axis gp kernel must pass with every warning an error; the ball integral
 # must stay within 1e-6 of the benchmark's reference.  Importing the CLI
@@ -70,6 +72,8 @@ test "$(wc -l < ks64.err)" -eq 1 && test ! -e ks64
 if transonic kernel-scan --m 0 --n 0 --out ks00; then exit 1; else test $? -eq 1; fi
 if transonic kernel-scan --epsilon 0.2 --mode integral --m 3 --n 0 --out ks30 2> ks30.err; then exit 1; else test $? -eq 2; fi
 test "$(wc -l < ks30.err)" -eq 1
+transonic kernel-scan --epsilon 0.2 --preset gp --mode integral --Lx 2 --m 0 --n 3 --out ks03
+python -c "import csv; (row,) = csv.DictReader(open('ks03/report.csv')); v = float(row['integral']); assert abs(v - 23.49686814) <= 1e-7 * 23.49686814, v"
 test ! -e ks00
 if transonic construct --nx 64 --ny 64 --Lx inf --out c-inf 2> c-inf.err; then exit 1; else test $? -eq 1; fi
 test "$(wc -l < c-inf.err)" -eq 1 && test ! -e c-inf
