@@ -291,6 +291,8 @@ def cmd_construct(args) -> int:
         "converged": True,
         "picard_passes": list(report.picard_passes),
         "minres_iterations": list(report.minres_iterations),
+        "minres_tols": list(report.minres_tols),
+        "picard_stops": list(report.picard_stops),
         "transport_residual_sup": transport_residual(state, f2),
     }
     _write_json(out / "report.json", rec)

@@ -144,6 +144,19 @@ class TestSolveF2:
         with pytest.raises(NotConverged, match=r"transport Picard did not reach .* in 1 passes"):
             ReductionState(0.1, make_grid(64, 64, 20, 20)).transport_solve
 
+    @pytest.mark.parametrize("stop", [0.0, 1e-2])
+    def test_divergence_is_a_verdict_at_any_stop(self, stop):
+        # a map pushed out of its contraction regime by a large phi diverges
+        # whether the Picard stops at tau or at a loose forcing level: a
+        # forced stop never calls a diverging map converged (at amplitude 3
+        # the same solve converges, in 31 passes at tau and 17 at 1e-2)
+        g = make_grid(64, 64, 20, 20)
+        X, Y = g.x[:, None], g.y[None, :]
+        phi = RealField2D(g, 10.0 * X * np.exp(-(X**2 + Y**2) / 4.0), Symmetry.ODD_X_EVEN_Y)
+        st = ReductionState(0.1, g, phi=phi, picard_stop=stop)
+        with pytest.raises(NotConverged, match=r"^transport Picard diverged at pass 12$"):
+            st.transport_solve
+
     def test_residual_coarse(self):
         st = ReductionState(0.1, GRID)
         f2 = solve_f2(st)
@@ -644,3 +657,46 @@ class TestOuterFixedPoint:
         # updates decay monotonically after the first step
         ups = rep.update_star_norms
         assert all(ups[i + 1] < ups[i] for i in range(1, len(ups) - 1))
+
+
+@pytest.fixture(scope="module")
+def forcing_runs():
+    """``outer_fixed_point`` at eps 0.1 on SMALL and GRID, each as the pair
+    (every inner solve to its final accuracy, the forcing constant 0; the
+    forcing tolerances)."""
+    runs = {}
+    for name, grid in (("SMALL", SMALL), ("GRID", GRID)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(red_mod, "_FORCING", 0.0)
+            tight = outer_fixed_point(0.1, grid)
+        runs[name] = tight, outer_fixed_point(0.1, grid)
+    return runs
+
+
+class TestForcingTolerances:
+    @pytest.mark.parametrize("name", ["SMALL", "GRID"])
+    def test_same_construction_as_tight_solves(self, forcing_runs, name):
+        (phi_t, f2_t, rep_t), (phi_f, f2_f, rep_f) = (
+            (st.phi.data, f2.data, rep) for st, f2, rep in forcing_runs[name]
+        )
+        assert rep_f.iterations == rep_t.iterations
+        assert np.max(np.abs(phi_f - phi_t)) <= 1e-10 * np.max(np.abs(phi_t))
+        assert np.max(np.abs(f2_f - f2_t)) <= 1e-9 * np.max(np.abs(f2_t))
+
+    def test_inner_work_falls(self, forcing_runs):
+        (_, _, tight), (_, _, forced) = forcing_runs["GRID"]
+        assert sum(forced.minres_iterations) <= 0.7 * sum(tight.minres_iterations)
+        assert sum(forced.picard_passes) <= 0.7 * sum(tight.picard_passes)
+
+    @pytest.mark.parametrize("name", ["SMALL", "GRID"])
+    def test_report_records_the_forcing_levels(self, forcing_runs, name):
+        _, (state, _, rep) = forcing_runs[name]
+        assert rep.minres_tols[0] == red_mod._FORCING
+        assert min(rep.minres_tols) >= 1e-9
+        assert len(rep.minres_tols) == rep.iterations
+        assert len(rep.picard_stops) == rep.iterations + 1
+        # the closing transport solve at the final phi runs to tau
+        tau = red_mod._transport_lump(state.params, state.grid, red_mod.F2_REFINE).tau
+        assert rep.picard_stops[0] == red_mod._FORCING
+        assert rep.picard_stops[-1] == state.transport_solve[2] == tau
+        assert min(rep.picard_stops) >= tau

@@ -10,7 +10,9 @@
 # same bytes, and so must two residual runs on one construction, whose
 # far-field beta is exactly 0 and whose sups are finite; the norms' star,
 # read from one spectral table per field, must equal the construction's
-# report; a usage error, a flag the subcommand does
+# report, which records one MINRES tolerance per outer step, none below
+# 1e-9, and one Picard stop level per transport solve (the outer steps' and
+# the closing one's); a usage error, a flag the subcommand does
 # not read and an output path that is a file must each leave as exit 1 with
 # one stderr line; residual must refuse a directory without report.json,
 # whose epsilon it runs at, and an epsilon = 0 construction, with one stderr
@@ -33,6 +35,7 @@ set -euo pipefail
 python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules); assert not late, late"
 transonic lump-check --nx 32 --ny 32 --Lx 10 --Ly 10 --out lump-check
 transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c
+python -c "import json; rec = json.load(open('c/report.json')); tols, stops, n = rec['minres_tols'], rec['picard_stops'], rec['iterations']; assert len(tols) == n and len(stops) == n + 1 and min(tols) >= 1e-9, rec"
 transonic norms --in c/phi.bin --epsilon 0.1 > c-norms.csv
 python -c "import csv, json; (row,) = csv.DictReader(open('c-norms.csv')); star = json.load(open('c/report.json'))['final_phi_star']; assert float(row['star']) == star, (row['star'], star)"
 transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c2
