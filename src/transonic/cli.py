@@ -34,7 +34,7 @@ from .errors import (
     QuadratureNotConverged,
     SymmetryViolation,
 )
-from .grid import make_grid
+from .grid import _tagged, make_grid
 from .linearized import _check_eigen_count, eigen_extremes, make_linearized_operator, norm_suite
 from .lump import (KernelSymbolParams, LumpParams, check_eps, kpi_residual,
                    linearized_kernel_residuals, sample_lump)
@@ -280,7 +280,10 @@ def cmd_construct(args) -> int:
     fio.write_field(out, "g1", state.g1)
     fio.write_field(out, "f1", state.f1)
     fio.write_field(out, "f2", f2)
-    suite = norm_suite(state.phi, args.epsilon, args.delta)
+    # phi's data alone, so `norms` on phi.bin gives these bits: the solve's phi
+    # keeps the spectrum it was inverted from, which differs in the last bits
+    written = _tagged(grid, state.phi.data, state.phi.symmetry)
+    suite = norm_suite(written, args.epsilon, args.delta)
     rec = {
         "config": {name: getattr(args, name) for name in COMMANDS["construct"][2]},
         "iterations": report.iterations,

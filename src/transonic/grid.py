@@ -254,6 +254,11 @@ class RealField2D:
         vals.flags.writeable = False
         return vals
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """``_spectrum(self)``, taken once: every multiplier on the field reads it."""
+        return _spectrum(self)
+
     # -- small arithmetic helpers (pointwise, in one class) -----------------
     def __add__(self, other: "RealField2D") -> "RealField2D":
         return _combined(np.add, self, other, _same_class(self, other))
@@ -317,20 +322,17 @@ def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:
 
 
 def _multiplied(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> RealField2D:
-    """The Fourier multiplier ``factors`` (on the wavenumbers k = 0..n/2 of
-    ``Grid2D``, (nx/2+1, ny/2+1); their product, one at least) acting on ``f``, tagged
-    ``symmetry``: every spectral operation of the package on fields, as its
-    halves ``_spectrum`` and ``_inverse``.  It runs on the stored quarters,
-    where the DFT of even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I
-    (-i times the DST-I) of its samples (Martucci 1994): each complex factor
-    (one per axis at most, varying along it) is made real by the classes'
-    phases, and the output is in its class by construction."""
-    return _inverse(_spectrum(f), f, symmetry, factors)
+    """The Fourier multiplier ``factors`` (on the wavenumbers k = 0..n/2 of ``Grid2D``; their
+    product, one at least) acting on ``f``, tagged ``symmetry``: every spectral operation of
+    the package on fields, as ``_phased`` and ``_inverse``.  On the stored quarters the DFT of
+    even (odd) data on k = 0..n/2 (1..n/2-1) is the DCT-I (-i times the DST-I) of its samples
+    (Martucci 1994), so the output is in its class by construction."""
+    return _inverse(_phased(f, symmetry, *factors), f.grid, symmetry)
 
 
 def _spectrum(f: RealField2D) -> np.ndarray:
-    """The forward half of ``_multiplied``: the DCT-I/DST-I of ``f``'s stored
-    quarter, zero at the ends of an odd axis, fresh and read-only."""
+    """The DCT-I/DST-I of ``f``'s stored quarter, zero at the ends of an odd
+    axis, fresh and read-only; read it as ``f.spectrum``, which keeps it."""
     pin = (f.symmetry.x_parity, f.symmetry.y_parity)
     q = _quarter(f.data, *pin)
     for axis, p in enumerate(pin):
@@ -340,20 +342,27 @@ def _spectrum(f: RealField2D) -> np.ndarray:
     return hat
 
 
-def _inverse(hat: np.ndarray, f: RealField2D, symmetry: Symmetry, factors) -> RealField2D:
-    """The other half: ``factors`` times ``hat``, the spectrum of ``f``, back
-    on the quarter box, tagged ``symmetry``; ``hat`` is shared, never written."""
+def _phased(f: RealField2D, symmetry: Symmetry, *factors: np.ndarray) -> np.ndarray:
+    """``factors`` times ``f.spectrum`` as the spectrum of class ``symmetry``: each complex
+    factor (one per axis at most, varying along it) is made real by the classes' phases."""
     pin, pout = (f.symmetry.x_parity, f.symmetry.y_parity), (symmetry.x_parity, symmetry.y_parity)
+    hat = f.spectrum
     for factor in factors:
         if np.iscomplexobj(factor):
             axis = int(factor.shape[0] == 1)
             # phase(in) / phase(out), with phase(even) = 1 and phase(odd) = -i
             factor = ((-1j) ** ((pin[axis] - pout[axis]) // -2) * factor).real
         hat = hat * factor
+    return hat
+
+
+def _inverse(hat: np.ndarray, grid: Grid2D, symmetry: Symmetry) -> RealField2D:
+    """The field of class ``symmetry`` on ``grid`` with spectrum ``hat``, which is not written."""
+    pout = (symmetry.x_parity, symmetry.y_parity)
     q = _quarter(hat, *pout)
     for axis, p in enumerate(pout):
-        q = (sfft.idct if p > 0 else sfft.idst)(q, type=1, axis=axis, overwrite_x=True)
-    return _tagged(f.grid, _padded(q, *pout), symmetry)
+        q = (sfft.idct if p > 0 else sfft.idst)(q, type=1, axis=axis, overwrite_x=axis > 0)
+    return _tagged(grid, _padded(q, *pout), symmetry)
 
 
 def _ik_power(k: np.ndarray, order: int) -> np.ndarray:
@@ -384,28 +393,19 @@ def derivative(f: RealField2D, m: int, n: int) -> RealField2D:
     are zeroed for odd orders so the result stays real-valued.  The symmetry
     tag is ``f.symmetry.differentiated(m, n)``.
     """
-    return _derivative(f, partial(_spectrum, f), m, n)
-
-
-def _derivative(f: RealField2D, spectrum: Callable[[], np.ndarray], m: int, n: int) -> RealField2D:
-    """``derivative(f, m, n)`` from ``spectrum()``, the spectrum of ``f``."""
     if not (0 <= m <= 4 and 0 <= n <= 4):
         raise ValueError("derivative orders must satisfy 0 <= m, n <= 4")
     if m == 0 and n == 0:
         return f
-    factors = []
-    if m:
-        factors.append(_ik_power(f.grid.kx, m)[:, None])
-    if n:
-        factors.append(_ik_power(f.grid.ky, n)[None, :])
-    return _inverse(spectrum(), f, f.symmetry.differentiated(m, n), factors)
+    # (i k)^0 is 1: an order 0 factor leaves the spectrum's bits as they are
+    return _multiplied(f, f.symmetry.differentiated(m, n),
+                       _ik_power(f.grid.kx, m)[:, None], _ik_power(f.grid.ky, n)[None, :])
 
 
 def spectral_table(f: RealField2D) -> Callable[[int, int], RealField2D]:
-    """(m, n) -> ``derivative(f, m, n)``, memoized, from one forward transform
-    of ``f``: its spectrum is kept from the first order other than (0, 0),
-    and each order costs one product and one inverse transform."""
-    return cache(partial(_derivative, f, cache(partial(_spectrum, f))))
+    """(m, n) -> ``derivative(f, m, n)``, memoized: every order reads the
+    spectrum ``f`` keeps, and costs one product and one inverse transform."""
+    return cache(partial(derivative, f))
 
 
 def antiderivative_x(f: RealField2D) -> RealField2D:

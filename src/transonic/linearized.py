@@ -2,7 +2,7 @@
 The linearization of the perturbed fourth-order problem about the lump.
 
 Two operators live here, both on the orthonormal sine-cosine coefficients of
-the quarter box (``_coefficients``):
+the quarter box (``_coefficients``: ``grid``'s spectrum times a fixed diagonal):
 
 * the full operator with the small fourth-order y-terms, which
   ``solve_linearized``, the linear solve inside the outer fixed point,
@@ -44,14 +44,14 @@ from .grid import (
     Grid2D,
     RealField2D,
     Symmetry,
-    _kept,
-    _padded,
+    _ik_power,
+    _inverse,
+    _multiplicity,
+    _phased,
     _quarter_axes,
     _tagged,
-    _trapezoid,
     antiderivative_x,
     dealias,
-    derivative,
     l2_norm,
     spectral_table,
     weighted_sup,
@@ -152,7 +152,7 @@ def minres(
     y = M(r1)
     beta1 = _dot(r1, y)
     if beta1 < 0:
-        raise ValueError("minres: the preconditioner is not positive definite")
+        raise ValueError("minres: the preconditioner is not positive definite on b - A x0")
     if beta1 == 0:
         return x, 0, 0
     beta1 = math.sqrt(beta1)
@@ -176,8 +176,9 @@ def minres(
         r1, r2 = r2, y
         y = M(r2)
         oldb, beta = beta, _dot(r2, y)
-        if beta < 0:
-            raise ValueError("minres: the operator is not symmetric")
+        if beta < 0:  # r2' M r2 >= 0 for any A once M is positive definite
+            raise ValueError(f"minres: the preconditioner is not positive definite on the "
+                             f"Lanczos vector of iteration {itn}")
         beta = math.sqrt(beta)
         tnorm2 += alfa**2 + oldb**2 + beta**2
         if itn == 1 and beta / beta1 <= 10 * eps:
@@ -240,7 +241,8 @@ def solve_linearized(
     method for this symmetric indefinite problem (one negative direction,
     the Morse-index one), on the sine-cosine coefficients of the quarter box
     (``_coefficients``), where the constant symbol and the preconditioner,
-    its inverse, are diagonal.
+    its inverse, are diagonal.  b is -kx h1^ + ky h2^ from the spectra of h1
+    and h2 (``grid._phased``); the solution keeps its spectrum (``_values``).
     MINRES stops on the preconditioned residual, in which the inverse
     fourth-order symbol damps the high frequencies, while the verdict is the
     plain relative residual ||A c - b||_2 / ||b||_2 of the operator MINRES
@@ -260,13 +262,15 @@ def solve_linearized(
     if x0 is not None and x0.symmetry is not Symmetry.ODD_X_EVEN_Y:
         raise SymmetryViolation("x0 must be tagged odd_x_even_y")
     grid = h1.grid
-    b = _coefficients((derivative(h1, 1, 0) + derivative(h2, 0, 1)).data, -1).ravel()
+    rows, scale = _scale(grid, -1)
+    b_hat = (_phased(h1, Symmetry.ODD_X_EVEN_Y, _ik_power(grid.kx, 1)[:, None])
+             + _phased(h2, Symmetry.ODD_X_EVEN_Y, _ik_power(grid.ky, 1)[None, :]))
+    b = (scale * b_hat[rows]).ravel()
     b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0.0:
         return zeros(grid, Symmetry.ODD_X_EVEN_Y), 0
 
-    mx = grid.nx // 2
-    sym = _constant_symbol(op, grid)[1:mx, :, None]
+    sym = _constant_symbol(op, grid)[rows, :, None]
     ax, ay = _dealias_rectangle(grid)
     kx = grid.kx[1 : ax + 1, None, None]
     potential = _quarter_potential(op, op.coeff_nl)
@@ -280,7 +284,7 @@ def solve_linearized(
         out[:ax, :ay] += kx * potential(kx * c[:ax, :ay])
         return out.ravel()
 
-    sol = None if x0 is None else _coefficients(x0.data, -1).ravel()
+    sol = None if x0 is None else _coefficients(x0).ravel()
     iterations = 0
     for _ in range(_MINRES_PASSES):
         sol, istop, its = minres(matvec, b, x0=sol, M=lambda v: v / sym.ravel(),
@@ -289,8 +293,7 @@ def solve_linearized(
         r = matvec(sol) - b
         res = math.sqrt(_dot(r, r)) / b_norm
         if res <= tol:
-            vals = _values(sol.reshape(sym.shape[:2]), -1)
-            return _tagged(grid, vals, Symmetry.ODD_X_EVEN_Y), iterations
+            return _values(sol.reshape(sym.shape[:2]), grid, -1), iterations
     raise NotConverged(
         f"linearized solve: relative residual {res:.3e} > {tol:.1e} "
         f"after {_MINRES_PASSES} MINRES passes (minres istop={istop})"
@@ -329,47 +332,39 @@ class EigenResult:
     solver: str
 
 
-# The quarter-box cosine and sine bases.  An even (odd) field is fixed by the
-# samples of its stored quarter that ``grid._quarter`` keeps, whose DCT-I
-# (DST-I) is its DFT, as in ``grid._multiplied``.  With the trapezoid weights
-# w = (1, 2, ..., 2, 1) the full-grid sum of f g equals sum w_p w_q f_pq g_pq;
-# so the orthonormal DCT-I (DST-I along an odd axis) of sqrt(w_p w_q) f_pq is
-# an isometry from the fields of one parity class (full grid, Euclidean) onto
-# their coefficients.
-# The coefficient (m, l) is sqrt(w_m w_l / (nx ny)) times the DFT coefficient
-# (i times it along a sine axis), so every Fourier symbol acts on it as a
-# diagonal multiply, and the cosine row m = 0 holds the x-means of the y-lines.
+# The quarter-box cosine and sine bases: a field's coefficients are its
+# spectrum (``f.spectrum``) on the cosine rows m = 1..nx/2 (dropping the row
+# m = 0, the x-means of the y-lines) or the sine rows m = 1..nx/2-1, times
+# sqrt(w_m w_l / (nx ny)), w = (1, 2, ..., 2, 1) (``_scale``).  As the
+# full-grid sum of f g is sum w_p w_q f_pq g_pq over the quarter, the map is
+# an isometry from the fields of one class (full grid, Euclidean) onto their
+# coefficients; as (m, l) is sqrt(w_m w_l / (nx ny)) times the DFT
+# coefficient (i times it along a sine axis), every Fourier symbol acts on
+# it as a diagonal multiply.
 
 
-def _quarter_weights(nx: int, ny: int, px: int) -> np.ndarray:
-    """sqrt(w_p w_q) on the quarter box of parity px in x, even in y."""
-    sx, sy = (np.sqrt(_trapezoid(n)) for n in (nx, ny))
-    return (sx[:, None] * sy[None, :])[_kept(px)]
+def _scale(grid: Grid2D, px: int) -> tuple[slice, np.ndarray]:
+    """The coefficient rows of a spectrum of parity px in x, even in y, and
+    sqrt(w_m w_l / (nx ny)) on them (the bases' comment above)."""
+    rows = slice(1, None if px > 0 else -1)
+    return rows, np.sqrt(_multiplicity(grid)[rows] / (grid.nx * grid.ny))
 
 
-def _ortho(q: np.ndarray, px: int) -> np.ndarray:
-    """Orthonormal DCT-I (px = 1) or DST-I (px = -1) in x, DCT-I in y: self-inverse."""
-    if px > 0:
-        return sfft.dctn(q, type=1, axes=(0, 1), norm="ortho")
-    return sfft.dct(sfft.dst(q, type=1, axis=0, norm="ortho"), type=1, axis=1, norm="ortho")
+def _coefficients(f: RealField2D) -> np.ndarray:
+    """A field of parity px in x, even in y, to its orthonormal coefficients."""
+    rows, scale = _scale(f.grid, f.symmetry.x_parity)
+    return scale * f.spectrum[rows]
 
 
-def _coefficients(q: np.ndarray, px: int) -> np.ndarray:
-    """Stored quarter (nx/2+1, ny/2+1) of parity px in x, even in y, to its
-    orthonormal coefficients: the cosine rows m = 1..nx/2 (dropping the
-    x-means) or the sine rows m = 1..nx/2-1."""
-    nx, ny = 2 * (q.shape[0] - 1), 2 * (q.shape[1] - 1)
-    coeffs = _ortho(q[_kept(px)] * _quarter_weights(nx, ny, px), px)
-    return coeffs[1:] if px > 0 else coeffs
-
-
-def _values(coeffs: np.ndarray, px: int) -> np.ndarray:
-    """Inverse of ``_coefficients``: the stored quarter, exactly in its class."""
-    if px > 0:
-        coeffs = np.concatenate([np.zeros_like(coeffs[:1]), coeffs])
-    quarter = _ortho(coeffs, px)
-    quarter /= _quarter_weights(2 * (coeffs.shape[0] - px), 2 * (coeffs.shape[1] - 1), px)
-    return _padded(quarter, px, 1)
+def _values(coeffs: np.ndarray, grid: Grid2D, px: int) -> RealField2D:
+    """Inverse of ``_coefficients``: the field, which keeps its spectrum."""
+    rows, scale = _scale(grid, px)
+    hat = np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1))
+    hat[rows] = coeffs / scale
+    hat.flags.writeable = False
+    f = _inverse(hat, grid, Symmetry.from_parities(px, 1))
+    vars(f)["spectrum"] = hat
+    return f
 
 
 def _dealias_rectangle(grid: Grid2D) -> tuple[int, int]:
@@ -530,9 +525,10 @@ def eigen_extremes(
     subspace, by LOBPCG preconditioned with the constant-coefficient symbol.
 
     The operator acts on the orthonormal cosine coefficients of the quarter
-    box (see ``_coefficients``), so parity and zero x-mean hold by
-    construction: the constant and nonlocal symbol S = kx^2 + c2 + 2 ky^2/kx^2
-    is diagonal, and only the potential term transforms, once per block.  The
+    box (the start block's well enters by ``_coefficients`` and phi0 leaves by
+    ``_values``), so parity and zero x-mean hold by construction: the
+    constant and nonlocal symbol S = kx^2 + c2 + 2 ky^2/kx^2 is diagonal,
+    and only the potential term transforms, once per block.  The
     potential term is dealiased on input and output, so on these
     coefficients the operator is block diagonal: a coupled block on the
     coefficients inside the dealias rectangle (``_quarter_potential``), and
@@ -602,8 +598,8 @@ def eigen_extremes(
         # coefficients (the coefficients of an i.i.d. normal field of the
         # class, by the isometry)
         x, y = _quarter_axes(grid)
-        well = -op.dq.data * np.exp(-0.05 * (x**2 + y**2))
-        well = _coefficients(well, 1)[:ax, :ay].reshape(unknowns, 1)
+        well = _tagged(grid, -op.dq.data * np.exp(-0.05 * (x**2 + y**2)), Symmetry.EVEN_X_EVEN_Y)
+        well = _coefficients(well)[:ax, :ay].reshape(unknowns, 1)
         rng = np.random.default_rng(seed)
         X = np.hstack([well, rng.standard_normal((unknowns, k))])
         vals, vecs, iterations = lobpcg(A, X, M=M, tol=tol * _LOBPCG_TOL_FACTOR,
@@ -636,7 +632,7 @@ def eigen_extremes(
     # phi0 is a LOBPCG column: every outside value S exceeds c2 > 0
     coeffs = np.zeros((mx, my + 1))
     coeffs[:ax, :ay] = vecs[:, order[0]].reshape(ax, ay)
-    phi0 = _tagged(grid, _values(coeffs, 1), Symmetry.EVEN_X_EVEN_Y)
+    phi0 = _values(coeffs, grid, 1)
     phi0 = phi0.scaled(1.0 / l2_norm(phi0))
     return EigenResult(
         eigenvalues=eigenvalues,

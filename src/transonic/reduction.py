@@ -136,8 +136,8 @@ class ReductionState:
 
     The derivative table of g1 = q + phi, whose (0, 0) order is ``g1``,
     combines lump parts from exact rational differentiation (the memoized
-    ``sample_lump``) with phi parts from ``spectral_table(phi)``, one forward
-    transform of the (periodic, band-limited) correction, which keeps the
+    ``sample_lump``) with phi parts from ``spectral_table(phi)``, the spectrum
+    the (periodic, band-limited) correction keeps, which keeps the
     periodic seam of the sampled lump out of every assembled product.  The
     state also keeps the x-refined transport terms and the fine transport
     solution of its phi, so the Picard solve runs once per phi and its check

@@ -13,7 +13,6 @@ from transonic.grid import (
     Symmetry,
     _project_parity,
     _stored,
-    _unfold,
     antiderivative_x,
     dealias,
     derivative,
@@ -256,6 +255,10 @@ def _indefinite_system(n=80, seed=4):
 
 @pytest.mark.parametrize("start, rtol, maxiter", [
     ("cold", 1e-12, None), ("warm", 1e-12, None), ("cold", 1e-12, 5),
+    # istop 0: a warm start that solves the diagonal system exactly
+    ("exact", 1e-12, None),
+    # istop -1: b a unit eigenvector of the diagonal system, M = I
+    ("eigen", 1e-12, None),
 ])
 def test_minres_matches_scipy(capsys, start, rtol, maxiter):
     # the package port against scipy's minres on the same system: scipy
@@ -266,17 +269,39 @@ def test_minres_matches_scipy(capsys, start, rtol, maxiter):
 
     A, b, m = _indefinite_system()
     x0 = None if start == "cold" else np.linalg.solve(A, b) + 1e-3 * np.sin(np.arange(b.size))
+    if start == "exact":
+        # nonzero integers of the system's signs: A x0 and b - A x0 = 0 are exact
+        A = np.diag(np.sign(np.diag(A)) * np.ceil(np.abs(np.diag(A))))
+        x0 = np.arange(b.size) - 7.0
+        b = A @ x0
+    elif start == "eigen":
+        A, b, m, x0 = np.diag(np.diag(A)), np.eye(b.size)[3], np.ones(b.size), None
     calls = []
     x, istop, itn = lin_mod.minres(lambda v: A @ v, b, x0=x0, M=lambda v: m * v, rtol=rtol,
                                    maxiter=maxiter, callback=lambda xk: calls.append(1))
     capsys.readouterr()
     x_sp, _ = scipy_minres(A, b, x0=x0, M=np.diag(m), rtol=rtol, maxiter=maxiter, show=True)
-    istop_sp, itn_sp = map(int, re.search(r"istop\s*=\s*(-?\d+)\s+itn\s*=\s*(\d+)",
-                                           capsys.readouterr().out).groups())
-    assert istop == istop_sp == (6 if maxiter else 1)
+    printed = re.search(r"istop\s*=\s*(-?\d+)\s+itn\s*=\s*(\d+)", capsys.readouterr().out)
+    # scipy's beta1 == 0 return prints no exit line: it is its istop 0
+    # ("beta1 = 0.  The exact solution is x0"), after no iteration
+    istop_sp, itn_sp = map(int, printed.groups()) if printed else (0, 0)
+    assert printed or start == "exact"
+    assert istop == istop_sp == {"exact": 0, "eigen": -1}.get(start, 6 if maxiter else 1)
     assert abs(itn - itn_sp) <= 1
     assert len(calls) == itn
     assert np.max(np.abs(x - x_sp)) <= 1e-10 * np.max(np.abs(x_sp))
+
+
+@pytest.mark.parametrize("d, m, match", [
+    # M indefinite on b itself
+    ([1.0, 2.0], [-1.0, 1.0], "on b - A x0"),
+    # M positive on b = e1, negative on the next Lanczos vector A e1 = e2
+    ([0.0, 0.0], [1.0, -1.0], "Lanczos vector of iteration 1"),
+])
+def test_minres_refuses_indefinite_preconditioner(d, m, match):
+    A = np.array([[d[0], 1.0], [1.0, d[1]]])
+    with pytest.raises(ValueError, match=match):
+        lin_mod.minres(lambda v: A @ v, np.array([1.0, 0.0]), M=lambda v: np.array(m) * v)
 
 
 class TestReducedOperator:
@@ -397,9 +422,9 @@ def test_cosine_basis_is_isometric_projection():
     raw = rng.standard_normal((g.nx, g.ny, 2))
     for j in range(2):
         proj = _project_parity(raw[:, :, j], Symmetry.EVEN_X_EVEN_Y)
-        coeffs = _coefficients(_stored(proj), 1)
+        coeffs = _coefficients(RealField2D(g, proj, Symmetry.EVEN_X_EVEN_Y))
         assert coeffs.shape == (g.nx // 2, g.ny // 2 + 1)
-        back = _unfold(_values(coeffs, 1), 1, 1)
+        back = _values(coeffs, g, 1).values
         proj = proj - proj.mean(axis=0, keepdims=True)
         assert np.max(np.abs(back - proj)) <= 1e-13
         assert np.sum(coeffs**2) == pytest.approx(np.sum(proj**2), rel=1e-13)
@@ -552,8 +577,8 @@ def test_eigen_maps_back_one_column(monkeypatch):
     # eigenvalues come without eigenfunctions
     shapes = []
     values = lin_mod._values
-    monkeypatch.setattr(lin_mod, "_values",
-                        lambda coeffs, px: shapes.append(coeffs.shape) or values(coeffs, px))
+    monkeypatch.setattr(lin_mod, "_values", lambda coeffs, grid, px:
+                        shapes.append(coeffs.shape) or values(coeffs, grid, px))
     op = make_linearized_operator(0.1, make_grid(64, 64, 20, 20))
     res = eigen_extremes(op, k=4)
     assert shapes == [(32, 33)]
@@ -598,9 +623,9 @@ def test_sine_cosine_basis_is_isometric_projection():
     raw = rng.standard_normal((g.nx, g.ny, 2))
     for j in range(2):
         proj = _project_parity(raw[:, :, j], Symmetry.ODD_X_EVEN_Y)
-        coeffs = _coefficients(_stored(proj), -1)
+        coeffs = _coefficients(RealField2D(g, proj, Symmetry.ODD_X_EVEN_Y))
         assert coeffs.shape == (g.nx // 2 - 1, g.ny // 2 + 1)
-        back = _unfold(_values(coeffs, -1), -1, 1)
+        back = _values(coeffs, g, -1).values
         assert np.max(np.abs(back - proj)) <= 1e-13
         assert np.sum(coeffs**2) == pytest.approx(np.sum(proj**2), rel=1e-13)
 
