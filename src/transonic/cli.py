@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +148,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
+def _write_row(fh, row: dict, **lead) -> None:
+    """A CSV header and one row: the ``lead`` columns, then ``row``'s by sorted key."""
+    keys = sorted(row)
+    w = csv.writer(fh)
+    w.writerow([*lead, *keys])
+    w.writerow([*lead.values(), *(row[k] for k in keys)])
+
+
 def cmd_lump_check(args) -> int:
     grid = _grid(args)
     out = _output_dir(args.out_dir)
@@ -238,20 +246,9 @@ def cmd_eigen(args) -> int:
     res = eigen_extremes(op, k=args.k, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
     fio.write_field(out, "phi0", res.phi0)
     fio.write_field(out, "phi1", res.phi1)
-    rec = {
-        "lambda1": res.eigenvalues[0],
-        "lambda2": res.lambda2,
-        # eigen_extremes raises unless exactly one eigenvalue is negative
-        "negative_count": 1,
-        "eigenvalues": list(res.eigenvalues),
-        "epsilon": args.epsilon,
-        "iterations": res.iterations,
-        "block": res.block,
-        "max_residual": res.max_residual,
-        "unknowns": res.unknowns,
-        "solver": res.solver,
-        "seed": args.seed,
-    }
+    rec = {f.name: getattr(res, f.name) for f in fields(res) if f.name not in ("phi0", "phi1")}
+    # eigen_extremes raises unless exactly one eigenvalue is negative
+    rec.update(lambda1=res.eigenvalues[0], negative_count=1, epsilon=args.epsilon, seed=args.seed)
     _write_json(out / "eigen.json", rec)
     print(f"lambda1 = {res.eigenvalues[0]:.8f}")
     print(f"lambda2 = {res.lambda2:.8f}")
@@ -261,12 +258,7 @@ def cmd_eigen(args) -> int:
 
 def cmd_norms(args) -> int:
     field = fio.read_field(Path(args.input))
-    suite = norm_suite(field, args.epsilon, args.delta)
-    row = asdict(suite)
-    keys = sorted(row)
-    w = csv.writer(sys.stdout)
-    w.writerow(keys)
-    w.writerow([row[k] for k in keys])
+    _write_row(sys.stdout, asdict(norm_suite(field, args.epsilon, args.delta)))
     return 0
 
 
@@ -286,25 +278,15 @@ def cmd_construct(args) -> int:
     suite = norm_suite(written, args.epsilon, args.delta)
     rec = {
         "config": {name: getattr(args, name) for name in COMMANDS["construct"][2]},
-        "iterations": report.iterations,
-        "update_star_norms": list(report.update_star_norms),
-        "contraction_ratios": list(report.contraction_ratios),
+        **asdict(report),
         "final_phi_star": suite.star,
         # outer_fixed_point raises on every exit but convergence
         "converged": True,
-        "picard_passes": list(report.picard_passes),
-        "minres_iterations": list(report.minres_iterations),
-        "minres_tols": list(report.minres_tols),
-        "picard_stops": list(report.picard_stops),
         "transport_residual_sup": transport_residual(state, f2),
     }
     _write_json(out / "report.json", rec)
     with (out / "norms.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        row = asdict(suite)
-        keys = sorted(row)
-        w.writerow(["field"] + keys)
-        w.writerow(["phi"] + [row[k] for k in keys])
+        _write_row(fh, asdict(suite), field="phi")
     print(f"converged in {report.iterations} iterations; "
           f"final weighted norm {suite.star:.6e}")
     print(f"wrote {out}/phi.bin f1.bin f2.bin g1.bin report.json norms.csv")
@@ -335,10 +317,7 @@ def cmd_residual(args) -> int:
     rec = asdict(rpt)
     _write_json(out / "gp_residual.json", rec)
     with (out / "gp_residual.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        keys = sorted(rec)
-        w.writerow(keys)
-        w.writerow([rec[k] for k in keys])
+        _write_row(fh, rec)
     print(json.dumps(rec, indent=1, sort_keys=True))
     return 0
 

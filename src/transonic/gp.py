@@ -36,7 +36,7 @@ from .grid import (
     _tagged,
     _trapezoid,
 )
-from .lump import SQRT2
+from .lump import wave_speed
 from .reduction import ReductionState, f1_derivative
 
 EDGE_MARGIN = 8
@@ -209,7 +209,7 @@ def farfield_fit(phi: ComplexField2D, eps: float) -> tuple[float, float, float]:
     if phi.im.symmetry is not Symmetry.ODD_X_EVEN_Y:
         raise SymmetryViolation("farfield_fit expects an odd_x_even_y Im(Phi)")
     g = phi.grid
-    c = SQRT2 - eps**2
+    c = wave_speed(eps)
     rmin = 0.6 * min(g.Lx, g.Ly)
     rmax = 0.9 * min(g.Lx, g.Ly)
     x, y = _quarter_axes(g)

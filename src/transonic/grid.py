@@ -308,9 +308,15 @@ def _tagged(grid: Grid2D, vals: np.ndarray, symmetry: Symmetry) -> RealField2D:
 
 
 def _combined(op, f: RealField2D, g: RealField2D, symmetry: Symmetry) -> RealField2D:
-    """``op(f, g)`` pointwise on the quarters, tagged ``symmetry``."""
+    """``op(f, g)`` pointwise on the quarters, tagged ``symmetry``; ``op`` is
+    linear, so when both keep a spectrum the result keeps ``op`` of them."""
     _check_same_grid(f, g)
-    return _tagged(f.grid, op(f.data, g.data), symmetry)
+    h = _tagged(f.grid, op(f.data, g.data), symmetry)
+    if "spectrum" in vars(f) and "spectrum" in vars(g):
+        hat = op(f.spectrum, g.spectrum)
+        hat.flags.writeable = False
+        vars(h)["spectrum"] = hat
+    return h
 
 
 def _project_parity(vals: np.ndarray, symmetry: Symmetry) -> np.ndarray:

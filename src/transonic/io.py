@@ -18,14 +18,9 @@ import numpy as np
 from .grid import RealField2D, Symmetry, make_grid
 
 
-def field_paths(directory: Path, name: str) -> tuple[Path, Path]:
-    d = Path(directory)
-    return d / f"{name}.bin", d / f"{name}.json"
-
-
 def write_field(directory: Path, name: str, f: RealField2D) -> Path:
     """Write name.bin + name.json into ``directory``; returns the .bin path."""
-    bin_path, json_path = field_paths(directory, name)
+    bin_path = Path(directory) / f"{name}.bin"
     bin_path.parent.mkdir(parents=True, exist_ok=True)
     # values[i, j] = f(x_i, y_j); x fastest in a row-major file means the
     # x index must be last, hence the transpose
@@ -39,7 +34,7 @@ def write_field(directory: Path, name: str, f: RealField2D) -> Path:
         "symmetry": f.symmetry.value,
         "quantity-name": name,
     }
-    json_path.write_text(json.dumps(sidecar, indent=1, sort_keys=True) + "\n")
+    bin_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=1, sort_keys=True) + "\n")
     return bin_path
 
 

@@ -57,7 +57,8 @@ from .grid import (
     weighted_sup,
     zeros,
 )
-from .lump import SQRT2, KernelSymbolParams, LumpParams, sample_lump, symbol_eval
+from .lump import (KernelSymbolParams, LumpParams, dxx_coefficient, sample_lump, symbol_eval,
+                   wave_speed)
 
 DELTA_DEFAULT = 0.1
 # restarts of MINRES from its own iterate in ``solve_linearized``, and the
@@ -91,7 +92,7 @@ class LinearizedOperator:
     @property
     def c2(self) -> float:
         """Second-order x coefficient 2*sqrt(2) - eps^2."""
-        return 2.0 * SQRT2 - self.eps**2
+        return dxx_coefficient(self.eps)
 
     @cached_property
     def dealiased_dq(self) -> RealField2D:
@@ -104,7 +105,7 @@ def make_linearized_operator(eps: float, grid: Grid2D) -> LinearizedOperator:
     return LinearizedOperator(
         eps=eps,
         dq=sample_lump(params, grid, 1, 0),
-        coeff_nl=6.0 * (SQRT2 - eps**2),
+        coeff_nl=6.0 * wave_speed(eps),
         coeff_lump_nl=2.0 * params.nonlinear_coeff,
     )
 

@@ -25,6 +25,18 @@ from .grid import Grid2D, RealField2D, Symmetry, _quarter_axes, _sampled
 
 SQRT2 = math.sqrt(2.0)
 
+
+def wave_speed(eps: float) -> float:
+    """The travelling wave's speed c = sqrt2 - eps^2, just below the sound speed."""
+    return SQRT2 - eps**2
+
+
+def dxx_coefficient(eps: float) -> float:
+    """The second-order x coefficient 2 sqrt2 - eps^2 of the transonic operator
+    dx^4 - (2 sqrt2 - eps^2) dx^2 - 2 dy^2 + ..."""
+    return 2.0 * SQRT2 - eps**2
+
+
 # Valid eps per subcommand; LumpParams reads lump-check's, the kernel symbol kernel's.
 EPS_RANGES = {"lump-check": "[0, 0.5)", "eigen": "[0, 0.5)", "norms": "[0, 0.5)",
               "kernel": "(0, 0.5]", "kernel-scan": "(0, 0.5]",
@@ -59,7 +71,7 @@ class KernelSymbolParams:
     @staticmethod
     def gp(eps: float) -> "KernelSymbolParams":
         """Coefficients of the travelling-wave linearization."""
-        return KernelSymbolParams(eps, 1.0, 2.0 * SQRT2 - eps**2, 2.0, 2.0, 1.0)
+        return KernelSymbolParams(eps, 1.0, dxx_coefficient(eps), 2.0, 2.0, 1.0)
 
     def __post_init__(self):
         if not (self.a4 > 0 and self.a2 > 0 and self.b2 > 0 and self.g > 0 and self.d4 > 0):
@@ -87,7 +99,7 @@ class LumpParams:
     @staticmethod
     def from_epsilon(eps: float) -> "LumpParams":
         check_eps(eps, "lump-check")
-        s = 2.0 * SQRT2 - eps**2
+        s = dxx_coefficient(eps)
         A = (2.0 * SQRT2 / s) ** 2 * math.sqrt(8.0 - 2.0 * SQRT2 * eps**2)
         B = s / (2.0 * SQRT2)
         C = s**2 / (4.0 * SQRT2)
@@ -166,7 +178,7 @@ def kpi_residual(p: LumpParams, g: Grid2D, nonlinear_coeff: float | None = None)
     Vanishes identically (to rounding) for the exact nonlinear coefficient;
     ``nonlinear_coeff`` overrides it for coefficient-perturbation checks.
     """
-    c2 = 2.0 * SQRT2 - p.eps**2
+    c2 = dxx_coefficient(p.eps)
     cnl = p.nonlinear_coeff if nonlinear_coeff is None else nonlinear_coeff
     X, Y = _quarter_axes(g)
     d = lambda m, n: lump_derivative(p, m, n, X, Y)
@@ -184,7 +196,7 @@ def linearized_kernel_residuals(p: LumpParams, g: Grid2D) -> tuple[RealField2D, 
     really span the kernel.  The x mode's residual is even/even, the y
     mode's odd/odd.
     """
-    c2 = 2.0 * SQRT2 - p.eps**2
+    c2 = dxx_coefficient(p.eps)
     cl = 2.0 * p.nonlinear_coeff
     X, Y = _quarter_axes(g)
     d = lambda m, n: lump_derivative(p, m, n, X, Y)

@@ -75,7 +75,7 @@ from .linearized import (
     star_norm_proxy,
 )
 from .lump import (SQRT2, LumpParams, _denominator, check_eps, kpi_residual, lump_derivative,
-                   sample_lump)
+                   sample_lump, wave_speed)
 
 
 def f1_derivative(g1_d: Callable[[int, int], np.ndarray], m: int, n: int) -> np.ndarray:
@@ -105,7 +105,7 @@ def f1_from_g1(g1: RealField2D) -> RealField2D:
 
 def f0_exponent(p: LumpParams) -> float:
     """Power of the lump denominator solving the homogeneous transport equation."""
-    return p.A / (p.B * (SQRT2 - p.eps**2))
+    return p.A / (p.B * wave_speed(p.eps))
 
 
 def F0_eval(eps: float, x, y):
@@ -165,7 +165,7 @@ class ReductionState:
         elif phi.grid != grid:
             raise GridMismatch("phi is on another grid than the state")
         self.eps = eps
-        self.c = SQRT2 - eps**2
+        self.c = wave_speed(eps)
         self.grid = grid
         self.phi = phi
         self.f2_start = f2_start
@@ -202,10 +202,8 @@ class ReductionState:
         the phi derivatives interpolated onto the refined half lines, and
         f1, dx f1 from them by ``f1_derivative``."""
         lump = _transport_lump(self.params, self.grid, F2_REFINE)
-        phi_d = {
-            mn: _refined_lines(_quarter_lines(self.phi_d(*mn)), _x_parity(mn), F2_REFINE)
-            for mn in _TRANSPORT_ORDERS
-        }
+        refined = lambda d: _refined_lines(_quarter_lines(d.data), d.symmetry.x_parity, F2_REFINE)
+        phi_d = {mn: refined(self._phi_table(*mn)) for mn in _TRANSPORT_ORDERS}
         g1_d = {mn: lump.q_d[mn] + phi_d[mn] for mn in _TRANSPORT_ORDERS}
         g1_at = lambda m, n: g1_d[m, n]
         f1, dxf1 = f1_derivative(g1_at, 0, 0), f1_derivative(g1_at, 1, 0)
@@ -298,11 +296,6 @@ F2_CHECK_WINDOW = 0.95
 _TRANSPORT_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 2))
 
 
-def _x_parity(order: tuple[int, int]) -> int:
-    """x-parity of the derivative ``order`` of q and of phi (both odd in x)."""
-    return Symmetry.ODD_X_EVEN_Y.differentiated(*order).x_parity
-
-
 @dataclass(frozen=True)
 class _TransportLump:
     """What the transport solve needs of (eps, grid, refine) alone, on the
@@ -323,26 +316,26 @@ class _TransportLump:
 def _transport_lump(p: LumpParams, g: Grid2D, refine: int) -> _TransportLump:
     """The memoized ``_TransportLump``: a construction computes it once.
 
+    The lump orders are sampled on the quarter box of the x-refined grid by
+    ``grid._sampled``, as ``sample_lump`` samples them on the grid, and
+    transposed to its quarter lines; x and F0 come from the same axes.
     tau = 32 eps_mach max F0 / min F0 on the refined box: each Picard pass
     divides by F0 and multiplies back, so rounding returns amplified by up
     to that ratio.
     """
-    m = refine * g.nx // 2
-    x = (g.Lx / m) * np.arange(m + 1)
-    X, Y = np.meshgrid(x, g.dy * np.arange(g.ny // 2 + 1))
-    q_d = {}
-    for mn in _TRANSPORT_ORDERS:
-        vals = lump_derivative(p, *mn, X, Y)
-        if _x_parity(mn) < 0:
-            # zero at x = 0 and at x = Lx, the periodic copy of -Lx
-            vals[:, [0, -1]] = 0.0
-        q_d[mn] = vals
-    F0 = F0_eval(p.eps, X, Y)
+    fine = Grid2D(refine * g.nx, g.ny, g.Lx, g.Ly)
+    x, y = _quarter_axes(fine)
+    q_d = {
+        mn: _quarter_lines(_sampled(fine, lump_derivative(p, *mn, x, y),
+                                    Symmetry.ODD_X_EVEN_Y.differentiated(*mn)).data)
+        for mn in _TRANSPORT_ORDERS
+    }
+    F0 = _quarter_lines(F0_eval(p.eps, x, y))
     return _TransportLump(
-        x=x,
+        x=x[:, 0],
         q_d=q_d,
         F0=F0,
-        cF0=(SQRT2 - p.eps**2) * F0,
+        cF0=wave_speed(p.eps) * F0,
         tau=32.0 * np.finfo(float).eps * float(F0.max() / F0.min()),
         decay_power=2.0 * f0_exponent(p) + 3.0,
     )
@@ -483,7 +476,7 @@ def gamma_q_field(p: LumpParams, g: Grid2D) -> RealField2D:
     e2 = p.eps**2
     x, y = _quarter_axes(g)
     vals = (
-        -kpi_residual(p, g, 3.0 * (SQRT2 - e2)).data
+        -kpi_residual(p, g, 3.0 * wave_speed(p.eps)).data
         - 2.0 * e2 * lump_derivative(p, 2, 2, x, y)
         - e2**2 * lump_derivative(p, 0, 4, x, y)
     )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -22,8 +23,9 @@ import transonic.reduction as red_mod
 from transonic.cli import build_parser, load_config, main
 from transonic.grid import Symmetry, derivative, make_grid, zeros
 from transonic.kernel import KernelSymbolParams, kernel_residue_eval
-from transonic.linearized import _transport_norms
+from transonic.linearized import EigenResult, _transport_norms
 from transonic.lump import EPS_RANGES
+from transonic.reduction import FixedPointReport
 
 SMALL = ["--nx", "64", "--ny", "64", "--Lx", "20", "--Ly", "20"]
 
@@ -316,6 +318,23 @@ def test_eigen_and_norms(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-2].split(",")[0] == "a"
+
+
+def test_records_are_their_dataclasses(tmp_path):
+    # report.json holds every FixedPointReport field under its own name, and
+    # eigen.json every EigenResult field but the two eigenfunctions
+    assert main(["construct", "--epsilon", "0.2", "--tol", "1e-6", "--out", str(tmp_path / "c")]
+                + SMALL) == 0
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    own = {"config", "final_phi_star", "converged", "transport_residual_sup"}
+    assert set(report) == {f.name for f in dataclasses.fields(FixedPointReport)} | own
+    assert report["iterations"] == len(report["update_star_norms"])
+    assert main(["eigen", "--epsilon", "0.1", "--k", "3", "--out", str(tmp_path / "e")]
+                + SMALL) == 0
+    rec = json.loads((tmp_path / "e" / "eigen.json").read_text())
+    kept = {f.name for f in dataclasses.fields(EigenResult)} - {"phi0", "phi1"}
+    assert set(rec) == kept | {"lambda1", "negative_count", "epsilon", "seed"}
+    assert rec["lambda1"] == rec["eigenvalues"][0] < 0.0 < rec["lambda2"]
 
 
 def test_eigen_explicit_seed_zero(tmp_path):

@@ -249,6 +249,16 @@ class TestNorms:
                 assert weighted_sup(f, p, delta) == direct
         assert grid_module._radial_weight.cache_info().misses == 2
 
+    @pytest.mark.parametrize("p, delta, message", [
+        (-0.5, 0.1, "p must be >= 0"),
+        (1.0, -0.1, "delta must lie in"),
+        (1.0, 1.0, "delta must lie in"),
+    ])
+    def test_weighted_sup_argument_checks(self, p, delta, message):
+        g = make_grid(16, 16, 5, 5)
+        with pytest.raises(ValueError, match=message):
+            weighted_sup(zeros(g, Symmetry.EVEN_X_EVEN_Y), p, delta)
+
     def test_l2_norm_area(self):
         g = make_grid(16, 16, 1, 1)
         assert l2_norm(constant(g, 1.0)) == pytest.approx(2.0)
@@ -516,6 +526,38 @@ class TestSpectralTable:
         # one DCT-I or DST-I per axis, once; one inverse per order but (0, 0)
         assert len(forward) == 2
         assert len(calls) - len(forward) == 2 * (len(self.ORDERS) - 1)
+
+    @pytest.mark.parametrize("combine, op", [(lambda a, b: a + b, np.add),
+                                             (lambda a, b: a - b, np.subtract)])
+    def test_combination_of_kept_spectra_keeps_theirs(self, rand_field, combine, op, monkeypatch):
+        # both operands keep a spectrum: the sum or difference keeps the sum
+        # or difference of them, read-only, and transforms nothing
+        f, g = (rand_field(self.GRID, Symmetry.ODD_X_EVEN_Y, seed=s) for s in (38, 39))
+        hats = f.spectrum, g.spectrum
+        spectrum = grid_module._spectrum
+        calls = []
+        monkeypatch.setattr(grid_module, "_spectrum", lambda h: calls.append(h) or spectrum(h))
+        h = combine(f, g)
+        assert np.array_equal(h.spectrum, op(*hats))
+        assert not h.spectrum.flags.writeable
+        assert calls == []
+
+    @pytest.mark.parametrize("kept", ["first", "second", "neither"])
+    def test_combination_without_both_spectra_transforms(self, rand_field, kept, monkeypatch):
+        # an operand without a spectrum: the difference's is taken from its
+        # data, as for any field
+        f, g = (rand_field(self.GRID, Symmetry.EVEN_X_EVEN_Y, seed=s) for s in (40, 41))
+        for name, field in (("first", f), ("second", g)):
+            if kept == name:
+                field.spectrum  # taken, and kept from here on
+        spectrum = grid_module._spectrum
+        calls = []
+        monkeypatch.setattr(grid_module, "_spectrum", lambda h: calls.append(h) or spectrum(h))
+        h = f - g
+        assert calls == []
+        hat = h.spectrum
+        assert calls == [h]
+        assert np.array_equal(hat, spectrum(h))
 
     def test_star_proxy_sums_the_kept_terms(self, rand_field):
         phi = rand_field(make_grid(64, 64, 20, 20), Symmetry.ODD_X_EVEN_Y, seed=37, amplitude=1e-2)

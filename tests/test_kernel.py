@@ -325,6 +325,23 @@ class TestScans:
         # r|K_(1,0)| <= C near the origin: slope no steeper than -1 (modulo fit noise)
         assert rep.fitted_slope_per_ray[0] >= -1.1
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 1)])
+    def test_odd_n_ray_on_the_x_axis_is_nan(self, m, n):
+        # K_mn is odd in y for odd n, so every value on the ray at angle 0 is
+        # exactly 0: no radius is kept, and that ray reports no slope
+        p = KernelSymbolParams.normalized(0.2)
+        radii = np.geomspace(2.0, 8.0, 4)
+        assert all(kernel_residue_eval(p, m, n, r, 0.0) == 0.0 for r in radii)
+        rep = decay_scan(p, m, n, radii, (0.0, 0.8))
+        assert math.isnan(rep.fitted_slope_per_ray[0])
+        assert math.isfinite(rep.fitted_slope_per_ray[1])
+        assert math.isfinite(rep.max_prefactor)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_integral_scan_needs_a_positive_radius(self, r):
+        with pytest.raises(ValueError, match="r must be positive"):
+            integral_scan(KernelSymbolParams.normalized(0.2), 1, 0, r)
+
     @pytest.mark.slow
     def test_integral_scan_bounded(self, monkeypatch):
         p = KernelSymbolParams.normalized(0.2)

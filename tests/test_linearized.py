@@ -559,6 +559,64 @@ def test_lobpcg_steps_without_p_when_the_gram_fails(monkeypatch):
     assert_lowest_pairs(H, evals, vals, vecs, 3, 1e-9)
 
 
+def test_lobpcg_stops_when_w_is_dependent_on_x():
+    # a preconditioner that maps every residual into span(X), here to 0,
+    # leaves W = 0 after the projection: its Cholesky QR fails and the start
+    # block's Ritz pairs come back after no iteration
+    H, _, A, _, rng = known_spectrum()
+    X0 = rng.standard_normal((300, 4))
+    M = LinearOperator(H.shape, matmat=np.zeros_like)
+    vals, vecs, iterations = lobpcg(A, X0, M=M, tol=1e-9, maxiter=300, k=3)
+    assert iterations == 0
+    Q = np.linalg.qr(X0)[0]
+    assert np.allclose(vals, np.linalg.eigvalsh(Q.T @ H @ Q), rtol=0, atol=1e-12)
+    assert np.max(np.abs(Q @ (Q.T @ vecs) - vecs)) <= 1e-12
+
+
+def test_lobpcg_drops_p_when_its_active_columns_are_dependent(monkeypatch):
+    # P[:, active] refused as dependent at every step: each step is taken
+    # on [X, W] alone, and the iteration still finds the lowest pairs
+    H, evals, A, M, rng = known_spectrum()
+    orthonormalized = lin_mod._orthonormalized
+    dropped = []
+
+    def refusing(V, *images):
+        if images:  # the P block, with AP
+            dropped.append(V.shape[1])
+            raise np.linalg.LinAlgError("dependent")
+        return orthonormalized(V)
+
+    monkeypatch.setattr(lin_mod, "_orthonormalized", refusing)
+    vals, vecs, iterations = lobpcg(A, rng.standard_normal((300, 4)), M=M, tol=1e-9,
+                                    maxiter=500, k=3)
+    monkeypatch.undo()
+    assert len(dropped) == iterations - 1
+    assert_lowest_pairs(H, evals, vals, vecs, 3, 1e-9)
+
+
+def test_lobpcg_stops_when_even_the_x_w_gram_fails(monkeypatch):
+    # every Rayleigh-Ritz Gram (larger than the block) is refused, with P and
+    # then without: the loop's else branch returns the start block's pairs
+    H, _, A, M, rng = known_spectrum()
+    X0 = rng.standard_normal((300, 4))
+    cholesky = np.linalg.cholesky
+    refused = []
+
+    def refusing(G):
+        if G.shape[0] > 4:
+            refused.append(G.shape[0])
+            raise np.linalg.LinAlgError("refused")
+        return cholesky(G)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refusing)
+    vals, vecs, iterations = lobpcg(A, X0, M=M, tol=1e-9, maxiter=300, k=3)
+    monkeypatch.undo()
+    assert iterations == 0
+    assert refused == [8, 8]  # no P at the first step: both tries are [X, W]
+    Q = np.linalg.qr(X0)[0]
+    assert np.allclose(vals, np.linalg.eigvalsh(Q.T @ H @ Q), rtol=0, atol=1e-12)
+
+
 def test_lobpcg_iteration_budget():
     # two iterations return unconverged columns, which eigen_extremes' verdict
     # refuses

@@ -257,6 +257,26 @@ class TestHalfLineTransforms:
         assert np.array_equal(lines[:-1, :-1], f.values[half, half].T)
         assert np.array_equal(_unfold(red_mod._quarter_lines(lines), 1, 1), f.values)
 
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_transport_lump_lines_as_a_meshgrid(self, eps):
+        # the lump lines, sampled on the refined grid's quarter box through
+        # grid._sampled and transposed, are bit for bit the lump orders on the
+        # (y, x) meshgrid of the refined half-line nodes, with the orders odd
+        # in x (even m, as q is odd in x) zeroed at x = 0 and x = Lx; F0 alike
+        p = LumpParams.from_epsilon(eps)
+        lump = red_mod._transport_lump(p, SMALL, red_mod.F2_REFINE)
+        m = red_mod.F2_REFINE * SMALL.nx // 2
+        x = (SMALL.Lx / m) * np.arange(m + 1)
+        X, Y = np.meshgrid(x, SMALL.dy * np.arange(SMALL.ny // 2 + 1))
+        assert np.array_equal(lump.x, x)
+        assert set(lump.q_d) == set(red_mod._TRANSPORT_ORDERS)
+        for mn in red_mod._TRANSPORT_ORDERS:
+            vals = lump_derivative(p, *mn, X, Y)
+            if mn[0] % 2 == 0:
+                vals[:, [0, -1]] = 0.0
+            assert np.array_equal(lump.q_d[mn], vals), mn
+        assert np.array_equal(lump.F0, F0_eval(eps, X, Y))
+
     def test_refine_4_resolves_f2(self, monkeypatch):
         # f2 of a 128^2 construction at F2_REFINE = 4 against 8, over the
         # transport check's window: 3.2e-4 of the sup measured, 0.37 at 2
@@ -496,11 +516,11 @@ class TestDerivativeTable:
         # iteration samples none more
         calls = []
         sample = lump_mod.lump_derivative
-        lines = (SMALL.ny // 2 + 1, red_mod.F2_REFINE * SMALL.nx // 2 + 1)
         quarter = (SMALL.nx // 2 + 1, 1)  # the x column of the grid's quarter box
+        refined = (red_mod.F2_REFINE * SMALL.nx // 2 + 1, 1)  # and of the refined grid's
 
         def counted(p, m, n, x, y):
-            if np.shape(x) in ((SMALL.nx, SMALL.ny), quarter, lines):
+            if np.shape(x) in ((SMALL.nx, SMALL.ny), quarter, refined):
                 calls.append((m, n))
             return sample(p, m, n, x, y)
 
@@ -552,7 +572,8 @@ class TestDerivativeTable:
         # every r2r transform of a 256^2 construct at eps 0.1, counted where
         # the package calls it; 822 when linearized kept its own orthonormal
         # transforms, took MINRES's right-hand side to the grid and back and
-        # transformed phi again for each new state and each warm start
+        # transformed phi again for each new state and each warm start, 754
+        # when each step's update phi_new - phi was transformed forward again
         from scipy import fft as sfft
 
         calls = []
@@ -570,7 +591,7 @@ class TestDerivativeTable:
         red_mod._transport_lump.cache_clear()
         _, _, rep = outer_fixed_point(0.1, GRID)
         assert rep.iterations == 7
-        assert len(calls) == 754
+        assert len(calls) == 740
         assert "dctn" not in calls
 
     def test_gamma_q_antiderivative_once(self, rand_field, monkeypatch):

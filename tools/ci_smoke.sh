@@ -26,13 +26,13 @@
 # and near kernel scans and the ball scan must rerun to the same bytes; the
 # on-axis gp kernel must pass with every warning an error; the ball integral
 # must stay within 1e-6 of the benchmark's reference.  Importing the CLI
-# loads neither the kernel layer, scipy.integrate, scipy.sparse.linalg nor
-# scipy.linalg; a 256^2 construct and a 512^2 eigen write the same bytes
+# loads neither the kernel layer, scipy.integrate, scipy.interpolate (only
+# the ball scan reads it), scipy.sparse.linalg nor scipy.linalg; a 256^2 construct and a 512^2 eigen write the same bytes
 # under one and two BLAS threads (at 64^2 a BLAS dot in MINRES, or the BLAS
 # sums of scipy's lobpcg, would not show).
 set -euo pipefail
 
-python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules); assert not late, late"
+python -c "import sys, transonic.cli; late = {'transonic.kernel', 'scipy.integrate', 'scipy.interpolate', 'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules); assert not late, late"
 transonic lump-check --nx 32 --ny 32 --Lx 10 --Ly 10 --out lump-check
 transonic construct --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out c
 python -c "import json; rec = json.load(open('c/report.json')); tols, stops, n = rec['minres_tols'], rec['picard_stops'], rec['iterations']; assert len(tols) == n and len(stops) == n + 1 and min(tols) >= 1e-9, rec"
@@ -63,6 +63,7 @@ test "$(wc -l < c0.err)" -eq 1 && test ! -e c0/gp_residual.json
 transonic eigen --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out e
 transonic eigen --nx 64 --ny 64 --Lx 20 --Ly 20 --epsilon 0.1 --out e2
 for f in phi0 phi1; do cmp "e/$f.bin" "e2/$f.bin"; done
+cmp e/eigen.json e2/eigen.json
 python -c "import json; rec = json.load(open('e/eigen.json')); assert rec['solver'] == 'lobpcg' and rec['max_residual'] <= 1e-7, rec"
 transonic eigen --nx 16 --ny 16 --Lx 80 --Ly 80 --epsilon 0.1 --k 6 --out e16
 transonic norms --in e/phi1.bin --epsilon 0.1
